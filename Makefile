@@ -8,7 +8,7 @@ GO ?= go
 REV ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X equitruss/internal/buildinfo.revision=$(REV)
 
-.PHONY: all build test race bench benchcheck repro examples ci serversmoke servermetrics chaos crashsafe coldstart clean
+.PHONY: all build test race bench benchcheck repro examples ci serversmoke servermetrics chaos crashsafe coldstart lifecycle clean
 
 all: build test
 
@@ -24,8 +24,9 @@ race:
 # The gate every change must pass: vet, vulnerability scan (when the
 # scanner is installed), build, full tests, the race-detector subset
 # covering the shared-state hot spots (schedulers, connected components,
-# the query server), and the chaos suite.
-ci: serversmoke servermetrics chaos crashsafe coldstart
+# the query server) at one worker thread and at more workers than the box
+# has cores, the chaos suite, and the nested lifecycle-benchmark module.
+ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	$(GO) vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
@@ -35,7 +36,7 @@ ci: serversmoke servermetrics chaos crashsafe coldstart
 	fi
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/concur ./internal/cc ./internal/triangle ./internal/truss ./internal/community ./internal/obs
+	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/cc ./internal/triangle ./internal/truss ./internal/community ./internal/obs
 	$(MAKE) benchcheck
 
 # Perf regression gate: rerun the Support kernel sweep, the query-path
@@ -90,6 +91,16 @@ crashsafe:
 coldstart:
 	EQUITRUSS_COLDSTART=1 $(GO) test -race -run 'TestColdstart' .
 	$(GO) test -race ./internal/mmapio ./internal/graphio
+
+# The lifecycle benchmark (BENCHMARK.json, benchmark/) is a nested module
+# that `./...` skips: vet and test it, then smoke one workload end to end.
+# It calls the kernels and the index/maintainer API by their exported
+# signatures, so this is also the compile-time guard that a refactor left
+# the instrument working.
+lifecycle:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	bash benchmark/run.sh --workload churn-mixed --smoke --seconds 0.75
 
 # One benchmark per paper table/figure plus ablations (bench_test.go).
 bench:

@@ -19,6 +19,7 @@ import (
 	"equitruss/internal/dynamic"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -59,7 +60,7 @@ func benchSupports(b *testing.B, name string) (*graph.Graph, []int32) {
 	if s, ok := benchSups[key]; ok {
 		return g, s
 	}
-	s := triangle.Supports(g, 0)
+	s := testkit.Supports(g, triangle.KernelMerge, 0)
 	benchSups[key] = s
 	return g, s
 }
@@ -72,7 +73,7 @@ func benchTau(b *testing.B, name string) (*graph.Graph, []int32) {
 	if t, ok := benchTaus[key]; ok {
 		return g, t
 	}
-	tau, _ := truss.DecomposeParallel(g, sup, 0)
+	tau, _ := testkit.Tau(g, sup, truss.PeelLevelSync, 0)
 	benchTaus[key] = tau
 	return g, tau
 }
@@ -131,7 +132,7 @@ func BenchmarkFig4KernelBreakdownParallel(b *testing.B) {
 			g, tau := benchTau(b, name)
 			var spNodePct float64
 			for i := 0; i < b.N; i++ {
-				_, tm := core.Build(g, tau, core.VariantBaseline, 1)
+				_, tm := testkit.Summary(g, tau, core.VariantBaseline, 1)
 				spNodePct = 100 * float64(tm.SpNode) / float64(tm.IndexTotal())
 			}
 			b.ReportMetric(spNodePct, "spnode%")
@@ -151,7 +152,7 @@ func BenchmarkFig5SpNodeVariants(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", name, v), func(b *testing.B) {
 				var spnode float64
 				for i := 0; i < b.N; i++ {
-					_, tm := core.Build(g, tau, v, 1)
+					_, tm := testkit.Summary(g, tau, v, 1)
 					spnode = tm.SpNode.Seconds()
 				}
 				b.ReportMetric(spnode*1e3, "spnode-ms")
@@ -170,7 +171,7 @@ func BenchmarkFig6StrongScaling(b *testing.B) {
 		for threads := 1; threads <= concur.MaxThreads(); threads *= 2 {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					core.Build(g, tau, v, threads)
+					testkit.Summary(g, tau, v, threads)
 				}
 			})
 		}
@@ -188,7 +189,7 @@ func BenchmarkFig7SpNodeFriendster(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var spnode float64
 				for i := 0; i < b.N; i++ {
-					_, tm := core.Build(g, tau, v, threads)
+					_, tm := testkit.Summary(g, tau, v, threads)
 					spnode = tm.SpNode.Seconds()
 				}
 				b.ReportMetric(spnode*1e3, "spnode-ms")
@@ -207,7 +208,7 @@ func BenchmarkFig8KernelsByThreads(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			var tm core.Timings
 			for i := 0; i < b.N; i++ {
-				_, tm = core.Build(g, tau, core.VariantAfforest, threads)
+				_, tm = testkit.Summary(g, tau, core.VariantAfforest, threads)
 			}
 			b.ReportMetric(tm.SpNode.Seconds()*1e3, "spnode-ms")
 			b.ReportMetric(tm.SpEdge.Seconds()*1e3, "spedge-ms")
@@ -227,8 +228,8 @@ func BenchmarkFig9ParallelEfficiency(b *testing.B) {
 		b.Run(v.String(), func(b *testing.B) {
 			var eff float64
 			for i := 0; i < b.N; i++ {
-				_, t1 := core.Build(g, tau, v, 1)
-				_, tp := core.Build(g, tau, v, p)
+				_, t1 := testkit.Summary(g, tau, v, 1)
+				_, tp := testkit.Summary(g, tau, v, p)
 				eff = 100 * float64(t1.IndexTotal()) / (float64(p) * float64(tp.IndexTotal()))
 			}
 			b.ReportMetric(eff, "efficiency%")
@@ -245,7 +246,7 @@ func BenchmarkTable4SequentialComparison(b *testing.B) {
 	for _, v := range core.Variants {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Build(g, tau, v, 1)
+				testkit.Summary(g, tau, v, 1)
 			}
 		})
 	}
@@ -262,7 +263,7 @@ func BenchmarkTable5SpeedupSummary(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var sg *core.SummaryGraph
 				for i := 0; i < b.N; i++ {
-					sg, _ = core.Build(g, tau, v, threads)
+					sg, _ = testkit.Summary(g, tau, v, threads)
 				}
 				b.ReportMetric(float64(sg.NumSupernodes()), "supernodes")
 				b.ReportMetric(float64(sg.NumSuperedges()), "superedges")
@@ -279,17 +280,19 @@ func BenchmarkAblationCCAlgorithms(b *testing.B) {
 	g := benchGraph(b, "youtube-sim")
 	algos := []struct {
 		name string
-		run  func(*graph.Graph, int) []int32
+		run  func(*graph.Graph) ([]int32, error)
 	}{
-		{"shiloach-vishkin", cc.ShiloachVishkin},
-		{"afforest", cc.Afforest},
-		{"label-propagation", cc.LabelPropagation},
-		{"bfs", cc.BFS},
+		{"shiloach-vishkin", func(g *graph.Graph) ([]int32, error) { return cc.ShiloachVishkinCtx(nil, g, 0, nil) }},
+		{"afforest", func(g *graph.Graph) ([]int32, error) { return cc.AfforestCtx(nil, g, 0, nil) }},
+		{"label-propagation", func(g *graph.Graph) ([]int32, error) { return cc.LabelPropagationCtx(nil, g, 0) }},
+		{"bfs", func(g *graph.Graph) ([]int32, error) { return cc.BFSCtx(nil, g, 0) }},
 	}
 	for _, a := range algos {
 		b.Run(a.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.run(g, 0)
+				if _, err := a.run(g); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -305,13 +308,13 @@ func BenchmarkAblationTrussSerialVsParallel(b *testing.B) {
 	g, sup := benchSupports(b, "youtube-sim")
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			truss.DecomposeSerial(g, sup)
+			testkit.Tau(g, sup, truss.PeelSerial, 1)
 		}
 	})
 	for threads := 1; threads <= concur.MaxThreads(); threads *= 2 {
 		b.Run(fmt.Sprintf("parallel/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				truss.DecomposeParallel(g, sup, threads)
+				testkit.Tau(g, sup, truss.PeelLevelSync, threads)
 			}
 		})
 	}
@@ -323,17 +326,17 @@ func BenchmarkAblationSupportIntersection(b *testing.B) {
 	g := benchGraph(b, "orkut-sim")
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			triangle.Supports(g, 0)
+			testkit.Supports(g, triangle.KernelMerge, 0)
 		}
 	})
 	b.Run("gallop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			triangle.SupportsGalloping(g, 0)
+			testkit.Supports(g, triangle.KernelGalloping, 0)
 		}
 	})
 	b.Run("oriented", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			triangle.SupportsOriented(g, 0)
+			testkit.Supports(g, triangle.KernelOriented, 0)
 		}
 	})
 }
@@ -349,7 +352,7 @@ func BenchmarkAblationBaselineDictionaries(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			concur.For(n, 0, func(j int) {
+			concur.Exec{}.For("", n, func(j int) {
 				v, _ := sm.Load(int64(j))
 				if v != int32(j) {
 					sm.Store(int64(j), int32(j))
@@ -364,7 +367,7 @@ func BenchmarkAblationBaselineDictionaries(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			concur.For(n, 0, func(j int) {
+			concur.Exec{}.For("", n, func(j int) {
 				if buf[j] != int32(j) {
 					buf[j] = int32(j)
 				}
@@ -384,7 +387,7 @@ func BenchmarkAblationSpNodeStrategies(b *testing.B) {
 		b.Run(v.String(), func(b *testing.B) {
 			var spnode float64
 			for i := 0; i < b.N; i++ {
-				_, tm := core.Build(g, tau, v, 0)
+				_, tm := testkit.Summary(g, tau, v, 0)
 				spnode = tm.SpNode.Seconds()
 			}
 			b.ReportMetric(spnode*1e3, "spnode-ms")
@@ -396,7 +399,7 @@ func BenchmarkAblationSpNodeStrategies(b *testing.B) {
 // time — the end-to-end reason the paper builds it.
 func BenchmarkQueryIndexedVsDirect(b *testing.B) {
 	g, tau := benchTau(b, "dblp-sim")
-	sg, _ := core.Build(g, tau, core.VariantAfforest, 0)
+	sg, _ := testkit.Summary(g, tau, core.VariantAfforest, 0)
 	idx, err := equitruss.BuildIndex(g, equitruss.Options{Variant: equitruss.Afforest})
 	if err != nil {
 		b.Fatal(err)
@@ -442,8 +445,8 @@ func BenchmarkDynamicMaintenance(b *testing.B) {
 	})
 	b.Run("from-scratch-decomposition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sup := triangle.Supports(g, 0)
-			truss.DecomposeParallel(g, sup, 0)
+			sup := testkit.Supports(g, triangle.KernelMerge, 0)
+			testkit.Tau(g, sup, truss.PeelLevelSync, 0)
 		}
 	})
 }

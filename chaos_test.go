@@ -16,11 +16,7 @@ import (
 	"time"
 
 	"equitruss"
-	"equitruss/internal/cc"
-	"equitruss/internal/core"
 	"equitruss/internal/faults"
-	"equitruss/internal/triangle"
-	"equitruss/internal/truss"
 )
 
 // chaosWaitGoroutines polls until the goroutine count returns to base —
@@ -132,12 +128,12 @@ func TestChaosBarrierFault(t *testing.T) {
 }
 
 // TestChaosLegacyAPIsImmuneToBarrierFaults: the no-error legacy APIs
-// (Supports, Trussness, the *T wrappers in internal packages) run on
-// non-cancelable contexts excluded from fault injection, so arming the
-// scheduler barrier site must neither panic them nor corrupt their output —
-// while the ctx-taking APIs in the same process still observe the injected
-// fault. Regression test for the wrappers panicking on "unreachable"
-// injected errors.
+// (Supports, Trussness and their kernel-selecting forms) run the kernels
+// without a context, which is neither cancelable nor a fault site, so
+// arming the scheduler barrier site must neither panic them nor corrupt
+// their output — while the ctx-taking APIs in the same process still
+// observe the injected fault. Regression test for the wrappers panicking on
+// "unreachable" injected errors.
 func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	g := equitruss.GenerateRMAT(10, 6, 7)
 	wantSup := equitruss.Supports(g, 2)
@@ -163,35 +159,22 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 			t.Fatalf("Trussness under armed barrier: tau[%d] = %d, want %d", i, tau[i], wantTau[i])
 		}
 	}
-	// Internal legacy wrappers ride the same exclusion — including the
-	// scan-free pkt peel kernel and the kernel dispatcher, whose outputs
-	// must stay bit-identical under the armed barrier.
-	triangle.SupportsT(g, 4, nil)
-	truss.DecomposeParallelT(g, wantSup, 4, nil)
-	pktTau, _ := truss.DecomposePKTT(g, wantSup, 4, nil)
-	for i := range wantTau {
-		if pktTau[i] != wantTau[i] {
-			t.Fatalf("DecomposePKTT under armed barrier: tau[%d] = %d, want %d", i, pktTau[i], wantTau[i])
-		}
-	}
+	// The kernel dispatcher rides the same form, and its outputs must stay
+	// bit-identical under the armed barrier — including the scan-free pkt
+	// peel kernel.
 	for _, pk := range []equitruss.PeelKernel{
 		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,
 	} {
-		kTau, _ := truss.DecomposeKernel(g, wantSup, pk, 4)
+		kTau := equitruss.TrussnessWithKernels(g, equitruss.KernelAuto, pk, 4)
 		for i := range wantTau {
 			if kTau[i] != wantTau[i] {
-				t.Fatalf("DecomposeKernel(%v) under armed barrier: tau[%d] = %d, want %d", pk, i, kTau[i], wantTau[i])
+				t.Fatalf("TrussnessWithKernels(%v) under armed barrier: tau[%d] = %d, want %d", pk, i, kTau[i], wantTau[i])
 			}
 		}
 	}
-	cc.ShiloachVishkin(g, 4)
-	cc.Afforest(g, 4)
-	cc.LabelPropagation(g, 4)
-	cc.BFS(g, 4)
-	core.Build(g, wantTau, core.VariantAfforest, 4)
 
-	// The exclusion is scoped to the legacy wrappers: a ctx-taking build in
-	// the same process must still see the injection.
+	// The exclusion is scoped to the context-free form: a ctx-taking build
+	// in the same process must still see the injection.
 	if _, _, err := equitruss.BuildSummary(g, equitruss.Options{
 		Variant: equitruss.COptimal, Threads: 4, Context: context.Background(),
 	}); !errors.Is(err, faults.ErrInjected) {

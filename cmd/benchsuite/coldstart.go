@@ -15,8 +15,7 @@ import (
 	"equitruss/internal/graph"
 	"equitruss/internal/graphio"
 	"equitruss/internal/mmapio"
-	"equitruss/internal/triangle"
-	"equitruss/internal/truss"
+	"equitruss/internal/testkit"
 )
 
 // The coldstart experiment measures the tentpole claim of the v3 index
@@ -71,9 +70,9 @@ func runColdstart(cfg config) {
 	name := fmt.Sprintf("rmat%d", scale)
 	fmt.Printf("%s: %d vertices, %d edges\n", name, g.NumVertices(), g.NumEdges())
 
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
-	tau, kmax := truss.DecomposeKernel(g, sup, cfg.peel, cfg.maxThr)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, cfg.maxThr)
+	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
+	tau, kmax := testkit.Tau(g, sup, cfg.peel, cfg.maxThr)
+	sg, _ := testkit.Summary(g, tau, core.VariantAfforest, cfg.maxThr)
 
 	// The fixed query: the max-trussness community of the first edge that
 	// attains kmax — deterministic, and the strongest community in the

@@ -29,6 +29,7 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -366,8 +367,8 @@ func trussness(cfg config, name string, g *graph.Graph) []int32 {
 	if tau, ok := tauCache[key]; ok {
 		return tau
 	}
-	sup := triangle.SupportsKernel(g, cfg.kernel, 0)
-	tau, _ := truss.DecomposeKernel(g, sup, cfg.peel, 0)
+	sup := testkit.Supports(g, cfg.kernel, 0)
+	tau, _ := testkit.Tau(g, sup, cfg.peel, 0)
 	tauCache[key] = tau
 	return tau
 }

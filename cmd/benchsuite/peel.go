@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"equitruss/internal/graph"
-	"equitruss/internal/triangle"
+	"equitruss/internal/testkit"
 	"equitruss/internal/truss"
 )
 
@@ -29,7 +29,7 @@ func runPeel(cfg config) {
 	t := newTable("Network", "Kernel", "Seconds", "vsLevelsync")
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
-		sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
+		sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
 		lsSec := 0.0
 		var want uint64
 		for i, k := range peelKernels {
@@ -60,7 +60,7 @@ func timePeel(cfg config, g *graph.Graph, sup []int32, k truss.PeelKernel, threa
 	var sum uint64
 	for r := 0; r < peelReps; r++ {
 		start := time.Now()
-		tau, _ := truss.DecomposeKernel(g, sup, k, threads)
+		tau, _ := testkit.Tau(g, sup, k, threads)
 		dur := time.Since(start)
 		cfg.observe(dur)
 		sec := dur.Seconds()

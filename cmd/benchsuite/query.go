@@ -9,7 +9,7 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
-	"equitruss/internal/triangle"
+	"equitruss/internal/testkit"
 	"equitruss/internal/truss"
 )
 
@@ -49,9 +49,9 @@ type queryEngine struct {
 // checksums panic — a time for a wrong answer is worse than no time.
 func runQuery(cfg config) {
 	g := gen.RMAT(queryRMATScale, queryRMATEdgeFactor, 0.57, 0.19, 0.19, queryRMATSeed)
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
-	tau, _ := truss.DecomposeParallel(g, sup, cfg.maxThr)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, cfg.maxThr)
+	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
+	tau, _ := testkit.Tau(g, sup, truss.PeelLevelSync, cfg.maxThr)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, cfg.maxThr)
 	idx := community.NewIndex(g, sg)
 	buildStart := time.Now()
 	h := idx.Hierarchy() // one-time precomputation, outside every timed region

@@ -9,8 +9,8 @@ import (
 
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
-	"equitruss/internal/truss"
 )
 
 // supportReps is how many times each (dataset, kernel) cell is timed; the
@@ -76,9 +76,9 @@ func runRMAT18(cfg config) {
 	fmt.Printf("rmat18: %d vertices, %d edges, kernel=%s, peel=%s\n",
 		g.NumVertices(), g.NumEdges(), cfg.kernel, cfg.peel)
 	sec, sum := timeSupport(cfg, g, cfg.kernel, cfg.maxThr)
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
+	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
 	start := time.Now()
-	tau, _ := truss.DecomposeKernel(g, sup, cfg.peel, cfg.maxThr)
+	tau, _ := testkit.Tau(g, sup, cfg.peel, cfg.maxThr)
 	decomp := time.Since(start)
 	cfg.observe(decomp)
 	decompSec := decomp.Seconds()
@@ -107,7 +107,7 @@ func timeSupport(cfg config, g *graph.Graph, k triangle.Kernel, threads int) (fl
 	var sum uint64
 	for r := 0; r < supportReps; r++ {
 		start := time.Now()
-		sup := triangle.SupportsKernel(g, k, threads)
+		sup := testkit.Supports(g, k, threads)
 		dur := time.Since(start)
 		cfg.observe(dur)
 		sec := dur.Seconds()

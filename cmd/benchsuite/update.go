@@ -17,8 +17,7 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/server"
-	"equitruss/internal/triangle"
-	"equitruss/internal/truss"
+	"equitruss/internal/testkit"
 	"equitruss/internal/wal"
 )
 
@@ -114,9 +113,9 @@ type updateResult struct {
 // handler closed-loop: each post waits until its batch is serving before the
 // next, so the applier's per-batch publish cycle is what gets timed.
 func timeUpdates(cfg config, g *graph.Graph, engine string, batches int) updateResult {
-	sup := triangle.SupportsKernel(g, cfg.kernel, cfg.maxThr)
-	tau, _ := truss.DecomposeKernel(g, sup, cfg.peel, cfg.maxThr)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, cfg.maxThr)
+	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
+	tau, _ := testkit.Tau(g, sup, cfg.peel, cfg.maxThr)
+	sg, _ := testkit.Summary(g, tau, core.VariantAfforest, cfg.maxThr)
 	dir, err := os.MkdirTemp("", "benchsuite-update-*")
 	if err != nil {
 		panic(err)

@@ -175,6 +175,17 @@ type Index struct {
 	Trace *Tracer
 }
 
+// BatchCommunities answers one query per (vertex, k) pair in parallel;
+// results align with the input slice. It is the no-error form of
+// BatchCommunitiesCtx: without a context the batch cannot be cancelled.
+func (ix *Index) BatchCommunities(queries []Query, threads int) [][]*Community {
+	out, err := ix.BatchCommunitiesCtx(nil, queries, threads)
+	if err != nil {
+		panic("equitruss: " + err.Error())
+	}
+	return out
+}
+
 // BuildReport aggregates the build's trace and the process counter
 // registry into per-kernel statistics. When the build ran without a
 // tracer, a pipeline-only trace is synthesized from Timings, so wall times
@@ -249,13 +260,19 @@ func GenerateRMAT(scale, edgeFactor int, seed uint64) *Graph {
 // Supports returns the per-edge triangle counts (Definition 2), computed
 // with the auto-selected kernel. Use SupportsWithKernel to force one.
 func Supports(g *Graph, threads int) []int32 {
-	return triangle.SupportsKernel(g, triangle.KernelAuto, threads)
+	return SupportsWithKernel(g, KernelAuto, threads)
 }
 
 // SupportsWithKernel returns the per-edge triangle counts computed with the
-// selected kernel (KernelAuto resolves per graph).
+// selected kernel (KernelAuto resolves per graph). Like every no-error
+// convenience here it runs the kernel without a context, which can be
+// neither cancelled nor fault-injected; only an unknown kernel panics.
 func SupportsWithKernel(g *Graph, k SupportKernel, threads int) []int32 {
-	return triangle.SupportsKernel(g, k, threads)
+	sup, err := triangle.SupportsKernelCtx(nil, g, k, threads, nil)
+	if err != nil {
+		panic("equitruss: " + err.Error())
+	}
+	return sup
 }
 
 // Trussness runs support computation and k-truss decomposition with the
@@ -268,8 +285,10 @@ func Trussness(g *Graph, threads int) []int32 {
 // TrussnessWithKernels is Trussness with explicit Support and TrussDecomp
 // kernel selections (the auto values resolve per instance).
 func TrussnessWithKernels(g *Graph, sk SupportKernel, pk PeelKernel, threads int) []int32 {
-	sup := triangle.SupportsKernel(g, sk, threads)
-	tau, _ := truss.DecomposeKernel(g, sup, pk, threads)
+	tau, _, err := truss.DecomposeKernelCtx(nil, g, SupportsWithKernel(g, sk, threads), pk, threads, nil)
+	if err != nil {
+		panic("equitruss: " + err.Error())
+	}
 	return tau
 }
 

@@ -17,37 +17,23 @@ const afforestNeighborRounds = 2
 // dominant component.
 const afforestSampleSize = 1024
 
-// Afforest implements Sutton, Ben-Nun & Barak's sampling CC (IPDPS'18), the
-// algorithm the paper adopts for its fastest variant: (1) link each vertex
-// to its first few neighbors and compress, (2) approximate the dominant
-// component by sampling, (3) exhaustively process only vertices outside it.
-// Exact because the relation is symmetric and the final pass covers every
-// edge with at least one endpoint outside the dominant component.
-// AfforestT is the traced form.
-func Afforest(g *graph.Graph, threads int) []int32 {
-	return AfforestT(g, threads, nil)
-}
-
-// AfforestT is Afforest with per-thread "CC.Afforest" spans emitted into tr
-// plus sampling-accuracy and union-find CAS-retry counters.
-func AfforestT(g *graph.Graph, threads int, tr *obs.Trace) []int32 {
-	labels, err := AfforestCtx(concur.WithoutFaults(context.Background()), g, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("cc: " + err.Error())
-	}
-	return labels
-}
-
-// AfforestCtx is AfforestT with cancellation: ctx is checked at every phase
-// barrier (link rounds, compressions, finalization, materialization).
+// AfforestCtx implements Sutton, Ben-Nun & Barak's sampling CC (IPDPS'18),
+// the algorithm the paper adopts for its fastest variant: (1) link each
+// vertex to its first few neighbors and compress, (2) approximate the
+// dominant component by sampling, (3) exhaustively process only vertices
+// outside it. Exact because the relation is symmetric and the final pass
+// covers every edge with at least one endpoint outside the dominant
+// component. Per-thread "CC.Afforest" spans go into tr plus
+// sampling-accuracy and union-find CAS-retry counters; ctx is checked at
+// every phase barrier (link rounds, compressions, finalization,
+// materialization).
 func AfforestCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
 	n := int(g.NumVertices())
 	cuf := ds.NewConcurrentUnionFind(n)
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	// Phase 1: bounded neighbor rounds.
 	for r := 0; r < afforestNeighborRounds; r++ {
-		err := concur.ForRangeDynamicCtxT(ctx, tr, "CC.Afforest", n, threads, 1024, func(lo, hi int) {
+		err := x.ForRangeDynamic("CC.Afforest", n, 1024, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				nbrs := g.Neighbors(int32(v))
 				if r < len(nbrs) {
@@ -58,7 +44,7 @@ func AfforestCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace
 		if err != nil {
 			return nil, err
 		}
-		if err := concur.ForCtxT(ctx, tr, "CC.Afforest", n, threads, func(i int) { cuf.Find(int32(i)) }); err != nil {
+		if err := x.For("CC.Afforest", n, func(i int) { cuf.Find(int32(i)) }); err != nil {
 			return nil, err
 		}
 	}
@@ -86,7 +72,7 @@ func AfforestCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace
 	}
 	// Phase 3: finalize everything outside the dominant component,
 	// starting from the round the bounded phase stopped at.
-	err := concur.ForRangeDynamicCtxT(ctx, tr, "CC.Afforest", n, threads, 1024, func(lo, hi int) {
+	err := x.ForRangeDynamic("CC.Afforest", n, 1024, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			if cuf.Find(int32(v)) == dominant {
 				continue
@@ -100,11 +86,11 @@ func AfforestCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace
 	if err != nil {
 		return nil, err
 	}
-	if err := concur.ForCtxT(ctx, tr, "CC.Afforest", n, threads, func(i int) { cuf.Find(int32(i)) }); err != nil {
+	if err := x.For("CC.Afforest", n, func(i int) { cuf.Find(int32(i)) }); err != nil {
 		return nil, err
 	}
 	labels := make([]int32, n)
-	if err := concur.ForCtxT(ctx, tr, "CC.Afforest", n, threads, func(i int) { labels[i] = cuf.Find(int32(i)) }); err != nil {
+	if err := x.For("CC.Afforest", n, func(i int) { labels[i] = cuf.Find(int32(i)) }); err != nil {
 		return nil, err
 	}
 	cUFRetries.Add(cuf.Retries())

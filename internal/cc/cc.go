@@ -68,42 +68,27 @@ func Reference(g *graph.Graph) []int32 {
 	return labels
 }
 
-// ShiloachVishkin runs the classic CRCW SV algorithm: alternating hooking
-// (roots adopt smaller-labelled neighbors' parents) and shortcutting
+// ShiloachVishkinCtx runs the classic CRCW SV algorithm: alternating
+// hooking (roots adopt smaller-labelled neighbors' parents) and shortcutting
 // (pointer jumping) until no hook fires. Labels converge to the minimum
-// vertex ID of each component. ShiloachVishkinT is the traced form.
-func ShiloachVishkin(g *graph.Graph, threads int) []int32 {
-	return ShiloachVishkinT(g, threads, nil)
-}
-
-// ShiloachVishkinT is ShiloachVishkin with per-thread "CC.SV" spans emitted
-// into tr and round counters accumulated into the registry.
-func ShiloachVishkinT(g *graph.Graph, threads int, tr *obs.Trace) []int32 {
-	labels, err := ShiloachVishkinCtx(concur.WithoutFaults(context.Background()), g, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("cc: " + err.Error())
-	}
-	return labels
-}
-
-// ShiloachVishkinCtx is ShiloachVishkinT with cancellation: ctx is checked
-// at every hooking/shortcut barrier, so a canceled call returns ctx.Err()
-// (and no labels) with every worker joined.
+// vertex ID of each component. Per-thread "CC.SV" spans go into tr and the
+// round counters accumulate into the registry; ctx is checked at every
+// hooking/shortcut barrier, so a canceled call returns ctx.Err() (and no
+// labels) with every worker joined.
 func ShiloachVishkinCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
 	n := int(g.NumVertices())
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	hooked := int32(1)
 	for hooked != 0 {
 		hooked = 0
 		// Hooking phase: for every edge (u, v), try to hook the root of
 		// the larger parent under the smaller one.
 		cSVHookRounds.Inc()
-		err := concur.ForRangeCtxT(ctx, tr, "CC.SV", n, threads, func(lo, hi int) {
+		err := x.ForRange("CC.SV", n, func(lo, hi int) {
 			localHook := false
 			for u := lo; u < hi; u++ {
 				pu := atomic.LoadInt32(&parent[u])
@@ -126,7 +111,7 @@ func ShiloachVishkinCtx(ctx context.Context, g *graph.Graph, threads int, tr *ob
 		// Shortcut phase: pointer jumping until every vertex points at a
 		// root.
 		cSVShortcutRounds.Inc()
-		if err := concur.ForRangeCtxT(ctx, tr, "CC.SV", n, threads, func(lo, hi int) {
+		if err := x.ForRange("CC.SV", n, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				for {
 					p := atomic.LoadInt32(&parent[v])
@@ -144,30 +129,20 @@ func ShiloachVishkinCtx(ctx context.Context, g *graph.Graph, threads int, tr *ob
 	return parent, nil
 }
 
-// LabelPropagation repeatedly assigns every vertex the minimum label in its
-// closed neighborhood until a fixpoint — simple, diameter-bound work.
-func LabelPropagation(g *graph.Graph, threads int) []int32 {
-	labels, err := LabelPropagationCtx(concur.WithoutFaults(context.Background()), g, threads)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("cc: " + err.Error())
-	}
-	return labels
-}
-
-// LabelPropagationCtx is LabelPropagation with cancellation at every round
-// barrier.
+// LabelPropagationCtx repeatedly assigns every vertex the minimum label in
+// its closed neighborhood until a fixpoint — simple, diameter-bound work —
+// with cancellation at every round barrier.
 func LabelPropagationCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, error) {
 	n := int(g.NumVertices())
 	labels := make([]int32, n)
 	for i := range labels {
 		labels[i] = int32(i)
 	}
+	x := concur.Exec{Ctx: ctx, Threads: threads}
 	changed := int32(1)
 	for changed != 0 {
 		changed = 0
-		err := concur.ForRangeCtx(ctx, n, threads, func(lo, hi int) {
+		err := x.ForRange("", n, func(lo, hi int) {
 			localChange := false
 			for v := lo; v < hi; v++ {
 				lv := atomic.LoadInt32(&labels[v])
@@ -193,22 +168,11 @@ func LabelPropagationCtx(ctx context.Context, g *graph.Graph, threads int) ([]in
 	return labels, nil
 }
 
-// BFS computes components by repeated parallel breadth-first traversals
-// from each unvisited seed. Parallelism is within a frontier, so it fades
-// as the number of small components grows (the paper's stated reason for
-// preferring SV/Afforest).
-func BFS(g *graph.Graph, threads int) []int32 {
-	labels, err := BFSCtx(concur.WithoutFaults(context.Background()), g, threads)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("cc: " + err.Error())
-	}
-	return labels
-}
-
-// BFSCtx is BFS with cancellation: ctx is checked at every frontier barrier
-// and periodically during the serial seed scan.
+// BFSCtx computes components by repeated parallel breadth-first
+// traversals from each unvisited seed. Parallelism is within a frontier, so
+// it fades as the number of small components grows (the paper's stated
+// reason for preferring SV/Afforest). ctx is checked at every frontier
+// barrier and periodically during the serial seed scan.
 func BFSCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, error) {
 	n := int(g.NumVertices())
 	labels := make([]int32, n)
@@ -216,6 +180,7 @@ func BFSCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, error) {
 		labels[i] = -1
 	}
 	visited := ds.NewBitset(n)
+	x := concur.Exec{Ctx: ctx}
 	var frontier, next []int32
 	for s := 0; s < n; s++ {
 		if s&8191 == 0 && concur.Canceled(ctx) {
@@ -229,7 +194,7 @@ func BFSCtx(ctx context.Context, g *graph.Graph, threads int) ([]int32, error) {
 		frontier = append(frontier[:0], int32(s))
 		for len(frontier) > 0 {
 			bufs := make([][]int32, threadCount(threads))
-			err := concur.ForThreadsCtx(ctx, len(bufs), func(tid int) {
+			err := x.ForThreads("", len(bufs), func(tid int) {
 				lo := tid * len(frontier) / len(bufs)
 				hi := (tid + 1) * len(frontier) / len(bufs)
 				var buf []int32

@@ -22,6 +22,22 @@ func randomSparseGraph(seed int64, n int32, m int) *graph.Graph {
 	return g
 }
 
+// algorithms runs every CC algorithm without a context, the form that
+// cannot fail.
+var algorithms = map[string]func(*graph.Graph, int) []int32{
+	"sv":       func(g *graph.Graph, t int) []int32 { return must(ShiloachVishkinCtx(nil, g, t, nil)) },
+	"lp":       func(g *graph.Graph, t int) []int32 { return must(LabelPropagationCtx(nil, g, t)) },
+	"bfs":      func(g *graph.Graph, t int) []int32 { return must(BFSCtx(nil, g, t)) },
+	"afforest": func(g *graph.Graph, t int) []int32 { return must(AfforestCtx(nil, g, t, nil)) },
+}
+
+func must(labels []int32, err error) []int32 {
+	if err != nil {
+		panic(err)
+	}
+	return labels
+}
+
 func labelsEqual(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -42,17 +58,10 @@ func TestAllAlgorithmsMatchReference(t *testing.T) {
 			g := randomSparseGraph(seed, 100, m)
 			want := Reference(g)
 			for _, threads := range []int{1, 2, 4} {
-				if !labelsEqual(want, ShiloachVishkin(g, threads)) {
-					return false
-				}
-				if !labelsEqual(want, LabelPropagation(g, threads)) {
-					return false
-				}
-				if !labelsEqual(want, BFS(g, threads)) {
-					return false
-				}
-				if !labelsEqual(want, Afforest(g, threads)) {
-					return false
+				for _, algo := range algorithms {
+					if !labelsEqual(want, algo(g, threads)) {
+						return false
+					}
 				}
 			}
 		}
@@ -76,9 +85,7 @@ func TestComponentsOnKnownShapes(t *testing.T) {
 		{"planted", gen.PlantedPartition(5, 6, 1.0, 0, 3), 5},
 	}
 	for _, tc := range cases {
-		for name, algo := range map[string]func(*graph.Graph, int) []int32{
-			"sv": ShiloachVishkin, "lp": LabelPropagation, "bfs": BFS, "afforest": Afforest,
-		} {
+		for name, algo := range algorithms {
 			labels := algo(tc.g, 2)
 			if got := CountComponents(labels); got != tc.want {
 				t.Errorf("%s/%s: components = %d, want %d", tc.name, name, got, tc.want)
@@ -96,9 +103,7 @@ func TestIsolatedVertices(t *testing.T) {
 	if CountComponents(want) != 4 {
 		t.Fatalf("reference components = %d, want 4", CountComponents(want))
 	}
-	for name, algo := range map[string]func(*graph.Graph, int) []int32{
-		"sv": ShiloachVishkin, "lp": LabelPropagation, "bfs": BFS, "afforest": Afforest,
-	} {
+	for name, algo := range algorithms {
 		if !labelsEqual(want, algo(g, 2)) {
 			t.Errorf("%s differs on isolated vertices", name)
 		}
@@ -123,9 +128,7 @@ func TestNormalizeIdempotent(t *testing.T) {
 func TestRMATGiantComponent(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 21)
 	want := Reference(g)
-	for name, algo := range map[string]func(*graph.Graph, int) []int32{
-		"sv": ShiloachVishkin, "lp": LabelPropagation, "bfs": BFS, "afforest": Afforest,
-	} {
+	for name, algo := range algorithms {
 		if !labelsEqual(want, algo(g, 2)) {
 			t.Errorf("%s differs on RMAT graph", name)
 		}

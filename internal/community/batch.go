@@ -7,29 +7,21 @@ import (
 	"equitruss/internal/obs"
 )
 
-// BatchCommunities answers one query per (vertex, k) pair in parallel —
+// BatchCommunitiesCtx answers one query per (vertex, k) pair in parallel —
 // the online-service shape the index targets: many concurrent personalized
 // community lookups against one immutable index. Results align with the
 // input slice; queries are independent and read-only, so they parallelize
-// perfectly.
-func (idx *Index) BatchCommunities(queries []Query, threads int) [][]*Community {
-	out, err := idx.BatchCommunitiesCtx(concur.WithoutFaults(context.Background()), queries, threads)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("community: " + err.Error())
-	}
-	return out
-}
-
-// BatchCommunitiesCtx is BatchCommunities with cancellation: workers check
-// ctx before claiming each query chunk, so a canceled (or deadline-expired)
-// batch returns ctx.Err() promptly instead of finishing the whole slice —
-// the hook the serving layer uses for per-request deadlines.
+// perfectly. Workers check ctx before claiming each query chunk, so a
+// canceled (or deadline-expired) batch returns ctx.Err() promptly instead
+// of finishing the whole slice — the hook the serving layer uses for
+// per-request deadlines.
 func (idx *Index) BatchCommunitiesCtx(ctx context.Context, queries []Query, threads int) ([][]*Community, error) {
 	out := make([][]*Community, len(queries))
-	if err := concur.ForDynamicCtx(ctx, len(queries), threads, 8, func(i int) {
-		out[i] = idx.Communities(queries[i].Vertex, queries[i].K)
+	x := concur.Exec{Ctx: ctx, Threads: threads}
+	if err := x.ForRangeDynamic("", len(queries), 8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = idx.Communities(queries[i].Vertex, queries[i].K)
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -47,8 +39,11 @@ func (idx *Index) BatchCommunityRefsCtx(ctx context.Context, queries []Query, th
 	// One stage spanning the whole fan-out: stage recording is
 	// single-goroutine by contract, so the workers do not open sub-stages.
 	st := obs.StartStageFromContext(ctx, "hierarchy query")
-	err := concur.ForDynamicCtx(ctx, len(queries), threads, 8, func(i int) {
-		out[i] = idx.CommunityRefs(queries[i].Vertex, queries[i].K)
+	x := concur.Exec{Ctx: ctx, Threads: threads}
+	err := x.ForRangeDynamic("", len(queries), 8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = idx.CommunityRefs(queries[i].Vertex, queries[i].K)
+		}
 	})
 	st.End()
 	if err != nil {

@@ -1,6 +1,7 @@
 package community_test
 
 import (
+	"context"
 	"testing"
 
 	"equitruss/internal/community"
@@ -17,7 +18,10 @@ func TestBatchCommunitiesMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, threads := range []int{1, 2, 4} {
-		results := idx.BatchCommunities(queries, threads)
+		results, err := idx.BatchCommunitiesCtx(context.Background(), queries, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(results) != len(queries) {
 			t.Fatalf("threads=%d: %d results for %d queries", threads, len(results), len(queries))
 		}
@@ -34,7 +38,7 @@ func TestBatchCommunitiesMatchesSequential(t *testing.T) {
 func TestBatchCommunitiesEmpty(t *testing.T) {
 	g := gen.Clique(4)
 	_, idx := pipeline(t, g)
-	if out := idx.BatchCommunities(nil, 2); len(out) != 0 {
-		t.Fatalf("empty batch returned %d", len(out))
+	if out, err := idx.BatchCommunitiesCtx(context.Background(), nil, 2); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch returned %d results, err %v", len(out), err)
 	}
 }

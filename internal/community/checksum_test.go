@@ -5,6 +5,7 @@ import (
 
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -13,9 +14,9 @@ import (
 func buildVariantIndex(t *testing.T, variant core.Variant, threads int) *Index {
 	t.Helper()
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7)
-	sup := triangle.Supports(g, threads)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, variant, threads)
+	sup := testkit.Supports(g, triangle.KernelMerge, threads)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, variant, threads)
 	return NewIndex(g, sg)
 }
 
@@ -43,18 +44,18 @@ func TestChecksumsCanonicalAcrossVariants(t *testing.T) {
 // layer's fingerprint (on a graph where that edge carries truss structure).
 func TestChecksumsDetectStateChange(t *testing.T) {
 	g := gen.Clique(8)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	ref := NewIndex(g, sg).Checksums()
 
 	g2, err := g.InducedByEdges(func(eid int32) bool { return eid != 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup2 := triangle.Supports(g2, 1)
-	tau2, _ := truss.DecomposeSerial(g2, sup2)
-	sg2, _ := core.Build(g2, tau2, core.VariantSerial, 1)
+	sup2 := testkit.Supports(g2, triangle.KernelMerge, 1)
+	tau2, _ := testkit.Tau(g2, sup2, truss.PeelSerial, 1)
+	sg2, _ := testkit.Summary(g2, tau2, core.VariantSerial, 1)
 	got := NewIndex(g2, sg2).Checksums()
 	if got.Tau == ref.Tau {
 		t.Fatal("tau checksum unchanged after deleting an edge")

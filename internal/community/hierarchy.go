@@ -2,6 +2,7 @@ package community
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -108,30 +109,64 @@ func (h *Hierarchy) Stats() HierarchyStats {
 	return st
 }
 
-// buildHierarchy runs the one-time precomputation: a Kruskal-style sweep of
-// the superedges in descending activation level over a union-find forest,
-// emitting a merge-forest node whenever a component's member set changes,
-// followed by parallel aggregation of per-node edge and vertex counts.
+// buildHierarchy runs the one-time precomputation. It is the splice with
+// zero kept trees and every supernode affected: one rebuild over an empty
+// forest, parallel on the given threads.
 func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace) (*Hierarchy, error) {
 	start := time.Now()
 	span := tr.Start("HierarchyBuild")
 	defer span.End()
 
-	sg := idx.SG
-	s := int(sg.NumSupernodes())
-	h := &Hierarchy{kmax: sg.MaxK()}
+	h := &Hierarchy{kmax: idx.SG.MaxK(), snLeaf: make([]int32, idx.SG.NumSupernodes())}
+	if err := h.rebuild(concur.Exec{Ctx: ctx, Threads: threads}, idx, nil); err != nil {
+		return nil, err
+	}
+	cHierBuildNodes.Add(int64(len(h.nodeK)))
+	cHierBuildLevels.Add(int64(len(h.levelOff) - 1))
+	cHierBuildNS.Add(time.Since(start).Nanoseconds())
+	return h, nil
+}
+
+// rebuild completes h — which already holds the forest nodes of every kept
+// tree and the leaves of their supernodes — by running the merge sweep over
+// the supernodes flagged in inSubset (nil means every supernode) and then
+// finishing the per-node counts, the CSRs and the level index. The parallel
+// passes run on x; a context-free x cannot be cancelled.
+func (h *Hierarchy) rebuild(x concur.Exec, idx *Index, inSubset []bool) error {
 	if h.kmax < core.MinK {
 		// No supernodes at all: an empty forest answers every query with
 		// "no communities".
 		h.levelOff = []int64{0}
-		cHierBuildNS.Add(time.Since(start).Nanoseconds())
-		return h, ctxErrOrNil(ctx)
+		return concur.Err(x.Ctx)
 	}
+	s := idx.SG.NumSupernodes()
+	subset := make([]int32, 0, s)
+	for sn := int32(0); sn < s; sn++ {
+		if inSubset == nil || inSubset[sn] {
+			subset = append(subset, sn)
+		}
+	}
+	kept := len(h.nodeK)
+	if err := h.sweep(x, idx.SG, subset, inSubset); err != nil {
+		return err
+	}
+	return h.finish(x, idx, kept, subset, inSubset)
+}
+
+// sweep is the merge sweep: a Kruskal-style pass over the subset's
+// superedges in descending activation level over a union-find forest,
+// appending a merge-forest node (level and parent only; finish fills the
+// counts) whenever a component's member set changes, and setting snLeaf for
+// every supernode of the subset. The subset must be closed under
+// superedges; a superedge leaving it means the caller's affected-tree
+// marking missed a dependency, which aborts the splice.
+func (h *Hierarchy) sweep(x concur.Exec, sg *core.SummaryGraph, subset []int32, inSubset []bool) error {
+	s := int(sg.NumSupernodes())
 	levels := int(h.kmax) - core.MinK + 1
 
 	// Bucket supernodes by trussness and superedges by activation level
 	// min(K[a], K[b]) — the level at which both endpoints exist. Counting
-	// sorts with the counting and fill passes on the ctx schedulers.
+	// sorts with the counting and fill passes on the schedulers.
 	snCnt := make([]int64, levels)
 	seCnt := make([]int64, levels)
 	seLevel := func(sn int32, nb int32) int {
@@ -141,17 +176,23 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 		}
 		return int(lvl) - core.MinK
 	}
-	if err := concur.ForRangeCtx(ctx, s, threads, func(lo, hi int) {
-		for sn := int32(lo); sn < int32(hi); sn++ {
+	var escaped atomic.Int32 // 1 + a supernode with a superedge leaving the subset
+	if err := x.ForRange("", len(subset), func(lo, hi int) {
+		for _, sn := range subset[lo:hi] {
 			atomic.AddInt64(&snCnt[sg.K[sn]-core.MinK], 1)
 			for _, nb := range sg.SupernodeNeighbors(sn) {
-				if nb > sn { // count each superedge once
+				if inSubset != nil && !inSubset[nb] {
+					escaped.Store(sn + 1)
+				} else if nb > sn { // count each superedge once
 					atomic.AddInt64(&seCnt[seLevel(sn, nb)], 1)
 				}
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return err
+	}
+	if sn := escaped.Load(); sn != 0 {
+		return fmt.Errorf("community: a superedge of supernode %d crosses out of the affected set", sn-1)
 	}
 	snOff := prefixSum(snCnt)
 	seOff := prefixSum(seCnt)
@@ -160,8 +201,8 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 	seB := make([]int32, seOff[levels])
 	snCur := make([]int64, levels)
 	seCur := make([]int64, levels)
-	if err := concur.ForRangeCtx(ctx, s, threads, func(lo, hi int) {
-		for sn := int32(lo); sn < int32(hi); sn++ {
+	if err := x.ForRange("", len(subset), func(lo, hi int) {
+		for _, sn := range subset[lo:hi] {
 			lvlSN := int(sg.K[sn]) - core.MinK
 			snByK[snOff[lvlSN]+atomic.AddInt64(&snCur[lvlSN], 1)-1] = sn
 			for _, nb := range sg.SupernodeNeighbors(sn) {
@@ -174,22 +215,25 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
-	// The merge sweep itself is sequential — levels depend on each other
-	// and the total union work is near-linear in the superedge count — but
-	// everything around it (the bucketing above, the count aggregation
-	// below) runs parallel.
+	// The sweep itself is sequential — levels depend on each other and the
+	// total union work is near-linear in the superedge count — but
+	// everything around it (the bucketing above, the count aggregation in
+	// finish) runs parallel.
 	uf := ds.NewUnionFind(s)
 	nodeAtRoot := make([]int32, s) // component's current node, valid at roots
 	for i := range nodeAtRoot {
 		nodeAtRoot[i] = -1
 	}
-	h.snLeaf = make([]int32, s)
 	snStamp := ds.NewStamps(s)   // touched-this-level, per supernode
 	rootStamp := ds.NewStamps(s) // grouped-this-level, per union-find root
-	nodeStamp := ds.NewStamps(0) // child-dedupe, per forest node (grown as nodes appear)
+	// Child-dedupe, per forest node. Every created node either owns a
+	// supernode of the subset or merges two or more earlier nodes, so at
+	// most 2·|subset| − 1 are created; sizing for that up front keeps the
+	// sweep from regrowing the stamp array once per node.
+	nodeStamp := ds.NewStamps(len(h.nodeK) + 2*len(subset))
 	rootSlot := make([]int32, s) // group index per root, guarded by rootStamp
 	var touched []int32
 	var prevNodes []int32 // pre-union node of touched[i]'s component, -1 = newly active
@@ -266,7 +310,6 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 			id := int32(len(h.nodeK))
 			h.nodeK = append(h.nodeK, k)
 			h.parent = append(h.parent, -1)
-			nodeStamp.Grow(len(h.nodeK))
 			for _, c := range g.children {
 				h.parent[c] = id
 			}
@@ -280,55 +323,32 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 				h.snLeaf[t] = nodeAtRoot[uf.Find(t)]
 			}
 		}
-		if err := ctxErrOrNil(ctx); err != nil {
-			return nil, err
+		if err := concur.Err(x.Ctx); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
+// finish fills in everything the sweep left open: the own-supernode and
+// child CSRs, the member-edge, minimum-edge and distinct-vertex counts of
+// the nodes the sweep appended (IDs kept and up), and the level index.
+func (h *Hierarchy) finish(x concur.Exec, idx *Index, kept int, subset []int32, inSubset []bool) error {
+	sg := idx.SG
 	n := len(h.nodeK)
-	// Own-supernode CSR from snLeaf and children CSR from parent — two
-	// small counting sorts.
-	h.ownOff = make([]int64, n+1)
-	for _, leaf := range h.snLeaf {
-		h.ownOff[leaf+1]++
-	}
-	for i := 0; i < n; i++ {
-		h.ownOff[i+1] += h.ownOff[i]
-	}
-	h.ownSN = make([]int32, s)
-	ownCur := make([]int64, n)
-	copy(ownCur, h.ownOff[:n])
-	for sn, leaf := range h.snLeaf {
-		h.ownSN[ownCur[leaf]] = int32(sn)
-		ownCur[leaf]++
-	}
-	h.childOff = make([]int64, n+1)
-	for _, p := range h.parent {
-		if p >= 0 {
-			h.childOff[p+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		h.childOff[i+1] += h.childOff[i]
-	}
-	h.childList = make([]int32, h.childOff[n])
-	childCur := make([]int64, n)
-	copy(childCur, h.childOff[:n])
-	for c, p := range h.parent {
-		if p >= 0 {
-			h.childList[childCur[p]] = int32(c)
-			childCur[p]++
-		}
-	}
+	h.ownOff, h.ownSN = groupByKey(h.snLeaf, n)
+	h.childOff, h.childList = groupByKey(h.parent, n)
 
 	// Per-node member-edge counts and canonical minimum edge IDs: seed from
 	// own supernodes in parallel, then aggregate child into parent. A child
-	// always has a smaller ID than its parent, so one ascending pass sees
+	// always has a smaller ID than its parent and parents of swept nodes
+	// are swept nodes, so one ascending pass over the swept range sees
 	// every child finalized before its parent reads it.
-	h.edges = make([]int64, n)
-	h.nodeMin = make([]int32, n)
-	if err := concur.ForRangeCtx(ctx, n, threads, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
+	h.edges = append(h.edges, make([]int64, n-kept)...)
+	h.verts = append(h.verts, make([]int64, n-kept)...)
+	h.nodeMin = append(h.nodeMin, make([]int32, n-kept)...)
+	if err := x.ForRange("", n-kept, func(lo, hi int) {
+		for id := kept + lo; id < kept+hi; id++ {
 			h.nodeMin[id] = int32(len(sg.EdgeToSN)) // sentinel above any edge ID
 			for _, sn := range h.ownSN[h.ownOff[id]:h.ownOff[id+1]] {
 				h.edges[id] += sg.SupernodeEdgeCount(sn)
@@ -340,9 +360,9 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	for id := 0; id < n; id++ {
+	for id := kept; id < n; id++ {
 		if p := h.parent[id]; p >= 0 {
 			h.edges[p] += h.edges[id]
 			if h.nodeMin[id] < h.nodeMin[p] {
@@ -352,13 +372,31 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 	}
 
 	// Per-node distinct-vertex counts: every vertex walks the leaf-to-root
-	// paths of its incident supernodes, contributing one to each node seen
-	// for the first time. Paths that merge stay merged, so each walk stops
-	// at the first already-visited node. Parallel over vertices with one
-	// visited-stamp array per worker.
-	h.verts = make([]int64, n)
+	// paths of its incident swept supernodes, contributing one to each node
+	// seen for the first time. Paths that merge stay merged, so each walk
+	// stops at the first already-visited node, and the paths of swept
+	// supernodes never leave the swept range. Only vertices incident to a
+	// swept supernode can appear there, so a subset sweep walks just those.
+	// Parallel over the vertices with one visited-stamp array per worker.
 	nv := int(idx.G.NumVertices())
-	vthr := threads
+	var vlist []int32
+	if inSubset != nil {
+		vstamp := ds.NewStamps(nv)
+		vstamp.NextEpoch()
+		for _, sn := range subset {
+			for _, e := range sg.SupernodeEdges(sn) {
+				ed := idx.G.Edge(e)
+				if vstamp.Visit(ed.U) {
+					vlist = append(vlist, ed.U)
+				}
+				if vstamp.Visit(ed.V) {
+					vlist = append(vlist, ed.V)
+				}
+			}
+		}
+		nv = len(vlist)
+	}
+	vthr := x.Threads
 	if vthr <= 0 {
 		vthr = concur.MaxThreads()
 	}
@@ -368,28 +406,37 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 	if vthr < 1 {
 		vthr = 1
 	}
-	if err := concur.ForThreadsCtx(ctx, vthr, func(tid int) {
+	if err := x.ForThreads("", vthr, func(tid int) {
 		lo, hi := tid*nv/vthr, (tid+1)*nv/vthr
 		seen := ds.NewStamps(n)
-		for v := lo; v < hi; v++ {
-			if v%4096 == 0 && concur.Canceled(ctx) {
+		for i := lo; i < hi; i++ {
+			if i%4096 == 0 && concur.Canceled(x.Ctx) {
 				return
 			}
+			v := int32(i)
+			if inSubset != nil {
+				v = vlist[i]
+			}
 			seen.NextEpoch()
-			for _, sn := range idx.SupernodesOf(int32(v)) {
+			for _, sn := range idx.SupernodesOf(v) {
+				if inSubset != nil && !inSubset[sn] {
+					continue
+				}
 				for node := h.snLeaf[sn]; node >= 0 && seen.Visit(node); node = h.parent[node] {
 					atomic.AddInt64(&h.verts[node], 1)
 				}
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Level index: node id appears at every level in (parentK, nodeK],
 	// clipped below at MinK; within a level, nodes are listed by smallest
 	// member edge so enumeration order is canonical without per-query
-	// sorting.
+	// sorting. Rebuilt outright even after a subset sweep — a flat
+	// O(nodes) pass, far below the triangle work a splice avoids.
+	levels := int(h.kmax) - core.MinK + 1
 	h.levelOff = make([]int64, levels+1)
 	for id := int32(0); id < int32(n); id++ {
 		lo, hi := h.spanOf(id)
@@ -415,11 +462,32 @@ func buildHierarchy(ctx context.Context, idx *Index, threads int, tr *obs.Trace)
 			lvlCur[k-core.MinK]++
 		}
 	}
+	return nil
+}
 
-	cHierBuildNodes.Add(int64(n))
-	cHierBuildLevels.Add(int64(levels))
-	cHierBuildNS.Add(time.Since(start).Nanoseconds())
-	return h, ctxErrOrNil(ctx)
+// groupByKey inverts key — item i belongs to group key[i] in [0, n), or to
+// none when key[i] < 0 — into CSR form with a counting sort: the items of
+// group g are list[off[g]:off[g+1]], ascending.
+func groupByKey(key []int32, n int) (off []int64, list []int32) {
+	off = make([]int64, n+1)
+	for _, g := range key {
+		if g >= 0 {
+			off[g+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	list = make([]int32, off[n])
+	cur := make([]int64, n)
+	copy(cur, off[:n])
+	for i, g := range key {
+		if g >= 0 {
+			list[cur[g]] = int32(i)
+			cur[g]++
+		}
+	}
+	return off, list
 }
 
 // spanOf returns the inclusive level range [lo, hi] at which a node is the
@@ -471,12 +539,4 @@ func prefixSum(counts []int64) []int64 {
 		off[i+1] = off[i] + c
 	}
 	return off
-}
-
-// ctxErrOrNil tolerates the nil context used by the lazy build path.
-func ctxErrOrNil(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }

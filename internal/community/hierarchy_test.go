@@ -1,7 +1,9 @@
 package community_test
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -212,5 +214,31 @@ func TestCommunityRefsAllocsProportionalToAnswer(t *testing.T) {
 	}
 	if measured == 0 {
 		t.Fatal("no non-empty answers measured")
+	}
+}
+
+// TestHierarchyBuildAllocationIsLinear pins the hierarchy build's memory to
+// the size of its output: on a graph of many small communities (thousands
+// of merge-forest nodes) the build may allocate a bounded number of bytes
+// per supernode, forest node and vertex. A per-node reallocation of any
+// node-indexed scratch array — the Θ(nodes²) stamp regrowth this replaced —
+// overshoots the budget by orders of magnitude.
+func TestHierarchyBuildAllocationIsLinear(t *testing.T) {
+	g := gen.PlantedPartition(2000, 12, 0.5, 1.6, 19)
+	_, idx := pipeline(t, g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := idx.PrepareHierarchy(context.Background(), 1, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := int64(idx.SG.NumSupernodes()) + int64(h.NumNodes()) + int64(g.NumVertices())
+	if h.NumNodes() < 2000 {
+		t.Fatalf("fixture has only %d forest nodes; the quadratic term would not show", h.NumNodes())
+	}
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got >= 64*units {
+		t.Fatalf("hierarchy build allocated %d bytes for %d supernodes+nodes+vertices (%.1f B each, budget 64)",
+			got, units, float64(got)/float64(units))
 	}
 }

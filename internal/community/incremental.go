@@ -389,24 +389,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 	for li, ne := range region {
 		edgeToSN[ne] = compID[li]
 	}
-	edgeOff := make([]int64, sNew+1)
-	for _, sn := range edgeToSN {
-		if sn >= 0 {
-			edgeOff[sn+1]++
-		}
-	}
-	for i := int32(0); i < sNew; i++ {
-		edgeOff[i+1] += edgeOff[i]
-	}
-	edgeList := make([]int32, edgeOff[sNew])
-	cursor := make([]int64, sNew)
-	copy(cursor, edgeOff[:sNew])
-	for ne, sn := range edgeToSN {
-		if sn >= 0 {
-			edgeList[cursor[sn]] = int32(ne)
-			cursor[sn]++
-		}
-	}
+	edgeOff, edgeList := groupByKey(edgeToSN, int(sNew))
 
 	// Superedges. Clean–clean pairs survive verbatim (every witness
 	// triangle of such a pair is intact — any change to one would have
@@ -521,6 +504,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 		adjOff[i+1] += adjOff[i]
 	}
 	adj := make([]int32, adjOff[sNew])
+	cursor := make([]int64, sNew)
 	copy(cursor, adjOff[:sNew])
 	for _, p := range pairs {
 		a, b := int32(p>>32), int32(uint32(p))

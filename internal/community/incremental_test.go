@@ -1,6 +1,7 @@
 package community
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"equitruss/internal/dynamic"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -21,15 +23,15 @@ func rebuildFromScratch(t *testing.T, dg *dynamic.Graph) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	return NewIndex(g, sg)
 }
 
 func indexFromGraph(t *testing.T, g *graph.Graph) (*Index, []int32) {
 	t.Helper()
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	return NewIndex(g, sg), tau
 }
 
@@ -188,5 +190,54 @@ func TestIncrementalEmptyDelta(t *testing.T) {
 	}
 	if got != idx {
 		t.Fatal("empty delta produced a new index")
+	}
+}
+
+// TestBuildIsSpliceOfEverything: the from-scratch hierarchy build and the
+// incremental splice are one routine, so a repair whose delta dirties every
+// tree (every indexed edge reported as touched, graph unchanged) must keep
+// no node and reproduce the from-scratch hierarchy — serial or parallel —
+// checksum for checksum.
+func TestBuildIsSpliceOfEverything(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"paper-figure3":   gen.PaperFigure3(),
+		"bridged-cliques": gen.BridgedCliques(6),
+		"clique-pair":     gen.SharedEdgeCliquePair(6, 5),
+		"triangle-strip":  gen.TriangleStrip(24),
+	}
+	for _, ds := range gen.Datasets {
+		graphs[ds.Name] = ds.Generate(0.01)
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			idx, tau := indexFromGraph(t, g)
+			want := idx.Checksums() // lazy, context-free build
+			for _, threads := range []int{1, 4} {
+				fresh := NewIndex(idx.G, idx.SG)
+				if _, err := fresh.PrepareHierarchy(context.Background(), threads, nil); err != nil {
+					t.Fatal(err)
+				}
+				if got := fresh.Checksums(); got != want {
+					t.Fatalf("threads=%d build checksums %+v != lazy build %+v", threads, got, want)
+				}
+			}
+
+			d := EdgeDelta{Touched: make(map[uint64]struct{})}
+			for eid, e := range g.Edges() {
+				if tau[eid] >= core.MinK {
+					d.Touched[uint64(uint32(e.U))<<32|uint64(uint32(e.V))] = struct{}{}
+				}
+			}
+			spliced, st, err := NewMaintainer(idx).Apply(d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nodes := int(idx.Hierarchy().NumNodes()); st.KeptNodes != 0 || st.RebuiltNodes != nodes {
+				t.Fatalf("splice kept %d and rebuilt %d nodes, want 0 and %d", st.KeptNodes, st.RebuiltNodes, nodes)
+			}
+			if got := spliced.Checksums(); got != want {
+				t.Fatalf("splice-of-everything checksums %+v != from-scratch %+v", got, want)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"equitruss/internal/concur"
 	"equitruss/internal/core"
 	"equitruss/internal/obs"
 )
@@ -22,10 +21,9 @@ func (idx *Index) Hierarchy() *Hierarchy {
 	if h := idx.hier.Load(); h != nil {
 		return h
 	}
-	h, err := buildHierarchy(concur.WithoutFaults(context.Background()), idx, 0, nil)
+	h, err := buildHierarchy(nil, idx, 0, nil)
 	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the build cannot fail.
+		// Unreachable: a build without a context cannot fail.
 		panic("community: " + err.Error())
 	}
 	idx.hier.Store(h)

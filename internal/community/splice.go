@@ -2,10 +2,8 @@ package community
 
 import (
 	"fmt"
-	"sort"
 
-	"equitruss/internal/core"
-	"equitruss/internal/ds"
+	"equitruss/internal/concur"
 )
 
 // spliceInput carries the translation tables an incremental Apply computed
@@ -20,9 +18,9 @@ type spliceInput struct {
 }
 
 // spliceHierarchy builds the new index's merge forest by copying every tree
-// of the old forest that the delta provably cannot touch and re-running the
-// merge sweep only over the supernodes of affected trees plus the freshly
-// rebuilt supernodes.
+// of the old forest that the delta provably cannot touch and rebuilding —
+// the same sweep and finish the from-scratch build runs — only over the
+// supernodes of affected trees plus the freshly rebuilt supernodes.
 //
 // Tree granularity is the natural unit: supernodes connected by superedges
 // always share a tree, and Apply marks a tree affected whenever any of its
@@ -32,13 +30,8 @@ type spliceInput struct {
 //
 // Returns the spliced hierarchy plus the kept and rebuilt node counts.
 func spliceHierarchy(oldIdx, newIdx *Index, in spliceInput) (*Hierarchy, int, int, error) {
-	sg := newIdx.SG
-	sNew := int(sg.NumSupernodes())
-	h := &Hierarchy{kmax: sg.MaxK()}
-	if h.kmax < core.MinK {
-		h.levelOff = []int64{0}
-		return h, 0, 0, nil
-	}
+	sNew := int(newIdx.SG.NumSupernodes())
+	h := &Hierarchy{kmax: newIdx.SG.MaxK()}
 	oldH := oldIdx.Hierarchy()
 	oldN := int(oldH.NumNodes())
 
@@ -75,264 +68,25 @@ func spliceHierarchy(oldIdx, newIdx *Index, in spliceInput) (*Hierarchy, int, in
 	}
 
 	// Leaves for carried-over supernodes of kept trees; everything else goes
-	// through the subset sweep.
+	// through the rebuild.
 	h.snLeaf = make([]int32, sNew)
 	isAffected := make([]bool, sNew)
-	var affSN []int32
 	for nsn := int32(0); nsn < int32(sNew); nsn++ {
-		if nsn >= in.cleanCount {
-			isAffected[nsn] = true
-			affSN = append(affSN, nsn)
-			continue
+		if nsn < in.cleanCount {
+			oldLeaf := oldH.snLeaf[in.cleanOldSN[nsn]]
+			if !in.affectedRoot[in.rootOf[oldLeaf]] {
+				h.snLeaf[nsn] = nodeMap[oldLeaf]
+				continue
+			}
 		}
-		oldLeaf := oldH.snLeaf[in.cleanOldSN[nsn]]
-		if in.affectedRoot[in.rootOf[oldLeaf]] {
-			isAffected[nsn] = true
-			affSN = append(affSN, nsn)
-			continue
-		}
-		h.snLeaf[nsn] = nodeMap[oldLeaf]
+		isAffected[nsn] = true
 	}
 
-	if err := h.sweepSubset(sg, affSN, isAffected); err != nil {
+	// The repair is serial: it runs inside the update applier beside the
+	// query pool, and an Exec without a context cannot fail for any reason
+	// but a superedge escaping the affected set.
+	if err := h.rebuild(concur.Exec{Threads: 1}, newIdx, isAffected); err != nil {
 		return nil, 0, 0, err
 	}
-	n := len(h.nodeK)
-	rebuilt := n - kept
-
-	// Edge counts and canonical minimum edge IDs for the rebuilt nodes: seed
-	// from own supernodes, then aggregate child into parent ascending —
-	// parents of rebuilt nodes are rebuilt, so the pass stays in range.
-	for _, sn := range affSN {
-		leaf := h.snLeaf[sn]
-		h.edges[leaf] += sg.SupernodeEdgeCount(sn)
-		for _, e := range sg.SupernodeEdges(sn) {
-			if e < h.nodeMin[leaf] {
-				h.nodeMin[leaf] = e
-			}
-		}
-	}
-	for id := kept; id < n; id++ {
-		if p := h.parent[id]; p >= 0 {
-			h.edges[p] += h.edges[id]
-			if h.nodeMin[id] < h.nodeMin[p] {
-				h.nodeMin[p] = h.nodeMin[id]
-			}
-		}
-	}
-
-	// Distinct-vertex counts for the rebuilt nodes: only vertices incident
-	// to an affected supernode can appear in a rebuilt tree, so the walks
-	// are restricted to those — the leaf-to-root paths of affected
-	// supernodes never leave the rebuilt range.
-	nv := int(newIdx.G.NumVertices())
-	vstamp := ds.NewStamps(nv)
-	vstamp.NextEpoch()
-	var vlist []int32
-	for _, sn := range affSN {
-		for _, e := range sg.SupernodeEdges(sn) {
-			ed := newIdx.G.Edge(e)
-			if vstamp.Visit(ed.U) {
-				vlist = append(vlist, ed.U)
-			}
-			if vstamp.Visit(ed.V) {
-				vlist = append(vlist, ed.V)
-			}
-		}
-	}
-	seen := ds.NewStamps(n)
-	for _, v := range vlist {
-		seen.NextEpoch()
-		for _, sn := range newIdx.SupernodesOf(v) {
-			if !isAffected[sn] {
-				continue
-			}
-			for node := h.snLeaf[sn]; node >= 0 && seen.Visit(node); node = h.parent[node] {
-				h.verts[node]++
-			}
-		}
-	}
-
-	// Global CSRs and the level index are rebuilt outright — they are flat
-	// O(nodes + supernodes) passes, far below the triangle work the splice
-	// avoids.
-	h.ownOff = make([]int64, n+1)
-	for _, leaf := range h.snLeaf {
-		h.ownOff[leaf+1]++
-	}
-	for i := 0; i < n; i++ {
-		h.ownOff[i+1] += h.ownOff[i]
-	}
-	h.ownSN = make([]int32, sNew)
-	ownCur := make([]int64, n)
-	copy(ownCur, h.ownOff[:n])
-	for sn, leaf := range h.snLeaf {
-		h.ownSN[ownCur[leaf]] = int32(sn)
-		ownCur[leaf]++
-	}
-	h.childOff = make([]int64, n+1)
-	for _, p := range h.parent {
-		if p >= 0 {
-			h.childOff[p+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		h.childOff[i+1] += h.childOff[i]
-	}
-	h.childList = make([]int32, h.childOff[n])
-	childCur := make([]int64, n)
-	copy(childCur, h.childOff[:n])
-	for c, p := range h.parent {
-		if p >= 0 {
-			h.childList[childCur[p]] = int32(c)
-			childCur[p]++
-		}
-	}
-
-	levels := int(h.kmax) - core.MinK + 1
-	h.levelOff = make([]int64, levels+1)
-	for id := int32(0); id < int32(n); id++ {
-		lo, hi := h.spanOf(id)
-		for k := lo; k <= hi; k++ {
-			h.levelOff[k-core.MinK+1]++
-		}
-	}
-	for i := 0; i < levels; i++ {
-		h.levelOff[i+1] += h.levelOff[i]
-	}
-	h.levelNodes = make([]int32, h.levelOff[levels])
-	lvlCur := make([]int64, levels)
-	copy(lvlCur, h.levelOff[:levels])
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return h.nodeMin[order[a]] < h.nodeMin[order[b]] })
-	for _, id := range order {
-		lo, hi := h.spanOf(id)
-		for k := lo; k <= hi; k++ {
-			h.levelNodes[lvlCur[k-core.MinK]] = id
-			lvlCur[k-core.MinK]++
-		}
-	}
-
-	return h, kept, rebuilt, nil
-}
-
-// sweepSubset replays the descending-k merge sweep of buildHierarchy over
-// only the given supernodes, appending the resulting forest nodes to h (with
-// zeroed counts and sentinel nodeMin, filled in by the caller) and setting
-// h.snLeaf for every supernode in the subset. The subset must be closed
-// under superedges; a superedge leaving it means the caller's affected-tree
-// marking missed a dependency, which aborts the splice.
-func (h *Hierarchy) sweepSubset(sg *core.SummaryGraph, sns []int32, isIn []bool) error {
-	if len(sns) == 0 {
-		return nil
-	}
-	s := int(sg.NumSupernodes())
-	levels := int(h.kmax) - core.MinK + 1
-	snByK := make([][]int32, levels)
-	type superedge struct{ a, b int32 }
-	seByLvl := make([][]superedge, levels)
-	for _, sn := range sns {
-		snByK[sg.K[sn]-core.MinK] = append(snByK[sg.K[sn]-core.MinK], sn)
-		for _, nb := range sg.SupernodeNeighbors(sn) {
-			if !isIn[nb] {
-				return fmt.Errorf("community: superedge (%d,%d) crosses out of the affected set", sn, nb)
-			}
-			if nb > sn {
-				lvl := sg.K[nb]
-				if sg.K[sn] < lvl {
-					lvl = sg.K[sn]
-				}
-				seByLvl[lvl-core.MinK] = append(seByLvl[lvl-core.MinK], superedge{sn, nb})
-			}
-		}
-	}
-
-	uf := ds.NewUnionFind(s)
-	nodeAtRoot := make([]int32, s)
-	for i := range nodeAtRoot {
-		nodeAtRoot[i] = -1
-	}
-	snStamp := ds.NewStamps(s)
-	rootStamp := ds.NewStamps(s)
-	nodeStamp := ds.NewStamps(len(h.nodeK))
-	rootSlot := make([]int32, s)
-	var touched []int32
-	var prevNodes []int32
-	type group struct {
-		root     int32
-		newSNs   int32
-		children []int32
-	}
-	var groups []group
-
-	for k := h.kmax; k >= core.MinK; k-- {
-		lvl := int(k) - core.MinK
-		touched = touched[:0]
-		prevNodes = prevNodes[:0]
-		groups = groups[:0]
-		snStamp.NextEpoch()
-		rootStamp.NextEpoch()
-		nodeStamp.NextEpoch()
-		mark := func(sn int32) {
-			if snStamp.Visit(sn) {
-				touched = append(touched, sn)
-			}
-		}
-		for _, sn := range snByK[lvl] {
-			mark(sn)
-		}
-		for _, se := range seByLvl[lvl] {
-			mark(se.a)
-			mark(se.b)
-		}
-		for _, t := range touched {
-			prevNodes = append(prevNodes, nodeAtRoot[uf.Find(t)])
-		}
-		for _, se := range seByLvl[lvl] {
-			uf.Union(se.a, se.b)
-		}
-		for i, t := range touched {
-			r := uf.Find(t)
-			if rootStamp.Visit(r) {
-				rootSlot[r] = int32(len(groups))
-				groups = append(groups, group{root: r})
-			}
-			g := &groups[rootSlot[r]]
-			prev := prevNodes[i]
-			if prev < 0 {
-				g.newSNs++
-			} else if nodeStamp.Visit(prev) {
-				g.children = append(g.children, prev)
-			}
-		}
-		for gi := range groups {
-			g := &groups[gi]
-			if g.newSNs == 0 && len(g.children) < 2 {
-				if len(g.children) == 1 {
-					nodeAtRoot[g.root] = g.children[0]
-				}
-				continue
-			}
-			id := int32(len(h.nodeK))
-			h.nodeK = append(h.nodeK, k)
-			h.parent = append(h.parent, -1)
-			h.edges = append(h.edges, 0)
-			h.verts = append(h.verts, 0)
-			h.nodeMin = append(h.nodeMin, int32(len(sg.EdgeToSN))) // sentinel
-			nodeStamp.Grow(len(h.nodeK))
-			for _, c := range g.children {
-				h.parent[c] = id
-			}
-			nodeAtRoot[g.root] = id
-		}
-		for i, t := range touched {
-			if prevNodes[i] < 0 {
-				h.snLeaf[t] = nodeAtRoot[uf.Find(t)]
-			}
-		}
-	}
-	return nil
+	return h, kept, len(h.nodeK) - kept, nil
 }

@@ -3,32 +3,29 @@ package concur
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
-func TestForCoversRange(t *testing.T) {
-	for _, threads := range []int{0, 1, 2, 3, 7} {
-		for _, n := range []int{0, 1, 2, 63, 1000} {
-			hits := make([]int32, n)
-			For(n, threads, func(i int) { atomic.AddInt32(&hits[i], 1) })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("threads=%d n=%d: index %d visited %d times", threads, n, i, h)
-				}
-			}
-		}
-	}
-}
-
+// TestForRangeCoversRangeDisjointly pins what only the block form promises:
+// every block is a non-empty in-range interval and together they tile
+// [0, n) — checked by summing lengths, which overlaps or gaps would break.
 func TestForRangeCoversRangeDisjointly(t *testing.T) {
 	for _, threads := range []int{1, 2, 5} {
-		n := 997
+		const n = 9973
+		var covered atomic.Int64
 		hits := make([]int32, n)
-		ForRange(n, threads, func(lo, hi int) {
+		Exec{Threads: threads}.ForRange("", n, func(lo, hi int) {
+			if lo < 0 || lo >= hi || hi > n {
+				t.Errorf("threads=%d: bad block [%d, %d)", threads, lo, hi)
+				return
+			}
+			covered.Add(int64(hi - lo))
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
 		})
+		if covered.Load() != n {
+			t.Fatalf("threads=%d: blocks cover %d of %d", threads, covered.Load(), n)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("threads=%d: index %d visited %d times", threads, i, h)
@@ -37,11 +34,18 @@ func TestForRangeCoversRangeDisjointly(t *testing.T) {
 	}
 }
 
+// TestForDynamicCoversRange pins the dynamic scheduler's grain handling,
+// which the shape table runs at one grain only: the heuristic (0), the
+// smallest grain, and a grain larger than the whole range.
 func TestForDynamicCoversRange(t *testing.T) {
-	for _, grain := range []int{0, 1, 10, 10000} {
+	for _, grain := range []int{0, 1, 10, 10000, 100000} {
 		n := 12345
 		hits := make([]int32, n)
-		ForDynamic(n, 4, grain, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		Exec{Threads: 4}.ForRangeDynamic("", n, grain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("grain=%d: index %d visited %d times", grain, i, h)
@@ -50,27 +54,19 @@ func TestForDynamicCoversRange(t *testing.T) {
 	}
 }
 
+// TestForThreadsRunsEachTIDOnce also pins the default: n <= 0 runs the
+// Exec's own thread count.
 func TestForThreadsRunsEachTIDOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
-		hits := make([]int32, threads)
-		ForThreads(threads, func(tid int) { atomic.AddInt32(&hits[tid], 1) })
-		for tid, h := range hits {
-			if h != 1 {
-				t.Fatalf("threads=%d: tid %d ran %d times", threads, tid, h)
+		for _, n := range []int{threads, 0} {
+			hits := make([]int32, threads)
+			Exec{Threads: threads}.ForThreads("", n, func(tid int) { atomic.AddInt32(&hits[tid], 1) })
+			for tid, h := range hits {
+				if h != 1 {
+					t.Fatalf("threads=%d n=%d: tid %d ran %d times", threads, n, tid, h)
+				}
 			}
 		}
-	}
-}
-
-func TestReduceInt64(t *testing.T) {
-	n := 100000
-	got := ReduceInt64(n, 4, func(i int) int64 { return int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-	if got := ReduceInt64(0, 4, func(i int) int64 { return 1 }); got != 0 {
-		t.Fatalf("empty sum = %d, want 0", got)
 	}
 }
 
@@ -103,7 +99,7 @@ func TestCASMinMax(t *testing.T) {
 
 func TestCASMinConcurrent(t *testing.T) {
 	v := int32(1 << 30)
-	For(1000, 8, func(i int) { CASMinInt32(&v, int32(i)) })
+	Exec{Threads: 8}.For("", 1000, func(i int) { CASMinInt32(&v, int32(i)) })
 	if v != 0 {
 		t.Fatalf("concurrent CASMin = %d, want 0", v)
 	}
@@ -112,7 +108,7 @@ func TestCASMinConcurrent(t *testing.T) {
 func TestFetchAdd(t *testing.T) {
 	var x64 int64
 	var x32 int32
-	For(1000, 8, func(i int) {
+	Exec{Threads: 8}.For("", 1000, func(i int) {
 		FetchAddInt64(&x64, 2)
 		FetchAddInt32(&x32, 1)
 	})
@@ -121,76 +117,6 @@ func TestFetchAdd(t *testing.T) {
 	}
 	if prev := FetchAddInt64(&x64, 5); prev != 2000 {
 		t.Fatalf("FetchAddInt64 returned %d, want previous 2000", prev)
-	}
-}
-
-func TestPrefixSumMatchesSerial(t *testing.T) {
-	check := func(vals []uint16) bool {
-		counts := make([]int64, len(vals))
-		want := make([]int64, len(vals))
-		var sum int64
-		for i, v := range vals {
-			counts[i] = int64(v)
-			want[i] = sum
-			sum += int64(v)
-		}
-		total := ExclusivePrefixSumInt64(counts, 4)
-		if total != sum {
-			return false
-		}
-		for i := range counts {
-			if counts[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefixSumLargeParallelPath(t *testing.T) {
-	n := 100000 // above the serial cutoff
-	counts := make([]int64, n)
-	for i := range counts {
-		counts[i] = int64(i % 7)
-	}
-	want := make([]int64, n)
-	var sum int64
-	for i := range counts {
-		want[i] = sum
-		sum += counts[i]
-	}
-	if total := ExclusivePrefixSumInt64(counts, 4); total != sum {
-		t.Fatalf("total = %d, want %d", total, sum)
-	}
-	for i := range counts {
-		if counts[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, counts[i], want[i])
-		}
-	}
-}
-
-func TestPrefixSumInt32(t *testing.T) {
-	n := 100000
-	counts := make([]int32, n)
-	for i := range counts {
-		counts[i] = int32(i % 5)
-	}
-	var sum int64
-	want := make([]int32, n)
-	for i := range counts {
-		want[i] = int32(sum)
-		sum += int64(counts[i])
-	}
-	if total := ExclusivePrefixSumInt32(counts, 4); total != sum {
-		t.Fatalf("total = %d, want %d", total, sum)
-	}
-	for i := range counts {
-		if counts[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, counts[i], want[i])
-		}
 	}
 }
 

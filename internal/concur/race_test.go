@@ -8,7 +8,7 @@ import (
 )
 
 // The stress tests below are primarily race-detector fodder (`make ci` runs
-// this package under -race): every scheduler variant hammers shared state —
+// this package under -race, at -cpu 1,4): every scheduler hammers shared state —
 // an atomic sum, shared obs counters, and an enabled tracer — from all
 // workers at once, which is exactly the access pattern the pipeline kernels
 // rely on being safe.
@@ -18,12 +18,13 @@ func TestStressStaticSchedulersShared(t *testing.T) {
 	tr := obs.NewTrace()
 	reg := obs.NewRegistry()
 	c := reg.Counter("stress_static", "")
+	x := Exec{Trace: tr, Threads: 8}
 	for rounds := 0; rounds < 4; rounds++ {
 		var sum atomic.Int64
-		ForT(tr, "static", n, 8, func(i int) {
+		x.For("static", n, func(i int) {
 			sum.Add(int64(i))
 		})
-		ForRangeT(tr, "static", n, 8, func(lo, hi int) {
+		x.ForRange("static", n, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				local++
@@ -50,9 +51,10 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 	tr := obs.NewTrace()
 	reg := obs.NewRegistry()
 	c := reg.Counter("stress_dynamic", "")
+	x := Exec{Trace: tr, Threads: 8}
 	for rounds := 0; rounds < 4; rounds++ {
 		var sum atomic.Int64
-		ForRangeDynamicT(tr, "dynamic", n, 8, 128, func(lo, hi int) {
+		x.ForRangeDynamic("dynamic", n, 128, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				local += int64(i)
@@ -60,8 +62,8 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 			sum.Add(local)
 			c.Add(int64(hi - lo))
 		})
-		ForDynamicT(tr, "dynamic", n, 8, 256, func(i int) {
-			sum.Add(1)
+		x.ForRangeDynamic("dynamic", n, 256, func(lo, hi int) {
+			sum.Add(int64(hi - lo))
 		})
 		want := int64(n)*(n-1)/2 + n
 		if got := sum.Load(); got != want {
@@ -83,7 +85,7 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 }
 
 // TestStressCtxManualCursorAccumulate hammers the scheduler shape the
-// oriented Support kernel uses: ForThreadsCtxT workers claiming chunks off
+// oriented Support kernel uses: ForThreads workers claiming chunks off
 // a shared atomic cursor, crediting into per-thread accumulation arrays
 // (no atomics on the hot path), followed by a parallel reduce — with a
 // live tracer and a shared counter in play. Race-detector fodder for the
@@ -97,13 +99,14 @@ func TestStressCtxManualCursorAccumulate(t *testing.T) {
 	tr := obs.NewTrace()
 	reg := obs.NewRegistry()
 	c := reg.Counter("stress_cursor", "")
+	x := Exec{Trace: tr, Threads: threads}
 	for rounds := 0; rounds < 4; rounds++ {
 		accs := make([][]int64, threads)
 		for t := range accs {
 			accs[t] = make([]int64, n)
 		}
 		var cursor atomic.Int64
-		err := ForThreadsCtxT(nil, tr, "cursor", threads, func(tid int) {
+		err := x.ForThreads("cursor", threads, func(tid int) {
 			acc := accs[tid]
 			var claimed int64
 			for {
@@ -126,7 +129,7 @@ func TestStressCtxManualCursorAccumulate(t *testing.T) {
 			t.Fatalf("round %d: %v", rounds, err)
 		}
 		var sum atomic.Int64
-		err = ForRangeCtxT(nil, tr, "reduce", n, threads, func(lo, hi int) {
+		err = x.ForRange("reduce", n, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				for t := 0; t < threads; t++ {
@@ -154,7 +157,7 @@ func TestStressForThreadsShared(t *testing.T) {
 	tr := obs.NewTrace()
 	var sum atomic.Int64
 	for rounds := 0; rounds < 8; rounds++ {
-		ForThreadsT(tr, "threads", 8, func(tid int) {
+		Exec{Trace: tr}.ForThreads("threads", 8, func(tid int) {
 			sum.Add(int64(tid))
 		})
 	}

@@ -62,35 +62,20 @@ var ParallelVariants = []Variant{VariantBaseline, VariantCOptimal, VariantAffore
 // SpNode strategy ablation. They produce the identical index, slower.
 var AblationVariants = []Variant{VariantLabelProp, VariantBFS}
 
-// Build constructs the EquiTruss index from a graph and its per-edge
+// BuildCtx constructs the EquiTruss index from a graph and its per-edge
 // trussness, using the selected variant and thread count (<= 0 for all
 // cores). All variants produce the identical index (same supernode
 // partition and superedge set); they differ only in construction strategy
 // and therefore speed. The returned Timings cover the index kernels only;
 // callers that also time Support/TrussDecomp fill those fields themselves
 // (see the pipeline in the public package).
-func Build(g *graph.Graph, tau []int32, variant Variant, threads int) (*SummaryGraph, Timings) {
-	return BuildTraced(g, tau, variant, threads, nil)
-}
-
-// BuildTraced is Build with observability: every kernel emits a
-// pipeline-level span into tr and the parallel kernels additionally emit
-// one span per worker, so per-kernel load imbalance is measurable. A nil
-// tracer records nothing and adds no overhead — Build delegates here.
-func BuildTraced(g *graph.Graph, tau []int32, variant Variant, threads int, tr *obs.Trace) (*SummaryGraph, Timings) {
-	sg, tm, err := BuildCtx(concur.WithoutFaults(context.Background()), g, tau, variant, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("core: " + err.Error())
-	}
-	return sg, tm
-}
-
-// BuildCtx is BuildTraced with cancellation: every kernel checks ctx at
-// scheduler-barrier granularity (and between SV hook rounds), so a
-// canceled build returns ctx.Err() in bounded time with every worker
-// goroutine joined and no partial index escaping.
+//
+// Every kernel emits a pipeline-level span into tr and the parallel kernels
+// additionally emit one span per worker, so per-kernel load imbalance is
+// measurable; a nil tracer records nothing and adds no overhead. Every
+// kernel checks ctx at scheduler-barrier granularity (and between SV hook
+// rounds), so a canceled build returns ctx.Err() in bounded time with every
+// worker goroutine joined and no partial index escaping.
 func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant, threads int, tr *obs.Trace) (*SummaryGraph, Timings, error) {
 	if len(tau) != int(g.NumEdges()) {
 		panic(fmt.Sprintf("core: tau has %d entries for %d edges", len(tau), g.NumEdges()))
@@ -124,7 +109,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	}
 	tm.Init = time.Since(start)
 	span.End()
-	if err := ctxDone(ctx); err != nil {
+	if err := concur.Err(ctx); err != nil {
 		return nil, tm, err
 	}
 
@@ -185,14 +170,6 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	tm.SpNodeRemap = time.Since(start)
 	span.End()
 	return sg, tm, nil
-}
-
-// ctxDone returns ctx.Err(), tolerating a nil context.
-func ctxDone(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }
 
 // remap densifies root edge IDs into supernode IDs 0..S-1 (in ascending

@@ -8,6 +8,7 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 )
 
 func randomGraph(seed int64, n int32, p float64) *graph.Graph {
@@ -35,7 +36,7 @@ func TestVariantEquivalenceRandom(t *testing.T) {
 	check := func(seed int64) bool {
 		g := randomGraph(seed, 28, 0.3)
 		tau := buildTau(t, g)
-		want, _ := core.BuildSerial(g, tau)
+		want, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 		if err := want.Validate(g); err != nil {
 			t.Logf("serial invalid: %v", err)
 			return false
@@ -43,7 +44,7 @@ func TestVariantEquivalenceRandom(t *testing.T) {
 		wantCanon := want.Canonical(g)
 		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
 			for _, threads := range []int{1, 2, 4} {
-				got, _ := core.Build(g, tau, variant, threads)
+				got, _ := testkit.Summary(g, tau, variant, threads)
 				if err := got.Validate(g); err != nil {
 					t.Logf("%s/%d invalid: %v", variant, threads, err)
 					return false
@@ -76,13 +77,13 @@ func TestVariantEquivalenceStructured(t *testing.T) {
 	}
 	for name, g := range graphs {
 		tau := buildTau(t, g)
-		want, _ := core.BuildSerial(g, tau)
+		want, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 		if err := want.Validate(g); err != nil {
 			t.Fatalf("%s: serial invalid: %v", name, err)
 		}
 		wantCanon := want.Canonical(g)
 		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
-			got, _ := core.Build(g, tau, variant, 2)
+			got, _ := testkit.Summary(g, tau, variant, 2)
 			if err := got.Validate(g); err != nil {
 				t.Fatalf("%s/%s: invalid: %v", name, variant, err)
 			}
@@ -102,7 +103,7 @@ func TestVariantEquivalenceStructured(t *testing.T) {
 func TestSupernodePropertyDefinition(t *testing.T) {
 	g := gen.PlantedPartition(5, 9, 0.7, 1.5, 23)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 	if err := sg.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSupernodePropertyDefinition(t *testing.T) {
 func TestSuperedgeDefinition(t *testing.T) {
 	g := gen.SharedEdgeCliquePair(7, 5)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantAfforest, 2)
+	sg, _ := testkit.Summary(g, tau, core.VariantAfforest, 2)
 	// Recompute the expected superedge set by scanning all triangles.
 	type pair struct{ a, b int32 }
 	want := map[pair]bool{}
@@ -209,7 +210,7 @@ func TestBowtieSeparateSupernodes(t *testing.T) {
 	g := gen.TwoTriangles()
 	tau := buildTau(t, g)
 	for _, variant := range core.Variants {
-		sg, _ := core.Build(g, tau, variant, 2)
+		sg, _ := testkit.Summary(g, tau, variant, 2)
 		if sg.NumSupernodes() != 2 {
 			t.Fatalf("%s: supernodes = %d, want 2", variant, sg.NumSupernodes())
 		}
@@ -223,7 +224,7 @@ func TestTriangleFreeGraphHasEmptyIndex(t *testing.T) {
 	g := gen.Cycle(12)
 	tau := buildTau(t, g)
 	for _, variant := range core.Variants {
-		sg, _ := core.Build(g, tau, variant, 2)
+		sg, _ := testkit.Summary(g, tau, variant, 2)
 		if sg.NumSupernodes() != 0 || sg.NumSuperedges() != 0 {
 			t.Fatalf("%s: cycle produced %v", variant, sg)
 		}
@@ -241,7 +242,7 @@ func TestSharedVertexHighTrussSeparation(t *testing.T) {
 	// and a τ=2 bridge — no superedges at all.
 	g := gen.BridgedCliques(5)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 	if sg.NumSupernodes() != 2 {
 		t.Fatalf("supernodes = %d, want 2", sg.NumSupernodes())
 	}
@@ -258,7 +259,7 @@ func TestTimingsAccounting(t *testing.T) {
 	g := gen.PlantedPartition(6, 8, 0.7, 1.0, 31)
 	tau := buildTau(t, g)
 	for _, variant := range core.ParallelVariants {
-		_, tm := core.Build(g, tau, variant, 2)
+		_, tm := testkit.Summary(g, tau, variant, 2)
 		if tm.IndexTotal() <= 0 {
 			t.Fatalf("%s: IndexTotal = %v", variant, tm.IndexTotal())
 		}
@@ -279,7 +280,7 @@ func TestBuildPanicsOnBadTau(t *testing.T) {
 			t.Fatal("mismatched tau accepted")
 		}
 	}()
-	core.Build(g, []int32{3}, core.VariantCOptimal, 1)
+	testkit.Summary(g, []int32{3}, core.VariantCOptimal, 1)
 }
 
 func TestVariantString(t *testing.T) {
@@ -305,7 +306,7 @@ func TestVariantString(t *testing.T) {
 func TestEmptyGraphIndex(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 3)
 	for _, variant := range core.Variants {
-		sg, _ := core.Build(g, nil, variant, 2)
+		sg, _ := testkit.Summary(g, nil, variant, 2)
 		if sg.NumSupernodes() != 0 || sg.NumSuperedges() != 0 {
 			t.Fatalf("%s: empty graph produced %v", variant, sg)
 		}

@@ -8,6 +8,7 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -15,8 +16,8 @@ import (
 // buildTau runs the prerequisite kernels for a test graph.
 func buildTau(t testing.TB, g *graph.Graph) []int32 {
 	t.Helper()
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	return tau
 }
 
@@ -51,7 +52,7 @@ func TestPaperFigure3(t *testing.T) {
 	for _, variant := range core.Variants {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			sg, _ := core.Build(g, tau, variant, 2)
+			sg, _ := testkit.Summary(g, tau, variant, 2)
 			if err := sg.Validate(g); err != nil {
 				t.Fatalf("invalid index: %v", err)
 			}

@@ -9,33 +9,19 @@ import (
 	"equitruss/internal/obs"
 )
 
-// BuildSerial is a faithful port of Algorithm 1 (the original sequential
+// buildSerialCtx is a faithful port of Algorithm 1 (the original sequential
 // EquiTruss index construction of Akbas & Zhao): edges are grouped by
 // trussness, and for k = 3..kmax each unprocessed edge seeds a supernode
 // grown by a breadth-first traversal over k-triangle connectivity. Edges of
 // higher trussness met along the way record the supernode ID in their
 // pending list; when they are later processed at their own trussness level,
 // each recorded ID becomes a superedge.
-func BuildSerial(g *graph.Graph, tau []int32) (*SummaryGraph, Timings) {
-	return buildSerial(g, tau, nil)
-}
-
-// buildSerial is BuildSerial with pipeline-level spans (the serial builder
-// has no worker threads, so there are no per-thread spans to emit). SpNode
-// and SpEdge are interleaved in Algorithm 1, so they share one span and the
-// SpNode timing bucket.
-func buildSerial(g *graph.Graph, tau []int32, tr *obs.Trace) (*SummaryGraph, Timings) {
-	sg, tm, err := buildSerialCtx(nil, g, tau, tr)
-	if err != nil {
-		// Unreachable: a nil context is never canceled.
-		panic("core: " + err.Error())
-	}
-	return sg, tm
-}
-
-// buildSerialCtx is buildSerial with cancellation: the BFS loop polls ctx
-// every few thousand dequeued edges and returns ctx.Err() (and no index)
-// once it fires. A nil context is never canceled.
+//
+// The serial builder has no worker threads, so it emits pipeline-level
+// spans only; SpNode and SpEdge are interleaved in Algorithm 1, so they
+// share one span and the SpNode timing bucket. The BFS loop polls ctx every
+// few thousand dequeued edges and returns ctx.Err() (and no index) once it
+// fires. A nil context is never canceled.
 func buildSerialCtx(ctx context.Context, g *graph.Graph, tau []int32, tr *obs.Trace) (*SummaryGraph, Timings, error) {
 	var tm Timings
 	tm.Threads = 1

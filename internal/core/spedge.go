@@ -33,12 +33,10 @@ func unpackPair(p uint64) (a, b int32) { return int32(p >> 32), int32(uint32(p))
 // Workers poll ctx every spEdgeCancelStride edges; a canceled call returns
 // ctx.Err() and no subsets.
 func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
-	if threads <= 0 {
-		threads = concur.MaxThreads()
-	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int(g.NumEdges())
 	spEdges := make([][]uint64, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "SpEdge", threads, func(tid int) {
+	err := x.ForThreads("SpEdge", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
 		var local []uint64
@@ -78,13 +76,11 @@ func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads in
 // lookups for trussness and edge identity (the same indirection its SpNode
 // pays). Cancellation mirrors spEdgeFlat.
 func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict edgeDict, threads int, tr *obs.Trace) ([][]uint64, error) {
-	if threads <= 0 {
-		threads = concur.MaxThreads()
-	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int(g.NumEdges())
 	edges := g.Edges()
 	spEdges := make([][]uint64, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "SpEdge", threads, func(tid int) {
+	err := x.ForThreads("SpEdge", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
 		var local []uint64
@@ -139,13 +135,11 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 // final superedge list via a prefix-summed parallel copy. Cancellation is
 // checked at each of the three phase barriers.
 func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.Trace) ([]uint64, error) {
-	if threads <= 0 {
-		threads = concur.MaxThreads()
-	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	nsrc := len(spEdges)
 	// ln. 6–11: each source thread buckets its superedges by destination.
 	partitioned := make([][][]uint64, nsrc)
-	if err := concur.ForThreadsCtxT(ctx, tr, "SmGraph", nsrc, func(src int) {
+	if err := x.ForThreads("SmGraph", nsrc, func(src int) {
 		buckets := make([][]uint64, threads)
 		for _, p := range spEdges[src] {
 			d := int((p * 0x9E3779B97F4A7C15 >> 33) % uint64(threads))
@@ -158,7 +152,7 @@ func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.
 	// ln. 13–16: each destination combines, sorts, removes duplicates.
 	combined := make([][]uint64, threads)
 	var deduped int64
-	if err := concur.ForThreadsCtxT(ctx, tr, "SmGraph", threads, func(dst int) {
+	if err := x.ForThreads("SmGraph", threads, func(dst int) {
 		var all []uint64
 		for src := 0; src < nsrc; src++ {
 			all = append(all, partitioned[src][dst]...)
@@ -187,7 +181,7 @@ func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.
 		total += int64(len(combined[d]))
 	}
 	final := make([]uint64, total)
-	if err := concur.ForThreadsCtxT(ctx, tr, "SmGraph", threads, func(dst int) {
+	if err := x.ForThreads("SmGraph", threads, func(dst int) {
 		copy(final[offsets[dst]:], combined[dst])
 	}); err != nil {
 		return nil, err

@@ -65,10 +65,11 @@ func phiGroups(g *graph.Graph, tau []int32, threads int) (phi [][]int32, kmax in
 // (Π[e] = NoSupernode for τ=2 edges). Cancellation is checked at every
 // scheduler barrier, so the SV round loops exit promptly once ctx fires.
 func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeDict, phi [][]int32, threads int, tr *obs.Trace) ([]int32, error) {
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int32(g.NumEdges())
 	pi := ds.NewShardedMap(int(m))
 	// Each edge initially forms its own component (ln. 1–2).
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := x.For("SpNode", int(m), func(i int) {
 		if tau[i] >= MinK {
 			pi.Store(int64(i), int32(i))
 		}
@@ -86,7 +87,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 			hooking = 0
 			// Hooking phase (ln. 10–20).
 			cSVHookRounds.Inc()
-			err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 256, func(lo, hi int) {
+			err := x.ForRangeDynamic("SpNode", len(edgesK), 256, func(lo, hi int) {
 				localHook := false
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
@@ -131,7 +132,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 			}
 			// Shortcut phase (ln. 21–23).
 			cSVShortcutRounds.Inc()
-			if err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 512, func(lo, hi int) {
+			if err := x.ForRangeDynamic("SpNode", len(edgesK), 512, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := int64(edgesK[i])
 					for {
@@ -150,7 +151,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 	}
 	// Materialize the final flat Π for the downstream kernels.
 	out := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := x.For("SpNode", int(m), func(i int) {
 		if tau[i] < MinK {
 			out[i] = NoSupernode
 			return
@@ -212,9 +213,10 @@ func max32(a, b int32) int32 {
 // are skipped before any hooking work. Cancellation is checked at every
 // scheduler barrier.
 func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]int32, threads int, tr *obs.Trace) ([]int32, error) {
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int32(g.NumEdges())
 	pi := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := x.For("SpNode", int(m), func(i int) {
 		if tau[i] >= MinK {
 			pi[i] = int32(i)
 		} else {
@@ -232,7 +234,7 @@ func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]in
 		for hooking != 0 {
 			hooking = 0
 			cSVHookRounds.Inc()
-			err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 256, func(lo, hi int) {
+			err := x.ForRangeDynamic("SpNode", len(edgesK), 256, func(lo, hi int) {
 				localHook := false
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
@@ -255,7 +257,7 @@ func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]in
 				return nil, err
 			}
 			cSVShortcutRounds.Inc()
-			if err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", len(edgesK), threads, 512, func(lo, hi int) {
+			if err := x.ForRangeDynamic("SpNode", len(edgesK), 512, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
 					for {
@@ -297,7 +299,8 @@ func svHookFlat(pi []int32, e, e1 int32) bool {
 
 // flattenPi points every τ>=3 edge at its component root.
 func flattenPi(ctx context.Context, pi []int32, tau []int32, threads int) error {
-	return concur.ForCtx(ctx, len(pi), threads, func(i int) {
+	x := concur.Exec{Ctx: ctx, Threads: threads}
+	return x.For("", len(pi), func(i int) {
 		if tau[i] < MinK {
 			return
 		}
@@ -335,11 +338,12 @@ const afforestSampleSize = 1024
 // partner relation is symmetric. Cancellation is checked at every scheduler
 // barrier (link rounds, compression passes, finalization, materialization).
 func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr *obs.Trace) ([]int32, error) {
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int32(g.NumEdges())
 	cuf := ds.NewConcurrentUnionFind(int(m))
 	// Link rounds over the r-th valid partner of each edge.
 	for r := 0; r < afforestNeighborRounds; r++ {
-		err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
+		err := x.ForRangeDynamic("SpNode", int(m), 512, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := int32(i)
 				k := tau[e]
@@ -377,7 +381,7 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 	dominant := sampleDominant(cuf, tau, m)
 	// Finalization: exhaustively link everything outside the dominant
 	// component, skipping the (typically large) fraction already settled.
-	err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
+	err := x.ForRangeDynamic("SpNode", int(m), 512, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := int32(i)
 			k := tau[e]
@@ -405,7 +409,7 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 		return nil, err
 	}
 	pi := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := x.For("SpNode", int(m), func(i int) {
 		if tau[i] < MinK {
 			pi[i] = NoSupernode
 		} else {
@@ -420,7 +424,8 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 
 // compressAll path-compresses every element (parallel Find pass).
 func compressAll(ctx context.Context, cuf *ds.ConcurrentUnionFind, threads int) error {
-	return concur.ForCtx(ctx, cuf.Len(), threads, func(i int) {
+	x := concur.Exec{Ctx: ctx, Threads: threads}
+	return x.For("", cuf.Len(), func(i int) {
 		cuf.Find(int32(i))
 	})
 }

@@ -22,9 +22,10 @@ import (
 // triangle partners until a fixpoint. Rounds scale with the diameter of
 // the largest supernode — the weakness the paper calls out.
 func spNodeLabelProp(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr *obs.Trace) ([]int32, error) {
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int32(g.NumEdges())
 	pi := make([]int32, m)
-	if err := concur.ForCtxT(ctx, tr, "SpNode", int(m), threads, func(i int) {
+	if err := x.For("SpNode", int(m), func(i int) {
 		if tau[i] >= MinK {
 			pi[i] = int32(i)
 		} else {
@@ -36,7 +37,7 @@ func spNodeLabelProp(ctx context.Context, g *graph.Graph, tau []int32, threads i
 	changed := int32(1)
 	for changed != 0 {
 		changed = 0
-		err := concur.ForRangeDynamicCtxT(ctx, tr, "SpNode", int(m), threads, 512, func(lo, hi int) {
+		err := x.ForRangeDynamic("SpNode", int(m), 512, func(lo, hi int) {
 			local := false
 			for i := lo; i < hi; i++ {
 				e := int32(i)
@@ -88,9 +89,7 @@ func spNodeBFS(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr
 		pi[i] = NoSupernode
 	}
 	visited := ds.NewBitset(int(m))
-	if threads <= 0 {
-		threads = concur.MaxThreads()
-	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	var frontier, next []int32
 	for seed := int32(0); seed < m; seed++ {
 		// The seed scan between traversals is serial; poll ctx periodically
@@ -107,7 +106,7 @@ func spNodeBFS(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr
 		frontier = append(frontier[:0], seed)
 		for len(frontier) > 0 {
 			bufs := make([][]int32, threads)
-			err := concur.ForThreadsCtxT(ctx, tr, "SpNode", threads, func(tid int) {
+			err := x.ForThreads("SpNode", threads, func(tid int) {
 				lo := tid * len(frontier) / threads
 				hi := (tid + 1) * len(frontier) / threads
 				var buf []int32

@@ -8,6 +8,7 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/obs"
+	"equitruss/internal/testkit"
 )
 
 func TestTimingsArithmetic(t *testing.T) {
@@ -80,7 +81,7 @@ func TestAblationVariantsOnEmptyAndTiny(t *testing.T) {
 	for _, variant := range core.AblationVariants {
 		g := gen.PaperFigure3()
 		tau := buildTau(t, g)
-		sg, tm := core.Build(g, tau, variant, 2)
+		sg, tm := testkit.Summary(g, tau, variant, 2)
 		if err := sg.Validate(g); err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}

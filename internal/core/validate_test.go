@@ -6,6 +6,7 @@ import (
 
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 )
 
 // buildValid returns a fresh valid index for corruption tests.
@@ -13,7 +14,7 @@ func buildValid(t *testing.T) (*core.SummaryGraph, []int32) {
 	t.Helper()
 	g := gen.PaperFigure3()
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 	if err := sg.Validate(g); err != nil {
 		t.Fatalf("fresh index invalid: %v", err)
 	}
@@ -122,7 +123,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 func TestCanonicalEmptyIndex(t *testing.T) {
 	g := gen.Path(4)
 	tau := buildTau(t, g)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	if c := sg.Canonical(g); c != "" {
 		t.Fatalf("canonical of empty index = %q", c)
 	}
@@ -134,8 +135,8 @@ func TestBuildDeterministic(t *testing.T) {
 	g := gen.PlantedPartition(6, 8, 0.7, 1.2, 77)
 	tau := buildTau(t, g)
 	for _, v := range core.ParallelVariants {
-		a, _ := core.Build(g, tau, v, 2)
-		b, _ := core.Build(g, tau, v, 2)
+		a, _ := testkit.Summary(g, tau, v, 2)
+		b, _ := testkit.Summary(g, tau, v, 2)
 		if a.Canonical(g) != b.Canonical(g) {
 			t.Fatalf("%s: nondeterministic build", v)
 		}

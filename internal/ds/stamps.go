@@ -41,15 +41,5 @@ func (s *Stamps) Visit(i int32) bool {
 // Visited reports whether i has been visited in the current epoch.
 func (s *Stamps) Visited(i int32) bool { return s.mark[i] == s.epoch }
 
-// Grow extends the ID space to at least n, keeping current marks.
-func (s *Stamps) Grow(n int) {
-	if n <= len(s.mark) {
-		return
-	}
-	grown := make([]uint32, n)
-	copy(grown, s.mark)
-	s.mark = grown
-}
-
 // Len returns the current ID-space size.
 func (s *Stamps) Len() int { return len(s.mark) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -36,8 +37,8 @@ func TestBatchChurnOnSurrogatesMatchesOracle(t *testing.T) {
 		if testing.Short() && g.NumEdges() > 3000 {
 			t.Skipf("%s too large for -short", s.name)
 		}
-		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
+		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		dg := FromStatic(g, tau)
 		assertExact(t, dg, s.name+" import")
 		rnd := rand.New(rand.NewSource(int64(len(s.name))))

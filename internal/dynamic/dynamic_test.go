@@ -7,6 +7,7 @@ import (
 
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -19,8 +20,8 @@ func oracleTau(t testing.TB, dg *Graph) map[uint64]int32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	out := make(map[uint64]int32)
 	for eid, e := range g.Edges() {
 		out[pack(e.U, e.V)] = tau[eid]
@@ -62,8 +63,8 @@ func TestInsertBuildUpClique(t *testing.T) {
 
 func TestDeleteTearDownClique(t *testing.T) {
 	g := gen.Clique(6)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	dg := FromStatic(g, tau)
 	for _, e := range g.Edges() {
 		if !dg.DeleteEdge(e.U, e.V) {
@@ -132,8 +133,8 @@ func TestRandomChurnMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
+		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		dg = FromStatic(g, tau)
 		for op := 0; op < 40; op++ {
 			u := int32(rnd.Intn(int(n)))
@@ -178,8 +179,8 @@ func TestChurnOnStructuredGraphs(t *testing.T) {
 		"bridged":    gen.BridgedCliques(4),
 	}
 	for name, g := range graphs {
-		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
+		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		dg := FromStatic(g, tau)
 		assertExact(t, dg, name+" import")
 		rnd := rand.New(rand.NewSource(99))
@@ -230,8 +231,8 @@ func TestInsertTriangleClosesSupernode(t *testing.T) {
 // clique's trussness by one (cascading recheck), exactly.
 func TestDeletionCascade(t *testing.T) {
 	g := gen.Clique(7)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	dg := FromStatic(g, tau)
 	dg.DeleteEdge(0, 1)
 	// K7 minus an edge: edges not touching {0,1} keep ... oracle decides.

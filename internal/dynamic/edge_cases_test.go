@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -13,8 +14,8 @@ import (
 func cliqueDyn(t *testing.T, n int32) *Graph {
 	t.Helper()
 	g := gen.Clique(n)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	return FromStatic(g, tau)
 }
 

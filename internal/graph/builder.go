@@ -97,7 +97,8 @@ func buildCSR(input []Edge, numVertices int32, threads int) (*Graph, error) {
 		g.adjEID[cursor[e.V]] = int32(eid)
 		cursor[e.V]++
 	}
-	concur.For(int(n), threads, func(i int) {
+	// An Exec without a context cannot fail.
+	_ = concur.Exec{Threads: threads}.For("", int(n), func(i int) {
 		v := int32(i)
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		sortAdjWithEIDs(g.adj[lo:hi], g.adjEID[lo:hi])

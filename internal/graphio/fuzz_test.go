@@ -7,6 +7,7 @@ import (
 
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -56,9 +57,9 @@ func FuzzReadBinaryIndex(f *testing.F) {
 	// verification rather than structural validation.
 	{
 		g := gen.PaperFigure3()
-		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
-		sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+		sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 		var buf bytes.Buffer
 		if err := WriteBinaryIndex(&buf, sg); err != nil {
 			f.Fatal(err)
@@ -125,9 +126,9 @@ func FuzzReadBinaryIndex(f *testing.F) {
 // different checks (header CRC, section CRC, zero-padding).
 func FuzzReadV3Index(f *testing.F) {
 	g := gen.PaperFigure3()
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	var buf bytes.Buffer
 	if err := WriteBinaryIndexV3(&buf, sg); err != nil {
 		f.Fatal(err)

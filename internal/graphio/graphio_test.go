@@ -10,6 +10,7 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -135,9 +136,9 @@ func TestBinaryGraphBadMagic(t *testing.T) {
 
 func TestBinaryIndexRoundTrip(t *testing.T) {
 	g := gen.PaperFigure3()
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 
 	var buf bytes.Buffer
 	if err := WriteBinaryIndex(&buf, sg); err != nil {
@@ -176,9 +177,9 @@ func TestBinaryIndexBadInput(t *testing.T) {
 func TestBinaryIndexCorruptIDs(t *testing.T) {
 	base := func() *core.SummaryGraph {
 		g := gen.Clique(5)
-		sup := triangle.Supports(g, 1)
-		tau, _ := truss.DecomposeSerial(g, sup)
-		sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+		sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 		return sg
 	}
 	cases := []struct {
@@ -232,9 +233,9 @@ func TestBinaryIndexCorruptIDs(t *testing.T) {
 
 func TestBinaryIndexTruncated(t *testing.T) {
 	g := gen.Clique(4)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	var buf bytes.Buffer
 	if err := WriteBinaryIndex(&buf, sg); err != nil {
 		t.Fatal(err)
@@ -263,9 +264,9 @@ var _ = graph.Edge{} // keep the import used if assertions above change
 
 func TestWriteSummaryDOT(t *testing.T) {
 	g := gen.PaperFigure3()
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 2)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 	var buf bytes.Buffer
 	if err := WriteSummaryDOT(&buf, sg); err != nil {
 		t.Fatal(err)
@@ -284,8 +285,8 @@ func TestWriteSummaryDOT(t *testing.T) {
 
 func TestWriteGraphDOT(t *testing.T) {
 	g := gen.Clique(3)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	var buf bytes.Buffer
 	if err := WriteGraphDOT(&buf, g, tau); err != nil {
 		t.Fatal(err)

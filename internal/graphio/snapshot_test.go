@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -14,8 +15,8 @@ import (
 func testSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 7)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	return &Snapshot{G: g, Tau: tau, Seq: 42}
 }
 

@@ -15,6 +15,7 @@ import (
 	"equitruss/internal/faults"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -22,9 +23,9 @@ import (
 // buildTestIndex builds a real summary graph for serialization tests.
 func buildTestIndex(t testing.TB, g *graph.Graph) *core.SummaryGraph {
 	t.Helper()
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	return sg
 }
 

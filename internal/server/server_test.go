@@ -17,6 +17,7 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/obs"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -27,9 +28,9 @@ import (
 func buildTestIndex(t testing.TB) (*community.Index, []int32) {
 	t.Helper()
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
-	sup := triangle.Supports(g, 0)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.BuildTraced(g, tau, core.VariantCOptimal, 0, nil)
+	sup := testkit.Supports(g, triangle.KernelMerge, 0)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 0)
 	return community.NewIndex(g, sg), tau
 }
 
@@ -512,9 +513,9 @@ func TestCachePurgeBelow(t *testing.T) {
 // gone from the LRU, not merely unreachable.
 func TestPublishPurgesStaleCacheEntries(t *testing.T) {
 	g := gen.Clique(5)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantCOptimal, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	s := New(community.NewIndex(g, sg), Config{CacheSize: 16})
 	ep := s.epoch().num
 	s.cache.Put(ep, 0, 5, nil)

@@ -16,6 +16,7 @@ import (
 	"equitruss/internal/dynamic"
 	"equitruss/internal/faults"
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 	"equitruss/internal/wal"
@@ -30,9 +31,9 @@ func newLiveServer(t *testing.T, scale string, mutate func(*LiveConfig)) (*Serve
 	if scale == "rmat" {
 		g = gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
 	}
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	w, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -342,9 +343,9 @@ func TestReadyzGating(t *testing.T) {
 // the exact published state, checksum for checksum.
 func TestUpdateRecoveryDifferential(t *testing.T) {
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	walPath := filepath.Join(t.TempDir(), "wal.log")
 	w, err := wal.Open(walPath, wal.Options{})
 	if err != nil {
@@ -395,7 +396,7 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg2, _ := core.Build(g2, tau2, core.VariantSerial, 1)
+	sg2, _ := testkit.Summary(g2, tau2, core.VariantSerial, 1)
 	got := community.NewIndex(g2, sg2).Checksums()
 	for layer, want := range map[string]uint64{
 		"tau": got.Tau, "summary": got.Summary, "hierarchy": got.Hierarchy,
@@ -592,9 +593,9 @@ func TestUpdateMetricsExposition(t *testing.T) {
 // silently selecting a default.
 func TestEnableUpdatesRejectsUnknownMode(t *testing.T) {
 	g := gen.Clique(5)
-	sup := triangle.Supports(g, 1)
-	tau, _ := truss.DecomposeSerial(g, sup)
-	sg, _ := core.Build(g, tau, core.VariantSerial, 1)
+	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	w, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -91,9 +91,9 @@ func TestKernelsAgreeOnAllDatasets(t *testing.T) {
 		graphs[spec.Name] = spec.Generate(0.01)
 	}
 	for name, g := range graphs {
-		want := SupportsKernel(g, KernelMerge, 3)
+		want := supports(g, KernelMerge, 3)
 		for _, k := range []Kernel{KernelGalloping, KernelOriented, KernelAuto} {
-			got := SupportsKernel(g, k, 3)
+			got := supports(g, k, 3)
 			if len(got) != len(want) {
 				t.Fatalf("%s/%v: %d supports, want %d", name, k, len(got), len(want))
 			}
@@ -111,13 +111,13 @@ func TestKernelsAgreeOnAllDatasets(t *testing.T) {
 // kernel.
 func TestCountInvariant(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 9)
-	want := Count(g, 2)
+	want := count(g, 2)
 	if want <= 0 {
 		t.Fatalf("RMAT-11 triangle count = %d", want)
 	}
 	for _, k := range []Kernel{KernelMerge, KernelGalloping, KernelOriented} {
 		var sum int64
-		for _, s := range SupportsKernel(g, k, 2) {
+		for _, s := range supports(g, k, 2) {
 			sum += int64(s)
 		}
 		if sum%3 != 0 {

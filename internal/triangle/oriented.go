@@ -28,7 +28,7 @@ const accArrayLimit = 1 << 26 // 64M entries = 256 MiB of int32
 // the merge kernel's grain so per-thread span items are comparable.
 const orientedGrain = 512
 
-// SupportsOriented computes per-edge supports with the compact-forward
+// SupportsOrientedCtx computes per-edge supports with the compact-forward
 // scheme behind the O(|E|^1.5) bound the paper cites: orient every edge
 // from lower to higher (degree, id) rank, enumerate each triangle exactly
 // once as an intersection of out-neighborhoods, and credit all three member
@@ -36,25 +36,11 @@ const orientedGrain = 512
 // shorter than hub adjacencies, so the kernel does far less intersection
 // work than the merge kernel's symmetric per-edge scans.
 //
-// SupportsOrientedCtx is the production form (cancellation, tracing,
-// counters); this legacy wrapper runs under concur.WithoutFaults so an
-// armed scheduler-barrier fault site cannot panic callers that have no
-// error channel.
-func SupportsOriented(g *graph.Graph, threads int) []int32 {
-	sup, err := SupportsOrientedCtx(concur.WithoutFaults(context.Background()), g, threads, nil)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection.
-		panic("triangle: " + err.Error())
-	}
-	return sup
-}
-
-// SupportsOrientedCtx is SupportsOriented with the merge kernel's full
-// production contract: workers poll ctx at chunk-claim granularity and the
-// call returns ctx.Err() with every goroutine joined once it fires, every
-// parallel stage emits per-thread "Support" spans into tr, and each stage's
-// barrier is a "concur.barrier" fault-injection site.
+// It shares the merge kernel's full production contract: workers poll ctx
+// at chunk-claim granularity and the call returns ctx.Err() with every
+// goroutine joined once it fires, every parallel stage emits per-thread
+// "Support" spans into tr, and each stage's barrier is a "concur.barrier"
+// fault-injection site.
 func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
 	n := int(g.NumVertices())
 	m := int(g.NumEdges())
@@ -66,8 +52,10 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 		threads = concur.MaxThreads()
 	}
 
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
+
 	// Rank vertices by (degree, id); rank(u) < rank(v) orients u -> v.
-	pos, err := rankByDegree(ctx, g, threads, tr)
+	pos, err := rankByDegree(x, g)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +63,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	// Build the oriented CSR: out-neighbors of v are neighbors with higher
 	// rank, kept with their edge IDs and sorted by rank for merging.
 	outOff := make([]int64, n+1)
-	err = concur.ForCtxT(ctx, tr, "Support", n, threads, func(i int) {
+	err = x.For("Support", n, func(i int) {
 		v := int32(i)
 		var d int64
 		for _, w := range g.Neighbors(v) {
@@ -94,7 +82,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	total := outOff[n]
 	outRank := make([]int32, total) // rank of the head vertex
 	outEID := make([]int32, total)
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = x.ForThreads("Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		var scratch sortScratch // reused across every vertex of this thread
@@ -128,7 +116,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	useAcc := int64(threads)*int64(m) <= accArrayLimit
 	accs := make([][]int32, threads)
 	var cursor atomic.Int64
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = x.ForThreads("Support", threads, func(tid int) {
 		var acc []int32
 		if useAcc {
 			acc = make([]int32, m)
@@ -191,7 +179,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 		return nil, err
 	}
 	if useAcc {
-		err = concur.ForRangeCtxT(ctx, tr, "Support", m, threads, func(lo, hi int) {
+		err = x.ForRange("Support", m, func(lo, hi int) {
 			for e := lo; e < hi; e++ {
 				var s int32
 				for t := 0; t < threads; t++ {
@@ -213,9 +201,10 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 // (degree, thread), and a parallel placement pass. Stability by id falls out
 // of the blocks being id-ordered and the scan visiting threads in order —
 // no comparison sort anywhere.
-func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
+func rankByDegree(x concur.Exec, g *graph.Graph) ([]int32, error) {
 	n := int(g.NumVertices())
 	pos := make([]int32, n)
+	threads := x.Threads
 	if threads > n {
 		threads = n
 	}
@@ -223,7 +212,7 @@ func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trac
 		threads = 1
 	}
 	maxPT := make([]int32, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err := x.ForThreads("Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		var max int32
@@ -245,7 +234,7 @@ func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trac
 	}
 	buckets := int(maxDeg) + 1
 	counts := make([][]int32, threads)
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = x.ForThreads("Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		cnt := make([]int32, buckets)
@@ -265,7 +254,7 @@ func rankByDegree(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trac
 			base += c
 		}
 	}
-	err = concur.ForThreadsCtxT(ctx, tr, "Support", threads, func(tid int) {
+	err = x.ForThreads("Support", threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		cnt := counts[tid]

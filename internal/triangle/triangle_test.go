@@ -26,6 +26,25 @@ func randomGraph(seed int64, n int32, p float64) *graph.Graph {
 	return g
 }
 
+// supports runs one Support kernel without a context, the form that
+// cannot fail.
+func supports(g *graph.Graph, k Kernel, threads int) []int32 {
+	sup, err := SupportsKernelCtx(nil, g, k, threads, nil)
+	if err != nil {
+		panic(err)
+	}
+	return sup
+}
+
+// count is Count in the same infallible form.
+func count(g *graph.Graph, threads int) int64 {
+	n, err := Count(nil, g, threads)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 // bruteSupports counts triangles per edge by checking every vertex.
 func bruteSupports(g *graph.Graph) []int32 {
 	n := g.NumVertices()
@@ -53,7 +72,7 @@ func TestSupportsKnownShapes(t *testing.T) {
 		{"triangle", gen.Clique(3), func(int32) int32 { return 1 }},
 	}
 	for _, tc := range cases {
-		sup := Supports(tc.g, 2)
+		sup := supports(tc.g, KernelMerge, 2)
 		for eid, s := range sup {
 			if want := tc.want(int32(eid)); s != want {
 				t.Errorf("%s: support[%d] = %d, want %d", tc.name, eid, s, want)
@@ -67,19 +86,19 @@ func TestSupportsMatchesBrute(t *testing.T) {
 		g := randomGraph(seed, 20, 0.3)
 		want := bruteSupports(g)
 		for _, threads := range []int{1, 2, 4} {
-			got := Supports(g, threads)
+			got := supports(g, KernelMerge, threads)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
 				}
 			}
-			got = SupportsGalloping(g, threads)
+			got = supports(g, KernelGalloping, threads)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
 				}
 			}
-			got = SupportsOriented(g, threads)
+			got = supports(g, KernelOriented, threads)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -109,9 +128,9 @@ func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merge := Supports(g, 2)
-	gallop := SupportsGalloping(g, 2)
-	oriented := SupportsOriented(g, 2)
+	merge := supports(g, KernelMerge, 2)
+	gallop := supports(g, KernelGalloping, 2)
+	oriented := supports(g, KernelOriented, 2)
 	for i := range merge {
 		if merge[i] != gallop[i] {
 			t.Fatalf("edge %d: merge %d vs gallop %d", i, merge[i], gallop[i])
@@ -123,26 +142,26 @@ func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
 }
 
 func TestCountKnown(t *testing.T) {
-	if got := Count(gen.Clique(5), 2); got != 10 {
+	if got := count(gen.Clique(5), 2); got != 10 {
 		t.Fatalf("K5 triangles = %d, want 10", got)
 	}
-	if got := Count(gen.Clique(6), 2); got != 20 {
+	if got := count(gen.Clique(6), 2); got != 20 {
 		t.Fatalf("K6 triangles = %d, want 20", got)
 	}
-	if got := Count(gen.Path(10), 2); got != 0 {
+	if got := count(gen.Path(10), 2); got != 0 {
 		t.Fatalf("path triangles = %d", got)
 	}
-	if got := Count(gen.PaperFigure3(), 1); got <= 0 {
+	if got := count(gen.PaperFigure3(), 1); got <= 0 {
 		t.Fatalf("figure 3 triangles = %d", got)
 	}
 }
 
 func TestSupportsEmptyGraph(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 3)
-	if sup := Supports(g, 2); len(sup) != 0 {
+	if sup := supports(g, KernelMerge, 2); len(sup) != 0 {
 		t.Fatalf("supports on edgeless graph: %v", sup)
 	}
-	if Count(g, 2) != 0 {
+	if count(g, 2) != 0 {
 		t.Fatal("count on edgeless graph")
 	}
 }
@@ -176,8 +195,8 @@ func TestSupportsOrientedOnGenerators(t *testing.T) {
 		gen.Clique(9),
 	}
 	for gi, g := range graphs {
-		want := Supports(g, 2)
-		got := SupportsOriented(g, 2)
+		want := supports(g, KernelMerge, 2)
+		got := supports(g, KernelOriented, 2)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("graph %d edge %d: oriented %d vs merge %d", gi, i, got[i], want[i])
@@ -188,7 +207,7 @@ func TestSupportsOrientedOnGenerators(t *testing.T) {
 
 func TestSupportsOrientedEmpty(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 5)
-	if s := SupportsOriented(g, 2); len(s) != 0 {
+	if s := supports(g, KernelOriented, 2); len(s) != 0 {
 		t.Fatalf("oriented supports on empty graph: %v", s)
 	}
 }

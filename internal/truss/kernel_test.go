@@ -8,7 +8,6 @@ import (
 
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
-	"equitruss/internal/triangle"
 )
 
 var allPeelKernels = []PeelKernel{PeelSerial, PeelLevelSync, PeelPKT, PeelAuto}
@@ -59,10 +58,10 @@ func TestChoosePeelKernel(t *testing.T) {
 func TestPKTMatchesSerial(t *testing.T) {
 	check := func(seed int64) bool {
 		g := randomGraph(seed, 30, 0.25)
-		sup := triangle.Supports(g, 2)
-		want, wantK := DecomposeSerial(g, sup)
+		sup := supportsOf(g, 2)
+		want, wantK := decompose(g, sup, PeelSerial, 1)
 		for _, threads := range []int{1, 2, 4} {
-			got, gotK := DecomposePKT(g, sup, threads)
+			got, gotK := decompose(g, sup, PeelPKT, threads)
 			if gotK != wantK {
 				return false
 			}
@@ -73,7 +72,7 @@ func TestPKTMatchesSerial(t *testing.T) {
 			}
 		}
 		for _, k := range allPeelKernels {
-			got, gotK := DecomposeKernel(g, sup, k, 2)
+			got, gotK := decompose(g, sup, k, 2)
 			if gotK != wantK {
 				return false
 			}
@@ -101,10 +100,10 @@ func TestPKTMatchesSerialOnStructuredGraphs(t *testing.T) {
 		"sharedEdge": gen.SharedEdgeCliquePair(6, 5),
 	}
 	for name, g := range graphs {
-		sup := triangle.Supports(g, 2)
-		want, wantK := DecomposeSerial(g, sup)
+		sup := supportsOf(g, 2)
+		want, wantK := decompose(g, sup, PeelSerial, 1)
 		for _, threads := range []int{1, 3} {
-			got, gotK := DecomposePKT(g, sup, threads)
+			got, gotK := decompose(g, sup, PeelPKT, threads)
 			if gotK != wantK {
 				t.Fatalf("%s threads=%d: kmax %d vs serial %d", name, threads, gotK, wantK)
 			}
@@ -132,11 +131,11 @@ func TestPKTLevelSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := triangle.Supports(g, 2)
-	want, wantK := DecomposeSerial(g, sup)
+	sup := supportsOf(g, 2)
+	want, wantK := decompose(g, sup, PeelSerial, 1)
 	before := cPeelLevelSkips.Value()
 	for _, threads := range []int{1, 2, 4} {
-		got, gotK := DecomposePKT(g, sup, threads)
+		got, gotK := decompose(g, sup, PeelPKT, threads)
 		if gotK != wantK {
 			t.Fatalf("threads=%d: kmax %d vs %d", threads, gotK, wantK)
 		}
@@ -165,12 +164,12 @@ func TestFrontierAdmissionAccounting(t *testing.T) {
 		"planted": gen.PlantedPartition(12, 9, 0.7, 1.2, 3),
 	}
 	for name, g := range graphs {
-		sup := triangle.Supports(g, 2)
+		sup := supportsOf(g, 2)
 		m := int64(g.NumEdges())
 		for _, kernel := range []PeelKernel{PeelLevelSync, PeelPKT} {
 			for _, threads := range []int{1, 4} {
 				seeds0, caps0 := cPeelSeeds.Value(), cPeelCaptures.Value()
-				DecomposeKernel(g, sup, kernel, threads)
+				decompose(g, sup, kernel, threads)
 				seeds := cPeelSeeds.Value() - seeds0
 				caps := cPeelCaptures.Value() - caps0
 				if seeds+caps != m {
@@ -205,9 +204,9 @@ func TestKMaxInvariant(t *testing.T) {
 		"bridged": gen.BridgedCliques(6),
 	}
 	for name, g := range graphs {
-		sup := triangle.Supports(g, 2)
+		sup := supportsOf(g, 2)
 		for _, kernel := range allPeelKernels {
-			tau, kmax := DecomposeKernel(g, sup, kernel, 4)
+			tau, kmax := decompose(g, sup, kernel, 4)
 			if want := KMax(tau); kmax != want {
 				t.Fatalf("%s/%v: kmax = %d, want max τ = %d", name, kernel, kmax, want)
 			}
@@ -219,7 +218,7 @@ func TestKMaxInvariant(t *testing.T) {
 // kernel promptly with ctx.Err() and no trussness.
 func TestPKTCancellation(t *testing.T) {
 	g := gen.RMAT(10, 6, 0.57, 0.19, 0.19, 6)
-	sup := triangle.Supports(g, 2)
+	sup := supportsOf(g, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tau, _, err := DecomposePKTCtx(ctx, g, sup, 2, nil)
@@ -231,7 +230,7 @@ func TestPKTCancellation(t *testing.T) {
 func TestDecomposeKernelEmpty(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 4)
 	for _, k := range allPeelKernels {
-		tau, kmax := DecomposeKernel(g, nil, k, 2)
+		tau, kmax := decompose(g, nil, k, 2)
 		if len(tau) != 0 || kmax != MinTrussness {
 			t.Fatalf("%v empty: tau=%v kmax=%d", k, tau, kmax)
 		}
@@ -240,7 +239,7 @@ func TestDecomposeKernelEmpty(t *testing.T) {
 
 func TestDecomposeKernelUnknown(t *testing.T) {
 	g := gen.Clique(4)
-	sup := triangle.Supports(g, 1)
+	sup := supportsOf(g, 1)
 	if _, _, err := DecomposeKernelCtx(context.Background(), g, sup, PeelKernel(99), 1, nil); err == nil {
 		t.Fatal("unknown kernel did not error")
 	}
@@ -248,11 +247,11 @@ func TestDecomposeKernelUnknown(t *testing.T) {
 
 func BenchmarkPeelKernels(b *testing.B) {
 	g := gen.RMAT(14, 8, 0.57, 0.19, 0.19, 42)
-	sup := triangle.Supports(g, 0)
+	sup := supportsOf(g, 0)
 	for _, k := range []PeelKernel{PeelSerial, PeelLevelSync, PeelPKT} {
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DecomposeKernel(g, sup, k, 0)
+				decompose(g, sup, k, 0)
 			}
 		})
 	}

@@ -31,35 +31,18 @@ var (
 		"empty support levels skipped by jumping to the minimum surviving support")
 )
 
-// DecomposeParallel is the level-synchronous parallel peeling: at peel
+// DecomposeParallelCtx is the level-synchronous parallel peeling: at peel
 // level L all alive edges with support <= L are peeled together in
 // sub-rounds, decrementing surviving triangle partners with atomics. The
 // triangle shared between two simultaneously peeled edges is settled by an
 // edge-ID tie-break so each destroyed triangle decrements each survivor
 // exactly once — the discipline of shared-memory PKT-style decompositions.
 //
-// The result is exactly DecomposeSerial's (trussness is unique).
-// DecomposeParallelT is the traced form.
-func DecomposeParallel(g *graph.Graph, supports []int32, threads int) (tau []int32, kmax int32) {
-	return DecomposeParallelT(g, supports, threads, nil)
-}
-
-// DecomposeParallelT is DecomposeParallel with observability: each peel
-// sub-round's processing pass emits per-thread "TrussDecomp" spans into tr,
-// and the peeling counters above accumulate regardless of tracing.
-func DecomposeParallelT(g *graph.Graph, supports []int32, threads int, tr *obs.Trace) (tau []int32, kmax int32) {
-	tau, kmax, err := DecomposeParallelCtx(concur.WithoutFaults(context.Background()), g, supports, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("truss: " + err.Error())
-	}
-	return tau, kmax
-}
-
-// DecomposeParallelCtx is DecomposeParallelT with cancellation: the peel
-// checks ctx at every scheduler barrier and between sub-rounds, returning
-// ctx.Err() (and no trussness) promptly with all workers joined.
+// The result is exactly DecomposeSerialCtx's (trussness is unique). Each
+// peel sub-round's processing pass emits per-thread "TrussDecomp" spans into
+// tr, the peeling counters above accumulate regardless of tracing, and the
+// peel checks ctx at every scheduler barrier and between sub-rounds,
+// returning ctx.Err() (and no trussness) promptly with all workers joined.
 func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32, threads int, tr *obs.Trace) (tau []int32, kmax int32, err error) {
 	m := int32(g.NumEdges())
 	tau = make([]int32, m)
@@ -69,6 +52,7 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32,
 	if threads <= 0 {
 		threads = concur.MaxThreads()
 	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	sup := make([]int32, m)
 	copy(sup, supports)
 	deleted := ds.NewBitset(int(m))
@@ -83,7 +67,7 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32,
 		cPeelLevels.Inc()
 		// Collect the initial frontier for this level, learning the minimum
 		// surviving support in the same pass.
-		curr, minAlive, err := collectFrontier(ctx, sup, deleted, level, threads, tr)
+		curr, minAlive, err := collectFrontier(x, sup, deleted, level)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -99,13 +83,13 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32,
 		for len(curr) > 0 {
 			cPeelSubrounds.Inc()
 			n := len(curr)
-			if err := concur.ForCtxT(ctx, tr, "TrussDecomp", n, threads, func(i int) { inCurr.SetAtomic(int(curr[i])) }); err != nil {
+			if err := x.For("TrussDecomp", n, func(i int) { inCurr.SetAtomic(int(curr[i])) }); err != nil {
 				return nil, 0, err
 			}
 			for t := range nextBufs {
 				nextBufs[t] = nextBufs[t][:0]
 			}
-			err := concur.ForThreadsCtxT(ctx, tr, "TrussDecomp", threads, func(tid int) {
+			err := x.ForThreads("TrussDecomp", threads, func(tid int) {
 				lo := tid * n / threads
 				hi := (tid + 1) * n / threads
 				next := nextBufs[tid]
@@ -147,7 +131,7 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, supports []int32,
 				return nil, 0, err
 			}
 			// Retire the processed frontier.
-			if err := concur.ForCtxT(ctx, tr, "TrussDecomp", n, threads, func(i int) {
+			if err := x.For("TrussDecomp", n, func(i int) {
 				e := curr[i]
 				inCurr.ClearAtomic(int(e))
 				deleted.SetAtomic(int(e))
@@ -189,11 +173,12 @@ func decCapture(sup []int32, e, level int32, next []int32, decs *int64) []int32 
 // (or in-frontier) by the time the next level's scan runs, so a collected
 // edge can never also have been counted as a capture — seeds and captures
 // partition the edge set.
-func collectFrontier(ctx context.Context, sup []int32, deleted *ds.Bitset, level int32, threads int, tr *obs.Trace) ([]int32, int32, error) {
+func collectFrontier(x concur.Exec, sup []int32, deleted *ds.Bitset, level int32) ([]int32, int32, error) {
+	threads := x.Threads
 	m := len(sup)
 	bufs := make([][]int32, threads)
 	mins := make([]int32, threads)
-	err := concur.ForThreadsCtxT(ctx, tr, "TrussDecomp", threads, func(tid int) {
+	err := x.ForThreads("TrussDecomp", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
 		var buf []int32

@@ -36,27 +36,9 @@ const pktChunk = 64
 // low.
 const pktGallopRatio = 2
 
-// DecomposePKT is the legacy no-error form of DecomposePKTCtx (non-
-// cancelable, excluded from fault injection). DecomposePKTT is the traced
-// form.
-func DecomposePKT(g *graph.Graph, supports []int32, threads int) (tau []int32, kmax int32) {
-	return DecomposePKTT(g, supports, threads, nil)
-}
-
-// DecomposePKTT is DecomposePKT with observability.
-func DecomposePKTT(g *graph.Graph, supports []int32, threads int, tr *obs.Trace) (tau []int32, kmax int32) {
-	tau, kmax, err := DecomposePKTCtx(concur.WithoutFaults(context.Background()), g, supports, threads, tr)
-	if err != nil {
-		// Unreachable: the context is non-cancelable and excluded from
-		// fault injection, so the ctx form cannot fail.
-		panic("truss: " + err.Error())
-	}
-	return tau, kmax
-}
-
 // DecomposePKTCtx is the scan-free parallel peeling in the style of PKT
 // (Kabir & Madduri) with Blanco–Low-style fine-grained load balancing. It
-// produces exactly DecomposeSerial's trussness.
+// produces exactly DecomposeSerialCtx's trussness.
 //
 // Where the level-synchronous kernel rebuilds each level's frontier with a
 // full-edge rescan, this kernel never rescans:
@@ -96,6 +78,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 	if threads <= 0 {
 		threads = concur.MaxThreads()
 	}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	sup := make([]int32, m)
 	copy(sup, supports)
 	var maxSup int32
@@ -117,7 +100,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 	nid := make([]int32, off[n])
 	alen := make([]int32, n)
 	deadCnt := make([]int32, n)
-	if err := concur.ForCtxT(ctx, tr, "TrussDecomp", int(n), threads, func(i int) {
+	if err := x.For("TrussDecomp", int(n), func(i int) {
 		v := int32(i)
 		copy(nbr[off[v]:off[v+1]], g.Neighbors(v))
 		copy(nid[off[v]:off[v+1]], g.IncidentEIDs(v))
@@ -162,7 +145,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 	var curr []int32
 
 	for remaining > 0 {
-		if err := ctxDone(ctx); err != nil {
+		if err := concur.Err(ctx); err != nil {
 			return nil, 0, err
 		}
 		// Seed the frontier for this level from the initial bucket plus any
@@ -198,7 +181,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 		for len(curr) > 0 {
 			cPeelSubrounds.Inc()
 			nf := len(curr)
-			if err := concur.ForCtxT(ctx, tr, "TrussDecomp", nf, threads, func(i int) { inCurr.SetAtomic(int(curr[i])) }); err != nil {
+			if err := x.For("TrussDecomp", nf, func(i int) { inCurr.SetAtomic(int(curr[i])) }); err != nil {
 				return nil, 0, err
 			}
 			for t := range nextBufs {
@@ -209,7 +192,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 			// race an atomic cursor for pktChunk-sized slices, so skewed
 			// per-edge triangle work cannot straggle one static block.
 			var cursor atomic.Int64
-			err := concur.ForThreadsCtxT(ctx, tr, "TrussDecomp", threads, func(tid int) {
+			err := x.ForThreads("TrussDecomp", threads, func(tid int) {
 				next := nextBufs[tid]
 				dirty := dirtyBufs[tid]
 				touch := touchBufs[tid]
@@ -305,7 +288,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 			}
 			// Retire the processed frontier and charge each endpoint one
 			// dead adjacency slot.
-			if err := concur.ForCtxT(ctx, tr, "TrussDecomp", nf, threads, func(i int) {
+			if err := x.For("TrussDecomp", nf, func(i int) {
 				e := curr[i]
 				inCurr.ClearAtomic(int(e))
 				deleted.SetAtomic(int(e))
@@ -318,7 +301,7 @@ func DecomposePKTCtx(ctx context.Context, g *graph.Graph, supports []int32, thre
 			// CAS on deadCnt claims the vertex, so duplicate touch entries
 			// across threads compact at most once, and nothing reads a list
 			// concurrently (intersections only run in the processing pass).
-			if err := concur.ForThreadsCtxT(ctx, tr, "TrussDecomp", threads, func(tid int) {
+			if err := x.ForThreads("TrussDecomp", threads, func(tid int) {
 				var comps int64
 				for _, v := range touchBufs[tid] {
 					d := atomic.LoadInt32(&deadCnt[v])
@@ -429,17 +412,4 @@ func pktDec(sup, dirtyStamp []int32, e, level, stampLevel int32, next, dirty []i
 		}
 	}
 	return next, dirty
-}
-
-// ctxDone polls a context tolerating nil.
-func ctxDone(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
-	}
 }

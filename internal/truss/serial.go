@@ -20,17 +20,11 @@ import (
 // triangle: every edge is trivially a 2-truss.
 const MinTrussness = 2
 
-// DecomposeSerial peels edges in non-decreasing support order using a
+// DecomposeSerialCtx peels edges in non-decreasing support order using a
 // bucket queue, assigning τ(e) = peel-level + 2. supports must be the exact
 // per-edge triangle counts (see package triangle); it is not modified.
-// Returns the trussness array indexed by edge ID and kmax = max τ.
-func DecomposeSerial(g *graph.Graph, supports []int32) (tau []int32, kmax int32) {
-	tau, kmax, _ = DecomposeSerialCtx(nil, g, supports)
-	return tau, kmax
-}
-
-// DecomposeSerialCtx is DecomposeSerial with cancellation: the peel loop
-// polls ctx every few thousand pops and returns ctx.Err() (and no
+// Returns the trussness array indexed by edge ID and kmax = max τ. The peel
+// loop polls ctx every few thousand pops and returns ctx.Err() (and no
 // trussness) once it fires. A nil context is never canceled.
 func DecomposeSerialCtx(ctx context.Context, g *graph.Graph, supports []int32) (tau []int32, kmax int32, err error) {
 	m := int32(g.NumEdges())

@@ -27,9 +27,27 @@ func randomGraph(seed int64, n int32, p float64) *graph.Graph {
 	return g
 }
 
+// supportsOf and decompose run the kernels without a context, the form
+// that cannot fail.
+func supportsOf(g *graph.Graph, threads int) []int32 {
+	sup, err := triangle.SupportsCtx(nil, g, threads, nil)
+	if err != nil {
+		panic(err)
+	}
+	return sup
+}
+
+func decompose(g *graph.Graph, sup []int32, k PeelKernel, threads int) ([]int32, int32) {
+	tau, kmax, err := DecomposeKernelCtx(nil, g, sup, k, threads, nil)
+	if err != nil {
+		panic(err)
+	}
+	return tau, kmax
+}
+
 func serialTau(g *graph.Graph) []int32 {
-	sup := triangle.Supports(g, 1)
-	tau, _ := DecomposeSerial(g, sup)
+	sup := supportsOf(g, 1)
+	tau, _ := decompose(g, sup, PeelSerial, 1)
 	return tau
 }
 
@@ -112,10 +130,10 @@ func TestSerialMatchesBrute(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	check := func(seed int64) bool {
 		g := randomGraph(seed, 30, 0.25)
-		sup := triangle.Supports(g, 2)
-		want, wantK := DecomposeSerial(g, sup)
+		sup := supportsOf(g, 2)
+		want, wantK := decompose(g, sup, PeelSerial, 1)
 		for _, threads := range []int{1, 2, 4} {
-			got, gotK := DecomposeParallel(g, sup, threads)
+			got, gotK := decompose(g, sup, PeelLevelSync, threads)
 			if gotK != wantK {
 				return false
 			}
@@ -143,9 +161,9 @@ func TestParallelMatchesSerialOnStructuredGraphs(t *testing.T) {
 		"sharedEdge": gen.SharedEdgeCliquePair(6, 5),
 	}
 	for name, g := range graphs {
-		sup := triangle.Supports(g, 2)
-		want, _ := DecomposeSerial(g, sup)
-		got, _ := DecomposeParallel(g, sup, 2)
+		sup := supportsOf(g, 2)
+		want, _ := decompose(g, sup, PeelSerial, 1)
+		got, _ := decompose(g, sup, PeelLevelSync, 2)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: τ[%d] parallel %d vs serial %d", name, i, got[i], want[i])
@@ -170,14 +188,14 @@ func TestParallelLevelSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := triangle.Supports(g, 2)
-	want, wantK := DecomposeSerial(g, sup)
+	sup := supportsOf(g, 2)
+	want, wantK := decompose(g, sup, PeelSerial, 1)
 	if wantK != 16 {
 		t.Fatalf("serial kmax = %d, want 16", wantK)
 	}
 	before := cPeelLevelSkips.Value()
 	for _, threads := range []int{1, 2, 4, 8} {
-		got, gotK := DecomposeParallel(g, sup, threads)
+		got, gotK := decompose(g, sup, PeelLevelSync, threads)
 		if gotK != wantK {
 			t.Fatalf("threads=%d: kmax %d vs %d", threads, gotK, wantK)
 		}
@@ -241,17 +259,17 @@ func TestTrussnessMaximality(t *testing.T) {
 
 func TestDecomposeEmptyAndTiny(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 4)
-	tau, kmax := DecomposeSerial(g, nil)
+	tau, kmax := decompose(g, nil, PeelSerial, 1)
 	if len(tau) != 0 || kmax != MinTrussness {
 		t.Fatalf("empty: tau=%v kmax=%d", tau, kmax)
 	}
-	tau, kmax = DecomposeParallel(g, nil, 2)
+	tau, kmax = decompose(g, nil, PeelLevelSync, 2)
 	if len(tau) != 0 || kmax != MinTrussness {
 		t.Fatalf("empty parallel: tau=%v kmax=%d", tau, kmax)
 	}
 	single, _ := graph.FromEdgeList([]graph.Edge{{U: 0, V: 1}}, 0)
-	sup := triangle.Supports(single, 1)
-	tau, kmax = DecomposeSerial(single, sup)
+	sup := supportsOf(single, 1)
+	tau, kmax = decompose(single, sup, PeelSerial, 1)
 	if tau[0] != 2 || kmax != 2 {
 		t.Fatalf("single edge: τ=%d kmax=%d", tau[0], kmax)
 	}

@@ -14,6 +14,8 @@ import (
 	"equitruss/internal/dynamic"
 	"equitruss/internal/graphio"
 	"equitruss/internal/server"
+	"equitruss/internal/triangle"
+	"equitruss/internal/truss"
 	"equitruss/internal/wal"
 )
 
@@ -160,15 +162,18 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 		logger.Info("recovery: loaded snapshot",
 			slog.Uint64("seq", snap.Seq), slog.Int64("edges", snap.G.NumEdges()))
 	case os.IsNotExist(serr):
-		dyn = baseDynamic(base, opt.Threads)
+		dyn, err = baseDynamic(ctx, base, opt.Threads)
 	default:
 		// Corrupt snapshot: base + replay is usable only if the WAL still
 		// holds the full history — enforced below, because a compacted log
 		// replayed over the base would silently drop every compacted batch.
 		logger.Warn("recovery: snapshot unreadable, attempting base + full replay",
 			slog.Any("err", serr))
-		dyn = baseDynamic(base, opt.Threads)
+		dyn, err = baseDynamic(ctx, base, opt.Threads)
 		snapCorrupt = true
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Step 3: replay the log suffix. The contiguity check turns a
@@ -226,12 +231,20 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 }
 
 // baseDynamic decomposes the base graph (or starts empty) into a dynamic
-// graph at sequence zero.
-func baseDynamic(base *Graph, threads int) *dynamic.Graph {
+// graph at sequence zero, under the recovery's context.
+func baseDynamic(ctx context.Context, base *Graph, threads int) (*dynamic.Graph, error) {
 	if base == nil {
-		return dynamic.New(0)
+		return dynamic.New(0), nil
 	}
-	return dynamic.FromStatic(base, Trussness(base, threads))
+	sup, err := triangle.SupportsKernelCtx(ctx, base, KernelAuto, threads, nil)
+	if err != nil {
+		return nil, err
+	}
+	tau, _, err := truss.DecomposeKernelCtx(ctx, base, sup, PeelAuto, threads, nil)
+	if err != nil {
+		return nil, err
+	}
+	return dynamic.FromStatic(base, tau), nil
 }
 
 // liveConfig maps LiveOptions onto the internal update-pipeline config.

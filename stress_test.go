@@ -6,6 +6,7 @@ import (
 	"equitruss"
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
+	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
@@ -20,9 +21,9 @@ func TestStressModerateRMAT(t *testing.T) {
 		t.Skip("stress test skipped in -short mode")
 	}
 	g := gen.RMAT(13, 10, 0.57, 0.19, 0.19, 2024)
-	sup := triangle.Supports(g, 0)
-	tauS, kS := truss.DecomposeSerial(g, sup)
-	tauP, kP := truss.DecomposeParallel(g, sup, 0)
+	sup := testkit.Supports(g, triangle.KernelMerge, 0)
+	tauS, kS := testkit.Tau(g, sup, truss.PeelSerial, 1)
+	tauP, kP := testkit.Tau(g, sup, truss.PeelLevelSync, 0)
 	if kS != kP {
 		t.Fatalf("kmax: serial %d vs parallel %d", kS, kP)
 	}
@@ -31,14 +32,14 @@ func TestStressModerateRMAT(t *testing.T) {
 			t.Fatalf("τ[%d]: serial %d vs parallel %d", i, tauS[i], tauP[i])
 		}
 	}
-	want, _ := core.BuildSerial(g, tauS)
+	want, _ := testkit.Summary(g, tauS, core.VariantSerial, 1)
 	if err := want.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	canon := want.Canonical(g)
 	variants := append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...)
 	for _, v := range variants {
-		got, _ := core.Build(g, tauS, v, 0)
+		got, _ := testkit.Summary(g, tauS, v, 0)
 		if err := got.Validate(g); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
