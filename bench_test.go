@@ -320,18 +320,13 @@ func BenchmarkAblationTrussSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSupportIntersection compares the merge-only support
-// kernel against the adaptive galloping one on a skewed graph.
+// BenchmarkAblationSupportIntersection compares the per-edge merge support
+// kernel against the oriented one on a skewed graph.
 func BenchmarkAblationSupportIntersection(b *testing.B) {
 	g := benchGraph(b, "orkut-sim")
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			testkit.Supports(g, triangle.KernelMerge, 0)
-		}
-	})
-	b.Run("gallop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			testkit.Supports(g, triangle.KernelGalloping, 0)
 		}
 	})
 	b.Run("oriented", func(b *testing.B) {

@@ -144,7 +144,7 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 1})
 
 	for _, k := range []equitruss.SupportKernel{
-		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelGalloping, equitruss.KernelOriented,
+		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelOriented,
 	} {
 		sup := equitruss.SupportsWithKernel(g, k, 4)
 		for i := range wantSup {
@@ -182,7 +182,7 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptIndexRejected flips bytes spread across a saved v2 index
+// TestChaosCorruptIndexRejected flips bytes spread across a saved index
 // and proves every corruption is caught at load time by the checksums.
 func TestChaosCorruptIndexRejected(t *testing.T) {
 	g := equitruss.GenerateRMAT(8, 6, 11)
@@ -203,7 +203,7 @@ func TestChaosCorruptIndexRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sample corruption positions across the whole file: header, payload
-	// middle, and the trailer region (exhaustive flips live in the graphio
+	// middle, and the last section (exhaustive flips live in the graphio
 	// package tests; this proves the property end to end via the public API).
 	for _, pos := range []int{0, 8, 40, len(blob) / 3, len(blob) / 2, len(blob) - 5, len(blob) - 1} {
 		corrupt := append([]byte(nil), blob...)

@@ -121,6 +121,18 @@ func TestCheckSkipsBelowNoiseFloor(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no comparable rows") {
 		t.Fatalf("want 'no comparable rows' when all cells are sub-noise, got: %v", err)
 	}
+	// A Support cell is skipped on its own time too, not just its
+	// normalizer's: a 1.5 ms oriented run against a 10 ms merge run is as
+	// unmeasurable as the query cells checkQueryRows already skips.
+	for _, pair := range [][2]benchArtifact{
+		{supportArt(0.010, 0.0005), supportArt(0.010, 0.0015)}, // current cell sub-noise
+		{supportArt(0.010, 0.0015), supportArt(0.010, 0.0080)}, // baseline cell sub-noise
+	} {
+		err := checkAgainstBaseline(writeBaseline(t, pair[0]), &pair[1])
+		if err == nil || !strings.Contains(err.Error(), "no comparable rows") {
+			t.Fatalf("sub-noise Support cell was gated: %v", err)
+		}
+	}
 }
 
 func TestCheckRejectsBaselineWithoutPeelRows(t *testing.T) {
@@ -183,76 +195,5 @@ func TestCheckUpdateRowsFailLoudlyOnMissingRows(t *testing.T) {
 	err = checkAgainstBaseline(writeBaseline(t, base), &cur)
 	if err == nil || !strings.Contains(err.Error(), "no update_bench rows") {
 		t.Fatalf("stale baseline without update rows accepted: %v", err)
-	}
-}
-
-// coldstartArt builds an artifact with one v2-decode + one v3-mmap-eager row.
-func coldstartArt(v2Sec, mmapSec float64) benchArtifact {
-	return benchArtifact{
-		GitRev: "testrev",
-		ColdstartBench: []coldstartRow{
-			{Dataset: "d", Loader: coldstartV2Loader, Seconds: v2Sec},
-			{Dataset: "d", Loader: "v3-mmap-eager", Seconds: mmapSec},
-		},
-	}
-}
-
-func TestCheckColdstartRowsGateRatios(t *testing.T) {
-	base := coldstartArt(1.0, 0.02)
-	cur := coldstartArt(0.5, 0.01) // same 50x advantage, faster machine
-	if err := checkAgainstBaseline(writeBaseline(t, base), &cur); err != nil {
-		t.Fatalf("matching coldstart ratios rejected: %v", err)
-	}
-	cur = coldstartArt(1.0, 0.1) // mmap ratio 0.1 vs baseline 0.02: 5x regression
-	err := checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("5x cold-start regression not caught: %v", err)
-	}
-}
-
-// TestCheckColdstartClampsSubNoiseRows: an mmap load is sub-millisecond by
-// design, so the gate clamps sub-floor times to the noise floor instead of
-// skipping the row — jitter below the floor passes, but the mmap path
-// regressing to decode-like cost is still caught against a sub-floor
-// baseline.
-func TestCheckColdstartClampsSubNoiseRows(t *testing.T) {
-	base := coldstartArt(1.0, 0.0004)
-	cur := coldstartArt(1.0, 0.0008) // 2x within the floor: jitter, not regression
-	if err := checkAgainstBaseline(writeBaseline(t, base), &cur); err != nil {
-		t.Fatalf("sub-floor mmap jitter rejected: %v", err)
-	}
-	cur = coldstartArt(1.0, 0.5) // decode-like cost vs sub-floor baseline
-	err := checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("mmap path regressing to decode cost not caught: %v", err)
-	}
-}
-
-func TestCheckColdstartRowsFailLoudlyOnMissingRows(t *testing.T) {
-	// Current run without its v2-decode normalizer.
-	base := coldstartArt(1.0, 0.02)
-	cur := coldstartArt(1.0, 0.02)
-	cur.ColdstartBench = cur.ColdstartBench[1:]
-	err := checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "no v2-decode row") {
-		t.Fatalf("missing current-run normalizer passed silently: %v", err)
-	}
-
-	// Baseline has the normalizer but not the mmap cell.
-	base = coldstartArt(1.0, 0.02)
-	base.ColdstartBench = base.ColdstartBench[:1]
-	cur = coldstartArt(1.0, 0.02)
-	err = checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "cannot pass by omission") {
-		t.Fatalf("missing baseline mmap row passed silently: %v", err)
-	}
-
-	// Pre-coldstart-experiment baseline with no coldstart rows at all.
-	base = supportArt(1.0, 0.5)
-	cur = supportArt(1.0, 0.5)
-	cur.ColdstartBench = coldstartArt(1.0, 0.02).ColdstartBench
-	err = checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "no coldstart_bench rows") {
-		t.Fatalf("stale baseline without coldstart rows accepted: %v", err)
 	}
 }

@@ -17,24 +17,32 @@ func TestConfigObserveNilSafe(t *testing.T) {
 }
 
 // TestTimeQueryObservesEveryRep pins the contract the artifact's latency
-// block depends on: every rep lands in the histogram, not just the minimum.
+// block depends on: every rep lands in the histogram, not just the minimum
+// — and the reps of a sweep's cells are interleaved, one of each per round.
 func TestTimeQueryObservesEveryRep(t *testing.T) {
 	cfg := config{hist: obs.NewHistogram("test_timequery", "test")}
-	runs := 0
-	_, sum := timeQuery(cfg, func() uint64 {
-		runs++
-		time.Sleep(time.Millisecond)
-		return 42
-	})
-	if runs != supportReps {
-		t.Fatalf("workload ran %d times, want %d", runs, supportReps)
+	var order []int
+	workload := func(id int) cell {
+		return cell{
+			run: func() { order = append(order, id); time.Sleep(time.Millisecond) },
+			sum: func() uint64 { return uint64(40 + id) },
+		}
 	}
-	if sum != 42 {
-		t.Fatalf("checksum = %d, want 42", sum)
+	_, sums := timeCells(cfg, supportReps, []cell{workload(0), workload(2)})
+	if len(order) != 2*supportReps {
+		t.Fatalf("workloads ran %d times, want %d", len(order), 2*supportReps)
+	}
+	for i, id := range order {
+		if id != 2*(i%2) {
+			t.Fatalf("run order %v is not interleaved", order)
+		}
+	}
+	if sums[0] != 40 || sums[1] != 42 {
+		t.Fatalf("checksums = %v, want [40 42]", sums)
 	}
 	s := cfg.hist.Snapshot().Summary()
-	if s.Count != int64(supportReps) {
-		t.Fatalf("histogram observed %d samples, want %d", s.Count, supportReps)
+	if s.Count != int64(2*supportReps) {
+		t.Fatalf("histogram observed %d samples, want %d", s.Count, 2*supportReps)
 	}
 	if s.P95 < time.Millisecond {
 		t.Fatalf("p95 = %v, want >= 1ms (every rep slept that long)", s.P95)

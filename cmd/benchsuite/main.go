@@ -77,19 +77,18 @@ var experiments = []experiment{
 	{"fig9", "Figure 9: parallel efficiency", runFig9, false},
 	{"tab4", "Table 4: single-thread comparison incl. Original (serial)", runTab4, false},
 	{"tab5", "Table 5: index sizes and parallel speedups", runTab5, false},
-	{"support", "Support kernel sweep: merge vs gallop vs oriented", runSupport, false},
+	{"support", "Support kernel sweep: merge vs oriented", runSupport, false},
 	{"peel", "Peel kernel sweep: levelsync vs serial vs pkt", runPeel, false},
 	{"query", "Query path: hierarchy vs indexed-BFS vs DirectCommunities", runQuery, false},
 	{"update", "Live update applier: incremental repair vs full rebuild", runUpdate, false},
 	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose (honors -support-kernel and -peel-kernel)", runRMAT18, true},
-	{"coldstart", "Cold start: v2 decode vs v3 mmap, index file to first community answer", runColdstart, true},
 }
 
 func main() {
 	expID := flag.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., support, query, rmat18) or 'all'")
 	scale := flag.Float64("scale", 0.25, "dataset size factor (1.0 = paper-surrogate default size)")
 	maxThr := flag.Int("maxthreads", concur.MaxThreads(), "top of the thread sweep")
-	kernelName := flag.String("support-kernel", "auto", "Support kernel: auto|merge|gallop|oriented")
+	kernelName := flag.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := flag.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	check := flag.String("check", "", "baseline BENCH_*.json: fail if the Support stage regressed >20% vs it")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -214,35 +213,20 @@ func gitRev() string {
 // written as BENCH_<timestamp>.json so perf trajectories can be compared
 // across commits without scraping stdout.
 type benchArtifact struct {
-	Timestamp      string             `json:"timestamp"`
-	GitRev         string             `json:"git_rev"`
-	CPUs           int                `json:"cpus"`
-	GOMAXPROCS     int                `json:"gomaxprocs"`
-	Scale          float64            `json:"scale"`
-	MaxThreads     int                `json:"max_threads"`
-	SupportKernel  string             `json:"support_kernel"`
-	PeelKernel     string             `json:"peel_kernel,omitempty"`
-	Experiments    []experimentResult `json:"experiments"`
-	SupportBench   []supportRow       `json:"support_bench,omitempty"`
-	QueryBench     []queryRow         `json:"query_bench,omitempty"`
-	PeelBench      []peelRow          `json:"peel_bench,omitempty"`
-	UpdateBench    []updateRow        `json:"update_bench,omitempty"`
-	ColdstartBench []coldstartRow     `json:"coldstart_bench,omitempty"`
-	Counters       []obs.CounterValue `json:"counters,omitempty"`
-}
-
-// coldstartRow is one timed open→first-answer measurement for one index
-// loader. Rows for the same dataset must carry identical checksums — the
-// loaders are interchangeable ways to get the same index serving, only
-// their costs differ.
-type coldstartRow struct {
-	Dataset    string  `json:"dataset"`
-	Loader     string  `json:"loader"`
-	Seconds    float64 `json:"seconds"`
-	IndexBytes int64   `json:"index_bytes"`
-	MmapBytes  int64   `json:"mmap_bytes"`
-	HeapBytes  int64   `json:"heap_bytes"`
-	Checksum   uint64  `json:"checksum"`
+	Timestamp     string             `json:"timestamp"`
+	GitRev        string             `json:"git_rev"`
+	CPUs          int                `json:"cpus"`
+	GOMAXPROCS    int                `json:"gomaxprocs"`
+	Scale         float64            `json:"scale"`
+	MaxThreads    int                `json:"max_threads"`
+	SupportKernel string             `json:"support_kernel"`
+	PeelKernel    string             `json:"peel_kernel,omitempty"`
+	Experiments   []experimentResult `json:"experiments"`
+	SupportBench  []supportRow       `json:"support_bench,omitempty"`
+	QueryBench    []queryRow         `json:"query_bench,omitempty"`
+	PeelBench     []peelRow          `json:"peel_bench,omitempty"`
+	UpdateBench   []updateRow        `json:"update_bench,omitempty"`
+	Counters      []obs.CounterValue `json:"counters,omitempty"`
 }
 
 // supportRow is one timed Support-stage measurement: a (dataset, kernel)

@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
 	"equitruss/internal/truss"
 )
@@ -30,46 +28,30 @@ func runPeel(cfg config) {
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
 		sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
-		lsSec := 0.0
-		var want uint64
+		cells := make([]cell, len(peelKernels))
 		for i, k := range peelKernels {
-			sec, sum := timePeel(cfg, g, sup, k, cfg.maxThr)
-			if i == 0 {
-				lsSec, want = sec, sum
-			} else if sum != want {
-				panic(fmt.Sprintf("peel kernel %s disagrees with levelsync on %s: checksum %#x != %#x",
-					k, name, sum, want))
+			var tau []int32
+			cells[i] = cell{
+				run: func() { tau, _ = testkit.Tau(g, sup, k, cfg.maxThr) },
+				sum: func() uint64 { return checksumInt32(tau) },
 			}
-			t.row(name, k.String(), sec, lsSec/sec)
+		}
+		secs, sums := timeCells(cfg, peelReps, cells)
+		for i, k := range peelKernels {
+			if sums[i] != sums[0] {
+				panic(fmt.Sprintf("peel kernel %s disagrees with levelsync on %s: checksum %#x != %#x",
+					k, name, sums[i], sums[0]))
+			}
+			t.row(name, k.String(), secs[i], secs[0]/secs[i])
 			if cfg.art != nil {
 				cfg.art.PeelBench = append(cfg.art.PeelBench, peelRow{
 					Dataset: name, Kernel: k.String(), Threads: cfg.maxThr,
-					Seconds: sec, Checksum: sum,
+					Seconds: secs[i], Checksum: sums[i],
 				})
 			}
 		}
 	}
 	emit(cfg.sink, "peel", "", t)
-}
-
-// timePeel returns the min-of-reps TrussDecomp time in seconds and the
-// FNV-1a checksum of the resulting trussness array. Every individual rep is
-// observed into the experiment's latency histogram.
-func timePeel(cfg config, g *graph.Graph, sup []int32, k truss.PeelKernel, threads int) (float64, uint64) {
-	best := 0.0
-	var sum uint64
-	for r := 0; r < peelReps; r++ {
-		start := time.Now()
-		tau, _ := testkit.Tau(g, sup, k, threads)
-		dur := time.Since(start)
-		cfg.observe(dur)
-		sec := dur.Seconds()
-		if r == 0 || sec < best {
-			best = sec
-		}
-		sum = checksumInt32(tau)
-	}
-	return best, sum
 }
 
 // checkPeelRows gates the (dataset, peel kernel) cells, normalized by the

@@ -86,46 +86,27 @@ func runQuery(cfg config) {
 
 	t := newTable("Workload", "Engine", "Seconds", "vsBFS")
 	for _, w := range workloads {
-		refSec := 0.0
-		var want uint64
+		cells := make([]cell, len(w.engines))
 		for i, e := range w.engines {
-			sec, sum := timeQuery(cfg, e.run)
-			if i == 0 {
-				refSec, want = sec, sum
-			} else if sum != want {
+			var sum uint64
+			cells[i] = cell{run: func() { sum = e.run() }, sum: func() uint64 { return sum }}
+		}
+		secs, sums := timeCells(cfg, supportReps, cells)
+		for i, e := range w.engines {
+			if sums[i] != sums[0] {
 				panic(fmt.Sprintf("query engine %s disagrees with indexed-bfs on %s/%s: checksum %#x != %#x",
-					e.name, dsName, w.name, sum, want))
+					e.name, dsName, w.name, sums[i], sums[0]))
 			}
-			t.row(w.name, e.name, sec, refSec/sec)
+			t.row(w.name, e.name, secs[i], secs[0]/secs[i])
 			if cfg.art != nil {
 				cfg.art.QueryBench = append(cfg.art.QueryBench, queryRow{
 					Dataset: dsName, Workload: w.name, Engine: e.name,
-					Threads: cfg.maxThr, Seconds: sec, Checksum: sum,
+					Threads: cfg.maxThr, Seconds: secs[i], Checksum: sums[i],
 				})
 			}
 		}
 	}
 	emit(cfg.sink, "query", "", t)
-}
-
-// timeQuery returns the min-of-reps workload time in seconds and the answer
-// checksum, mirroring timeSupport (including the per-rep latency
-// observation into the experiment histogram).
-func timeQuery(cfg config, f func() uint64) (float64, uint64) {
-	best := 0.0
-	var sum uint64
-	for r := 0; r < supportReps; r++ {
-		start := time.Now()
-		s := f()
-		dur := time.Since(start)
-		cfg.observe(dur)
-		sec := dur.Seconds()
-		if r == 0 || sec < best {
-			best = sec
-		}
-		sum = s
-	}
-	return best, sum
 }
 
 // membershipChecksum computes the (v, k, count) membership profile of every

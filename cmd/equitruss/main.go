@@ -67,7 +67,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  equitruss build -graph <path|dataset:name[:factor]> [-variant serial|baseline|coptimal|afforest] [-support-kernel auto|merge|gallop|oriented] [-peel-kernel auto|serial|levelsync|pkt] [-threads N] [-out index.bin]
+  equitruss build -graph <path|dataset:name[:factor]> [-variant serial|baseline|coptimal|afforest] [-support-kernel auto|merge|oriented] [-peel-kernel auto|serial|levelsync|pkt] [-threads N] [-out index.bin]
   equitruss query -graph <...> (-index index.bin | -variant ...) -vertex V -k K
   equitruss stats -graph <...> [-variant ...] [-support-kernel ...] [-peel-kernel ...] [-threads N]
   equitruss export -graph <...> [-what summary|graph] [-out file.dot]
@@ -121,11 +121,10 @@ func runBuildCtx(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	variantName := fs.String("variant", "afforest", "serial|baseline|coptimal|afforest")
-	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|gallop|oriented")
+	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	out := fs.String("out", "", "write binary index to this path")
-	formatName := fs.String("format", "v3", "index layout for -out: v3 (flat, mmap-loadable) or v2 (sequential stream)")
 	obsf := addObsFlags(fs)
 	fs.Parse(args)
 	if *graphSpec == "" {
@@ -169,17 +168,13 @@ func runBuildCtx(ctx context.Context, args []string) error {
 		return err
 	}
 	if *out != "" {
-		format, err := equitruss.ParseIndexFormat(*formatName)
-		if err != nil {
-			return err
-		}
-		// Crash-safe save: checksummed stream, temp file + fsync + atomic
+		// Crash-safe save: checksummed image, temp file + fsync + atomic
 		// rename — a crash or interrupt mid-save never leaves a torn
 		// index behind.
-		if err := equitruss.SaveIndexFileFormat(*out, sg, format); err != nil {
+		if err := equitruss.SaveIndexFile(*out, sg); err != nil {
 			return err
 		}
-		fmt.Printf("index written to %s (%s)\n", *out, format)
+		fmt.Printf("index written to %s\n", *out)
 	}
 	return nil
 }
@@ -200,20 +195,17 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Validate before any index lookup: MaxK and Communities index the
-	// vertex→supernode CSR by v unchecked, so an out-of-range vertex must be
-	// rejected here rather than panic inside the query path.
+	// Validate before any index lookup: MaxK and Communities slice the
+	// graph's incidence lists by v unchecked, so an out-of-range vertex must
+	// be rejected here rather than panic inside the query path.
 	if int64(*vertex) >= int64(g.NumVertices()) {
 		return fmt.Errorf("query: vertex %d outside [0, %d)", *vertex, g.NumVertices())
 	}
 	var idx *equitruss.Index
 	if *indexPath != "" {
-		f, err := os.Open(*indexPath)
-		if err != nil {
-			return err
-		}
-		idx, err = equitruss.LoadIndex(f, g)
-		f.Close()
+		// The same load path as serve: the file is mapped and checksummed
+		// in place, not decoded into heap arrays.
+		idx, _, err = equitruss.OpenIndexFile(*indexPath, g, equitruss.VerifyEager)
 		if err != nil {
 			return err
 		}
@@ -250,7 +242,7 @@ func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	variantName := fs.String("variant", "afforest", "variant")
-	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|gallop|oriented")
+	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON document instead of text")

@@ -84,8 +84,22 @@ func TestRunBuildQueryStatsEndToEnd(t *testing.T) {
 	if _, err := os.Stat(ipath); err != nil {
 		t.Fatalf("index not written: %v", err)
 	}
+	// query -index takes serve's load path: the file is mapped, not
+	// stream-decoded into heap arrays.
+	mmapLoads := func() int64 {
+		for _, c := range equitruss.Counters() {
+			if c.Name == "graphio_mmap_loads" {
+				return c.Value
+			}
+		}
+		return 0
+	}
+	before := mmapLoads()
 	if err := runQuery([]string{"-graph", gpath, "-index", ipath, "-vertex", "0", "-k", "5"}); err != nil {
 		t.Fatalf("query via index: %v", err)
+	}
+	if got := mmapLoads(); got != before+1 {
+		t.Fatalf("query -index: graphio_mmap_loads went %d -> %d, want one mmap load", before, got)
 	}
 	if err := runQuery([]string{"-graph", gpath, "-variant", "afforest", "-vertex", "0", "-k", "3"}); err != nil {
 		t.Fatalf("query via fresh build: %v", err)

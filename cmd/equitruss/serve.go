@@ -35,7 +35,7 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	indexPath := fs.String("index", "", "binary index from 'equitruss build -out' (omit to build at startup)")
-	verifyName := fs.String("verify", "eager", "checksum verification for mmap-loaded v3 indexes: eager (before serving) or lazy (in background)")
+	verifyName := fs.String("verify", "eager", "checksum verification for mmap-loaded indexes: eager (before serving) or lazy (in background)")
 	variantName := fs.String("variant", "afforest", "variant to build with if no -index given")
 	threads := fs.Int("threads", 0, "build threads (0 = all cores)")
 	addr := fs.String("addr", ":8080", "listen address")
@@ -181,7 +181,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 		opts.MmapBytes = stats.MmapBytes
 		log.Info("index loaded",
 			slog.String("path", *indexPath),
-			slog.String("format", fmt.Sprintf("%v", stats.Format)),
 			slog.Float64("load_seconds", stats.Seconds),
 			slog.Int64("mmap_bytes", stats.MmapBytes))
 	} else {

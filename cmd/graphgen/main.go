@@ -38,7 +38,6 @@ type params struct {
 	pintra      float64
 	interdeg    float64
 	seed        uint64
-	binary      bool
 }
 
 func generate(p params) (*graph.Graph, error) {
@@ -62,13 +61,6 @@ func generate(p params) (*graph.Graph, error) {
 	}
 }
 
-func emit(w io.Writer, g *graph.Graph, binary bool) error {
-	if binary {
-		return graphio.WriteBinaryGraph(w, g)
-	}
-	return graphio.WriteEdgeList(w, g)
-}
-
 func main() {
 	var p params
 	flag.StringVar(&p.model, "model", "dataset", "dataset|rmat|er|ba|planted")
@@ -84,7 +76,6 @@ func main() {
 	flag.Float64Var(&p.pintra, "pintra", 0.6, "intra-community density (model=planted)")
 	flag.Float64Var(&p.interdeg, "interdeg", 1.5, "mean inter-community degree (model=planted)")
 	flag.Uint64Var(&p.seed, "seed", 1, "random seed")
-	flag.BoolVar(&p.binary, "binary", false, "write the compact binary format instead of text")
 	out := flag.String("out", "", "output path ('-' or empty for stdout)")
 	flag.Parse()
 
@@ -103,7 +94,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := emit(w, g, p.binary); err != nil {
+	if err := graphio.WriteEdgeList(w, g); err != nil {
 		fatal(err)
 	}
 }

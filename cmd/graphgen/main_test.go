@@ -1,11 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"testing"
-
-	"equitruss/internal/graphio"
-)
+import "testing"
 
 func TestGenerateModels(t *testing.T) {
 	cases := []params{
@@ -32,34 +27,5 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := generate(params{model: "dataset", name: "bogus"}); err == nil {
 		t.Fatal("unknown dataset accepted")
-	}
-}
-
-func TestEmitTextAndBinary(t *testing.T) {
-	g, err := generate(params{model: "rmat", scale: 6, edgefactor: 3, seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var text bytes.Buffer
-	if err := emit(&text, g, false); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := graphio.ReadEdgeList(&text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("text round trip: %d vs %d edges", g2.NumEdges(), g.NumEdges())
-	}
-	var bin bytes.Buffer
-	if err := emit(&bin, g, true); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := graphio.ReadBinaryGraph(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.NumEdges() != g.NumEdges() {
-		t.Fatalf("binary round trip: %d vs %d edges", g3.NumEdges(), g.NumEdges())
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // TestColdstartServeFromMmap is the cold-start drill over the real binary:
-// build a v3 index file, serve it with -index -verify lazy, take a first
+// build an index file, serve it with -index -verify lazy, take a first
 // answer, SIGKILL the server, restart with -verify eager over the same
 // file, and differential-check both processes' serving checksums against an
 // independent in-process rebuild. The mapped file is the only index state —
@@ -45,16 +45,13 @@ func TestColdstartServeFromMmap(t *testing.T) {
 	if err := graphio.WriteEdgeListFile(graphPath, g); err != nil {
 		t.Fatal(err)
 	}
-	indexPath := filepath.Join(dir, "index.v3")
+	indexPath := filepath.Join(dir, "index.bin")
 
 	out, err := exec.Command(bin, "build",
-		"-graph", graphPath, "-variant", "afforest", "-format", "v3",
+		"-graph", graphPath, "-variant", "afforest",
 		"-out", indexPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("build command: %v\n%s", err, out)
-	}
-	if f, err := graphio.SniffIndexFormat(indexPath); err != nil || f != graphio.FormatV3 {
-		t.Fatalf("built index sniffs as %v, %v — want v3", f, err)
 	}
 
 	// The independent truth: a full in-process pipeline over the same graph.

@@ -36,7 +36,6 @@ import (
 	"equitruss/internal/graph"
 	"equitruss/internal/graphio"
 	"equitruss/internal/metrics"
-	"equitruss/internal/mmapio"
 	"equitruss/internal/obs"
 	"equitruss/internal/server"
 	"equitruss/internal/triangle"
@@ -77,18 +76,16 @@ const (
 type SupportKernel = triangle.Kernel
 
 // The Support kernels. The zero value KernelAuto — the default — picks per
-// graph: oriented for large skewed graphs, galloping for moderately skewed
-// ones, merge otherwise (see docs/ALGORITHMS.md, "Support kernel
-// selection").
+// graph by size: merge below 2^15 edges, oriented above (see
+// docs/ALGORITHMS.md, "Support kernel selection").
 const (
-	KernelAuto      = triangle.KernelAuto      // per-graph skew/size heuristic
-	KernelMerge     = triangle.KernelMerge     // per-edge sorted-merge intersection
-	KernelGalloping = triangle.KernelGalloping // adaptive binary-probing intersection
-	KernelOriented  = triangle.KernelOriented  // degree-oriented compact-forward (O(|E|^1.5))
+	KernelAuto     = triangle.KernelAuto     // per-graph size rule
+	KernelMerge    = triangle.KernelMerge    // per-edge sorted-merge intersection
+	KernelOriented = triangle.KernelOriented // degree-oriented compact-forward (O(|E|^1.5))
 )
 
 // ParseSupportKernel parses a -support-kernel flag value
-// (auto|merge|gallop|oriented).
+// (auto|merge|oriented).
 func ParseSupportKernel(s string) (SupportKernel, error) { return triangle.ParseKernel(s) }
 
 // PeelKernel selects the TrussDecomp-stage (k-truss peeling) implementation.
@@ -137,9 +134,8 @@ type Options struct {
 	// parallel variants (the parallel peeling is the default for them).
 	SerialTruss bool
 	// SupportKernel selects the Support-stage kernel. The zero value is
-	// KernelAuto: oriented compact-forward on large skewed graphs,
-	// galloping on moderately skewed ones, plain merge otherwise. All
-	// kernels produce bit-identical supports.
+	// KernelAuto: plain merge on small graphs, oriented compact-forward
+	// from 2^15 edges up. Both kernels produce bit-identical supports.
 	SupportKernel SupportKernel
 	// PeelKernel selects the TrussDecomp-stage kernel. The zero value is
 	// PeelAuto: serial for small graphs, scan-free pkt when the
@@ -166,8 +162,9 @@ type Options struct {
 	PrecomputeHierarchy bool
 }
 
-// Index is the query-ready EquiTruss index: the summary graph plus the
-// vertex→supernode seed mapping, with the build's kernel timings attached.
+// Index is the query-ready EquiTruss index: the summary graph coupled with
+// its graph (whose incidence lists seed the queries), with the build's
+// kernel timings attached.
 type Index struct {
 	*community.Index
 	Timings Timings
@@ -337,8 +334,8 @@ type HierarchyStats = community.HierarchyStats
 type CommunityRef = community.Ref
 
 // BuildSummary runs the same pipeline but returns only the summary graph
-// and timings, without materializing the vertex→supernode query index —
-// what the paper's timing experiments measure.
+// and timings, without the query-side Index wrapper — what the paper's
+// timing experiments measure.
 func BuildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 	return buildSummary(g, opt)
 }
@@ -438,21 +435,6 @@ func NewDynamicFromGraph(g *Graph, threads int) *DynamicGraph {
 	return dynamic.FromStatic(g, Trussness(g, threads))
 }
 
-// IndexFormat selects an on-disk index layout for SaveIndexFormat.
-type IndexFormat = graphio.IndexFormat
-
-// The index layouts. FormatV2 is the checksummed sequential stream; FormatV3
-// is the flat 64-byte-aligned layout that supports zero-copy memory-mapped
-// loading (see docs/ALGORITHMS.md, "Index layout v3"). Readers auto-detect
-// either.
-const (
-	FormatV2 = graphio.FormatV2
-	FormatV3 = graphio.FormatV3
-)
-
-// ParseIndexFormat parses a -format flag value (v2|v3).
-func ParseIndexFormat(s string) (IndexFormat, error) { return graphio.ParseIndexFormat(s) }
-
 // VerifyMode selects when a memory-mapped index load verifies section
 // checksums: eagerly before serving, or lazily in the background.
 type VerifyMode = graphio.VerifyMode
@@ -466,15 +448,11 @@ const (
 // ParseVerifyMode parses a -verify flag value (eager|lazy).
 func ParseVerifyMode(s string) (VerifyMode, error) { return graphio.ParseVerifyMode(s) }
 
-// SaveIndex writes a summary graph as a v2 binary index stream. Use
-// SaveIndexFormat to select the mmap-ready v3 layout.
+// SaveIndex writes a summary graph as a binary index stream — the same
+// flat, checksummed layout SaveIndexFile puts on disk (see
+// docs/ALGORITHMS.md, "Index layout").
 func SaveIndex(w io.Writer, sg *SummaryGraph) error {
 	return graphio.WriteBinaryIndex(w, sg)
-}
-
-// SaveIndexFormat writes a summary graph in the selected index layout.
-func SaveIndexFormat(w io.Writer, sg *SummaryGraph, f IndexFormat) error {
-	return graphio.WriteBinaryIndexFormat(w, sg, f)
 }
 
 // LoadIndex reads a summary graph written by SaveIndex and attaches it to
@@ -494,17 +472,12 @@ func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
 }
 
 // SaveIndexFile writes a summary graph to path crash-safely: the
-// checksummed stream goes to a same-directory temp file that is fsynced and
+// checksummed image goes to a same-directory temp file that is fsynced and
 // atomically renamed into place, so a crash mid-save leaves either the old
-// index or the new one, never a torn file. The default layout is v3 (flat,
-// 64-byte-aligned, mmap-loadable); use SaveIndexFileFormat for v2.
+// index or the new one, never a torn file. The layout is flat and
+// 64-byte-aligned, so OpenIndexFile serves it from a memory mapping.
 func SaveIndexFile(path string, sg *SummaryGraph) error {
-	return graphio.WriteBinaryIndexFileFormat(path, sg, graphio.FormatV3)
-}
-
-// SaveIndexFileFormat is SaveIndexFile with an explicit layout selection.
-func SaveIndexFileFormat(path string, sg *SummaryGraph, f IndexFormat) error {
-	return graphio.WriteBinaryIndexFileFormat(path, sg, f)
+	return graphio.WriteBinaryIndexFile(path, sg)
 }
 
 // LoadStats reports how an index file was loaded.
@@ -515,59 +488,44 @@ type LoadStats struct {
 	// MmapBytes is the mapped file size when the zero-copy path was taken,
 	// 0 when the file was decoded onto the heap.
 	MmapBytes int64
-	// Format is the on-disk layout the file was detected to be.
-	Format IndexFormat
 }
 
-// LoadIndexFile reads an index file written by SaveIndexFile (any layout:
-// v1, v2, or v3) and attaches it to its graph as a query-ready Index. Files
-// are checksum-verified: any single flipped byte on disk is rejected.
+// LoadIndexFile reads an index file written by SaveIndexFile and attaches
+// it to its graph as a query-ready Index. Files are checksum-verified: any
+// single flipped byte on disk is rejected.
 func LoadIndexFile(path string, g *Graph) (*Index, error) {
 	ix, _, err := OpenIndexFile(path, g, VerifyEager)
 	return ix, err
 }
 
-// OpenIndexFile loads an index file by the fastest safe path its layout
-// permits and reports how. A v3 file on a little-endian host is memory-
-// mapped: the seven index arrays alias the page cache directly, the
-// vertex→supernode seed sets are computed on demand, and cold-start cost is
+// OpenIndexFile loads an index file by the fastest safe path and reports
+// how. On a little-endian host the file is memory-mapped: the seven index
+// arrays alias the page cache directly and cold-start cost is
 // page-fault-driven — milliseconds for multi-hundred-MB indexes — instead
-// of a full decode plus an O(Σ deg) seed pass. verify selects eager
-// (checksums before returning) or lazy (structural validation now, CRC
-// sweep in the background) verification for that path. Other layouts (or a
-// big-endian host) take the portable decode path, where verify is ignored
-// and checksums are always checked inline.
+// of a full decode. verify selects eager (checksums before returning) or
+// lazy (structural validation now, CRC sweep in the background)
+// verification for that path. A big-endian host, or a file in the legacy v2
+// stream layout (readable for one more release), takes the portable decode
+// path, where verify is ignored and checksums are always checked inline.
 func OpenIndexFile(path string, g *Graph, verify VerifyMode) (*Index, LoadStats, error) {
 	start := time.Now()
-	format, err := graphio.SniffIndexFormat(path)
-	if err != nil {
-		return nil, LoadStats{}, err
-	}
-	stats := LoadStats{Format: format}
-	if format == FormatV3 && mmapio.HostLittleEndian {
-		sg, m, err := graphio.MapIndexFile(path, verify)
-		if err != nil {
-			return nil, LoadStats{}, err
-		}
-		if len(sg.Tau) != int(g.NumEdges()) {
-			n := len(sg.Tau)
-			m.Unmap()
-			return nil, LoadStats{}, fmt.Errorf("equitruss: index built for %d edges, graph has %d", n, g.NumEdges())
-		}
-		stats.MmapBytes = int64(m.Len())
-		stats.Seconds = time.Since(start).Seconds()
-		return &Index{Index: community.NewIndexDeferred(g, sg)}, stats, nil
-	}
-	sg, err := graphio.ReadBinaryIndexFile(path)
+	sg, m, err := graphio.OpenIndexFile(path, verify)
 	if err != nil {
 		return nil, LoadStats{}, err
 	}
 	if len(sg.Tau) != int(g.NumEdges()) {
-		return nil, LoadStats{}, fmt.Errorf("equitruss: index built for %d edges, graph has %d", len(sg.Tau), g.NumEdges())
+		n := len(sg.Tau)
+		if m != nil {
+			m.Unmap()
+		}
+		return nil, LoadStats{}, fmt.Errorf("equitruss: index built for %d edges, graph has %d", n, g.NumEdges())
 	}
-	ix := &Index{Index: community.NewIndex(g, sg)}
+	var stats LoadStats
+	if m != nil {
+		stats.MmapBytes = int64(m.Len())
+	}
 	stats.Seconds = time.Since(start).Seconds()
-	return ix, stats, nil
+	return &Index{Index: community.NewIndex(g, sg)}, stats, nil
 }
 
 // ServeOptions configures Serve and NewHandler.

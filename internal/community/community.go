@@ -55,18 +55,14 @@ func (c *Community) Subgraph() (*graph.Graph, error) {
 	})
 }
 
-// Index couples the summary graph with the vertex→supernode mapping needed
-// to seed queries, i.e. the complete query-ready EquiTruss index.
+// Index couples the summary graph with the graph whose incidence lists
+// seed queries, i.e. the complete query-ready EquiTruss index. A vertex's
+// seed supernodes are read off G.IncidentEIDs(v) → SG.EdgeToSN — the
+// incidence CSR already is the vertex→supernode mapping, so nothing is
+// materialized beside it.
 type Index struct {
 	G  *graph.Graph
 	SG *core.SummaryGraph
-
-	// vertex → distinct supernodes of its incident edges, CSR form. A
-	// deferred index (NewIndexDeferred) leaves these nil and computes each
-	// vertex's supernode set on demand from the graph's incidence lists —
-	// see SupernodesOf.
-	snOffsets []int64
-	snList    []int32
 
 	// Lazily built k-level community hierarchy: hier is the published
 	// handle read lock-free on the query hot path, hierMu serializes the
@@ -75,67 +71,16 @@ type Index struct {
 	hier   atomic.Pointer[Hierarchy]
 }
 
-// NewIndex builds the vertex→supernode CSR from the summary graph.
+// NewIndex wraps the summary graph as a query-ready index in O(1).
 func NewIndex(g *graph.Graph, sg *core.SummaryGraph) *Index {
-	n := g.NumVertices()
-	idx := &Index{G: g, SG: sg, snOffsets: make([]int64, n+1)}
-	// Two passes: count distinct supernodes per vertex, then fill.
-	distinct := func(v int32, emit func(sn int32)) {
-		eids := g.IncidentEIDs(v)
-		// Incident supernode lists are tiny; dedupe with a local slice.
-		var seen []int32
-		for _, e := range eids {
-			sn := sg.EdgeToSN[e]
-			if sn == core.NoSupernode {
-				continue
-			}
-			dup := false
-			for _, s := range seen {
-				if s == sn {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen = append(seen, sn)
-				emit(sn)
-			}
-		}
-	}
-	for v := int32(0); v < n; v++ {
-		var c int64
-		distinct(v, func(int32) { c++ })
-		idx.snOffsets[v+1] = idx.snOffsets[v] + c
-	}
-	idx.snList = make([]int32, idx.snOffsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, idx.snOffsets[:n])
-	for v := int32(0); v < n; v++ {
-		distinct(v, func(sn int32) {
-			idx.snList[cursor[v]] = sn
-			cursor[v]++
-		})
-	}
-	return idx
-}
-
-// NewIndexDeferred wraps the summary graph without materializing the
-// vertex→supernode CSR: queries compute each vertex's supernode set on
-// demand, O(deg(v)) per call, instead of paying an O(Σ deg) pass over the
-// whole graph up front. This is the load path for memory-mapped indexes,
-// where the summary graph is available in microseconds and the eager CSR
-// build would dominate cold-start time by orders of magnitude.
-func NewIndexDeferred(g *graph.Graph, sg *core.SummaryGraph) *Index {
 	return &Index{G: g, SG: sg}
 }
 
 // SupernodesOf returns the distinct supernodes containing an edge incident
-// to v. With an eager index this aliases internal storage; a deferred index
-// computes it from the incidence list on each call.
+// to v, O(deg(v)) per call. The hierarchy-backed queries do not need the
+// distinct set — they dedupe by forest node and walk the incidence list
+// directly — so this serves the BFS oracles and CommunitySupernodes.
 func (idx *Index) SupernodesOf(v int32) []int32 {
-	if idx.snOffsets != nil {
-		return idx.snList[idx.snOffsets[v]:idx.snOffsets[v+1]]
-	}
 	return appendDistinctSupernodes(nil, idx.G, idx.SG, v)
 }
 
@@ -225,9 +170,9 @@ func (idx *Index) CommunitiesBFS(v int32, k int32) []*Community {
 // incident to v — the strongest community the vertex participates in.
 func (idx *Index) MaxK(v int32) int32 {
 	best := int32(0)
-	for _, sn := range idx.SupernodesOf(v) {
-		if k := idx.SG.K[sn]; k > best {
-			best = k
+	for _, e := range idx.G.IncidentEIDs(v) {
+		if sn := idx.SG.EdgeToSN[e]; sn != core.NoSupernode && idx.SG.K[sn] > best {
+			best = idx.SG.K[sn]
 		}
 	}
 	return best

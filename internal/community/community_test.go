@@ -229,6 +229,45 @@ func TestSupernodesOfConsistency(t *testing.T) {
 	}
 }
 
+// hubOfTriangles builds a hub vertex 0 with spokes disjoint triangles
+// attached through it: the hub's incident edges span spokes distinct
+// supernodes (each triangle is its own 3-truss component).
+func hubOfTriangles(t *testing.T, spokes int32) *graph.Graph {
+	t.Helper()
+	var edges []graph.Edge
+	for i := int32(0); i < spokes; i++ {
+		a, b := 1+2*i, 2+2*i
+		edges = append(edges,
+			graph.Edge{U: 0, V: a}, graph.Edge{U: 0, V: b}, graph.Edge{U: a, V: b})
+	}
+	g, err := graph.FromEdgeList(edges, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDeferredHubDedup drives the set-fallback dedupe of the on-demand seed
+// set (SupernodesOf): a hub whose incident edges span more distinct
+// supernodes than the linear-scan threshold. The star alone has no
+// triangles, so many disjoint triangles are attached through the hub.
+func TestDeferredHubDedup(t *testing.T) {
+	const spokes = 120 // > the linear-scan dedupe threshold
+	g := hubOfTriangles(t, spokes)
+	_, idx := pipeline(t, g)
+	got := idx.SupernodesOf(0)
+	if len(got) != spokes {
+		t.Fatalf("hub supernode count %d, want %d", len(got), spokes)
+	}
+	seen := map[int32]bool{}
+	for _, sn := range got {
+		if seen[sn] {
+			t.Fatalf("duplicate supernode %d from set-fallback dedupe", sn)
+		}
+		seen[sn] = true
+	}
+}
+
 // TestIndexedMatchesDirectOnPlanted runs the equivalence on a community
 // graph large enough to have nontrivial supergraph structure.
 func TestIndexedMatchesDirectOnPlanted(t *testing.T) {

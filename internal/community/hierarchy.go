@@ -418,10 +418,13 @@ func (h *Hierarchy) finish(x concur.Exec, idx *Index, kept int, subset []int32, 
 				v = vlist[i]
 			}
 			seen.NextEpoch()
-			for _, sn := range idx.SupernodesOf(v) {
-				if inSubset != nil && !inSubset[sn] {
+			prev := core.NoSupernode
+			for _, e := range idx.G.IncidentEIDs(v) {
+				sn := sg.EdgeToSN[e]
+				if sn == prev || sn == core.NoSupernode || (inSubset != nil && !inSubset[sn]) {
 					continue
 				}
+				prev = sn
 				for node := h.snLeaf[sn]; node >= 0 && seen.Visit(node); node = h.parent[node] {
 					atomic.AddInt64(&h.verts[node], 1)
 				}

@@ -217,6 +217,41 @@ func TestCommunityRefsAllocsProportionalToAnswer(t *testing.T) {
 	}
 }
 
+// membershipSink makes the reference maps below escape, like the map
+// Membership returns.
+var membershipSink map[int32]int
+
+// TestSeedLookupAllocatesNothing pins the seed walk itself — incident edges
+// → EdgeToSN, read in place — to zero allocations, on a hub whose 120
+// distinct incident supernodes would cost a materialized seed set a slice
+// regrowth chain plus a dedupe map: MaxK allocates nothing at all, and
+// Membership allocates exactly what its two answer-sized maps do (120
+// visited forest nodes, one level).
+func TestSeedLookupAllocatesNothing(t *testing.T) {
+	const spokes = 120
+	g := hubOfTriangles(t, spokes)
+	_, idx := pipeline(t, g)
+	idx.Hierarchy()
+	if m := idx.Membership(0); len(m) != 1 || m[3] != spokes {
+		t.Fatalf("hub membership %v, want {3: %d}", m, spokes)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idx.MaxK(0) }); allocs != 0 {
+		t.Fatalf("MaxK: %.0f allocs, want 0", allocs)
+	}
+	mapsOnly := testing.AllocsPerRun(100, func() {
+		out := make(map[int32]int)
+		seen := make(map[int32]struct{})
+		for node := int32(0); node < spokes; node++ {
+			seen[node] = struct{}{}
+			out[3]++
+		}
+		membershipSink = out // escapes, like Membership's returned map
+	})
+	if allocs := testing.AllocsPerRun(100, func() { idx.Membership(0) }); allocs > mapsOnly {
+		t.Fatalf("Membership: %.0f allocs, its two maps alone cost %.0f — the seed lookup allocates", allocs, mapsOnly)
+	}
+}
+
 // TestHierarchyBuildAllocationIsLinear pins the hierarchy build's memory to
 // the size of its output: on a graph of many small communities (thousands
 // of merge-forest nodes) the build may allocate a bounded number of bytes

@@ -87,10 +87,12 @@ func (r Ref) Community() *Community {
 }
 
 // CommunityRefs returns compact references to every k-truss community
-// containing vertex v, answered from the hierarchy in O(answer) time and
-// allocations: each incident supernode's community node is found by an
-// allocation-free leaf-to-root walk, and the handful of resulting nodes are
-// deduplicated by linear scan — no visited structure over the supernodes.
+// containing vertex v, answered from the hierarchy in O(deg(v) + answer)
+// time and O(answer) allocations: the seed supernodes are read straight off
+// v's incident edges (a run of edges in one supernode is walked once), each
+// one's community node is found by an allocation-free leaf-to-root walk, and
+// the handful of resulting nodes are deduplicated by linear scan — no
+// distinct-supernode set and no visited structure over the supernodes.
 func (idx *Index) CommunityRefs(v int32, k int32) []Ref {
 	if k < core.MinK {
 		k = core.MinK
@@ -98,10 +100,13 @@ func (idx *Index) CommunityRefs(v int32, k int32) []Ref {
 	h := idx.Hierarchy()
 	cHierQueryHits.Add(1)
 	var refs []Ref
-	for _, sn := range idx.SupernodesOf(v) {
-		if idx.SG.K[sn] < k {
+	prev := core.NoSupernode
+	for _, e := range idx.G.IncidentEIDs(v) {
+		sn := idx.SG.EdgeToSN[e]
+		if sn == prev || sn == core.NoSupernode || idx.SG.K[sn] < k {
 			continue
 		}
+		prev = sn
 		node := h.nodeAt(sn, k)
 		dup := false
 		for _, r := range refs {
@@ -193,7 +198,13 @@ func (idx *Index) Membership(v int32) map[int32]int {
 	cHierQueryHits.Add(1)
 	out := make(map[int32]int)
 	seen := make(map[int32]struct{})
-	for _, sn := range idx.SupernodesOf(v) {
+	prev := core.NoSupernode
+	for _, e := range idx.G.IncidentEIDs(v) {
+		sn := idx.SG.EdgeToSN[e]
+		if sn == prev || sn == core.NoSupernode {
+			continue
+		}
+		prev = sn
 		for node := h.snLeaf[sn]; node >= 0; node = h.parent[node] {
 			if _, ok := seen[node]; ok {
 				break

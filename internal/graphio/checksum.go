@@ -8,18 +8,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"syscall"
 
 	"equitruss/internal/core"
 	"equitruss/internal/faults"
-	"equitruss/internal/graph"
-	"equitruss/internal/obs"
 )
 
-// Format v2 wraps the v1 payload in CRC32C (Castagnoli) checksums so any
-// single flipped byte in a stored file is detected at load time instead of
-// surfacing as a subtly wrong index:
+// The stream CRC framing wraps a sequential payload in CRC32C (Castagnoli)
+// checksums so any single flipped byte in a stored file is detected at load
+// time instead of surfacing as subtly wrong state:
 //
 //	header  = magic, version, size fields, headerCRC
 //	section = payload bytes, sectionCRC          (one per array)
@@ -29,13 +26,13 @@ import (
 // The header CRC is verified before any size field drives an allocation;
 // each section CRC is verified as soon as its payload is decoded; the file
 // CRC catches flips in the interleaved CRC fields themselves and in the
-// trailer magic. v1 files remain readable (with a one-time deprecation
-// warning) — they simply skip every verification.
+// trailer magic. The snapshot codec (snapshot.go) writes and reads this
+// framing; the legacy v2 index stream is only read (ReadBinaryIndex).
 
 const (
 	formatV2 = uint32(2)
 
-	// trailerMagic marks the end of a v2 stream ("EQTX").
+	// trailerMagic marks the end of a framed stream ("EQTX").
 	trailerMagic = uint32(0x45515458)
 
 	// Fault-injection sites armed by the chaos suite (internal/faults).
@@ -44,21 +41,6 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-var cV1Reads = obs.GetCounter("graphio_v1_reads",
-	"checksum-less v1 binary files accepted by the graphio readers")
-
-var v1WarnOnce sync.Once
-
-// warnV1 counts a v1 read and prints the deprecation warning once per
-// process.
-func warnV1(what string) {
-	cV1Reads.Inc()
-	v1WarnOnce.Do(func() {
-		fmt.Fprintf(os.Stderr, "graphio: warning: reading legacy v1 %s file without checksums; "+
-			"re-save to upgrade to the checksummed v2 format\n", what)
-	})
-}
 
 // crcWriter accumulates a per-section CRC and a whole-file CRC over every
 // byte it forwards.
@@ -148,8 +130,8 @@ func (cr *crcReader) checkTrailer() error {
 // destination, and the directory is fsynced so the rename itself is
 // durable. A crash at any point leaves either the old file or the new one,
 // never a torn mix; stray temp files are the only possible debris. It is
-// the save path behind WriteBinaryIndexFile/WriteBinaryGraphFile and is
-// exported for other durable writers (the WAL's compaction rewrite).
+// the save path behind WriteBinaryIndexFile and is exported for other
+// durable writers (the WAL's compaction rewrite).
 func AtomicWriteFile(path string, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -206,16 +188,8 @@ func SyncDir(dir string) error {
 	return nil
 }
 
-// WriteBinaryIndexFile atomically writes a summary graph to path in the v2
-// checksummed format (see AtomicWriteFile for the crash-safety contract).
-func WriteBinaryIndexFile(path string, sg *core.SummaryGraph) error {
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		return WriteBinaryIndex(w, sg)
-	})
-}
-
-// ReadBinaryIndexFile reads a summary graph from a file written by
-// WriteBinaryIndexFile (or any WriteBinaryIndex stream, v1 or v2).
+// ReadBinaryIndexFile reads a summary graph from an index file through the
+// portable stream decoder (ReadBinaryIndex).
 func ReadBinaryIndexFile(path string) (*core.SummaryGraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -223,25 +197,6 @@ func ReadBinaryIndexFile(path string) (*core.SummaryGraph, error) {
 	}
 	defer f.Close()
 	return ReadBinaryIndex(f)
-}
-
-// WriteBinaryGraphFile atomically writes a graph to path in the v2
-// checksummed format.
-func WriteBinaryGraphFile(path string, g *graph.Graph) error {
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		return WriteBinaryGraph(w, g)
-	})
-}
-
-// ReadBinaryGraphFile reads a graph from a file written by
-// WriteBinaryGraphFile (or any WriteBinaryGraph stream, v1 or v2).
-func ReadBinaryGraphFile(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinaryGraph(f)
 }
 
 // injectRead/injectWrite are the chaos hooks: no-ops unless the fault

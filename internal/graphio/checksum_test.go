@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/faults"
 	"equitruss/internal/gen"
-	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
@@ -29,32 +27,16 @@ func testSummaryGraph(t testing.TB) *core.SummaryGraph {
 	return sg
 }
 
-// writeBinaryIndexV1 emits the legacy checksum-less v1 index layout, which
-// the current writer no longer produces but the reader must keep accepting.
-func writeBinaryIndexV1(w io.Writer, sg *core.SummaryGraph) error {
-	for _, h := range []uint32{indexMagic, formatV1} {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return err
-		}
+// v2Fixture returns the committed legacy v2 index stream: testSummaryGraph's
+// index (Figure 3) as the v2 writer serialized it at the last commit that
+// had one. The reader keeps decoding these bytes for one more release.
+func v2Fixture(t testing.TB) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "figure3.v2.idx"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sizes := []int64{
-		int64(len(sg.Tau)), int64(len(sg.K)),
-		int64(len(sg.EdgeList)), int64(len(sg.Adj)),
-	}
-	if err := binary.Write(w, binary.LittleEndian, sizes); err != nil {
-		return err
-	}
-	for _, arr := range [][]int32{sg.Tau, sg.EdgeToSN, sg.K, sg.EdgeList, sg.Adj} {
-		if err := binary.Write(w, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	for _, arr := range [][]int64{sg.EdgeOffsets, sg.AdjOffsets} {
-		if err := binary.Write(w, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return blob
 }
 
 // TestIndexV2AnyByteFlipDetected is the crash-safety acceptance criterion:
@@ -63,12 +45,7 @@ func writeBinaryIndexV1(w io.Writer, sg *core.SummaryGraph) error {
 // flips produce a different but still well-formed index — so every flip
 // must be caught by a checksum or framing check.)
 func TestIndexV2AnyByteFlipDetected(t *testing.T) {
-	sg := testSummaryGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinaryIndex(&buf, sg); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	blob := v2Fixture(t)
 	for i := range blob {
 		mutated := bytes.Clone(blob)
 		mutated[i] ^= 0xFF
@@ -78,32 +55,10 @@ func TestIndexV2AnyByteFlipDetected(t *testing.T) {
 	}
 }
 
-// TestGraphV2AnyByteFlipDetected mirrors the index criterion for graphs.
-func TestGraphV2AnyByteFlipDetected(t *testing.T) {
-	g := gen.Clique(6)
-	var buf bytes.Buffer
-	if err := WriteBinaryGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	for i := range blob {
-		mutated := bytes.Clone(blob)
-		mutated[i] ^= 0xFF
-		if _, err := ReadBinaryGraph(bytes.NewReader(mutated)); err == nil {
-			t.Fatalf("flip of byte %d/%d accepted", i, len(blob))
-		}
-	}
-}
-
 // TestIndexV2SingleBitFlipDetected tightens the flip test to single bits at
 // a sample of positions (all 8 bits of every 7th byte keeps it fast).
 func TestIndexV2SingleBitFlipDetected(t *testing.T) {
-	sg := testSummaryGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinaryIndex(&buf, sg); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	blob := v2Fixture(t)
 	for i := 0; i < len(blob); i += 7 {
 		for bit := 0; bit < 8; bit++ {
 			mutated := bytes.Clone(blob)
@@ -119,12 +74,7 @@ func TestIndexV2SingleBitFlipDetected(t *testing.T) {
 // the error identifies the damaged section, which is what makes a bad disk
 // diagnosable.
 func TestChecksumErrorNamesSection(t *testing.T) {
-	sg := testSummaryGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinaryIndex(&buf, sg); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	blob := v2Fixture(t)
 	// First tau payload byte: after magic+version (8) + sizes (32) +
 	// header CRC (4).
 	blob[44] ^= 0xFF
@@ -137,26 +87,15 @@ func TestChecksumErrorNamesSection(t *testing.T) {
 	}
 }
 
-// TestIndexV1StillReadable locks in backward compatibility: a v1 stream
-// (no checksums) must decode to the identical index and bump the
-// deprecation counter.
-func TestIndexV1StillReadable(t *testing.T) {
-	sg := testSummaryGraph(t)
-	var buf bytes.Buffer
-	if err := writeBinaryIndexV1(&buf, sg); err != nil {
-		t.Fatal(err)
-	}
-	before := cV1Reads.Value()
-	sg2, err := ReadBinaryIndex(&buf)
-	if err != nil {
-		t.Fatalf("v1 index rejected: %v", err)
-	}
-	if cV1Reads.Value() != before+1 {
-		t.Fatal("v1 read did not bump graphio_v1_reads")
-	}
-	g := gen.PaperFigure3()
-	if sg.Canonical(g) != sg2.Canonical(g) {
-		t.Fatal("v1 decode differs from original index")
+// TestIndexV1Rejected: the checksum-less v1 layout is no longer read — it
+// was the one stream a flipped byte could pass through unnoticed. A v1
+// header must be refused with an error that names the version.
+func TestIndexV1Rejected(t *testing.T) {
+	v1 := bytes.Clone(v2Fixture(t))
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	_, err := ReadBinaryIndex(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 index: error %v, want an unsupported-version rejection naming version 1", err)
 	}
 }
 
@@ -229,16 +168,11 @@ func TestAtomicWritePreservesOldFileOnFailure(t *testing.T) {
 }
 
 // TestGraphioReadFaultInjection checks the read-side chaos hook surfaces
-// ErrInjected through both readers.
+// ErrInjected through the index reader.
 func TestGraphioReadFaultInjection(t *testing.T) {
 	sg := testSummaryGraph(t)
 	var ibuf bytes.Buffer
 	if err := WriteBinaryIndex(&ibuf, sg); err != nil {
-		t.Fatal(err)
-	}
-	g := gen.Clique(4)
-	var gbuf bytes.Buffer
-	if err := WriteBinaryGraph(&gbuf, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,41 +182,4 @@ func TestGraphioReadFaultInjection(t *testing.T) {
 	if _, err := ReadBinaryIndex(bytes.NewReader(ibuf.Bytes())); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("index read err = %v, want injected fault", err)
 	}
-	if _, err := ReadBinaryGraph(bytes.NewReader(gbuf.Bytes())); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("graph read err = %v, want injected fault", err)
-	}
 }
-
-// TestBinaryGraphV1StillReadable mirrors the index compat test for graphs.
-func TestBinaryGraphV1StillReadable(t *testing.T) {
-	g := gen.Clique(5)
-	var buf bytes.Buffer
-	for _, h := range []uint32{graphMagic, formatV1} {
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, g.NumEdges()); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, g.Edges()); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryGraph(&buf)
-	if err != nil {
-		t.Fatalf("v1 graph rejected: %v", err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges: %d vs %d", g2.NumEdges(), g.NumEdges())
-	}
-	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		if g.Edge(e) != g2.Edge(e) {
-			t.Fatalf("edge %d differs", e)
-		}
-	}
-}
-
-var _ = graph.Edge{}

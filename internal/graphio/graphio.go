@@ -1,7 +1,8 @@
 // Package graphio reads and writes graphs and indexes: SNAP-style
 // whitespace-separated edge-list text (the format of the paper's datasets)
-// and a compact little-endian binary format for graphs and summary graphs
-// so large inputs and built indexes can be cached between runs.
+// for graphs, one flat little-endian binary layout for summary graphs (see
+// v3.go) so a built index is served straight from the file, and the
+// durable-update snapshot (snapshot.go).
 package graphio
 
 import (
@@ -106,9 +107,7 @@ func WriteEdgeListFile(path string, g *graph.Graph) error {
 }
 
 const (
-	graphMagic = uint32(0x45515452) // "EQTR"
 	indexMagic = uint32(0x45515449) // "EQTI"
-	formatV1   = uint32(1)
 
 	// maxSaneCount bounds any size field read from an untrusted stream
 	// before it drives an allocation: vertex and edge IDs are int32, so any
@@ -137,101 +136,6 @@ func readSlice[T any](r io.Reader, n int64) ([]T, error) {
 	return out, nil
 }
 
-// WriteBinaryGraph serializes the graph in the compact binary format
-// (current version: v2, with CRC32C section checksums and a whole-file
-// trailer — see checksum.go for the layout).
-func WriteBinaryGraph(w io.Writer, g *graph.Graph) error {
-	if err := injectWrite(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	// Header section: magic, version, sizes, then the header CRC.
-	for _, h := range []uint32{graphMagic, formatV2} {
-		if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, g.NumEdges()); err != nil {
-		return err
-	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
-	// Edge section.
-	if err := binary.Write(cw, binary.LittleEndian, g.Edges()); err != nil {
-		return err
-	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
-	if err := cw.writeTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinaryGraph deserializes a graph written by WriteBinaryGraph. Both
-// the checksummed v2 format and the legacy v1 format are accepted; v1 skips
-// all verification and triggers a one-time deprecation warning.
-func ReadBinaryGraph(r io.Reader) (*graph.Graph, error) {
-	if err := injectRead(); err != nil {
-		return nil, err
-	}
-	cr := &crcReader{r: bufio.NewReader(r)}
-	var magic, version uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != graphMagic {
-		return nil, fmt.Errorf("graphio: bad graph magic %#x", magic)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	checked := false
-	switch version {
-	case formatV1:
-		warnV1("graph")
-	case formatV2:
-		checked = true
-	default:
-		return nil, fmt.Errorf("graphio: unsupported graph format version %d", version)
-	}
-	var n, m int64
-	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &m); err != nil {
-		return nil, err
-	}
-	if checked {
-		// Verify the header before the size fields drive any allocation.
-		if err := cr.endSection("graph header"); err != nil {
-			return nil, err
-		}
-	}
-	if n < 0 || m < 0 || n > maxSaneCount || m > maxSaneCount {
-		return nil, fmt.Errorf("graphio: corrupt header n=%d m=%d", n, m)
-	}
-	edges, err := readSlice[graph.Edge](cr, m)
-	if err != nil {
-		return nil, err
-	}
-	if checked {
-		if err := cr.endSection("graph edges"); err != nil {
-			return nil, err
-		}
-		if err := cr.checkTrailer(); err != nil {
-			return nil, err
-		}
-	}
-	return graph.FromEdgeList(edges, int32(n))
-}
-
 // indexSectionNames label the seven array sections of the index format,
 // in stream order, for checksum-mismatch error messages.
 var indexSectionNames = [...]string{
@@ -239,71 +143,22 @@ var indexSectionNames = [...]string{
 	"edge-offsets", "adjacency-offsets",
 }
 
-// WriteBinaryIndex serializes a summary graph (current version: v2, with
-// CRC32C section checksums and a whole-file trailer — see checksum.go).
-func WriteBinaryIndex(w io.Writer, sg *core.SummaryGraph) error {
-	if err := injectWrite(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	// Header section: magic, version, sizes, then the header CRC.
-	for _, h := range []uint32{indexMagic, formatV2} {
-		if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	sizes := []int64{
-		int64(len(sg.Tau)), int64(len(sg.K)),
-		int64(len(sg.EdgeList)), int64(len(sg.Adj)),
-	}
-	if err := binary.Write(cw, binary.LittleEndian, sizes); err != nil {
-		return err
-	}
-	if err := cw.endSection(); err != nil {
-		return err
-	}
-	// One checksummed section per array.
-	for _, arr := range [][]int32{sg.Tau, sg.EdgeToSN, sg.K, sg.EdgeList, sg.Adj} {
-		if err := binary.Write(cw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-		if err := cw.endSection(); err != nil {
-			return err
-		}
-	}
-	for _, arr := range [][]int64{sg.EdgeOffsets, sg.AdjOffsets} {
-		if err := binary.Write(cw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-		if err := cw.endSection(); err != nil {
-			return err
-		}
-	}
-	if err := cw.writeTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinaryIndex deserializes a summary graph written by any of the index
-// writers: the flat v3 layout, the checksummed v2 stream, and the legacy v1
-// format are auto-detected from the first eight bytes (v1 skips all
-// verification and triggers a one-time deprecation warning). For v2/v3, the
-// header checksum is verified before any size field drives an allocation
-// and every section checksum as its payload is decoded — any single flipped
-// byte in a stored stream is rejected with a checksum error. This is the
-// portable heap-decoding path; use MapIndexFile for the zero-copy v3 load.
+// ReadBinaryIndex deserializes a summary graph from a stream, detecting the
+// layout from the first eight bytes: the flat v3 layout WriteBinaryIndex
+// emits, or the legacy v2 checksummed stream (read-only, kept one more
+// release). In both, the header checksum is verified before any size field
+// drives an allocation and every section checksum as its payload is decoded
+// — any single flipped byte in a stored stream is rejected with a checksum
+// error. This is the portable heap-decoding path; use MapIndexFile for the
+// zero-copy v3 load.
 func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	if err := injectRead(); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReader(r)
 	// Sniff the version without consuming: v3 has its own fixed-header
-	// decoder; v1/v2 re-read these bytes through the CRC accumulator.
-	if head, err := br.Peek(8); err == nil &&
-		binary.LittleEndian.Uint32(head) == indexMagic &&
-		binary.LittleEndian.Uint32(head[4:]) == formatV3 {
+	// decoder; v2 re-reads these bytes through the CRC accumulator.
+	if head, _ := br.Peek(8); isV3(head) {
 		return readBinaryIndexV3(br)
 	}
 	cr := &crcReader{r: br}
@@ -317,87 +172,42 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
 		return nil, err
 	}
-	checked := false
-	switch version {
-	case formatV1:
-		warnV1("index")
-	case formatV2:
-		checked = true
-	default:
-		return nil, fmt.Errorf("graphio: unsupported index format version %d", version)
+	if version != formatV2 {
+		return nil, fmt.Errorf("graphio: unsupported index format version %d (readable: 2, 3); rebuild the index", version)
 	}
 	sizes := make([]int64, 4)
 	if err := binary.Read(cr, binary.LittleEndian, sizes); err != nil {
 		return nil, err
 	}
-	if checked {
-		if err := cr.endSection("index header"); err != nil {
-			return nil, err
-		}
+	if err := cr.endSection("index header"); err != nil {
+		return nil, err
 	}
-	m, s, el, al := sizes[0], sizes[1], sizes[2], sizes[3]
 	for _, sz := range sizes {
 		if sz < 0 || sz > maxSaneCount {
 			return nil, fmt.Errorf("graphio: corrupt index sizes %v", sizes)
 		}
 	}
+	counts := sectionCounts(sizes[0], sizes[1], sizes[2], sizes[3])
 	sg := &core.SummaryGraph{}
-	section := 0
-	endSection := func() error {
-		name := indexSectionNames[section]
-		section++
-		if !checked {
-			return nil
-		}
-		return cr.endSection(name + " section")
-	}
 	var err error
-	if sg.Tau, err = readSlice[int32](cr, m); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if sg.EdgeToSN, err = readSlice[int32](cr, m); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if sg.K, err = readSlice[int32](cr, s); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if sg.EdgeList, err = readSlice[int32](cr, el); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if sg.Adj, err = readSlice[int32](cr, al); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if sg.EdgeOffsets, err = readSlice[int64](cr, s+1); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if sg.AdjOffsets, err = readSlice[int64](cr, s+1); err != nil {
-		return nil, err
-	}
-	if err := endSection(); err != nil {
-		return nil, err
-	}
-	if checked {
-		if err := cr.checkTrailer(); err != nil {
+	for i, dst := range []*[]int32{&sg.Tau, &sg.EdgeToSN, &sg.K, &sg.EdgeList, &sg.Adj} {
+		if *dst, err = readSlice[int32](cr, counts[i]); err != nil {
 			return nil, err
 		}
+		if err := cr.endSection(indexSectionNames[i] + " section"); err != nil {
+			return nil, err
+		}
+	}
+	for i, dst := range []*[]int64{&sg.EdgeOffsets, &sg.AdjOffsets} {
+		if *dst, err = readSlice[int64](cr, counts[5+i]); err != nil {
+			return nil, err
+		}
+		if err := cr.endSection(indexSectionNames[5+i] + " section"); err != nil {
+			return nil, err
+		}
+	}
+	if err := cr.checkTrailer(); err != nil {
+		return nil, err
 	}
 	// The stream decoded, but nothing above guarantees the IDs inside make
 	// sense: a corrupt or mismatched index with out-of-range member edges,

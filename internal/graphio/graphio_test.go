@@ -105,54 +105,28 @@ func TestEdgeListFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryGraphRoundTrip(t *testing.T) {
-	g := gen.PlantedPartition(5, 8, 0.7, 1.0, 78)
-	var buf bytes.Buffer
-	if err := WriteBinaryGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape: %v vs %v", g2, g)
-	}
-	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		if g.Edge(e) != g2.Edge(e) {
-			t.Fatalf("edge %d differs", e)
-		}
-	}
-}
-
-func TestBinaryGraphBadMagic(t *testing.T) {
-	if _, err := ReadBinaryGraph(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinaryGraph(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
+// TestBinaryIndexRoundTrip decodes both readable layouts — a freshly written
+// stream and the committed legacy v2 file, which the v2 writer produced for
+// this same graph before it was deleted — back to the index they were
+// written from.
 func TestBinaryIndexRoundTrip(t *testing.T) {
 	g := gen.PaperFigure3()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
-	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
-	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
-
+	sg := testSummaryGraph(t)
 	var buf bytes.Buffer
 	if err := WriteBinaryIndex(&buf, sg); err != nil {
 		t.Fatal(err)
 	}
-	sg2, err := ReadBinaryIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sg2.Validate(g); err != nil {
-		t.Fatalf("round-tripped index invalid: %v", err)
-	}
-	if sg.Canonical(g) != sg2.Canonical(g) {
-		t.Fatal("round trip changed the index")
+	for name, blob := range map[string][]byte{"written": buf.Bytes(), "v2 fixture": v2Fixture(t)} {
+		sg2, err := ReadBinaryIndex(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sg2.Validate(g); err != nil {
+			t.Fatalf("%s: round-tripped index invalid: %v", name, err)
+		}
+		if sg.Canonical(g) != sg2.Canonical(g) {
+			t.Fatalf("%s: round trip changed the index", name)
+		}
 	}
 }
 
@@ -160,14 +134,14 @@ func TestBinaryIndexBadInput(t *testing.T) {
 	if _, err := ReadBinaryIndex(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
 		t.Fatal("garbage index accepted")
 	}
-	// Graph magic fed to index reader must fail.
+	// Another codec's magic fed to the index reader must fail.
 	var buf bytes.Buffer
 	g := gen.Clique(3)
-	if err := WriteBinaryGraph(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, &Snapshot{G: g, Tau: []int32{3, 3, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadBinaryIndex(&buf); err == nil {
-		t.Fatal("graph blob accepted as index")
+		t.Fatal("snapshot blob accepted as index")
 	}
 }
 

@@ -90,36 +90,6 @@ func (v VerifyMode) String() string {
 	return "eager"
 }
 
-// IndexFormat selects the on-disk layout an index writer emits.
-type IndexFormat int
-
-const (
-	// FormatV2 is the chunked checksummed stream: portable, decoded into
-	// heap arrays at load.
-	FormatV2 IndexFormat = 2
-	// FormatV3 is the flat 64-byte-aligned layout servable zero-copy via
-	// mmap.
-	FormatV3 IndexFormat = 3
-)
-
-// ParseIndexFormat parses a -format flag value (v2|v3).
-func ParseIndexFormat(s string) (IndexFormat, error) {
-	switch s {
-	case "v2":
-		return FormatV2, nil
-	case "v3":
-		return FormatV3, nil
-	}
-	return 0, fmt.Errorf("graphio: unknown index format %q (want v2|v3)", s)
-}
-
-func (f IndexFormat) String() string {
-	if f == FormatV2 {
-		return "v2"
-	}
-	return "v3"
-}
-
 // v3Section is one parsed section descriptor.
 type v3Section struct {
 	off      int64
@@ -154,14 +124,15 @@ func v3SectionBytes(sg *core.SummaryGraph) ([v3SectionCount][]byte, [v3SectionCo
 	return secs, elem
 }
 
-// v3Counts returns the expected element count of every section given the
-// four size fields.
-func v3Counts(m, s, el, al int64) [v3SectionCount]int64 {
+// sectionCounts returns the expected element count of every section, in
+// stream order, given the four size fields.
+func sectionCounts(m, s, el, al int64) [v3SectionCount]int64 {
 	return [v3SectionCount]int64{m, m, s, el, al, s + 1, s + 1}
 }
 
-// WriteBinaryIndexV3 serializes a summary graph in the flat v3 layout.
-func WriteBinaryIndexV3(w io.Writer, sg *core.SummaryGraph) error {
+// WriteBinaryIndex serializes a summary graph in the flat v3 layout — the
+// only layout written.
+func WriteBinaryIndex(w io.Writer, sg *core.SummaryGraph) error {
 	if err := injectWrite(); err != nil {
 		return err
 	}
@@ -204,29 +175,20 @@ func WriteBinaryIndexV3(w io.Writer, sg *core.SummaryGraph) error {
 	return nil
 }
 
-// WriteBinaryIndexFileV3 atomically writes a summary graph to path in the
+// WriteBinaryIndexFile atomically writes a summary graph to path in the
 // flat v3 layout (see AtomicWriteFile for the crash-safety contract).
-func WriteBinaryIndexFileV3(path string, sg *core.SummaryGraph) error {
+func WriteBinaryIndexFile(path string, sg *core.SummaryGraph) error {
 	return AtomicWriteFile(path, func(w io.Writer) error {
-		return WriteBinaryIndexV3(w, sg)
+		return WriteBinaryIndex(w, sg)
 	})
 }
 
-// WriteBinaryIndexFormat writes sg in the selected layout.
-func WriteBinaryIndexFormat(w io.Writer, sg *core.SummaryGraph, f IndexFormat) error {
-	if f == FormatV3 {
-		return WriteBinaryIndexV3(w, sg)
-	}
-	return WriteBinaryIndex(w, sg)
-}
-
-// WriteBinaryIndexFileFormat atomically writes sg to path in the selected
-// layout.
-func WriteBinaryIndexFileFormat(path string, sg *core.SummaryGraph, f IndexFormat) error {
-	if f == FormatV3 {
-		return WriteBinaryIndexFileV3(path, sg)
-	}
-	return WriteBinaryIndexFile(path, sg)
+// isV3 reports whether the first bytes of an index stream carry the index
+// magic and version 3.
+func isV3(head []byte) bool {
+	return len(head) >= 8 &&
+		binary.LittleEndian.Uint32(head) == indexMagic &&
+		binary.LittleEndian.Uint32(head[4:]) == formatV3
 }
 
 // parseV3Header validates a v3 header image: magic, version, header CRC,
@@ -265,7 +227,7 @@ func parseV3Header(hdr []byte) (*v3Header, error) {
 		}
 	}
 	h.fileSize = int64(le.Uint64(hdr[216:]))
-	counts := v3Counts(h.m, h.s, h.el, h.al)
+	counts := sectionCounts(h.m, h.s, h.el, h.al)
 	wantOff := int64(v3HeaderSize)
 	for i := range h.secs {
 		d := hdr[48+24*i:]
@@ -367,7 +329,7 @@ func v3SummaryGraph(data []byte, h *v3Header) (*core.SummaryGraph, error) {
 // verified per mode: up front (VerifyEager) or in a background goroutine
 // whose finding surfaces through the returned Mapping's VerifyErr
 // (VerifyLazy). Only little-endian hosts can load zero-copy; use
-// ReadBinaryIndexFile — which auto-detects v3 — elsewhere.
+// ReadBinaryIndexFile elsewhere (OpenIndexFile picks between the two).
 func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
 	if err := injectRead(); err != nil {
 		return nil, nil, err
@@ -538,23 +500,24 @@ func readV3Int64s(r io.Reader, sec v3Section, name string) ([]int64, error) {
 	return out, nil
 }
 
-// SniffIndexFormat reports the layout version of an index file from its
-// first bytes (v1 reports as FormatV2: same streaming read path).
-func SniffIndexFormat(path string) (IndexFormat, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+// OpenIndexFile loads an index file by the fastest safe path its layout
+// permits: a v3 file on a little-endian host is mapped zero-copy by
+// MapIndexFile (the returned Mapping is non-nil); anything else — the legacy
+// v2 stream, or any file on a big-endian host — is decoded onto the heap by
+// ReadBinaryIndexFile, which checks every checksum inline and ignores mode.
+func OpenIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
+	if mmapio.HostLittleEndian {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		var head [8]byte
+		n, _ := io.ReadFull(f, head[:])
+		f.Close()
+		if isV3(head[:n]) {
+			return MapIndexFile(path, mode)
+		}
 	}
-	defer f.Close()
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, fmt.Errorf("graphio: reading %s header: %w", path, err)
-	}
-	if binary.LittleEndian.Uint32(head[:]) != indexMagic {
-		return 0, fmt.Errorf("graphio: bad index magic %#x", binary.LittleEndian.Uint32(head[:]))
-	}
-	if binary.LittleEndian.Uint32(head[4:]) == formatV3 {
-		return FormatV3, nil
-	}
-	return FormatV2, nil
+	sg, err := ReadBinaryIndexFile(path)
+	return sg, nil, err
 }

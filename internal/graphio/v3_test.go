@@ -33,7 +33,7 @@ func buildTestIndex(t testing.TB, g *graph.Graph) *core.SummaryGraph {
 func writeV3Temp(t testing.TB, sg *core.SummaryGraph) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.v3")
-	if err := WriteBinaryIndexFileV3(path, sg); err != nil {
+	if err := WriteBinaryIndexFile(path, sg); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -47,7 +47,7 @@ func TestV3RoundTripStream(t *testing.T) {
 	g := gen.PaperFigure3()
 	sg := buildTestIndex(t, g)
 	var buf bytes.Buffer
-	if err := WriteBinaryIndexV3(&buf, sg); err != nil {
+	if err := WriteBinaryIndex(&buf, sg); err != nil {
 		t.Fatal(err)
 	}
 	if n := buf.Len(); n%v3Align != 0 {
@@ -263,49 +263,12 @@ func TestV3BoundarySizesRejected(t *testing.T) {
 	}
 }
 
-// TestV2BoundarySizesRejected is the satellite regression for the
-// strictly-greater bound bug: a v2 header whose size field equals 1<<31
-// passed `> 1<<31` and then overflowed int32. The bound is now MaxInt32
-// inclusive; 1<<31 must be rejected as corrupt, while a MaxInt32 field
-// must survive the size check (failing later, on the stream, instead).
+// TestV2BoundarySizesRejected is the regression for the strictly-greater
+// bound bug in the legacy stream reader: a v2 header whose size field equals
+// 1<<31 passed `> 1<<31` and then overflowed int32. The bound is MaxInt32
+// inclusive; any of the four size fields at 1<<31 must be rejected as
+// corrupt.
 func TestV2BoundarySizesRejected(t *testing.T) {
-	mkGraphStream := func(n, m int64, corruptEdgeCRC bool) []byte {
-		var buf bytes.Buffer
-		cw := &crcWriter{w: &buf}
-		for _, h := range []uint32{graphMagic, formatV2} {
-			binary.Write(cw, binary.LittleEndian, h)
-		}
-		binary.Write(cw, binary.LittleEndian, n)
-		binary.Write(cw, binary.LittleEndian, m)
-		cw.endSection()
-		// Empty edge section (m = 0 on the accept side).
-		cw.endSection()
-		cw.writeTrailer()
-		raw := buf.Bytes()
-		if corruptEdgeCRC {
-			raw[len(raw)-9] ^= 0xFF // edge-section CRC sits before the 8-byte trailer
-		}
-		return raw
-	}
-	// n = 1<<31 (and m = 1<<31): must die on the size check.
-	for _, hdr := range [][2]int64{{1 << 31, 0}, {0, 1 << 31}, {1 << 31, 1 << 31}} {
-		_, err := ReadBinaryGraph(bytes.NewReader(mkGraphStream(hdr[0], hdr[1], false)))
-		if err == nil || !strings.Contains(err.Error(), "corrupt header") {
-			t.Fatalf("graph n=%d m=%d: error %v, want corrupt-header rejection", hdr[0], hdr[1], err)
-		}
-	}
-	// n = MaxInt32: must pass the size check. The stream's edge-section CRC
-	// is corrupted so the read dies there — proving the failure is past the
-	// header validation, without allocating a MaxInt32-vertex graph.
-	_, err := ReadBinaryGraph(bytes.NewReader(mkGraphStream(int64(1<<31-1), 0, true)))
-	if err == nil {
-		t.Fatal("corrupt edge CRC accepted")
-	}
-	if strings.Contains(err.Error(), "corrupt header") {
-		t.Fatalf("n=MaxInt32 rejected by the size check: %v", err)
-	}
-
-	// Index reader: any of the four size fields at 1<<31 must be corrupt.
 	for field := 0; field < 4; field++ {
 		var buf bytes.Buffer
 		cw := &crcWriter{w: &buf}
@@ -365,41 +328,36 @@ type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("sink failed") }
 
-// TestSniffIndexFormat checks version detection on real files of both
-// layouts.
-func TestSniffIndexFormat(t *testing.T) {
+// TestOpenIndexFilePicksLoaderByLayout checks the one dispatch point: a
+// written (v3) file is served from a mapping, the committed v2 file goes
+// through the stream decoder onto the heap, and both are the same index.
+func TestOpenIndexFilePicksLoaderByLayout(t *testing.T) {
 	g := gen.PaperFigure3()
 	sg := buildTestIndex(t, g)
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "i.v2")
-	if err := WriteBinaryIndexFileFormat(v2, sg, FormatV2); err != nil {
+	v3, _ := writeV3Temp(t, sg)
+	mapped, m, err := OpenIndexFile(v3, VerifyEager)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v3 := filepath.Join(dir, "i.v3")
-	if err := WriteBinaryIndexFileFormat(v3, sg, FormatV3); err != nil {
+	if m == nil || mapped.Backing == nil {
+		t.Fatal("v3 file was not memory-mapped")
+	}
+	decoded, m2, err := OpenIndexFile(filepath.Join("testdata", "figure3.v2.idx"), VerifyEager)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := SniffIndexFormat(v2); err != nil || f != FormatV2 {
-		t.Fatalf("sniff v2 = %v, %v", f, err)
+	if m2 != nil || decoded.Backing != nil {
+		t.Fatal("v2 file claims a mapping")
 	}
-	if f, err := SniffIndexFormat(v3); err != nil || f != FormatV3 {
-		t.Fatalf("sniff v3 = %v, %v", f, err)
+	if mapped.Canonical(g) != decoded.Canonical(g) || mapped.Canonical(g) != sg.Canonical(g) {
+		t.Fatal("loaders disagree on the index")
 	}
-	if _, err := SniffIndexFormat(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("sniff accepted a missing file")
+	if _, _, err := OpenIndexFile(filepath.Join(t.TempDir(), "missing"), VerifyEager); err == nil {
+		t.Fatal("a missing file was accepted")
 	}
 }
 
 func TestParseFlagHelpers(t *testing.T) {
-	if f, err := ParseIndexFormat("v3"); err != nil || f != FormatV3 || f.String() != "v3" {
-		t.Fatalf("ParseIndexFormat v3 = %v, %v", f, err)
-	}
-	if f, err := ParseIndexFormat("v2"); err != nil || f != FormatV2 || f.String() != "v2" {
-		t.Fatalf("ParseIndexFormat v2 = %v, %v", f, err)
-	}
-	if _, err := ParseIndexFormat("v9"); err == nil {
-		t.Fatal("ParseIndexFormat accepted v9")
-	}
 	if m, err := ParseVerifyMode("lazy"); err != nil || m != VerifyLazy || m.String() != "lazy" {
 		t.Fatalf("ParseVerifyMode lazy = %v, %v", m, err)
 	}

@@ -9,20 +9,16 @@ import (
 )
 
 // Kernel selects the Support-stage implementation. The zero value is
-// KernelAuto, which picks a kernel per graph from a skew/size heuristic —
-// the production default.
+// KernelAuto, which picks a kernel per graph by size — the production
+// default.
 type Kernel int
 
 const (
-	// KernelAuto picks merge, galloping, or oriented per graph (see
-	// ChooseKernel).
+	// KernelAuto picks merge or oriented per graph (see ChooseKernel).
 	KernelAuto Kernel = iota
 	// KernelMerge is the naive per-edge sorted-merge intersection: no
 	// atomics, no setup cost, but hub edges pay for their full adjacency.
 	KernelMerge
-	// KernelGalloping is the merge kernel with binary-probing intersection
-	// when one endpoint's list is much longer than the other.
-	KernelGalloping
 	// KernelOriented is the degree-oriented compact-forward kernel behind
 	// the O(|E|^1.5) bound: each triangle is enumerated exactly once over
 	// oriented out-lists of length O(√m).
@@ -36,8 +32,6 @@ func (k Kernel) String() string {
 		return "auto"
 	case KernelMerge:
 		return "merge"
-	case KernelGalloping:
-		return "gallop"
 	case KernelOriented:
 		return "oriented"
 	default:
@@ -52,56 +46,36 @@ func ParseKernel(s string) (Kernel, error) {
 		return KernelAuto, nil
 	case "merge":
 		return KernelMerge, nil
-	case "gallop", "galloping":
-		return KernelGalloping, nil
 	case "oriented", "forward", "compact-forward":
 		return KernelOriented, nil
 	default:
-		return 0, fmt.Errorf("triangle: unknown support kernel %q (want auto|merge|gallop|oriented)", s)
+		return 0, fmt.Errorf("triangle: unknown support kernel %q (want auto|merge|oriented)", s)
 	}
 }
 
-// Auto-selection thresholds. Skew is max degree over mean degree: the
-// factor by which the worst hub edge's merge-intersection cost exceeds the
-// average edge's. The oriented kernel's setup (rank, oriented CSR) only
-// pays off once the graph is big AND skewed; galloping needs no setup, so
-// it covers the moderately skewed middle ground.
-const (
-	autoMinEdges     = 1 << 15 // below this, setup cost dominates: merge
-	orientedMinEdges = 1 << 16 // oriented needs enough edges to amortize setup
-	orientedSkew     = 8.0     // skew above which oriented wins
-	gallopSkew       = 3.0     // skew above which galloping beats plain merge
-)
+// autoMinEdges is the auto-selection threshold: below it the oriented
+// kernel's setup (degree rank, oriented CSR) has nothing to amortize over
+// and merge wins; from it up oriented wins or ties on every measured shape
+// at one and two threads — hub-heavy R-MAT by 3–4×, flat planted
+// communities by 1.1–1.5× — so the rule does not look at degree skew.
+const autoMinEdges = 1 << 15
 
-// Counters recording what the auto heuristic decided, so a trace of a
+// Counters recording what the auto rule decided, so a trace of a
 // production build shows which kernel actually ran.
 var (
 	cAutoMerge = obs.GetCounter("support_auto_merge",
 		"auto kernel selections that picked the merge Support kernel")
-	cAutoGallop = obs.GetCounter("support_auto_gallop",
-		"auto kernel selections that picked the galloping Support kernel")
 	cAutoOriented = obs.GetCounter("support_auto_oriented",
 		"auto kernel selections that picked the oriented Support kernel")
 )
 
-// ChooseKernel resolves KernelAuto for a graph: oriented for large skewed
-// graphs (power-law hubs), galloping for moderately skewed ones, merge for
-// small or flat-degree graphs. The decision costs one O(|V|) degree scan.
+// ChooseKernel resolves KernelAuto for a graph: merge below autoMinEdges
+// edges, oriented from there up.
 func ChooseKernel(g *graph.Graph) Kernel {
-	m := g.NumEdges()
-	n := int64(g.NumVertices())
-	if m < autoMinEdges || n == 0 {
+	if g.NumEdges() < autoMinEdges {
 		return KernelMerge
 	}
-	mean := float64(2*m) / float64(n)
-	skew := float64(g.MaxDegree()) / mean
-	if skew >= orientedSkew && m >= orientedMinEdges {
-		return KernelOriented
-	}
-	if skew >= gallopSkew {
-		return KernelGalloping
-	}
-	return KernelMerge
+	return KernelOriented
 }
 
 // SupportsKernelCtx dispatches the Support stage to the selected kernel
@@ -112,20 +86,15 @@ func ChooseKernel(g *graph.Graph) Kernel {
 func SupportsKernelCtx(ctx context.Context, g *graph.Graph, k Kernel, threads int, tr *obs.Trace) ([]int32, error) {
 	if k == KernelAuto {
 		k = ChooseKernel(g)
-		switch k {
-		case KernelGalloping:
-			cAutoGallop.Inc()
-		case KernelOriented:
+		if k == KernelOriented {
 			cAutoOriented.Inc()
-		default:
+		} else {
 			cAutoMerge.Inc()
 		}
 	}
 	switch k {
 	case KernelMerge:
 		return SupportsCtx(ctx, g, threads, tr)
-	case KernelGalloping:
-		return SupportsGallopingCtx(ctx, g, threads, tr)
 	case KernelOriented:
 		return SupportsOrientedCtx(ctx, g, threads, tr)
 	default:

@@ -3,6 +3,7 @@ package triangle
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"equitruss/internal/gen"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestParseKernelRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelMerge, KernelGalloping, KernelOriented} {
+	for _, k := range []Kernel{KernelAuto, KernelMerge, KernelOriented} {
 		got, err := ParseKernel(k.String())
 		if err != nil {
 			t.Fatalf("ParseKernel(%q): %v", k.String(), err)
@@ -22,7 +23,6 @@ func TestParseKernelRoundTrip(t *testing.T) {
 	}
 	aliases := map[string]Kernel{
 		"":                KernelAuto,
-		"galloping":       KernelGalloping,
 		"forward":         KernelOriented,
 		"compact-forward": KernelOriented,
 	}
@@ -31,14 +31,18 @@ func TestParseKernelRoundTrip(t *testing.T) {
 			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseKernel("quantum"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel name")
+	// The deleted galloping kernel's names are unknown names like any other:
+	// rejected with the error that lists what exists.
+	for _, s := range []string{"quantum", "gallop", "galloping"} {
+		if _, err := ParseKernel(s); err == nil || !strings.Contains(err.Error(), "auto|merge|oriented") {
+			t.Fatalf("ParseKernel(%q) = %v, want an error listing the kernels", s, err)
+		}
 	}
 }
 
 // hubAndCycle builds a graph with one hub adjacent to every vertex of a
-// cycle — leaves degree-skewed with a controllable edge count, used to pin
-// each arm of the auto heuristic deterministically.
+// cycle — degree-skewed with a controllable edge count, used to pin the
+// auto rule's size threshold from both sides.
 func hubAndCycle(leaves int32) *graph.Graph {
 	var in []graph.Edge
 	for v := int32(1); v <= leaves; v++ {
@@ -59,21 +63,19 @@ func hubAndCycle(leaves int32) *graph.Graph {
 }
 
 func TestChooseKernelArms(t *testing.T) {
-	// Small graph: always merge, regardless of skew.
+	// Below 2^15 edges: always merge, flat or skewed.
 	if k := ChooseKernel(gen.Clique(50)); k != KernelMerge {
 		t.Fatalf("small clique chose %v, want merge", k)
 	}
-	// Large uniform graph (skew 1): merge.
-	if k := ChooseKernel(gen.Clique(300)); k != KernelMerge {
-		t.Fatalf("large clique chose %v, want merge", k)
+	if k := ChooseKernel(hubAndCycle(16000)); k != KernelMerge {
+		t.Fatalf("small hub graph (m=%d) chose %v, want merge", 2*16000, k)
 	}
-	// Mid-size skewed graph (m in [2^15, 2^16)): galloping.
-	if k := ChooseKernel(hubAndCycle(20000)); k != KernelGalloping {
-		t.Fatalf("mid-size hub graph chose %v, want gallop", k)
+	// From 2^15 edges up: always oriented, flat or skewed.
+	if k := ChooseKernel(gen.Clique(300)); k != KernelOriented {
+		t.Fatalf("large clique chose %v, want oriented", k)
 	}
-	// Large skewed graph: oriented.
-	if k := ChooseKernel(hubAndCycle(40000)); k != KernelOriented {
-		t.Fatalf("large hub graph chose %v, want oriented", k)
+	if k := ChooseKernel(hubAndCycle(20000)); k != KernelOriented {
+		t.Fatalf("hub graph (m=%d) chose %v, want oriented", 2*20000, k)
 	}
 	if k := ChooseKernel(gen.RMAT(14, 8, 0.57, 0.19, 0.19, 1)); k != KernelOriented {
 		t.Fatalf("RMAT-14 chose %v, want oriented", k)
@@ -92,7 +94,7 @@ func TestKernelsAgreeOnAllDatasets(t *testing.T) {
 	}
 	for name, g := range graphs {
 		want := supports(g, KernelMerge, 3)
-		for _, k := range []Kernel{KernelGalloping, KernelOriented, KernelAuto} {
+		for _, k := range []Kernel{KernelOriented, KernelAuto} {
 			got := supports(g, k, 3)
 			if len(got) != len(want) {
 				t.Fatalf("%s/%v: %d supports, want %d", name, k, len(got), len(want))
@@ -115,7 +117,7 @@ func TestCountInvariant(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("RMAT-11 triangle count = %d", want)
 	}
-	for _, k := range []Kernel{KernelMerge, KernelGalloping, KernelOriented} {
+	for _, k := range []Kernel{KernelMerge, KernelOriented} {
 		var sum int64
 		for _, s := range supports(g, k, 2) {
 			sum += int64(s)
@@ -135,9 +137,6 @@ func TestSupportsCtxFormsCancel(t *testing.T) {
 	cancel()
 	if _, err := SupportsOrientedCtx(ctx, g, 2, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled SupportsOrientedCtx returned %v", err)
-	}
-	if _, err := SupportsGallopingCtx(ctx, g, 2, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled SupportsGallopingCtx returned %v", err)
 	}
 	if _, err := SupportsKernelCtx(ctx, g, KernelAuto, 2, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled SupportsKernelCtx returned %v", err)

@@ -92,12 +92,6 @@ func TestSupportsMatchesBrute(t *testing.T) {
 					return false
 				}
 			}
-			got = supports(g, KernelGalloping, threads)
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
 			got = supports(g, KernelOriented, threads)
 			for i := range want {
 				if got[i] != want[i] {
@@ -112,9 +106,10 @@ func TestSupportsMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
-	// A star-plus-clique graph exercises the galloping path (hub adjacency
-	// much longer than leaf adjacency).
+// starPlusClique is a 600-vertex star whose first 19 leaves form a clique:
+// the hub's adjacency is far longer than any leaf's, the shape on which a
+// per-edge intersection and the oriented enumeration differ most.
+func starPlusClique(t *testing.T) *graph.Graph {
 	var in []graph.Edge
 	for v := int32(1); v < 600; v++ {
 		in = append(in, graph.Edge{U: 0, V: v})
@@ -128,17 +123,7 @@ func TestSupportsGallopingOnSkewedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merge := supports(g, KernelMerge, 2)
-	gallop := supports(g, KernelGalloping, 2)
-	oriented := supports(g, KernelOriented, 2)
-	for i := range merge {
-		if merge[i] != gallop[i] {
-			t.Fatalf("edge %d: merge %d vs gallop %d", i, merge[i], gallop[i])
-		}
-		if merge[i] != oriented[i] {
-			t.Fatalf("edge %d: merge %d vs oriented %d", i, merge[i], oriented[i])
-		}
-	}
+	return g
 }
 
 func TestCountKnown(t *testing.T) {
@@ -166,33 +151,13 @@ func TestSupportsEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestGallopIntersectEdges(t *testing.T) {
-	cases := []struct {
-		a, b []int32
-		want int32
-	}{
-		{nil, []int32{1, 2, 3}, 0},
-		{[]int32{2}, []int32{1, 2, 3}, 1},
-		{[]int32{0, 5, 9}, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 2},
-		{[]int32{10}, []int32{1, 2, 3}, 0},
-		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 3},
-	}
-	for i, tc := range cases {
-		if got := gallopIntersect(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: gallop = %d, want %d", i, got, tc.want)
-		}
-		if got := mergeIntersect(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: merge = %d, want %d", i, got, tc.want)
-		}
-	}
-}
-
 func TestSupportsOrientedOnGenerators(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.PaperFigure3(),
 		gen.RMAT(10, 8, 0.57, 0.19, 0.19, 33),
 		gen.PlantedPartition(6, 9, 0.7, 1.0, 34),
 		gen.Clique(9),
+		starPlusClique(t),
 	}
 	for gi, g := range graphs {
 		want := supports(g, KernelMerge, 2)

@@ -24,7 +24,7 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	}
 	canon := ref.Canonical(g)
 	for _, k := range []equitruss.SupportKernel{
-		equitruss.KernelGalloping, equitruss.KernelOriented, equitruss.KernelAuto,
+		equitruss.KernelOriented, equitruss.KernelAuto,
 	} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
 			sg, _, err := equitruss.BuildSummary(g, equitruss.Options{
@@ -69,7 +69,7 @@ func tauChecksum(tau []int32) uint64 {
 // details, never answers.
 func TestKernelMatrixEquivalence(t *testing.T) {
 	supportKernels := []equitruss.SupportKernel{
-		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelGalloping, equitruss.KernelOriented,
+		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelOriented,
 	}
 	peelKernels := []equitruss.PeelKernel{
 		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,

@@ -160,17 +160,19 @@ func TestLiveCompactionTruncatesWAL(t *testing.T) {
 	health := liveWaitApplied(t, ts, batches)
 	servedSums := health["checksums"].(map[string]any)
 	// Give the applier a moment to finish the final compaction (it runs
-	// after publish).
+	// after publish): the snapshot exists after the first batch already, so
+	// wait until the log has been truncated down to its fixed-size header —
+	// closing the WAL under a compaction still in flight tears it.
 	deadline := time.Now().Add(5 * time.Second)
 	snapPath := filepath.Join(dir, "snapshot.eqs")
-	for {
-		if _, err := os.Stat(snapPath); err == nil {
-			break
-		}
+	for li.WAL.Size() > 16 {
 		if time.Now().After(deadline) {
-			t.Fatal("compaction never wrote a snapshot")
+			t.Fatalf("WAL never fully compacted: %d bytes", li.WAL.Size())
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := os.Stat(snapPath); err != nil {
+		t.Fatalf("compaction never wrote a snapshot: %v", err)
 	}
 	ts.Close()
 	li.Close()
