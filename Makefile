@@ -23,9 +23,10 @@ race:
 
 # The gate every change must pass: vet, vulnerability scan (when the
 # scanner is installed), build, full tests, the race-detector subset
-# covering the shared-state hot spots (schedulers, connected components,
-# the query server) at one worker thread and at more workers than the box
-# has cores, the chaos suite, and the nested lifecycle-benchmark module.
+# covering the shared-state hot spots (schedulers, the triangle and peel
+# kernels, the community index, observability) at one worker thread and at
+# more workers than the box has cores, the chaos suite, and the nested
+# lifecycle-benchmark module.
 ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	$(GO) vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
@@ -36,21 +37,21 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	fi
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	$(GO) test ./...
-	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/cc ./internal/triangle ./internal/truss ./internal/community ./internal/obs
+	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/triangle ./internal/truss ./internal/community ./internal/obs
 	$(MAKE) benchcheck
 
 # Perf regression gate: rerun the Support kernel sweep, the query-path
-# workloads, the peel kernel sweep, and the live-update applier sweep and
-# compare each cell's time — normalized within the same run (Support kernels
-# by merge, query engines by indexed-bfs, peel kernels by levelsync, update
-# engines by full-rebuild) so absolute machine speed cancels — against the
-# committed baseline. Cells below the 5 ms noise floor are skipped. Fails on
-# a >20% normalized regression, and fails loudly when a baseline row is
-# missing. Artifacts land in bench/ (gitignored except the committed
-# baseline + reference artifacts). Cold start is measured by the lifecycle
-# benchmark (graphio.open_index_s, server.newhandler_ms, ready_s).
+# workloads, and the peel kernel sweep and compare each cell's time —
+# normalized within the same run (Support kernels by merge, query engines by
+# indexed-bfs, peel kernels by levelsync) so absolute machine speed cancels —
+# against the committed baseline. Cells below the 5 ms noise floor are
+# skipped. Fails on a >20% normalized regression, and fails loudly when a
+# baseline row is missing. Artifacts land in bench/ (gitignored except the
+# committed baseline + reference artifacts). Cold start and the live-update
+# applier are measured by the lifecycle benchmark (ready_s,
+# update_ops_per_s, update_visible_p50_ms and their per-layer metrics).
 benchcheck:
-	$(GO) run ./cmd/benchsuite -experiment support,query,peel,update -scale 0.05 -out bench/ -check bench/baseline.json
+	$(GO) run ./cmd/benchsuite -experiment support,query,peel -scale 0.05 -out bench/ -check bench/baseline.json
 
 # Race-enabled server smoke: 64 concurrent clients hammer one handler
 # (httptest) mixing cached singles and pooled batches, answers checked

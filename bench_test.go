@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"equitruss"
-	"equitruss/internal/cc"
 	"equitruss/internal/concur"
 	"equitruss/internal/core"
 	"equitruss/internal/ds"
@@ -273,35 +272,6 @@ func BenchmarkTable5SpeedupSummary(b *testing.B) {
 }
 
 // --- Ablations (design choices called out in DESIGN.md) -------------------------
-
-// BenchmarkAblationCCAlgorithms compares the vertex-space CC substrates the
-// paper discusses in §3.1 (SV vs Afforest-adjacent strategies vs LP vs BFS).
-func BenchmarkAblationCCAlgorithms(b *testing.B) {
-	g := benchGraph(b, "youtube-sim")
-	algos := []struct {
-		name string
-		run  func(*graph.Graph) ([]int32, error)
-	}{
-		{"shiloach-vishkin", func(g *graph.Graph) ([]int32, error) { return cc.ShiloachVishkinCtx(nil, g, 0, nil) }},
-		{"afforest", func(g *graph.Graph) ([]int32, error) { return cc.AfforestCtx(nil, g, 0, nil) }},
-		{"label-propagation", func(g *graph.Graph) ([]int32, error) { return cc.LabelPropagationCtx(nil, g, 0) }},
-		{"bfs", func(g *graph.Graph) ([]int32, error) { return cc.BFSCtx(nil, g, 0) }},
-	}
-	for _, a := range algos {
-		b.Run(a.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := a.run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("dfs-reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cc.Reference(g)
-		}
-	})
-}
 
 // BenchmarkAblationTrussSerialVsParallel isolates the TrussDecomp kernel.
 func BenchmarkAblationTrussSerialVsParallel(b *testing.B) {

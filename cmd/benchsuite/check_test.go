@@ -144,56 +144,3 @@ func TestCheckRejectsBaselineWithoutPeelRows(t *testing.T) {
 		t.Fatalf("stale baseline without peel rows accepted: %v", err)
 	}
 }
-
-// updateArt builds an artifact with one full + one incremental row.
-func updateArt(fullSec, incrSec float64) benchArtifact {
-	return benchArtifact{
-		GitRev: "testrev",
-		UpdateBench: []updateRow{
-			{Dataset: "d", Engine: "full", Seconds: fullSec},
-			{Dataset: "d", Engine: "incremental", Seconds: incrSec},
-		},
-	}
-}
-
-func TestCheckUpdateRowsGateRatios(t *testing.T) {
-	base := updateArt(1.0, 0.2)
-	cur := updateArt(0.5, 0.1) // same ratio, faster machine
-	if err := checkAgainstBaseline(writeBaseline(t, base), &cur); err != nil {
-		t.Fatalf("matching update ratios rejected: %v", err)
-	}
-	cur = updateArt(1.0, 0.5) // incremental ratio 0.5 vs baseline 0.2
-	err := checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("2.5x incremental-applier regression not caught: %v", err)
-	}
-}
-
-func TestCheckUpdateRowsFailLoudlyOnMissingRows(t *testing.T) {
-	// Current run without its full-rebuild normalizer.
-	base := updateArt(1.0, 0.2)
-	cur := updateArt(1.0, 0.2)
-	cur.UpdateBench = cur.UpdateBench[1:]
-	err := checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "no full-rebuild row") {
-		t.Fatalf("missing current-run normalizer passed silently: %v", err)
-	}
-
-	// Baseline has the normalizer but not the incremental cell.
-	base = updateArt(1.0, 0.2)
-	base.UpdateBench = base.UpdateBench[:1]
-	cur = updateArt(1.0, 0.2)
-	err = checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "cannot pass by omission") {
-		t.Fatalf("missing baseline incremental row passed silently: %v", err)
-	}
-
-	// Pre-update-experiment baseline with no update rows at all.
-	base = supportArt(1.0, 0.5)
-	cur = supportArt(1.0, 0.5)
-	cur.UpdateBench = updateArt(1.0, 0.2).UpdateBench
-	err = checkAgainstBaseline(writeBaseline(t, base), &cur)
-	if err == nil || !strings.Contains(err.Error(), "no update_bench rows") {
-		t.Fatalf("stale baseline without update rows accepted: %v", err)
-	}
-}

@@ -80,7 +80,6 @@ var experiments = []experiment{
 	{"support", "Support kernel sweep: merge vs oriented", runSupport, false},
 	{"peel", "Peel kernel sweep: levelsync vs serial vs pkt", runPeel, false},
 	{"query", "Query path: hierarchy vs indexed-BFS vs DirectCommunities", runQuery, false},
-	{"update", "Live update applier: incremental repair vs full rebuild", runUpdate, false},
 	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose (honors -support-kernel and -peel-kernel)", runRMAT18, true},
 }
 
@@ -225,7 +224,6 @@ type benchArtifact struct {
 	SupportBench  []supportRow       `json:"support_bench,omitempty"`
 	QueryBench    []queryRow         `json:"query_bench,omitempty"`
 	PeelBench     []peelRow          `json:"peel_bench,omitempty"`
-	UpdateBench   []updateRow        `json:"update_bench,omitempty"`
 	Counters      []obs.CounterValue `json:"counters,omitempty"`
 }
 
@@ -262,21 +260,6 @@ type peelRow struct {
 	Threads  int     `json:"threads"`
 	Seconds  float64 `json:"seconds"`
 	Checksum uint64  `json:"checksum"`
-}
-
-// updateRow is one live-update applier measurement: the same deterministic
-// batch stream driven to fully-applied under one publish engine. Rows for
-// the same dataset must carry identical checksums — the engines are
-// interchangeable publish paths, only their costs differ.
-type updateRow struct {
-	Dataset         string  `json:"dataset"`
-	Engine          string  `json:"engine"`
-	Batches         int     `json:"batches"`
-	Ops             int     `json:"ops"`
-	Seconds         float64 `json:"seconds"`
-	UpdatesPerSec   float64 `json:"updates_per_sec"`
-	P95StalenessSec float64 `json:"p95_staleness_seconds"`
-	Checksum        uint64  `json:"checksum"`
 }
 
 type experimentResult struct {

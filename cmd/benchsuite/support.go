@@ -190,9 +190,8 @@ func checkAgainstBaseline(path string, art *benchArtifact) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	if len(art.SupportBench) == 0 && len(art.QueryBench) == 0 && len(art.PeelBench) == 0 &&
-		len(art.UpdateBench) == 0 {
-		return fmt.Errorf("current run produced no support_bench, query_bench, peel_bench, or update_bench rows (run -experiment support,query,peel,update)")
+	if len(art.SupportBench) == 0 && len(art.QueryBench) == 0 && len(art.PeelBench) == 0 {
+		return fmt.Errorf("current run produced no support_bench, query_bench, or peel_bench rows (run -experiment support,query,peel)")
 	}
 	checked := 0
 	if len(art.SupportBench) > 0 {
@@ -220,16 +219,6 @@ func checkAgainstBaseline(path string, art *benchArtifact) error {
 			return fmt.Errorf("baseline %s has no peel_bench rows (regenerate it with -experiment support,query,peel)", path)
 		}
 		n, err := checkPeelRows(&base, art)
-		if err != nil {
-			return err
-		}
-		checked += n
-	}
-	if len(art.UpdateBench) > 0 {
-		if len(base.UpdateBench) == 0 {
-			return fmt.Errorf("baseline %s has no update_bench rows (regenerate it with -experiment support,query,peel,update)", path)
-		}
-		n, err := checkUpdateRows(&base, art)
 		if err != nil {
 			return err
 		}

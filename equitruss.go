@@ -130,9 +130,6 @@ type Options struct {
 	// Threads caps the parallelism; <= 0 uses all cores. Ignored by the
 	// Serial variant.
 	Threads int
-	// SerialTruss forces the sequential peeling decomposition even for
-	// parallel variants (the parallel peeling is the default for them).
-	SerialTruss bool
 	// SupportKernel selects the Support-stage kernel. The zero value is
 	// KernelAuto: plain merge on small graphs, oriented compact-forward
 	// from 2^15 edges up. Both kernels produce bit-identical supports.
@@ -141,7 +138,7 @@ type Options struct {
 	// PeelAuto: serial for small graphs, scan-free pkt when the
 	// level-synchronous kernel's per-level rescans would dominate,
 	// levelsync otherwise. All kernels produce bit-identical trussness.
-	// The Serial variant and SerialTruss force the serial kernel.
+	// The Serial variant forces the serial kernel.
 	PeelKernel PeelKernel
 	// Tracer, when non-nil, records one pipeline span per kernel and
 	// per-thread spans inside every parallel kernel. Nil disables tracing
@@ -365,7 +362,7 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 	span = tr.Start("TrussDecomp")
 	start = time.Now()
 	peel := opt.PeelKernel
-	if opt.Variant == Serial || opt.SerialTruss {
+	if opt.Variant == Serial {
 		peel = truss.PeelSerial
 	}
 	tau, _, err := truss.DecomposeKernelCtx(ctx, g, sup, peel, threads, tr)

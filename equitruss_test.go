@@ -70,21 +70,6 @@ func TestTrussnessHelper(t *testing.T) {
 	}
 }
 
-func TestSerialTrussOption(t *testing.T) {
-	g := equitruss.GenerateRMAT(8, 4, 6)
-	a, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.COptimal, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.COptimal, Threads: 2, SerialTruss: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Canonical(g) != b.Canonical(g) {
-		t.Fatal("SerialTruss changed the result")
-	}
-}
-
 func TestIndexSaveLoad(t *testing.T) {
 	g, err := equitruss.GenerateDataset("dblp", 0.05)
 	if err != nil {

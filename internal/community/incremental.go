@@ -65,7 +65,7 @@ type ApplyStats struct {
 // the delta can reach and splices the repaired merge-forest trees into the
 // hierarchy. On success the maintainer advances to the produced index; on
 // any error it stays put, so the caller can fall back to a full rebuild and
-// Reset.
+// wrap the rebuilt index in a new Maintainer.
 //
 // The locality argument: a triangle's qualification as a supernode witness
 // or superedge witness can only change when one of its three edges changes
@@ -81,12 +81,6 @@ type Maintainer struct {
 
 // NewMaintainer wraps a published index for incremental maintenance.
 func NewMaintainer(idx *Index) *Maintainer { return &Maintainer{idx: idx} }
-
-// Index returns the state the maintainer currently sits at.
-func (mt *Maintainer) Index() *Index { return mt.idx }
-
-// Reset repoints the maintainer after an out-of-band (full) rebuild.
-func (mt *Maintainer) Reset(idx *Index) { mt.idx = idx }
 
 func unpackKey(p uint64) (u, v int32) { return int32(p >> 32), int32(uint32(p)) }
 

@@ -159,7 +159,7 @@ func TestIncrementalRegionBudget(t *testing.T) {
 	if _, _, err := mt.Apply(d, 1e-9); !errors.Is(err, ErrDeltaTooLarge) {
 		t.Fatalf("want ErrDeltaTooLarge, got %v", err)
 	}
-	if mt.Index() != idx {
+	if mt.idx != idx {
 		t.Fatal("maintainer advanced despite the budget error")
 	}
 	// The same delta applies fine without a budget, and the maintainer
@@ -168,7 +168,7 @@ func TestIncrementalRegionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt.Index() != got {
+	if mt.idx != got {
 		t.Fatal("maintainer did not advance after a successful apply")
 	}
 	ref := rebuildFromScratch(t, dg)

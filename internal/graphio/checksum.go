@@ -27,11 +27,9 @@ import (
 // each section CRC is verified as soon as its payload is decoded; the file
 // CRC catches flips in the interleaved CRC fields themselves and in the
 // trailer magic. The snapshot codec (snapshot.go) writes and reads this
-// framing; the legacy v2 index stream is only read (ReadBinaryIndex).
+// framing.
 
 const (
-	formatV2 = uint32(2)
-
 	// trailerMagic marks the end of a framed stream ("EQTX").
 	trailerMagic = uint32(0x45515458)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,38 +28,22 @@ func testSummaryGraph(t testing.TB) *core.SummaryGraph {
 	return sg
 }
 
-// v2Fixture returns the committed legacy v2 index stream: testSummaryGraph's
-// index (Figure 3) as the v2 writer serialized it at the last commit that
-// had one. The reader keeps decoding these bytes for one more release.
-func v2Fixture(t testing.TB) []byte {
+// indexBytes returns testSummaryGraph's index (Figure 3) as written.
+func indexBytes(t testing.TB) []byte {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("testdata", "figure3.v2.idx"))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteBinaryIndex(&buf, testSummaryGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	return blob
+	return buf.Bytes()
 }
 
-// TestIndexV2AnyByteFlipDetected is the crash-safety acceptance criterion:
-// flipping any single byte of a stored v2 index must make ReadBinaryIndex
-// fail. (Structural validation alone cannot promise this — many payload
-// flips produce a different but still well-formed index — so every flip
-// must be caught by a checksum or framing check.)
-func TestIndexV2AnyByteFlipDetected(t *testing.T) {
-	blob := v2Fixture(t)
-	for i := range blob {
-		mutated := bytes.Clone(blob)
-		mutated[i] ^= 0xFF
-		if _, err := ReadBinaryIndex(bytes.NewReader(mutated)); err == nil {
-			t.Fatalf("flip of byte %d/%d accepted", i, len(blob))
-		}
-	}
-}
-
-// TestIndexV2SingleBitFlipDetected tightens the flip test to single bits at
-// a sample of positions (all 8 bits of every 7th byte keeps it fast).
-func TestIndexV2SingleBitFlipDetected(t *testing.T) {
-	blob := v2Fixture(t)
+// TestV3SingleBitFlipDetected tightens TestV3AnyByteFlipDetected to single
+// bits at a sample of positions (all 8 bits of every 7th byte keeps it
+// fast): CRC32C catches every one-bit error in the covered bytes, and the
+// zero-padding checks catch it everywhere else.
+func TestV3SingleBitFlipDetected(t *testing.T) {
+	blob := indexBytes(t)
 	for i := 0; i < len(blob); i += 7 {
 		for bit := 0; bit < 8; bit++ {
 			mutated := bytes.Clone(blob)
@@ -74,10 +59,9 @@ func TestIndexV2SingleBitFlipDetected(t *testing.T) {
 // the error identifies the damaged section, which is what makes a bad disk
 // diagnosable.
 func TestChecksumErrorNamesSection(t *testing.T) {
-	blob := v2Fixture(t)
-	// First tau payload byte: after magic+version (8) + sizes (32) +
-	// header CRC (4).
-	blob[44] ^= 0xFF
+	blob := indexBytes(t)
+	// The tau section is the first after the fixed-size header.
+	blob[v3HeaderSize] ^= 0xFF
 	_, err := ReadBinaryIndex(bytes.NewReader(blob))
 	if err == nil {
 		t.Fatal("corrupt tau section accepted")
@@ -87,15 +71,18 @@ func TestChecksumErrorNamesSection(t *testing.T) {
 	}
 }
 
-// TestIndexV1Rejected: the checksum-less v1 layout is no longer read — it
-// was the one stream a flipped byte could pass through unnoticed. A v1
-// header must be refused with an error that names the version.
+// TestIndexV1Rejected: only the v3 layout is read. A v1 header (the one
+// stream a flipped byte could pass through unnoticed) or a v2 header (the
+// retired checksummed stream) must be refused with an error that names the
+// version.
 func TestIndexV1Rejected(t *testing.T) {
-	v1 := bytes.Clone(v2Fixture(t))
-	binary.LittleEndian.PutUint32(v1[4:], 1)
-	_, err := ReadBinaryIndex(bytes.NewReader(v1))
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("v1 index: error %v, want an unsupported-version rejection naming version 1", err)
+	for _, version := range []uint32{1, 2} {
+		old := indexBytes(t)
+		binary.LittleEndian.PutUint32(old[4:], version)
+		_, err := ReadBinaryIndex(bytes.NewReader(old))
+		if want := fmt.Sprintf("version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d index: error %v, want an unsupported-version rejection naming %s", version, err, want)
+		}
 	}
 }
 

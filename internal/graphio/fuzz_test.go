@@ -49,24 +49,26 @@ func FuzzReadEdgeList(f *testing.F) {
 func FuzzReadBinaryIndex(f *testing.F) {
 	f.Add([]byte{0x49, 0x54, 0x51, 0x45, 1, 0, 0, 0})
 	f.Add([]byte("garbage"))
-	// Seed with the committed v2 stream so the mutator explores the legacy
-	// reader's neighborhood, not just broken headers: the stream itself,
-	// variants with a flipped byte inside each checksum field (header CRC,
-	// a section CRC, the trailer's file CRC) — the paths where the reader
-	// must reject via checksum verification rather than structural
-	// validation — and one relabelled as the no-longer-readable v1.
+	// Seed with a written index so the mutator explores the reader's
+	// neighborhood, not just broken headers: the stream itself, variants
+	// with a flipped byte inside a checksum field (the header CRC, the first
+	// and last section CRC slots) or inside a checksummed payload — the
+	// paths where the reader must reject via checksum verification rather
+	// than structural validation — and relabels as the no-longer-readable
+	// v1 and v2.
 	{
-		v2 := v2Fixture(f)
-		f.Add(bytes.Clone(v2))
-		// Header CRC field sits right after magic+version (8) + sizes (32).
-		for _, pos := range []int{40, 44, len(v2) - 1, len(v2) - 5} {
-			flipped := bytes.Clone(v2)
+		idx := indexBytes(f)
+		f.Add(bytes.Clone(idx))
+		for _, pos := range []int{v3HeaderCRCOff, 48 + 16, 48 + 24*6 + 16, v3HeaderSize} {
+			flipped := bytes.Clone(idx)
 			flipped[pos] ^= 0xA5
 			f.Add(flipped)
 		}
-		v1 := bytes.Clone(v2)
-		v1[4] = 1
-		f.Add(v1)
+		for _, version := range []byte{1, 2} {
+			old := bytes.Clone(idx)
+			old[4] = version
+			f.Add(old)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Guard against absurd size prefixes exploding allocations: the

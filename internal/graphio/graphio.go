@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 
-	"equitruss/internal/core"
 	"equitruss/internal/graph"
 )
 
@@ -141,80 +140,4 @@ func readSlice[T any](r io.Reader, n int64) ([]T, error) {
 var indexSectionNames = [...]string{
 	"tau", "edge-to-supernode", "supernode-k", "edge-list", "adjacency",
 	"edge-offsets", "adjacency-offsets",
-}
-
-// ReadBinaryIndex deserializes a summary graph from a stream, detecting the
-// layout from the first eight bytes: the flat v3 layout WriteBinaryIndex
-// emits, or the legacy v2 checksummed stream (read-only, kept one more
-// release). In both, the header checksum is verified before any size field
-// drives an allocation and every section checksum as its payload is decoded
-// — any single flipped byte in a stored stream is rejected with a checksum
-// error. This is the portable heap-decoding path; use MapIndexFile for the
-// zero-copy v3 load.
-func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
-	if err := injectRead(); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(r)
-	// Sniff the version without consuming: v3 has its own fixed-header
-	// decoder; v2 re-reads these bytes through the CRC accumulator.
-	if head, _ := br.Peek(8); isV3(head) {
-		return readBinaryIndexV3(br)
-	}
-	cr := &crcReader{r: br}
-	var magic, version uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != indexMagic {
-		return nil, fmt.Errorf("graphio: bad index magic %#x", magic)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != formatV2 {
-		return nil, fmt.Errorf("graphio: unsupported index format version %d (readable: 2, 3); rebuild the index", version)
-	}
-	sizes := make([]int64, 4)
-	if err := binary.Read(cr, binary.LittleEndian, sizes); err != nil {
-		return nil, err
-	}
-	if err := cr.endSection("index header"); err != nil {
-		return nil, err
-	}
-	for _, sz := range sizes {
-		if sz < 0 || sz > maxSaneCount {
-			return nil, fmt.Errorf("graphio: corrupt index sizes %v", sizes)
-		}
-	}
-	counts := sectionCounts(sizes[0], sizes[1], sizes[2], sizes[3])
-	sg := &core.SummaryGraph{}
-	var err error
-	for i, dst := range []*[]int32{&sg.Tau, &sg.EdgeToSN, &sg.K, &sg.EdgeList, &sg.Adj} {
-		if *dst, err = readSlice[int32](cr, counts[i]); err != nil {
-			return nil, err
-		}
-		if err := cr.endSection(indexSectionNames[i] + " section"); err != nil {
-			return nil, err
-		}
-	}
-	for i, dst := range []*[]int64{&sg.EdgeOffsets, &sg.AdjOffsets} {
-		if *dst, err = readSlice[int64](cr, counts[5+i]); err != nil {
-			return nil, err
-		}
-		if err := cr.endSection(indexSectionNames[5+i] + " section"); err != nil {
-			return nil, err
-		}
-	}
-	if err := cr.checkTrailer(); err != nil {
-		return nil, err
-	}
-	// The stream decoded, but nothing above guarantees the IDs inside make
-	// sense: a corrupt or mismatched index with out-of-range member edges,
-	// superedge endpoints, or broken CSR offsets would panic at query time.
-	// Reject it here with a descriptive error instead.
-	if err := sg.ValidateLoaded(); err != nil {
-		return nil, fmt.Errorf("graphio: corrupt index: %w", err)
-	}
-	return sg, nil
 }

@@ -16,7 +16,7 @@ import (
 // of one WAL sequence number, so recovery loads the snapshot and replays
 // only the log suffix past Seq instead of the whole history.
 //
-// Layout (little-endian, v2 CRC conventions from checksum.go):
+// Layout (little-endian, CRC framing from checksum.go):
 //
 //	header  = magic "EQSN", version, seq, n, m, headerCRC
 //	section = edges ([]graph.Edge), sectionCRC
@@ -27,8 +27,12 @@ import (
 // a snapshot that fails any check is rejected whole — recovery then falls
 // back to the base graph plus a full WAL replay.
 
-// snapshotMagic identifies a snapshot stream ("EQSN").
-const snapshotMagic = uint32(0x4551534E)
+const (
+	// snapshotMagic identifies a snapshot stream ("EQSN").
+	snapshotMagic = uint32(0x4551534E)
+	// snapshotVersion is the one snapshot layout written and read.
+	snapshotVersion = uint32(2)
+)
 
 // Snapshot is a decoded durable-state snapshot: the graph, its exact
 // trussness (aligned with the graph's canonical edge IDs), and the WAL
@@ -39,7 +43,7 @@ type Snapshot struct {
 	Seq uint64
 }
 
-// WriteSnapshot serializes a snapshot in the checksummed v2 framing.
+// WriteSnapshot serializes a snapshot in the checksummed stream framing.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if err := injectWrite(); err != nil {
 		return err
@@ -50,7 +54,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	}
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw}
-	for _, h := range []uint32{snapshotMagic, formatV2} {
+	for _, h := range []uint32{snapshotMagic, snapshotVersion} {
 		if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
 			return err
 		}
@@ -102,7 +106,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
 		return nil, err
 	}
-	if version != formatV2 {
+	if version != snapshotVersion {
 		return nil, fmt.Errorf("graphio: unsupported snapshot format version %d", version)
 	}
 	var seq uint64

@@ -49,22 +49,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotRejectsCorruption: any single flipped byte anywhere in the
-// stream must be rejected, never silently decoded into wrong state.
+// stream must be rejected, never silently decoded into wrong state — every
+// byte of a small snapshot (the exhaustive test of the CRC framing) and a
+// sample of a larger one.
 func TestSnapshotRejectsCorruption(t *testing.T) {
-	snap := testSnapshot(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for off := 0; off < len(data); off += 97 {
-		mutated := append([]byte(nil), data...)
-		mutated[off] ^= 0x20
-		if _, err := ReadSnapshot(bytes.NewReader(mutated)); err == nil {
-			t.Fatalf("flipped byte at %d accepted", off)
+	fig3 := gen.PaperFigure3()
+	small := &Snapshot{G: fig3, Seq: 7}
+	small.Tau, _ = testkit.Tau(fig3, testkit.Supports(fig3, triangle.KernelMerge, 1), truss.PeelSerial, 1)
+	var data []byte
+	for _, tc := range []struct {
+		snap *Snapshot
+		step int
+	}{{small, 1}, {testSnapshot(t), 97}} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, tc.snap); err != nil {
+			t.Fatal(err)
+		}
+		data = buf.Bytes()
+		for off := 0; off < len(data); off += tc.step {
+			mutated := append([]byte(nil), data...)
+			mutated[off] ^= 0x20
+			if _, err := ReadSnapshot(bytes.NewReader(mutated)); err == nil {
+				t.Fatalf("flipped byte at %d of %d accepted", off, len(data))
+			}
 		}
 	}
-	// Truncations are rejected too.
+	// Truncations (of the larger snapshot) are rejected too.
 	for _, cut := range []int{0, 1, 8, len(data) / 2, len(data) - 1} {
 		if _, err := ReadSnapshot(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)

@@ -183,14 +183,6 @@ func WriteBinaryIndexFile(path string, sg *core.SummaryGraph) error {
 	})
 }
 
-// isV3 reports whether the first bytes of an index stream carry the index
-// magic and version 3.
-func isV3(head []byte) bool {
-	return len(head) >= 8 &&
-		binary.LittleEndian.Uint32(head) == indexMagic &&
-		binary.LittleEndian.Uint32(head[4:]) == formatV3
-}
-
 // parseV3Header validates a v3 header image: magic, version, header CRC,
 // sane sizes, and — against the sizes — that every section descriptor
 // carries the expected element size and count and sits exactly at its
@@ -203,7 +195,7 @@ func parseV3Header(hdr []byte) (*v3Header, error) {
 		return nil, fmt.Errorf("graphio: bad index magic %#x", got)
 	}
 	if got := le.Uint32(hdr[4:]); got != formatV3 {
-		return nil, fmt.Errorf("graphio: bad v3 version %d", got)
+		return nil, fmt.Errorf("graphio: unsupported index format version %d (only version %d is readable); rebuild the index", got, formatV3)
 	}
 	if got := crc32.Checksum(hdr[:v3HeaderCRCOff], castagnoli); got != le.Uint32(hdr[v3HeaderCRCOff:]) {
 		return nil, fmt.Errorf("graphio: v3 header checksum mismatch: computed %#x, stored %#x",
@@ -390,11 +382,17 @@ func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Map
 	return sg, m, nil
 }
 
-// readBinaryIndexV3 is the streaming v3 decoder: portable (any endianness,
-// any io.Reader), heap-backed — the fallback when mmap is unavailable and
-// the differential oracle for the zero-copy path. br is positioned at the
-// start of the header.
-func readBinaryIndexV3(br *bufio.Reader) (*core.SummaryGraph, error) {
+// ReadBinaryIndex is the streaming index decoder: portable (any endianness,
+// any io.Reader), heap-backed — the load path on big-endian hosts and the
+// differential oracle for the zero-copy MapIndexFile. The header CRC is
+// verified before any size field drives an allocation, every section CRC as
+// its payload is decoded, and the padding between sections must be zero, so
+// any single flipped byte in a stored index is rejected.
+func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
+	if err := injectRead(); err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(r)
 	hdr := make([]byte, v3HeaderSize)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("graphio: reading v3 header: %w", err)
@@ -446,6 +444,10 @@ func readBinaryIndexV3(br *bufio.Reader) (*core.SummaryGraph, error) {
 	if err := skipTo(h.fileSize, prev); err != nil {
 		return nil, err
 	}
+	// The checksums prove the bytes are the ones written, not that the IDs
+	// inside make sense: an index with out-of-range member edges, superedge
+	// endpoints, or broken CSR offsets would panic at query time. Reject it
+	// here with a descriptive error instead.
 	if err := sg.ValidateLoaded(); err != nil {
 		return nil, fmt.Errorf("graphio: corrupt index: %w", err)
 	}
@@ -500,23 +502,14 @@ func readV3Int64s(r io.Reader, sec v3Section, name string) ([]int64, error) {
 	return out, nil
 }
 
-// OpenIndexFile loads an index file by the fastest safe path its layout
-// permits: a v3 file on a little-endian host is mapped zero-copy by
-// MapIndexFile (the returned Mapping is non-nil); anything else — the legacy
-// v2 stream, or any file on a big-endian host — is decoded onto the heap by
-// ReadBinaryIndexFile, which checks every checksum inline and ignores mode.
+// OpenIndexFile loads an index file by the fastest safe path the host
+// permits: on a little-endian host it is mapped zero-copy by MapIndexFile
+// (the returned Mapping is non-nil); on a big-endian host it is decoded onto
+// the heap by ReadBinaryIndexFile, which checks every checksum inline and
+// ignores mode.
 func OpenIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
 	if mmapio.HostLittleEndian {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		var head [8]byte
-		n, _ := io.ReadFull(f, head[:])
-		f.Close()
-		if isV3(head[:n]) {
-			return MapIndexFile(path, mode)
-		}
+		return MapIndexFile(path, mode)
 	}
 	sg, err := ReadBinaryIndexFile(path)
 	return sg, nil, err

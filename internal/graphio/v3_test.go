@@ -53,7 +53,7 @@ func TestV3RoundTripStream(t *testing.T) {
 	if n := buf.Len(); n%v3Align != 0 {
 		t.Fatalf("v3 stream length %d not %d-aligned", n, v3Align)
 	}
-	sg2, err := ReadBinaryIndex(&buf) // auto-detects v3
+	sg2, err := ReadBinaryIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func TestV3AnyByteFlipDetected(t *testing.T) {
 		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
 			t.Fatalf("eager mmap load accepted a flip at byte %d", pos)
 		}
-		// The stream decoder must reject the same flip (it may classify a
-		// flipped version field as v2/garbage — any error is fine).
+		// The stream decoder must reject the same flip (a flipped magic or
+		// version field fails before the header CRC — any error is fine).
 		if _, err := ReadBinaryIndex(bytes.NewReader(flipped)); err == nil {
 			t.Fatalf("stream decode accepted a flip at byte %d", pos)
 		}
@@ -263,29 +263,6 @@ func TestV3BoundarySizesRejected(t *testing.T) {
 	}
 }
 
-// TestV2BoundarySizesRejected is the regression for the strictly-greater
-// bound bug in the legacy stream reader: a v2 header whose size field equals
-// 1<<31 passed `> 1<<31` and then overflowed int32. The bound is MaxInt32
-// inclusive; any of the four size fields at 1<<31 must be rejected as
-// corrupt.
-func TestV2BoundarySizesRejected(t *testing.T) {
-	for field := 0; field < 4; field++ {
-		var buf bytes.Buffer
-		cw := &crcWriter{w: &buf}
-		for _, h := range []uint32{indexMagic, formatV2} {
-			binary.Write(cw, binary.LittleEndian, h)
-		}
-		sizes := make([]int64, 4)
-		sizes[field] = 1 << 31
-		binary.Write(cw, binary.LittleEndian, sizes)
-		cw.endSection()
-		_, err := ReadBinaryIndex(bytes.NewReader(buf.Bytes()))
-		if err == nil || !strings.Contains(err.Error(), "corrupt index sizes") {
-			t.Fatalf("index size field %d = 1<<31: error %v, want corrupt-sizes rejection", field, err)
-		}
-	}
-}
-
 // TestWriteEdgeListErrorPropagation is the satellite regression for the
 // dropped per-line write errors: a failure must surface from WriteEdgeList
 // (not be swallowed until a final flush), and WriteEdgeListFile must wrap
@@ -328,26 +305,24 @@ type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("sink failed") }
 
-// TestOpenIndexFilePicksLoaderByLayout checks the one dispatch point: a
-// written (v3) file is served from a mapping, the committed v2 file goes
-// through the stream decoder onto the heap, and both are the same index.
+// TestOpenIndexFilePicksLoaderByLayout checks the one dispatch point: on a
+// little-endian host a written file is served from a mapping, and
+// the mapping holds the same index the portable stream decoder — the
+// big-endian path — reads from the same file.
 func TestOpenIndexFilePicksLoaderByLayout(t *testing.T) {
 	g := gen.PaperFigure3()
 	sg := buildTestIndex(t, g)
-	v3, _ := writeV3Temp(t, sg)
-	mapped, m, err := OpenIndexFile(v3, VerifyEager)
+	path, _ := writeV3Temp(t, sg)
+	mapped, m, err := OpenIndexFile(path, VerifyEager)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m == nil || mapped.Backing == nil {
-		t.Fatal("v3 file was not memory-mapped")
+		t.Fatal("index file was not memory-mapped")
 	}
-	decoded, m2, err := OpenIndexFile(filepath.Join("testdata", "figure3.v2.idx"), VerifyEager)
+	decoded, err := ReadBinaryIndexFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m2 != nil || decoded.Backing != nil {
-		t.Fatal("v2 file claims a mapping")
 	}
 	if mapped.Canonical(g) != decoded.Canonical(g) || mapped.Canonical(g) != sg.Canonical(g) {
 		t.Fatal("loaders disagree on the index")

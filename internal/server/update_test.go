@@ -16,6 +16,7 @@ import (
 	"equitruss/internal/dynamic"
 	"equitruss/internal/faults"
 	"equitruss/internal/gen"
+	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
@@ -27,10 +28,7 @@ import (
 // the LiveConfig.
 func newLiveServer(t *testing.T, scale string, mutate func(*LiveConfig)) (*Server, *httptest.Server) {
 	t.Helper()
-	var g = gen.Clique(5)
-	if scale == "rmat" {
-		g = gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
-	}
+	g := liveBaseGraph(scale)
 	sup := testkit.Supports(g, triangle.KernelMerge, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
@@ -54,6 +52,15 @@ func newLiveServer(t *testing.T, scale string, mutate func(*LiveConfig)) (*Serve
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// liveBaseGraph is newLiveServer's base graph: a scale-8 R-MAT graph for
+// "rmat", a 5-clique otherwise.
+func liveBaseGraph(scale string) *graph.Graph {
+	if scale == "rmat" {
+		return gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
+	}
+	return gen.Clique(5)
 }
 
 func postUpdate(t *testing.T, ts *httptest.Server, body string) (*http.Response, map[string]any) {
@@ -458,53 +465,115 @@ func TestUpdatePanicFaultRecovered(t *testing.T) {
 	}
 }
 
-// TestUpdateModesConvergeDifferential drives the identical update stream
-// through a full-rebuild applier, a pure incremental applier, and the auto
-// mode, and asserts all three publish bit-identical state (all three
-// checksum layers) after every batch — the server-level statement of the
-// incremental-repair correctness gate.
-func TestUpdateModesConvergeDifferential(t *testing.T) {
-	type liveServer struct {
-		mode string
-		ts   *httptest.Server
+// TestUpdateRepairOrRebuildDifferential drives one live server through
+// small batches, which the applier repairs in place, and one batch whose
+// repair region is over maxRepairFrac of the edges, which it must publish by
+// a from-scratch rebuild instead. After every batch the served checksums
+// (all three layers) must equal a from-scratch Serial build of the edge set
+// the stream has produced so far, so both publish paths — and the repair
+// that resumes from a rebuilt epoch — are held to the same answer.
+func TestUpdateRepairOrRebuildDifferential(t *testing.T) {
+	_, ts := newLiveServer(t, "rmat", nil)
+	base := liveBaseGraph("rmat")
+	n := int(base.NumVertices())
+	edges := map[graph.Edge]bool{}
+	for _, e := range base.Edges() {
+		edges[e] = true
 	}
-	servers := make([]liveServer, 0, 3)
-	for _, mode := range []string{UpdateModeFull, UpdateModeIncremental, UpdateModeAuto} {
-		_, ts := newLiveServer(t, "rmat", func(lc *LiveConfig) { lc.Mode = mode })
-		servers = append(servers, liveServer{mode, ts})
-	}
-	incrBefore := cUpdateIncrApplies.Value()
+
 	// A deterministic mix of inserts (some closing new triangles, some new
 	// vertices) and deletes of base edges.
-	n := 1 << 8 // RMAT scale 8
-	for batch := 1; batch <= 6; batch++ {
-		body := fmt.Sprintf(
-			`{"ops":[{"u":%d,"v":%d},{"u":%d,"v":%d},{"op":"delete","u":%d,"v":%d},{"u":%d,"v":%d}]}`,
-			n+batch, (3*batch)%n, n+batch, (3*batch+1)%n,
-			(7*batch)%n, (11*batch+2)%n,
-			(5*batch)%n, (13*batch+1)%n)
-		var sums map[string]any
-		for _, sv := range servers {
-			resp, doc := postUpdate(t, sv.ts, body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("mode %s batch %d: status %d: %v", sv.mode, batch, resp.StatusCode, doc)
+	small := func(b int) wal.Batch {
+		return wal.Batch{
+			{U: int32(n + b), V: int32((3 * b) % n)},
+			{U: int32(n + b), V: int32((3*b + 1) % n)},
+			{Del: true, U: int32((7 * b) % n), V: int32((11*b + 2) % n)},
+			{U: int32((5 * b) % n), V: int32((13*b + 1) % n)},
+		}
+	}
+	// A clique on c fresh vertices: its C(c,2) new edges are the whole
+	// repair region, and C > m/4 puts it over 0.2 of the m + C edges after.
+	overBudget := func() wal.Batch {
+		c := 3
+		for c*(c-1)/2 <= len(edges)/4 {
+			c++
+		}
+		var b wal.Batch
+		for i := 0; i < c; i++ {
+			for j := i + 1; j < c; j++ {
+				b = append(b, wal.Op{U: int32(2*n + i), V: int32(2*n + j)})
 			}
-			health := waitApplied(t, sv.ts, uint64(batch))
-			got := health["checksums"].(map[string]any)
-			if sums == nil {
-				sums = got
-				continue
+		}
+		return b
+	}
+
+	incr0, full0 := cUpdateIncrApplies.Value(), cUpdateFullRebuilds.Value()
+	var incrAfterRebuild int64
+	for seq := 1; seq <= 7; seq++ {
+		ops := small(seq)
+		if seq == 4 {
+			ops = overBudget()
+		}
+		var body bytes.Buffer
+		body.WriteString(`{"ops":[`)
+		for i, op := range ops {
+			if i > 0 {
+				body.WriteByte(',')
 			}
-			for _, layer := range []string{"tau", "summary", "hierarchy"} {
-				if got[layer] != sums[layer] {
-					t.Fatalf("mode %s batch %d: %s checksum %v != full-rebuild %v",
-						sv.mode, batch, layer, got[layer], sums[layer])
-				}
+			kind := "insert"
+			if op.Del {
+				kind = "delete"
+			}
+			fmt.Fprintf(&body, `{"op":%q,"u":%d,"v":%d}`, kind, op.U, op.V)
+			e := graph.Edge{U: min(op.U, op.V), V: max(op.U, op.V)}
+			if op.Del {
+				delete(edges, e)
+			} else {
+				edges[e] = true
+			}
+		}
+		body.WriteString(`]}`)
+		full := cUpdateFullRebuilds.Value()
+		resp, doc := postUpdate(t, ts, body.String())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %v", seq, resp.StatusCode, doc)
+		}
+		got := waitApplied(t, ts, uint64(seq))["checksums"].(map[string]any)
+		if seq == 4 {
+			if cUpdateFullRebuilds.Value() == full {
+				t.Fatal("the over-budget batch was not published by a rebuild")
+			}
+			incrAfterRebuild = cUpdateIncrApplies.Value()
+		}
+
+		list := make([]graph.Edge, 0, len(edges))
+		for e := range edges {
+			list = append(list, e)
+		}
+		g, err := graph.FromEdgeList(list, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
+		sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
+		want := community.NewIndex(g, sg).Checksums()
+		for layer, w := range map[string]uint64{
+			"tau": want.Tau, "summary": want.Summary, "hierarchy": want.Hierarchy,
+		} {
+			if got[layer] != fmt.Sprintf("%016x", w) {
+				t.Fatalf("batch %d: served %s checksum %v, from-scratch Serial build %016x",
+					seq, layer, got[layer], w)
 			}
 		}
 	}
-	if cUpdateIncrApplies.Value() == incrBefore {
-		t.Fatal("no batch was published via the incremental path")
+	repairs, rebuilds := cUpdateIncrApplies.Value()-incr0, cUpdateFullRebuilds.Value()-full0
+	t.Logf("publish paths taken: %d repairs, %d rebuilds", repairs, rebuilds)
+	if repairs == 0 || rebuilds == 0 {
+		t.Fatal("want both publish paths taken")
+	}
+	if cUpdateIncrApplies.Value() == incrAfterRebuild {
+		t.Fatal("no batch after the rebuild was repaired in place: the maintainer did not follow the rebuilt epoch")
 	}
 }
 
@@ -586,25 +655,5 @@ func TestUpdateMetricsExposition(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
-	}
-}
-
-// TestEnableUpdatesRejectsUnknownMode: a typo'd mode fails fast instead of
-// silently selecting a default.
-func TestEnableUpdatesRejectsUnknownMode(t *testing.T) {
-	g := gen.Clique(5)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
-	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
-	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
-	w, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	s := NewPending(Config{})
-	s.Publish(community.NewIndex(g, sg), 0)
-	defer s.Close()
-	if err := s.EnableUpdates(LiveConfig{WAL: w, Dyn: dynamic.FromStatic(g, tau), Mode: "fastest"}); err == nil {
-		t.Fatal("unknown update mode accepted")
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"equitruss/internal/gen"
 )
 
-// TestBuildSummaryKernelEquivalence: the Support kernel is an
-// implementation detail — on a skewed RMAT graph every kernel choice
-// (including auto, which resolves to oriented here) must produce a
-// bit-identical trussness array and the same canonical summary graph as
-// the merge reference.
+// TestBuildSummaryKernelEquivalence: kernels are an implementation detail —
+// on a skewed RMAT graph every Support kernel choice (including auto, which
+// resolves to oriented here) and the serial peel selected through Options
+// must produce a bit-identical trussness array and the same canonical
+// summary graph as the merge reference.
 func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	g := equitruss.GenerateRMAT(14, 8, 42)
 	ref, _, err := equitruss.BuildSummary(g, equitruss.Options{
@@ -23,13 +23,17 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := ref.Canonical(g)
-	for _, k := range []equitruss.SupportKernel{
-		equitruss.KernelOriented, equitruss.KernelAuto,
+	for _, c := range []struct {
+		name string
+		opt  equitruss.Options
+	}{
+		{fmt.Sprint(equitruss.KernelOriented), equitruss.Options{SupportKernel: equitruss.KernelOriented}},
+		{fmt.Sprint(equitruss.KernelAuto), equitruss.Options{SupportKernel: equitruss.KernelAuto}},
+		{"peel-serial", equitruss.Options{PeelKernel: equitruss.PeelSerial}},
 	} {
-		t.Run(fmt.Sprint(k), func(t *testing.T) {
-			sg, _, err := equitruss.BuildSummary(g, equitruss.Options{
-				Variant: equitruss.Afforest, Threads: 4, SupportKernel: k,
-			})
+		t.Run(c.name, func(t *testing.T) {
+			c.opt.Variant, c.opt.Threads = equitruss.Afforest, 4
+			sg, _, err := equitruss.BuildSummary(g, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}

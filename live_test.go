@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +140,21 @@ func TestLiveRecoveryMatchesStaticRebuild(t *testing.T) {
 	} else if doc["applied_seq"].(float64) != batches {
 		t.Fatalf("recovered applied_seq: %v", doc["applied_seq"])
 	}
+}
+
+// TestOpenLiveRejectsRetiredUpdateMode: the applier has one publish
+// strategy, so a caller still asking for a retired mode learns that it is
+// gone instead of being served the one that exists; "auto", its name, is
+// still accepted.
+func TestOpenLiveRejectsRetiredUpdateMode(t *testing.T) {
+	for _, mode := range []string{"full", "incremental"} {
+		_, err := equitruss.OpenLive(context.Background(), liveBase(t),
+			equitruss.LiveOptions{Dir: t.TempDir(), Threads: 1, UpdateMode: mode})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(mode)) {
+			t.Fatalf("UpdateMode %q: error %v, want a rejection naming the mode", mode, err)
+		}
+	}
+	openLive(t, t.TempDir(), liveBase(t), func(o *equitruss.LiveOptions) { o.UpdateMode = "auto" }).Close()
 }
 
 // TestLiveCompactionTruncatesWAL: with aggressive compaction the applier
