@@ -40,18 +40,21 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/triangle ./internal/truss ./internal/community ./internal/obs
 	$(MAKE) benchcheck
 
-# Perf regression gate: rerun the Support kernel sweep, the query-path
-# workloads, and the peel kernel sweep and compare each cell's time —
-# normalized within the same run (Support kernels by merge, query engines by
-# indexed-bfs, peel kernels by levelsync) so absolute machine speed cancels —
-# against the committed baseline. Cells below the 5 ms noise floor are
-# skipped. Fails on a >20% normalized regression, and fails loudly when a
-# baseline row is missing. Artifacts land in bench/ (gitignored except the
-# committed baseline + reference artifacts). Cold start and the live-update
-# applier are measured by the lifecycle benchmark (ready_s,
-# update_ops_per_s, update_visible_p50_ms and their per-layer metrics).
+# The paper's evaluation as a gate: run the experiments the benchcheck
+# predicates read and check, inside that one run, the orderings the paper
+# claims — Baseline > C-Optimal > Afforest in single-thread SpNode time
+# (Fig. 5) and C-Optimal and Afforest SpNode faster at the top of the
+# thread sweep (Fig. 7), both read from the fig8 rows; SpNode the largest
+# Baseline kernel (Fig. 4); EquiTruss at least as costly as TrussDecomp
+# (Fig. 2); the auto Support and peel kernels within 15% of the fastest
+# explicit kernel; and the query hierarchy far ahead of BFS. No baseline
+# file is read; each predicate prints its margin and any failure exits 1.
+# Cells under a 20 ms floor are not checked, but a predicate left with no
+# cell fails. The run's BENCH_*.json artifact and TSVs land in bench/
+# (gitignored). Cold start and the live-update applier are measured by the
+# lifecycle benchmark.
 benchcheck:
-	$(GO) run ./cmd/benchsuite -experiment support,query,peel -scale 0.05 -out bench/ -check bench/baseline.json
+	$(GO) run ./cmd/benchsuite -experiment fig2,fig4,fig8,support,peel,query -scale 0.05 -out bench/
 
 # Race-enabled server smoke: 64 concurrent clients hammer one handler
 # (httptest) mixing cached singles and pooled batches, answers checked

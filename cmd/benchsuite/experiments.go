@@ -18,7 +18,7 @@ func runTab3(cfg config) {
 		g := dataset(cfg, spec.Name)
 		t.row(spec.Name, spec.StandsIn, g.NumVertices(), g.NumEdges())
 	}
-	emit(cfg.sink, "tab3", "", t)
+	emit(cfg, "tab3", "", t)
 }
 
 // runFig2 reproduces Figure 2: for the serial pipeline, the percentage of
@@ -27,7 +27,7 @@ func runTab3(cfg config) {
 // decomposition for large graphs — worth parallelizing.
 func runFig2(cfg config) {
 	nets := []string{"amazon-sim", "dblp-sim", "livejournal-sim", "orkut-sim"}
-	t := newTable("Network", "SupportComp%", "TrussDecomp%", "EquiTruss%")
+	t := newTable("Network", "SupportComp%", "TrussDecomp%", "EquiTruss%", "Total(s)")
 	for _, name := range nets {
 		g := dataset(cfg, name)
 		start := time.Now()
@@ -39,16 +39,16 @@ func runFig2(cfg config) {
 		_, tm := testkit.Summary(g, tau, core.VariantSerial, 1)
 		eqT := tm.IndexTotal()
 		total := supportT + trussT + eqT
-		t.row(name, pct(supportT, total), pct(trussT, total), pct(eqT, total))
+		t.row(name, pct(supportT, total), pct(trussT, total), pct(eqT, total), secs(total))
 	}
-	emit(cfg.sink, "fig2", "", t)
+	emit(cfg, "fig2", "", t)
 }
 
 // runFig4 reproduces Figure 4: single-thread kernel percentage breakdown of
 // the Baseline parallel implementation (Support, Init, SpNode, SpEdge,
 // SmGraph, SpNodeRemap). SpNode must dominate (79–89% in the paper).
 func runFig4(cfg config) {
-	t := newTable("Network", "Support%", "Init%", "SpNode%", "SpEdge%", "SmGraph%", "Remap%")
+	t := newTable("Network", "Support%", "Init%", "SpNode%", "SpEdge%", "SmGraph%", "Remap%", "Total(s)")
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
 		start := time.Now()
@@ -58,9 +58,9 @@ func runFig4(cfg config) {
 		_, tm := testkit.Summary(g, tau, core.VariantBaseline, 1)
 		total := supportT + tm.IndexTotal()
 		t.row(name, pct(supportT, total), pct(tm.Init, total), pct(tm.SpNode, total),
-			pct(tm.SpEdge, total), pct(tm.SmGraph, total), pct(tm.SpNodeRemap, total))
+			pct(tm.SpEdge, total), pct(tm.SmGraph, total), pct(tm.SpNodeRemap, total), secs(total))
 	}
-	emit(cfg.sink, "fig4", "", t)
+	emit(cfg, "fig4", "", t)
 }
 
 // runFig5 reproduces Figure 5: single-thread SpNode kernel speedup of
@@ -77,10 +77,10 @@ func runFig5(cfg config) {
 		}
 		base := times[core.VariantBaseline]
 		t.row(name, secs(base), secs(times[core.VariantCOptimal]), secs(times[core.VariantAfforest]),
-			float64(base)/float64(times[core.VariantCOptimal]),
-			float64(base)/float64(times[core.VariantAfforest]))
+			ratio(secs(base), secs(times[core.VariantCOptimal])),
+			ratio(secs(base), secs(times[core.VariantAfforest])))
 	}
-	emit(cfg.sink, "fig5", "", t)
+	emit(cfg, "fig5", "", t)
 }
 
 // runFig6 reproduces Figure 6: execution time of the index-construction
@@ -102,7 +102,7 @@ func runFig6(cfg config) {
 			}
 			t.row(row...)
 		}
-		emit(cfg.sink, "fig6", name, t)
+		emit(cfg, "fig6", name, t)
 	}
 }
 
@@ -118,7 +118,7 @@ func runFig7(cfg config) {
 		_, tmA := testkit.Summary(g, tau, core.VariantAfforest, thr)
 		t.row(thr, secs(tmC.SpNode), secs(tmA.SpNode))
 	}
-	emit(cfg.sink, "fig7", "", t)
+	emit(cfg, "fig7", "", t)
 }
 
 // runFig8 reproduces Figure 8: the absolute times of the three major
@@ -137,7 +137,7 @@ func runFig8(cfg config) {
 				t.row(thr, v.String(), secs(tm.SpNode), secs(tm.SpEdge), secs(tm.SmGraph))
 			}
 		}
-		emit(cfg.sink, "fig8", name, t)
+		emit(cfg, "fig8", name, t)
 	}
 }
 
@@ -160,12 +160,11 @@ func runFig9(cfg config) {
 			row = append(row, thr)
 			for _, v := range core.ParallelVariants {
 				_, tm := testkit.Summary(g, tau, v, thr)
-				eff := 100 * float64(seq[v]) / (float64(thr) * float64(tm.IndexTotal()))
-				row = append(row, eff)
+				row = append(row, 100*ratio(secs(seq[v]), float64(thr)*secs(tm.IndexTotal())))
 			}
 			t.row(row...)
 		}
-		emit(cfg.sink, "fig9", name, t)
+		emit(cfg, "fig9", name, t)
 	}
 }
 
@@ -186,7 +185,7 @@ func runTab4(cfg config) {
 		}
 		t.row(row...)
 	}
-	emit(cfg.sink, "tab4", "", t)
+	emit(cfg, "tab4", "", t)
 }
 
 // runTab5 reproduces Table 5: supernode/superedge counts plus 1-thread vs
@@ -212,10 +211,10 @@ func runTab5(cfg config) {
 				counts = []interface{}{sg.NumSupernodes(), sg.NumSuperedges()}
 			}
 			row = append(row, secs(tm1.IndexTotal()), secs(tmN.IndexTotal()),
-				float64(tm1.IndexTotal())/float64(tmN.IndexTotal()))
+				ratio(secs(tm1.IndexTotal()), secs(tmN.IndexTotal())))
 		}
 		full := append(append([]interface{}{name}, counts...), row[1:]...)
 		t.row(full...)
 	}
-	emit(cfg.sink, "tab5", "", t)
+	emit(cfg, "tab5", "", t)
 }

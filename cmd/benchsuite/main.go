@@ -6,6 +6,11 @@
 // reproduction target. See EXPERIMENTS.md for recorded paper-vs-measured
 // comparisons.
 //
+// At the end of a run benchsuite checks those shapes: every predicate in
+// predicates.go whose experiment ran prints one line with its measured
+// margin, and the run exits 1 if any fails. `make benchcheck` is this with
+// the experiments the predicates read.
+//
 // Usage:
 //
 //	benchsuite -experiment all -scale 0.25
@@ -51,7 +56,7 @@ type config struct {
 	peel    truss.PeelKernel // TrussDecomp kernel for all peeling
 	verbose bool
 	sink    *tsvSink       // optional TSV mirror of every table
-	art     *benchArtifact // run artifact; experiments may append rows
+	art     *benchArtifact // run artifact; emit appends every table
 	// hist collects every individual timed repetition of the current
 	// experiment (fresh per experiment), so the artifact reports latency
 	// quantiles over the actual sample population, not just min-of-reps.
@@ -83,33 +88,47 @@ var experiments = []experiment{
 	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose (honors -support-kernel and -peel-kernel)", runRMAT18, true},
 }
 
-func main() {
-	expID := flag.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., support, query, rmat18) or 'all'")
-	scale := flag.Float64("scale", 0.25, "dataset size factor (1.0 = paper-surrogate default size)")
-	maxThr := flag.Int("maxthreads", concur.MaxThreads(), "top of the thread sweep")
-	kernelName := flag.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
-	peelName := flag.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
-	check := flag.String("check", "", "baseline BENCH_*.json: fail if the Support stage regressed >20% vs it")
-	list := flag.Bool("list", false, "list experiments and exit")
-	verbose := flag.Bool("v", false, "verbose progress")
-	outDir := flag.String("out", "", "directory for TSV copies of every table (plot-ready)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes one benchsuite invocation and returns its exit status: 2 for
+// bad arguments, 1 when the artifact cannot be written or a benchcheck
+// predicate fails, 0 otherwise.
+func run(args []string) int {
+	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
+	expID := fs.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., support, peel, query, rmat18) or 'all'")
+	scale := fs.Float64("scale", 0.25, "dataset size factor (1.0 = paper-surrogate default size)")
+	maxThr := fs.Int("maxthreads", concur.MaxThreads(), "top of the thread sweep (at least 1)")
+	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
+	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
+	list := fs.Bool("list", false, "list experiments and exit")
+	verbose := fs.Bool("v", false, "verbose progress")
+	outDir := fs.String("out", "", "directory for TSV copies of every table (plot-ready)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-7s %s\n", e.id, e.title)
 		}
-		return
+		return 0
+	}
+	if *maxThr < 1 {
+		fmt.Fprintf(os.Stderr, "benchsuite: -maxthreads must be at least 1, got %d\n", *maxThr)
+		return 2
 	}
 	kernel, err := triangle.ParseKernel(*kernelName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	peel, err := truss.ParsePeelKernel(*peelName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	art := &benchArtifact{
 		Timestamp:     time.Now().UTC().Format(time.RFC3339),
@@ -140,10 +159,10 @@ func main() {
 	for id := range wanted {
 		if !known[id] {
 			fmt.Fprintf(os.Stderr, "benchsuite: unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
+			return 2
 		}
 	}
-	ran := false
+	ran := map[string]bool{}
 	for _, e := range experiments {
 		if (wanted["all"] && !e.onlyExplicit) || wanted[e.id] {
 			fmt.Printf("== %s ==\n", e.title)
@@ -166,27 +185,36 @@ func main() {
 			}
 			fmt.Printf("(experiment wall time: %v)\n\n", wall.Round(time.Millisecond))
 			art.Experiments = append(art.Experiments, res)
-			ran = true
+			ran[e.id] = true
 		}
 	}
-	if !ran {
+	if len(ran) == 0 {
 		fmt.Fprintf(os.Stderr, "benchsuite: unknown experiment %q (use -list)\n", *expID)
-		os.Exit(2)
+		return 2
 	}
 	art.Counters = obs.DefaultRegistry().Snapshot()
-	if path, err := writeArtifact(*outDir, *art); err != nil {
+	path, err := writeArtifact(*outDir, *art)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: artifact: %v\n", err)
-		os.Exit(1)
-	} else {
-		fmt.Printf("# artifact written to %s\n", path)
+		return 1
 	}
-	if *check != "" {
-		if err := checkAgainstBaseline(*check, art); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: benchcheck FAILED: %v\n", err)
-			os.Exit(1)
+	fmt.Printf("# artifact written to %s\n", path)
+	failed := 0
+	for _, p := range predicates {
+		if !ran[p.experiment] {
+			continue
 		}
-		fmt.Printf("# benchcheck OK vs %s\n", *check)
+		line, ok := p.check(art.Tables)
+		fmt.Println(line)
+		if !ok {
+			failed++
+		}
 	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchsuite: benchcheck FAILED: %d predicate(s) failed\n", failed)
+		return 1
+	}
+	return 0
 }
 
 // gitRev identifies the commit a benchmark artifact was produced at, so
@@ -221,45 +249,8 @@ type benchArtifact struct {
 	SupportKernel string             `json:"support_kernel"`
 	PeelKernel    string             `json:"peel_kernel,omitempty"`
 	Experiments   []experimentResult `json:"experiments"`
-	SupportBench  []supportRow       `json:"support_bench,omitempty"`
-	QueryBench    []queryRow         `json:"query_bench,omitempty"`
-	PeelBench     []peelRow          `json:"peel_bench,omitempty"`
+	Tables        []*table           `json:"tables"`
 	Counters      []obs.CounterValue `json:"counters,omitempty"`
-}
-
-// supportRow is one timed Support-stage measurement: a (dataset, kernel)
-// cell of the kernel sweep. Seconds is the minimum over reps; Checksum is
-// an FNV-1a hash of the support array, so artifacts also witness that the
-// kernels agreed on the answer, not just the time.
-type supportRow struct {
-	Dataset  string  `json:"dataset"`
-	Kernel   string  `json:"kernel"`
-	Threads  int     `json:"threads"`
-	Seconds  float64 `json:"seconds"`
-	Checksum uint64  `json:"checksum"`
-}
-
-// queryRow is one timed query-workload measurement for one engine. Rows for
-// the same (dataset, workload) must carry identical checksums: the engines
-// are interchangeable answer paths, only their costs differ.
-type queryRow struct {
-	Dataset  string  `json:"dataset"`
-	Workload string  `json:"workload"`
-	Engine   string  `json:"engine"`
-	Threads  int     `json:"threads"`
-	Seconds  float64 `json:"seconds"`
-	Checksum uint64  `json:"checksum"`
-}
-
-// peelRow is one timed TrussDecomp-stage measurement: a (dataset, peel
-// kernel) cell of the kernel sweep, with the FNV-1a trussness checksum
-// witnessing that the kernels agreed on the answer.
-type peelRow struct {
-	Dataset  string  `json:"dataset"`
-	Kernel   string  `json:"kernel"`
-	Threads  int     `json:"threads"`
-	Seconds  float64 `json:"seconds"`
-	Checksum uint64  `json:"checksum"`
 }
 
 type experimentResult struct {
@@ -268,8 +259,8 @@ type experimentResult struct {
 	Seconds float64 `json:"seconds"`
 	// Latency summarizes the distribution of the experiment's individual
 	// timed repetitions (present only for experiments that time reps).
-	// Purely informational: the -check gate reads only the normalized
-	// min-of-reps ratios, never these quantiles.
+	// Purely informational: the benchcheck predicates read only the tables'
+	// min-of-reps seconds, never these quantiles.
 	Latency *latencyDoc `json:"latency,omitempty"`
 }
 
@@ -351,11 +342,15 @@ func threadSweep(maxThr int) []int {
 	return out
 }
 
-func pct(part, total time.Duration) float64 {
-	if total == 0 {
+func pct(part, total time.Duration) float64 { return 100 * ratio(secs(part), secs(total)) }
+
+// ratio is num/den, or 0 for a zero den: tables reach the JSON artifact,
+// which has no encoding for an infinite speedup.
+func ratio(num, den float64) float64 {
+	if den == 0 {
 		return 0
 	}
-	return 100 * float64(part) / float64(total)
+	return num / den
 }
 
 func secs(d time.Duration) float64 { return d.Seconds() }

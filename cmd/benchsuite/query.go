@@ -45,8 +45,8 @@ type queryEngine struct {
 // precomputed hierarchy vs the summary-graph BFS path vs (for the sampled
 // communities workload) the from-scratch DirectCommunities oracle. The
 // first engine of each workload is the indexed-BFS reference that the
-// vsBFS column and the benchcheck ratios normalize by. Mismatched answer
-// checksums panic — a time for a wrong answer is worse than no time.
+// vsBFS column divides by. Mismatched answer checksums panic — a time for a
+// wrong answer is worse than no time.
 func runQuery(cfg config) {
 	g := gen.RMAT(queryRMATScale, queryRMATEdgeFactor, 0.57, 0.19, 0.19, queryRMATSeed)
 	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
@@ -84,7 +84,7 @@ func runQuery(cfg config) {
 		}},
 	}
 
-	t := newTable("Workload", "Engine", "Seconds", "vsBFS")
+	t := newTable("Workload", "Engine", "Seconds", "vsBFS", "Checksum")
 	for _, w := range workloads {
 		cells := make([]cell, len(w.engines))
 		for i, e := range w.engines {
@@ -97,16 +97,10 @@ func runQuery(cfg config) {
 				panic(fmt.Sprintf("query engine %s disagrees with indexed-bfs on %s/%s: checksum %#x != %#x",
 					e.name, dsName, w.name, sums[i], sums[0]))
 			}
-			t.row(w.name, e.name, secs[i], secs[0]/secs[i])
-			if cfg.art != nil {
-				cfg.art.QueryBench = append(cfg.art.QueryBench, queryRow{
-					Dataset: dsName, Workload: w.name, Engine: e.name,
-					Threads: cfg.maxThr, Seconds: secs[i], Checksum: sums[i],
-				})
-			}
+			t.row(w.name, e.name, secs[i], ratio(secs[0], secs[i]), sums[i])
 		}
 	}
-	emit(cfg.sink, "query", "", t)
+	emit(cfg, "query", "", t)
 }
 
 // membershipChecksum computes the (v, k, count) membership profile of every

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -75,20 +76,57 @@ func TestDatasetCaching(t *testing.T) {
 }
 
 // TestExperimentsRunTiny executes every experiment at a tiny scale to keep
-// the harness itself covered (output discarded; this is a smoke test that
-// no experiment panics).
+// the harness itself covered, and checks that each experiment's tables reach
+// the artifact with numeric cells and encode as JSON.
 func TestExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test is slow")
 	}
-	cfg := config{scale: 0.02, maxThr: 2}
 	for _, e := range experiments {
 		if e.id == "fig7" {
 			continue // friendster-sim is big even at small scale
 		}
 		t.Run(e.id, func(t *testing.T) {
+			cfg := config{scale: 0.02, maxThr: 2, art: &benchArtifact{}}
 			e.run(cfg)
+			if len(cfg.art.Tables) == 0 {
+				t.Fatal("no table reached the artifact")
+			}
+			for _, tbl := range cfg.art.Tables {
+				if tbl.Experiment != e.id || len(tbl.Rows) == 0 {
+					t.Fatalf("table %s/%s with %d rows in the %s artifact", tbl.Experiment, tbl.Sub, len(tbl.Rows), e.id)
+				}
+				for _, r := range tbl.Rows {
+					if len(r) != len(tbl.Columns) || !hasNumber(r) {
+						t.Fatalf("%s/%s row %v: want %d cells, some numeric", tbl.Experiment, tbl.Sub, r, len(tbl.Columns))
+					}
+				}
+			}
+			if _, err := json.Marshal(cfg.art); err != nil {
+				t.Fatalf("artifact does not encode: %v", err)
+			}
 		})
+	}
+}
+
+func hasNumber(r []interface{}) bool {
+	for _, c := range r {
+		switch c.(type) {
+		case float64, int, int32, int64, uint64:
+			return true
+		}
+	}
+	return false
+}
+
+// TestMaxThreadsBelowOneRejected: a thread sweep needs at least one thread,
+// so -maxthreads below 1 is a usage error (exit 2) before any experiment
+// runs.
+func TestMaxThreadsBelowOneRejected(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		if code := run([]string{"-maxthreads", n, "-experiment", "fig6"}); code != 2 {
+			t.Fatalf("-maxthreads %s: exit %d, want 2", n, code)
+		}
 	}
 }
 

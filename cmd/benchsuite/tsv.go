@@ -28,9 +28,9 @@ func (s *tsvSink) write(experiment, suffix string, t *table) error {
 	}
 	path := filepath.Join(s.dir, name+".tsv")
 	var b strings.Builder
-	b.WriteString(strings.Join(t.header, "\t"))
+	b.WriteString(strings.Join(t.Columns, "\t"))
 	b.WriteByte('\n')
-	for _, r := range t.rows {
+	for _, r := range t.formatted() {
 		b.WriteString(strings.Join(r, "\t"))
 		b.WriteByte('\n')
 	}
@@ -49,11 +49,16 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// emit renders the table to stdout and mirrors it to the sink, reporting
-// sink errors without aborting the experiment.
-func emit(sink *tsvSink, experiment, suffix string, t *table) {
+// emit renders the table to stdout, mirrors it to the TSV sink and appends
+// it to the run artifact, reporting sink errors without aborting the
+// experiment.
+func emit(cfg config, experiment, suffix string, t *table) {
+	t.Experiment, t.Sub = experiment, suffix
 	t.render(os.Stdout)
-	if err := sink.write(experiment, suffix, t); err != nil {
+	if err := cfg.sink.write(experiment, suffix, t); err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: tsv write failed: %v\n", err)
+	}
+	if cfg.art != nil {
+		cfg.art.Tables = append(cfg.art.Tables, t)
 	}
 }
