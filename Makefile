@@ -23,8 +23,8 @@ race:
 
 # The gate every change must pass: vet, vulnerability scan (when the
 # scanner is installed), build, full tests, the race-detector subset
-# covering the shared-state hot spots (schedulers, the triangle and peel
-# kernels, the community index, observability) at one worker thread and at
+# covering the shared-state hot spots (schedulers, the triangle, peel and
+# index-construction kernels, the community index, observability) at one worker thread and at
 # more workers than the box has cores, the chaos suite, and the nested
 # lifecycle-benchmark module.
 ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
@@ -37,7 +37,7 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	fi
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	$(GO) test ./...
-	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/triangle ./internal/truss ./internal/community ./internal/obs
+	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/triangle ./internal/truss ./internal/core ./internal/community ./internal/obs
 	$(MAKE) benchcheck
 
 # The paper's evaluation as a gate: run the experiments the benchcheck
@@ -107,7 +107,8 @@ lifecycle:
 	$(GO) -C benchmark test ./...
 	bash benchmark/run.sh --workload churn-mixed --smoke --seconds 0.75
 
-# One benchmark per paper table/figure plus ablations (bench_test.go).
+# The two micro-benchmarks of bench_test.go (Baseline dictionary storage,
+# dynamic maintenance); the paper's tables and figures are `make repro`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

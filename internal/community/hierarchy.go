@@ -336,8 +336,8 @@ func (h *Hierarchy) sweep(x concur.Exec, sg *core.SummaryGraph, subset []int32, 
 func (h *Hierarchy) finish(x concur.Exec, idx *Index, kept int, subset []int32, inSubset []bool) error {
 	sg := idx.SG
 	n := len(h.nodeK)
-	h.ownOff, h.ownSN = groupByKey(h.snLeaf, n)
-	h.childOff, h.childList = groupByKey(h.parent, n)
+	h.ownOff, h.ownSN = core.GroupByKey(h.snLeaf, n)
+	h.childOff, h.childList = core.GroupByKey(h.parent, n)
 
 	// Per-node member-edge counts and canonical minimum edge IDs: seed from
 	// own supernodes in parallel, then aggregate child into parent. A child
@@ -466,31 +466,6 @@ func (h *Hierarchy) finish(x concur.Exec, idx *Index, kept int, subset []int32, 
 		}
 	}
 	return nil
-}
-
-// groupByKey inverts key — item i belongs to group key[i] in [0, n), or to
-// none when key[i] < 0 — into CSR form with a counting sort: the items of
-// group g are list[off[g]:off[g+1]], ascending.
-func groupByKey(key []int32, n int) (off []int64, list []int32) {
-	off = make([]int64, n+1)
-	for _, g := range key {
-		if g >= 0 {
-			off[g+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	list = make([]int32, off[n])
-	cur := make([]int64, n)
-	copy(cur, off[:n])
-	for i, g := range key {
-		if g >= 0 {
-			list[cur[g]] = int32(i)
-			cur[g]++
-		}
-	}
-	return off, list
 }
 
 // spanOf returns the inclusive level range [lo, hi] at which a node is the

@@ -3,10 +3,11 @@ package community
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"equitruss/internal/core"
 	"equitruss/internal/ds"
+	"equitruss/internal/dynamic"
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
 )
@@ -27,27 +28,13 @@ var (
 // cheaper than repairing most of the graph edge by edge.
 var ErrDeltaTooLarge = errors.New("community: delta region exceeds the incremental-repair budget")
 
-// EdgeDelta names the edges a batch of updates moved, in canonically packed
-// (u<<32|v, u<v) keys — the shape dynamic.Delta reports. Changed holds
-// surviving pre-existing edges with their new trussness, Inserted/Deleted
-// the membership changes, and Touched the surviving triangle partners of
+// EdgeDelta names the edges a batch of updates moved: the net delta a
+// dynamic.Graph reports, keyed by graph.PackPair. Changed holds surviving
+// pre-existing edges with their new trussness, Inserted/Deleted the
+// membership changes, and Touched the surviving triangle partners of
 // deleted edges (their trussness may be unchanged but their triangle set is
 // not). The maps must be mutually disjoint.
-type EdgeDelta struct {
-	Changed     map[uint64]int32
-	Inserted    map[uint64]int32
-	Deleted     map[uint64]struct{}
-	Touched     map[uint64]struct{}
-	NumVertices int32
-}
-
-// Size returns the number of distinct edges the delta names.
-func (d EdgeDelta) Size() int {
-	return len(d.Changed) + len(d.Inserted) + len(d.Deleted) + len(d.Touched)
-}
-
-// Empty reports whether the delta names no edges.
-func (d EdgeDelta) Empty() bool { return d.Size() == 0 }
+type EdgeDelta = dynamic.Delta
 
 // ApplyStats summarizes one incremental repair for logs and benchmarks.
 type ApplyStats struct {
@@ -82,15 +69,6 @@ type Maintainer struct {
 // NewMaintainer wraps a published index for incremental maintenance.
 func NewMaintainer(idx *Index) *Maintainer { return &Maintainer{idx: idx} }
 
-func unpackKey(p uint64) (u, v int32) { return int32(p >> 32), int32(uint32(p)) }
-
-func packSN(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
 // Apply builds the successor index for one delta. maxRegionFrac bounds the
 // repair region as a fraction of the new edge count (0 disables the bound);
 // exceeding it returns ErrDeltaTooLarge with the maintainer unchanged.
@@ -109,7 +87,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 	// Resolve pre-existing delta keys to old edge IDs.
 	oldNV := oldG.NumVertices()
 	resolveOld := func(k uint64, kind string) (int32, error) {
-		u, v := unpackKey(k)
+		u, v := graph.UnpackPair(k)
 		if u >= oldNV || v >= oldNV {
 			return -1, fmt.Errorf("community: %s key (%d,%d) beyond the prior vertex space", kind, u, v)
 		}
@@ -127,7 +105,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 		}
 		deletedOld = append(deletedOld, eid)
 	}
-	sort.Slice(deletedOld, func(i, j int) bool { return deletedOld[i] < deletedOld[j] })
+	slices.Sort(deletedOld)
 	type changedEdge struct {
 		oldEID int32
 		tau    int32
@@ -150,12 +128,12 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 	}
 	insKeys := make([]uint64, 0, len(d.Inserted))
 	for k := range d.Inserted {
-		if u, v := unpackKey(k); u < oldNV && v < oldNV && oldG.EdgeID(u, v) >= 0 {
+		if u, v := graph.UnpackPair(k); u < oldNV && v < oldNV && oldG.EdgeID(u, v) >= 0 {
 			return nil, st, fmt.Errorf("community: inserted key (%d,%d) already in the prior graph", u, v)
 		}
 		insKeys = append(insKeys, k)
 	}
-	sort.Slice(insKeys, func(i, j int) bool { return insKeys[i] < insKeys[j] })
+	slices.Sort(insKeys)
 
 	// Merge the (sorted) old edge array with the sorted inserts, dropping
 	// deletes: one O(m) pass yields the new canonical edge list, both ID
@@ -171,9 +149,9 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 	j := 0  // cursor into insKeys
 	for i := 0; i < mOld; i++ {
 		e := oldEdges[i]
-		ek := uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
+		ek := graph.PackPair(e.U, e.V)
 		for j < len(insKeys) && insKeys[j] < ek {
-			u, v := unpackKey(insKeys[j])
+			u, v := graph.UnpackPair(insKeys[j])
 			insNew[j] = int32(len(newEdges))
 			newEdges = append(newEdges, graph.Edge{U: u, V: v})
 			tauNew = append(tauNew, d.Inserted[insKeys[j]])
@@ -189,7 +167,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 		tauNew = append(tauNew, oldSG.Tau[i])
 	}
 	for ; j < len(insKeys); j++ {
-		u, v := unpackKey(insKeys[j])
+		u, v := graph.UnpackPair(insKeys[j])
 		insNew[j] = int32(len(newEdges))
 		newEdges = append(newEdges, graph.Edge{U: u, V: v})
 		tauNew = append(tauNew, d.Inserted[insKeys[j]])
@@ -365,7 +343,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 	sNew := int32(len(kNew))
 	st.RebuiltSupernodes = int(sNew - cleanCount)
 
-	// Edge → supernode and the member CSR.
+	// Edge → supernode.
 	edgeToSN := make([]int32, mNew)
 	for i := range edgeToSN {
 		edgeToSN[i] = core.NoSupernode
@@ -383,7 +361,6 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 	for li, ne := range region {
 		edgeToSN[ne] = compID[li]
 	}
-	edgeOff, edgeList := groupByKey(edgeToSN, int(sNew))
 
 	// Superedges. Clean–clean pairs survive verbatim (every witness
 	// triangle of such a pair is intact — any change to one would have
@@ -416,7 +393,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 			}
 			switch {
 			case !dirty[a] && !dirty[b]:
-				retained = append(retained, packSN(oldToNewSN[a], oldToNewSN[b]))
+				retained = append(retained, graph.PackPair(oldToNewSN[a], oldToNewSN[b]))
 			case !dirty[a]:
 				markTree(a) // loses the (a,b) superedge
 			case !dirty[b]:
@@ -424,19 +401,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 			}
 		}
 	}
-	sortDedupe := func(ps []uint64) []uint64 {
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		out := ps[:0]
-		var prev uint64
-		for i, p := range ps {
-			if i == 0 || p != prev {
-				out = append(out, p)
-			}
-			prev = p
-		}
-		return out
-	}
-	retained = sortDedupe(retained)
+	retained = core.SortDedupe(retained)
 	var recomputed []uint64
 	for _, ne := range region {
 		gNew.ForEachTriangleOf(ne, func(w, e1, e2 int32) bool {
@@ -460,7 +425,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 							invariantErr = fmt.Errorf("community: triangle edge with τ>=3 outside partition (%d,%d)", trio[x], trio[y])
 							return false
 						}
-						recomputed = append(recomputed, packSN(a, b))
+						recomputed = append(recomputed, graph.PackPair(a, b))
 					}
 				}
 			}
@@ -470,16 +435,12 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 			return nil, st, invariantErr
 		}
 	}
-	recomputed = sortDedupe(recomputed)
-	inRetained := func(p uint64) bool {
-		i := sort.Search(len(retained), func(i int) bool { return retained[i] >= p })
-		return i < len(retained) && retained[i] == p
-	}
+	recomputed = core.SortDedupe(recomputed)
 	for _, p := range recomputed {
-		if inRetained(p) {
+		if _, found := slices.BinarySearch(retained, p); found {
 			continue
 		}
-		a, b := int32(p>>32), int32(uint32(p))
+		a, b := graph.UnpackPair(p)
 		if a < cleanCount {
 			markTree(cleanOldSN[a]) // gains a superedge it did not have
 		}
@@ -487,37 +448,8 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 			markTree(cleanOldSN[b])
 		}
 	}
-	pairs := sortDedupe(append(retained, recomputed...))
-	adjOff := make([]int64, sNew+1)
-	for _, p := range pairs {
-		a, b := int32(p>>32), int32(uint32(p))
-		adjOff[a+1]++
-		adjOff[b+1]++
-	}
-	for i := int32(0); i < sNew; i++ {
-		adjOff[i+1] += adjOff[i]
-	}
-	adj := make([]int32, adjOff[sNew])
-	cursor := make([]int64, sNew)
-	copy(cursor, adjOff[:sNew])
-	for _, p := range pairs {
-		a, b := int32(p>>32), int32(uint32(p))
-		adj[cursor[a]] = b
-		cursor[a]++
-		adj[cursor[b]] = a
-		cursor[b]++
-	}
-
-	sgNew := &core.SummaryGraph{
-		Tau:         tauNew,
-		EdgeToSN:    edgeToSN,
-		K:           kNew,
-		EdgeOffsets: edgeOff,
-		EdgeList:    edgeList,
-		AdjOffsets:  adjOff,
-		Adj:         adj,
-	}
-	newIdx := NewIndex(gNew, sgNew)
+	pairs := core.SortDedupe(append(retained, recomputed...))
+	newIdx := NewIndex(gNew, core.Assemble(tauNew, edgeToSN, kNew, pairs))
 
 	h, kept, rebuilt, err := spliceHierarchy(oldIdx, newIdx, spliceInput{
 		oldToNewEdge: oldToNew,

@@ -23,12 +23,6 @@ const (
 	VariantCOptimal
 	// VariantAfforest is the sampling-based Afforest construction.
 	VariantAfforest
-	// VariantLabelProp builds supernodes by min-label propagation — one of
-	// the two CC designs the paper rejects in §3.1; kept as an ablation.
-	VariantLabelProp
-	// VariantBFS builds supernodes by repeated parallel BFS — the other
-	// rejected design of §3.1; kept as an ablation.
-	VariantBFS
 )
 
 // String names the variant as the paper does.
@@ -42,10 +36,6 @@ func (v Variant) String() string {
 		return "C-Optimal"
 	case VariantAfforest:
 		return "Afforest"
-	case VariantLabelProp:
-		return "LabelProp"
-	case VariantBFS:
-		return "BFS"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -57,10 +47,6 @@ var Variants = []Variant{VariantSerial, VariantBaseline, VariantCOptimal, Varian
 // ParallelVariants lists the three multi-threaded implementations from the
 // paper's Table 2.
 var ParallelVariants = []Variant{VariantBaseline, VariantCOptimal, VariantAfforest}
-
-// AblationVariants lists the §3.1 rejected CC designs, implemented for the
-// SpNode strategy ablation. They produce the identical index, slower.
-var AblationVariants = []Variant{VariantLabelProp, VariantBFS}
 
 // BuildCtx constructs the EquiTruss index from a graph and its per-edge
 // trussness, using the selected variant and thread count (<= 0 for all
@@ -101,9 +87,9 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 		phi, _ = phiGroups(g, tau, threads)
 	case VariantCOptimal:
 		phi, _ = phiGroups(g, tau, threads)
-	case VariantAfforest, VariantLabelProp, VariantBFS:
-		// These strategies need no Φ ordering: cross-k hooks are
-		// impossible, so all trussness groups converge in the same passes.
+	case VariantAfforest:
+		// Afforest needs no Φ ordering: cross-k hooks are impossible, so
+		// all trussness groups converge in the same passes.
 	default:
 		panic("core: unknown variant " + variant.String())
 	}
@@ -125,10 +111,6 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 		pi, err = spNodeCOptimal(ctx, g, tau, phi, threads, tr)
 	case VariantAfforest:
 		pi, err = spNodeAfforest(ctx, g, tau, threads, tr)
-	case VariantLabelProp:
-		pi, err = spNodeLabelProp(ctx, g, tau, threads, tr)
-	case VariantBFS:
-		pi, err = spNodeBFS(ctx, g, tau, threads, tr)
 	}
 	tm.SpNode = time.Since(start)
 	span.End()
@@ -166,87 +148,41 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	// already honored at the preceding barriers).
 	span = tr.Start("SpNodeRemap")
 	start = time.Now()
-	sg := remap(g, tau, pi, pairs, threads)
+	k := densify(tau, pi, pairs)
+	sg := Assemble(tau, pi, k, pairs)
 	tm.SpNodeRemap = time.Since(start)
 	span.End()
 	return sg, tm, nil
 }
 
-// remap densifies root edge IDs into supernode IDs 0..S-1 (in ascending
-// root order, which is deterministic across variants because every variant
-// converges to the minimum member edge ID as root), builds the supernode→
-// member CSR, and translates the packed superedge roots into the final
-// supernode adjacency.
-func remap(g *graph.Graph, tau, pi []int32, pairs []uint64, threads int) *SummaryGraph {
-	m := int32(g.NumEdges())
-	dense := make([]int32, m)
+// densify numbers the supernode roots of Π 0..S-1 in ascending root order
+// and rewrites, in place, Π into the edge→supernode map and the packed root
+// pairs into packed supernode pairs; it returns each supernode's trussness.
+// Root order is deterministic across variants because every variant
+// converges to the minimum member edge ID as root, and dense IDs are
+// monotone in root IDs, so the pairs keep their order.
+func densify(tau, pi []int32, pairs []uint64) (k []int32) {
+	dense := make([]int32, len(pi))
 	var s int32
-	for e := int32(0); e < m; e++ {
-		if tau[e] >= MinK && pi[e] == e {
+	for e, r := range pi {
+		if r == int32(e) {
 			dense[e] = s
 			s++
-		} else {
-			dense[e] = NoSupernode
 		}
 	}
-	sg := &SummaryGraph{
-		Tau:         tau,
-		EdgeToSN:    make([]int32, m),
-		K:           make([]int32, s),
-		EdgeOffsets: make([]int64, s+1),
-		AdjOffsets:  make([]int64, s+1),
-	}
-	counts := make([]int64, s)
-	for e := int32(0); e < m; e++ {
-		if tau[e] < MinK {
-			sg.EdgeToSN[e] = NoSupernode
+	k = make([]int32, s)
+	for e, r := range pi {
+		if r == NoSupernode {
 			continue
 		}
-		sn := dense[pi[e]]
-		sg.EdgeToSN[e] = sn
-		counts[sn]++
-		if pi[e] == e {
-			sg.K[sn] = tau[e]
+		if r == int32(e) {
+			k[dense[e]] = tau[e]
 		}
+		pi[e] = dense[r]
 	}
-	var run int64
-	for i := int32(0); i < s; i++ {
-		sg.EdgeOffsets[i] = run
-		run += counts[i]
+	for i, p := range pairs {
+		a, b := graph.UnpackPair(p)
+		pairs[i] = graph.PackPair(dense[a], dense[b])
 	}
-	sg.EdgeOffsets[s] = run
-	sg.EdgeList = make([]int32, run)
-	cursor := make([]int64, s)
-	copy(cursor, sg.EdgeOffsets[:s])
-	for e := int32(0); e < m; e++ {
-		if sn := sg.EdgeToSN[e]; sn != NoSupernode {
-			sg.EdgeList[cursor[sn]] = e
-			cursor[sn]++
-		}
-	}
-	// Superedge adjacency.
-	deg := make([]int64, s)
-	for _, p := range pairs {
-		a, b := unpackPair(p)
-		deg[dense[a]]++
-		deg[dense[b]]++
-	}
-	run = 0
-	for i := int32(0); i < s; i++ {
-		sg.AdjOffsets[i] = run
-		run += deg[i]
-	}
-	sg.AdjOffsets[s] = run
-	sg.Adj = make([]int32, run)
-	adjCursor := make([]int64, s)
-	copy(adjCursor, sg.AdjOffsets[:s])
-	for _, p := range pairs {
-		a, b := unpackPair(p)
-		da, db := dense[a], dense[b]
-		sg.Adj[adjCursor[da]] = db
-		adjCursor[da]++
-		sg.Adj[adjCursor[db]] = da
-		adjCursor[db]++
-	}
-	return sg
+	return k
 }

@@ -42,7 +42,7 @@ func TestVariantEquivalenceRandom(t *testing.T) {
 			return false
 		}
 		wantCanon := want.Canonical(g)
-		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
+		for _, variant := range core.ParallelVariants {
 			for _, threads := range []int{1, 2, 4} {
 				got, _ := testkit.Summary(g, tau, variant, threads)
 				if err := got.Validate(g); err != nil {
@@ -82,7 +82,7 @@ func TestVariantEquivalenceStructured(t *testing.T) {
 			t.Fatalf("%s: serial invalid: %v", name, err)
 		}
 		wantCanon := want.Canonical(g)
-		for _, variant := range append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...) {
+		for _, variant := range core.ParallelVariants {
 			got, _ := testkit.Summary(g, tau, variant, 2)
 			if err := got.Validate(g); err != nil {
 				t.Fatalf("%s/%s: invalid: %v", name, variant, err)
@@ -297,9 +297,6 @@ func TestVariantString(t *testing.T) {
 	}
 	if core.Variant(99).String() != "Variant(99)" {
 		t.Error("unknown variant string")
-	}
-	if core.VariantLabelProp.String() != "LabelProp" || core.VariantBFS.String() != "BFS" {
-		t.Error("ablation variant names")
 	}
 }
 

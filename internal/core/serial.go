@@ -31,18 +31,7 @@ func buildSerialCtx(ctx context.Context, g *graph.Graph, tau []int32, tr *obs.Tr
 	// Init kernel: group edge IDs into Φ_k sets (ln. 1–5).
 	span := tr.Start("Init")
 	start := time.Now()
-	kmax := int32(MinK - 1)
-	for _, t := range tau {
-		if t > kmax {
-			kmax = t
-		}
-	}
-	phi := make([][]int32, kmax+1)
-	for e := int32(0); e < m; e++ {
-		if tau[e] >= MinK {
-			phi[tau[e]] = append(phi[tau[e]], e)
-		}
-	}
+	phi, kmax := phiGroups(g, tau, 1)
 	tm.Init = time.Since(start)
 	span.End()
 
@@ -57,9 +46,7 @@ func buildSerialCtx(ctx context.Context, g *graph.Graph, tau []int32, tr *obs.Tr
 	}
 	lists := make([][]int32, m) // e.list: pending supernode IDs
 	var snK []int32
-	var snMembers [][]int32
-	type sePair struct{ a, b int32 }
-	seSet := make(map[sePair]struct{})
+	var pairs []uint64 // superedges as packed supernode pairs, with repeats
 	var queue []int32
 	pops := 0
 
@@ -74,7 +61,6 @@ func buildSerialCtx(ctx context.Context, g *graph.Graph, tau []int32, tr *obs.Tr
 			// ln. 9–13: open a new supernode ν and BFS from the seed.
 			snID := int32(len(snK))
 			snK = append(snK, k)
-			snMembers = append(snMembers, nil)
 			processed[seed] = true
 			queue = append(queue[:0], seed)
 			for len(queue) > 0 {
@@ -83,12 +69,10 @@ func buildSerialCtx(ctx context.Context, g *graph.Graph, tau []int32, tr *obs.Tr
 				}
 				e := queue[0]
 				queue = queue[1:]
-				snMembers[snID] = append(snMembers[snID], e)
 				snOf[e] = snID
 				// ln. 17–19: drain e's pending list into superedges.
 				for _, id := range lists[e] {
-					p := sePair{id, snID}
-					seSet[p] = struct{}{}
+					pairs = append(pairs, graph.PackPair(id, snID))
 				}
 				lists[e] = nil
 				// ln. 20–23: expand through triangles fully inside the
@@ -107,14 +91,12 @@ func buildSerialCtx(ctx context.Context, g *graph.Graph, tau []int32, tr *obs.Tr
 	tm.SpNode = time.Since(start)
 	span.End()
 
-	// SmGraph kernel: assemble the CSR summary graph.
+	// SmGraph kernel: sort and deduplicate the superedges and assemble the
+	// CSR summary graph. Sorted pairs make the adjacency order, and so the
+	// saved index bytes, independent of the order superedges were found in.
 	span = tr.Start("SmGraph")
 	start = time.Now()
-	pairs := make([][2]int32, 0, len(seSet))
-	for p := range seSet {
-		pairs = append(pairs, [2]int32{p.a, p.b})
-	}
-	sg := assemble(g, tau, snK, snMembers, snOf, pairs)
+	sg := Assemble(tau, snOf, snK, SortDedupe(pairs))
 	tm.SmGraph = time.Since(start)
 	span.End()
 	return sg, tm, nil
@@ -139,48 +121,4 @@ func processEdgeSerial(e, k, snID int32, tau []int32, processed []bool, lists []
 	}
 	lists[e] = append(lists[e], snID)
 	return queue
-}
-
-// assemble builds the final SummaryGraph from supernode membership and a
-// deduplicated superedge pair list (pairs reference dense supernode IDs).
-func assemble(g *graph.Graph, tau []int32, snK []int32, snMembers [][]int32, snOf []int32, pairs [][2]int32) *SummaryGraph {
-	s := int32(len(snK))
-	sg := &SummaryGraph{
-		Tau:         tau,
-		EdgeToSN:    snOf,
-		K:           snK,
-		EdgeOffsets: make([]int64, s+1),
-		AdjOffsets:  make([]int64, s+1),
-	}
-	var total int64
-	for i := int32(0); i < s; i++ {
-		sg.EdgeOffsets[i] = total
-		total += int64(len(snMembers[i]))
-	}
-	sg.EdgeOffsets[s] = total
-	sg.EdgeList = make([]int32, total)
-	for i := int32(0); i < s; i++ {
-		copy(sg.EdgeList[sg.EdgeOffsets[i]:], snMembers[i])
-	}
-	deg := make([]int64, s)
-	for _, p := range pairs {
-		deg[p[0]]++
-		deg[p[1]]++
-	}
-	var run int64
-	for i := int32(0); i < s; i++ {
-		sg.AdjOffsets[i] = run
-		run += deg[i]
-	}
-	sg.AdjOffsets[s] = run
-	sg.Adj = make([]int32, run)
-	cursor := make([]int64, s)
-	copy(cursor, sg.AdjOffsets[:s])
-	for _, p := range pairs {
-		sg.Adj[cursor[p[0]]] = p[1]
-		cursor[p[0]]++
-		sg.Adj[cursor[p[1]]] = p[0]
-		cursor[p[1]]++
-	}
-	return sg
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 
 	"equitruss/internal/concur"
@@ -13,17 +12,6 @@ import (
 // spEdgeCancelStride is how many edges a SpEdge worker scans between ctx
 // polls inside its per-thread block.
 const spEdgeCancelStride = 2048
-
-// packPair packs a canonical (low-root, high-root) superedge into a single
-// comparable word for hashing, sorting, and deduplication.
-func packPair(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-func unpackPair(p uint64) (a, b int32) { return int32(p >> 32), int32(uint32(p)) }
 
 // spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal and
 // Afforest variants): every edge scans its triangles, and whenever it is
@@ -51,13 +39,13 @@ func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads in
 			}
 			g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
 				k1, k2 := tau[e1], tau[e2]
-				lowest := min32(k, min32(k1, k2))
+				lowest := min(k, k1, k2)
 				if k > lowest {
 					if lowest == k1 {
-						local = append(local, packPair(pi[e1], pi[e]))
+						local = append(local, graph.PackPair(pi[e1], pi[e]))
 					}
 					if lowest == k2 {
-						local = append(local, packPair(pi[e2], pi[e]))
+						local = append(local, graph.PackPair(pi[e2], pi[e]))
 					}
 				}
 				return true
@@ -106,15 +94,15 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 					w := nu[a]
 					a++
 					b++
-					e1, k1 := unpackInfo(dict[packKey(min32(u, w), max32(u, w))])
-					e2, k2 := unpackInfo(dict[packKey(min32(v, w), max32(v, w))])
-					lowest := min32(k, min32(k1, k2))
+					e1, k1 := unpackInfo(dict[graph.PackPair(u, w)])
+					e2, k2 := unpackInfo(dict[graph.PackPair(v, w)])
+					lowest := min(k, k1, k2)
 					if k > lowest {
 						if lowest == k1 {
-							local = append(local, packPair(pi[e1], pi[e]))
+							local = append(local, graph.PackPair(pi[e1], pi[e]))
 						}
 						if lowest == k2 {
-							local = append(local, packPair(pi[e2], pi[e]))
+							local = append(local, graph.PackPair(pi[e2], pi[e]))
 						}
 					}
 				}
@@ -157,16 +145,9 @@ func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.
 		for src := 0; src < nsrc; src++ {
 			all = append(all, partitioned[src][dst]...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		out := all[:0]
-		var prev uint64
-		for i, p := range all {
-			if i == 0 || p != prev {
-				out = append(out, p)
-			}
-			prev = p
-		}
-		if dropped := len(all) - len(out); dropped > 0 {
+		n := len(all)
+		out := SortDedupe(all)
+		if dropped := n - len(out); dropped > 0 {
 			atomic.AddInt64(&deduped, int64(dropped))
 		}
 		combined[dst] = out

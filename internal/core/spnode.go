@@ -14,28 +14,25 @@ import (
 // are defined for k >= 3 (Definition 7).
 const MinK = 3
 
-// packKey packs a canonical vertex pair into a map key for the Baseline
-// variant's edge dictionary.
-func packKey(u, v int32) int64 { return int64(u)<<32 | int64(uint32(v)) }
-
 // packInfo packs (eid, tau) into the Baseline dictionary value.
 func packInfo(eid, tau int32) int64 { return int64(eid)<<32 | int64(uint32(tau)) }
 
 func unpackInfo(v int64) (eid, tau int32) { return int32(v >> 32), int32(uint32(v)) }
 
 // edgeDict is the Baseline variant's "dictionary on the entire edge set":
-// a read-only hash map from packed endpoints to (edge ID, trussness). The
+// a read-only hash map from graph.PackPair endpoints to (edge ID,
+// trussness). The
 // C-Optimal variant replaces every lookup through this structure with the
 // CSR-aligned edge-ID array and a flat trussness buffer — exactly the
 // optimization described in §3.3 of the paper.
-type edgeDict map[int64]int64
+type edgeDict map[uint64]int64
 
 func buildEdgeDict(g *graph.Graph, tau []int32) edgeDict {
 	m := int32(g.NumEdges())
 	dict := make(edgeDict, m)
 	for e := int32(0); e < m; e++ {
 		ed := g.Edge(e)
-		dict[packKey(ed.U, ed.V)] = packInfo(e, tau[e])
+		dict[graph.PackPair(ed.U, ed.V)] = packInfo(e, tau[e])
 	}
 	return dict
 }
@@ -106,8 +103,8 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 							b++
 							// Dictionary lookups for both triangle edges —
 							// the cost C-Opt removes.
-							i1 := dict[packKey(min32(u, w), max32(u, w))]
-							i2 := dict[packKey(min32(v, w), max32(v, w))]
+							i1 := dict[graph.PackPair(u, w)]
+							i2 := dict[graph.PackPair(v, w)]
 							e1, k1 := unpackInfo(i1)
 							e2, k2 := unpackInfo(i2)
 							if k1 == int32(k) && k2 >= int32(k) {
@@ -186,20 +183,6 @@ func svHookSharded(pi *ds.ShardedMap, e, e1 int32) bool {
 		}
 	}
 	return false
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"equitruss/internal/core"
-	"equitruss/internal/gen"
 	"equitruss/internal/obs"
-	"equitruss/internal/testkit"
 )
 
 func TestTimingsArithmetic(t *testing.T) {
@@ -72,21 +70,5 @@ func TestTimingsEmitSpans(t *testing.T) {
 	}
 	if rep.Kernels[1].Wall != 3*time.Second {
 		t.Fatalf("SpNode wall = %v", rep.Kernels[1].Wall)
-	}
-}
-
-func TestAblationVariantsOnEmptyAndTiny(t *testing.T) {
-	// LP and BFS must handle graphs with no τ>=3 edges and single
-	// triangles like every other variant.
-	for _, variant := range core.AblationVariants {
-		g := gen.PaperFigure3()
-		tau := buildTau(t, g)
-		sg, tm := testkit.Summary(g, tau, variant, 2)
-		if err := sg.Validate(g); err != nil {
-			t.Fatalf("%s: %v", variant, err)
-		}
-		if tm.SpNode < 0 {
-			t.Fatalf("%s: negative SpNode time", variant)
-		}
 	}
 }

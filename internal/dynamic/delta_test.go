@@ -3,6 +3,8 @@ package dynamic
 import (
 	"math/rand"
 	"testing"
+
+	"equitruss/internal/graph"
 )
 
 // deltaOracle replays an op sequence twice — once on a tracked graph, once
@@ -17,12 +19,12 @@ func checkDeltaAgainstStates(t *testing.T, before map[uint64]int32, dg *Graph, d
 		switch {
 		case !ok:
 			if _, del := d.Deleted[k]; !del {
-				u, v := unpack(k)
+				u, v := graph.UnpackPair(k)
 				t.Fatalf("edge (%d,%d) vanished but is not in Deleted", u, v)
 			}
 		case ta != tb:
 			if ct, ch := d.Changed[k]; !ch || ct != ta {
-				u, v := unpack(k)
+				u, v := graph.UnpackPair(k)
 				t.Fatalf("edge (%d,%d) moved %d→%d; Changed has (%v)", u, v, tb, ta, d.Changed[k])
 			}
 		}
@@ -30,7 +32,7 @@ func checkDeltaAgainstStates(t *testing.T, before map[uint64]int32, dg *Graph, d
 	for k, ta := range after {
 		if _, was := before[k]; !was {
 			if it, ins := d.Inserted[k]; !ins || it != ta {
-				u, v := unpack(k)
+				u, v := graph.UnpackPair(k)
 				t.Fatalf("edge (%d,%d) appeared (τ=%d) but Inserted has (%v)", u, v, ta, d.Inserted[k])
 			}
 		}
@@ -93,7 +95,7 @@ func TestDeltaBasicInsertDelete(t *testing.T) {
 	}
 	d := dg.Delta()
 	checkDeltaAgainstStates(t, before, dg, d)
-	if _, ok := d.Inserted[pack(0, 3)]; !ok {
+	if _, ok := d.Inserted[graph.PackPair(0, 3)]; !ok {
 		t.Fatalf("insert (0,3) not reported: %+v", d)
 	}
 
@@ -103,18 +105,18 @@ func TestDeltaBasicInsertDelete(t *testing.T) {
 	dg.DeleteEdge(0, 1)
 	d = dg.Delta()
 	checkDeltaAgainstStates(t, before, dg, d)
-	if _, ok := d.Deleted[pack(0, 1)]; !ok {
+	if _, ok := d.Deleted[graph.PackPair(0, 1)]; !ok {
 		t.Fatalf("delete (0,1) not reported: %+v", d)
 	}
-	for _, partner := range []uint64{pack(0, 2), pack(1, 2)} {
+	for _, partner := range []uint64{graph.PackPair(0, 2), graph.PackPair(1, 2)} {
 		_, ch := d.Changed[partner]
 		_, to := d.Touched[partner]
 		if !ch && !to {
-			u, v := unpack(partner)
+			u, v := graph.UnpackPair(partner)
 			t.Fatalf("partner (%d,%d) of deleted edge neither changed nor touched: %+v", u, v, d)
 		}
 	}
-	if _, ok := d.Inserted[pack(0, 3)]; !ok {
+	if _, ok := d.Inserted[graph.PackPair(0, 3)]; !ok {
 		t.Fatal("open window dropped the earlier insert")
 	}
 
@@ -144,10 +146,10 @@ func TestDeltaNetsOutInsertDeleteCycles(t *testing.T) {
 	}
 	d := dg.Delta()
 	checkDeltaAgainstStates(t, before, dg, d)
-	if _, ok := d.Inserted[pack(1, 3)]; ok {
+	if _, ok := d.Inserted[graph.PackPair(1, 3)]; ok {
 		t.Fatal("insert-then-delete reported as Inserted")
 	}
-	if _, ok := d.Deleted[pack(1, 3)]; ok {
+	if _, ok := d.Deleted[graph.PackPair(1, 3)]; ok {
 		t.Fatal("insert-then-delete reported as Deleted")
 	}
 
@@ -161,13 +163,13 @@ func TestDeltaNetsOutInsertDeleteCycles(t *testing.T) {
 	}
 	d = dg.Delta()
 	checkDeltaAgainstStates(t, before, dg, d)
-	if _, ok := d.Changed[pack(0, 1)]; !ok {
+	if _, ok := d.Changed[graph.PackPair(0, 1)]; !ok {
 		t.Fatalf("delete-then-reinsert not in Changed: %+v", d)
 	}
-	if _, ok := d.Inserted[pack(0, 1)]; ok {
+	if _, ok := d.Inserted[graph.PackPair(0, 1)]; ok {
 		t.Fatal("delete-then-reinsert in Inserted")
 	}
-	if _, ok := d.Deleted[pack(0, 1)]; ok {
+	if _, ok := d.Deleted[graph.PackPair(0, 1)]; ok {
 		t.Fatal("delete-then-reinsert in Deleted")
 	}
 }

@@ -45,15 +45,6 @@ type Graph struct {
 	touchAcc map[uint64]struct{}
 }
 
-func pack(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
-func unpack(p uint64) (u, v int32) { return int32(p >> 32), int32(uint32(p)) }
-
 // New returns an empty dynamic graph with capacity for n vertices (grown
 // automatically as edges mention larger IDs).
 func New(n int32) *Graph {
@@ -69,7 +60,7 @@ func FromStatic(g *graph.Graph, tau []int32) *Graph {
 	for eid, e := range g.Edges() {
 		dg.ensure(e.V)
 		dg.link(e.U, e.V)
-		dg.tau[pack(e.U, e.V)] = tau[eid]
+		dg.tau[graph.PackPair(e.U, e.V)] = tau[eid]
 		dg.m++
 	}
 	return dg
@@ -83,7 +74,7 @@ func (dg *Graph) NumEdges() int64 { return dg.m }
 
 // Trussness returns τ(u, v) and whether the edge exists.
 func (dg *Graph) Trussness(u, v int32) (int32, bool) {
-	t, ok := dg.tau[pack(u, v)]
+	t, ok := dg.tau[graph.PackPair(u, v)]
 	return t, ok
 }
 
@@ -151,7 +142,7 @@ func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
 	if u == v {
 		return false, fmt.Errorf("dynamic: self-loop (%d, %d)", u, u)
 	}
-	key := pack(u, v)
+	key := graph.PackPair(u, v)
 	if _, ok := dg.tau[key]; ok {
 		return false, nil
 	}
@@ -177,8 +168,8 @@ func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
 	// lowering pass).
 	var mins []int32
 	dg.forEachTriangle(u, v, func(w int32) {
-		t1 := dg.tau[pack(u, w)]
-		t2 := dg.tau[pack(v, w)]
+		t1 := dg.tau[graph.PackPair(u, w)]
+		t2 := dg.tau[graph.PackPair(v, w)]
 		if t2 < t1 {
 			t1 = t2
 		}
@@ -215,7 +206,7 @@ func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
 // DeleteEdge removes (u, v) and restores exact trussness. Returns false if
 // the edge does not exist.
 func (dg *Graph) DeleteEdge(u, v int32) bool {
-	key := pack(u, v)
+	key := graph.PackPair(u, v)
 	if _, ok := dg.tau[key]; !ok {
 		return false
 	}
@@ -224,7 +215,7 @@ func (dg *Graph) DeleteEdge(u, v int32) bool {
 	pending := map[uint64]int32{}
 	var seeds []uint64
 	dg.forEachTriangle(u, v, func(w int32) {
-		seeds = append(seeds, pack(u, w), pack(v, w))
+		seeds = append(seeds, graph.PackPair(u, w), graph.PackPair(v, w))
 	})
 	dg.unlink(u, v)
 	delete(dg.tau, key)
@@ -260,9 +251,9 @@ func (dg *Graph) reachableAtLevel(start uint64, k int32) []uint64 {
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
-		u, v := unpack(e)
+		u, v := graph.UnpackPair(e)
 		dg.forEachTriangle(u, v, func(w int32) {
-			e1, e2 := pack(u, w), pack(v, w)
+			e1, e2 := graph.PackPair(u, w), graph.PackPair(v, w)
 			t1, t2 := dg.tau[e1], dg.tau[e2]
 			if t1 < k || t2 < k {
 				return
@@ -304,11 +295,11 @@ func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
 			pending[e] = truss.MinTrussness
 			continue
 		}
-		u, v := unpack(e)
+		u, v := graph.UnpackPair(e)
 		var s int32
 		dg.forEachTriangle(u, v, func(w int32) {
-			t1 := cur(dg.tau, pending, pack(u, w))
-			t2 := cur(dg.tau, pending, pack(v, w))
+			t1 := cur(dg.tau, pending, graph.PackPair(u, w))
+			t2 := cur(dg.tau, pending, graph.PackPair(v, w))
 			if t1 >= k && t2 >= k {
 				s++
 			}
@@ -324,7 +315,7 @@ func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
 			inQueue[e] = true
 		}
 		dg.forEachTriangle(u, v, func(w int32) {
-			for _, p := range [2]uint64{pack(u, w), pack(v, w)} {
+			for _, p := range [2]uint64{graph.PackPair(u, w), graph.PackPair(v, w)} {
 				if cur(dg.tau, pending, p) == k && !inQueue[p] {
 					if _, tracked := pending[p]; !tracked {
 						pending[p] = k
@@ -351,7 +342,7 @@ func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
 func (dg *Graph) ToStatic() (*graph.Graph, []int32, error) {
 	edges := make([]graph.Edge, 0, dg.m)
 	for key := range dg.tau {
-		u, v := unpack(key)
+		u, v := graph.UnpackPair(key)
 		edges = append(edges, graph.Edge{U: u, V: v})
 	}
 	g, err := graph.FromEdgeList(edges, dg.NumVertices())
@@ -360,13 +351,13 @@ func (dg *Graph) ToStatic() (*graph.Graph, []int32, error) {
 	}
 	tau := make([]int32, g.NumEdges())
 	for eid, e := range g.Edges() {
-		tau[eid] = dg.tau[pack(e.U, e.V)]
+		tau[eid] = dg.tau[graph.PackPair(e.U, e.V)]
 	}
 	return g, tau, nil
 }
 
 // Delta describes the net effect of the operations applied since the last
-// ResetDelta, in terms of canonically packed edge keys (Pack/Unpack). It is
+// ResetDelta, in terms of canonically packed edge keys (graph.PackPair). It is
 // exactly the input the incremental summary-graph repair needs: which edges
 // appeared, which disappeared, which survivors carry a different trussness,
 // and which survivors lost a triangle to a deletion without moving.
@@ -398,13 +389,6 @@ func (d Delta) Size() int {
 
 // Empty reports whether the delta names no edges at all.
 func (d Delta) Empty() bool { return d.Size() == 0 }
-
-// Pack returns the canonical packed key for an edge, the key space Delta
-// maps are indexed by.
-func Pack(u, v int32) uint64 { return pack(u, v) }
-
-// Unpack splits a packed key into its (low, high) endpoints.
-func Unpack(p uint64) (u, v int32) { return unpack(p) }
 
 // TrackDeltas enables (or disables) delta accumulation. Disabled graphs pay
 // nothing per update; enabling starts an empty window. The live applier

@@ -24,7 +24,7 @@ func oracleTau(t testing.TB, dg *Graph) map[uint64]int32 {
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	out := make(map[uint64]int32)
 	for eid, e := range g.Edges() {
-		out[pack(e.U, e.V)] = tau[eid]
+		out[graph.PackPair(e.U, e.V)] = tau[eid]
 	}
 	return out
 }
@@ -38,7 +38,7 @@ func assertExact(t testing.TB, dg *Graph, context string) {
 	}
 	for key, w := range want {
 		if got[key] != w {
-			u, v := unpack(key)
+			u, v := graph.UnpackPair(key)
 			t.Fatalf("%s: τ(%d,%d) = %d, oracle %d", context, u, v, got[key], w)
 		}
 	}
@@ -156,7 +156,7 @@ func TestRandomChurnMatchesOracle(t *testing.T) {
 			}
 			for key, w := range want {
 				if got[key] != w {
-					uu, vv := unpack(key)
+					uu, vv := graph.UnpackPair(key)
 					t.Logf("seed %d op %d: τ(%d,%d)=%d oracle %d", seed, op, uu, vv, got[key], w)
 					return false
 				}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"equitruss/internal/gen"
+	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
@@ -86,7 +87,7 @@ func TestDuplicateInsertsInBatch(t *testing.T) {
 	}
 	for key, w := range want {
 		if got[key] != w {
-			u, v := unpack(key)
+			u, v := graph.UnpackPair(key)
 			t.Fatalf("τ(%d,%d) = %d, deduped reference %d", u, v, got[key], w)
 		}
 	}
@@ -114,7 +115,7 @@ func TestInsertThenDeleteSameEdgeInBatch(t *testing.T) {
 	}
 	for key, w := range before {
 		if after[key] != w {
-			u, v := unpack(key)
+			u, v := graph.UnpackPair(key)
 			t.Fatalf("τ(%d,%d) drifted: %d -> %d", u, v, w, after[key])
 		}
 	}

@@ -26,6 +26,19 @@ func (e Edge) Canonical() Edge {
 	return e
 }
 
+// PackPair packs an unordered int32 pair into one canonical (low, high)
+// word: the key of every edge map, superedge set and pair sort in the
+// pipeline. Packed words order like their (low, high) pairs.
+func PackPair(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
+}
+
+// UnpackPair splits a PackPair word into its (low, high) halves.
+func UnpackPair(p uint64) (lo, hi int32) { return int32(p >> 32), int32(uint32(p)) }
+
 // Graph is an immutable simple undirected graph in CSR form.
 type Graph struct {
 	offsets []int64 // len n+1; offsets[v]..offsets[v+1] index adj/adjEID

@@ -194,3 +194,30 @@ func TestSavedIndexBytesPinned(t *testing.T) {
 		t.Fatal("SaveIndex and SaveIndexFile wrote different bytes")
 	}
 }
+
+// TestSavedIndexBytesDeterministic: building one graph twice writes the
+// same index bytes, for every variant — the superedge order may depend on
+// nothing a map iteration or the scheduler decides.
+func TestSavedIndexBytesDeterministic(t *testing.T) {
+	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 3)
+	for _, variant := range core.Variants {
+		var saved [2][]byte
+		for i := range saved {
+			ix, err := equitruss.BuildIndex(g, equitruss.Options{Variant: variant, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := ix.SG.NumSuperedges(); n < 200 {
+				t.Fatalf("%s: %d superedges, too few to expose an order that varies", variant, n)
+			}
+			var buf bytes.Buffer
+			if err := equitruss.SaveIndex(&buf, ix.SG); err != nil {
+				t.Fatal(err)
+			}
+			saved[i] = buf.Bytes()
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Errorf("%s: two builds of one graph saved different index bytes", variant)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 
 // TestStressModerateRMAT is the belt-and-braces integration run: a
 // moderately sized skewed graph through the whole pipeline with every
-// variant (including the §3.1 ablation strategies), checking exact
+// variant, checking exact
 // agreement of indexes, structural validity, and a sample of community
 // queries against the direct oracle.
 func TestStressModerateRMAT(t *testing.T) {
@@ -37,8 +37,7 @@ func TestStressModerateRMAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := want.Canonical(g)
-	variants := append(append([]core.Variant(nil), core.ParallelVariants...), core.AblationVariants...)
-	for _, v := range variants {
+	for _, v := range core.ParallelVariants {
 		got, _ := testkit.Summary(g, tauS, v, 0)
 		if err := got.Validate(g); err != nil {
 			t.Fatalf("%s: %v", v, err)
