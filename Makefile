@@ -21,13 +21,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The gate every change must pass: vet, vulnerability scan (when the
+# The gate every change must pass: gofmt over the whole tree (the nested
+# benchmark module included), vet, vulnerability scan (when the
 # scanner is installed), build, full tests, the race-detector subset
 # covering the shared-state hot spots (schedulers, the triangle, peel and
 # index-construction kernels, the community index, observability) at one worker thread and at
 # more workers than the box has cores, the chaos suite, and the nested
 # lifecycle-benchmark module.
 ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \

@@ -402,7 +402,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 		}
 	}
 	retained = core.SortDedupe(retained)
-	var recomputed []uint64
+	sink := core.NewPairSink()
 	for _, ne := range region {
 		gNew.ForEachTriangleOf(ne, func(w, e1, e2 int32) bool {
 			trio := [3]int32{ne, e1, e2}
@@ -425,7 +425,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 							invariantErr = fmt.Errorf("community: triangle edge with τ>=3 outside partition (%d,%d)", trio[x], trio[y])
 							return false
 						}
-						recomputed = append(recomputed, graph.PackPair(a, b))
+						sink.Add(graph.PackPair(a, b))
 					}
 				}
 			}
@@ -435,7 +435,7 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 			return nil, st, invariantErr
 		}
 	}
-	recomputed = core.SortDedupe(recomputed)
+	recomputed := core.SortDedupe(sink.Pairs)
 	for _, p := range recomputed {
 		if _, found := slices.BinarySearch(retained, p); found {
 			continue

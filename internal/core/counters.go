@@ -18,7 +18,9 @@ var (
 	cUnionFindRetries = obs.GetCounter("unionfind_cas_retries",
 		"union-find hook CASes retried under contention (Afforest forests)")
 	cSpEdgeEmitted = obs.GetCounter("spedge_emitted",
-		"superedge candidates emitted into thread-local subsets by SpEdge")
+		"superedge candidates appended to thread-local subsets by SpEdge")
+	cSpEdgeFiltered = obs.GetCounter("spedge_filtered",
+		"repeated superedge candidates SpEdge's per-thread filter dropped before appending")
 	cSmGraphDeduped = obs.GetCounter("smgraph_superedges_deduped",
 		"duplicate superedge candidates removed by the SmGraph merge")
 	cSmGraphFinal = obs.GetCounter("smgraph_superedges_final",

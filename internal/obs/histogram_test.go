@@ -8,11 +8,11 @@ import (
 
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram("lat", "test latencies")
-	h.Observe(0)                    // bucket 0
-	h.Observe(1 * time.Nanosecond)  // bucket 1: [1,2)
-	h.Observe(3 * time.Nanosecond)  // bucket 2: [2,4)
+	h.Observe(0)                      // bucket 0
+	h.Observe(1 * time.Nanosecond)    // bucket 1: [1,2)
+	h.Observe(3 * time.Nanosecond)    // bucket 2: [2,4)
 	h.Observe(1024 * time.Nanosecond) // bucket 11: [1024,2048)
-	h.Observe(-5 * time.Second)     // clamped to 0 → bucket 0
+	h.Observe(-5 * time.Second)       // clamped to 0 → bucket 0
 	s := h.Snapshot()
 	if s.Count != 5 {
 		t.Fatalf("count = %d, want 5", s.Count)

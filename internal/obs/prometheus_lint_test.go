@@ -21,10 +21,10 @@ func fullFixtureRegistry() *Registry {
 		emit(GaugeValue{Name: "collected", Help: "from a collector", Value: 7})
 	})
 	h := r.Histogram("request_latency", "request wall time")
-	h.Observe(900 * time.Nanosecond)   // bucket 10
-	h.Observe(900 * time.Nanosecond)   // bucket 10
-	h.Observe(70 * time.Microsecond)   // bucket 17
-	h.Observe(3 * time.Millisecond)    // bucket 22
+	h.Observe(900 * time.Nanosecond) // bucket 10
+	h.Observe(900 * time.Nanosecond) // bucket 10
+	h.Observe(70 * time.Microsecond) // bucket 17
+	h.Observe(3 * time.Millisecond)  // bucket 22
 	r.Histogram("empty_latency", "never observed")
 	return r
 }
@@ -64,7 +64,7 @@ func TestPrometheusFullGolden(t *testing.T) {
 // ending in +Inf with a count that matches.
 func lintExposition(t *testing.T, out string) {
 	t.Helper()
-	typed := map[string]string{}  // family -> type
+	typed := map[string]string{} // family -> type
 	helped := map[string]bool{}
 	sampled := map[string]bool{} // family -> samples seen
 	type bucketState struct {

@@ -708,7 +708,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"index_load_seconds": s.indexLoadSeconds,
 		"mmap_bytes":         s.mmapBytes,
 	}
-	if ep := s.epoch(); ep != nil {
+	ep := s.epoch()
+	if ep != nil {
 		doc["epoch"] = ep.num
 		doc["applied_seq"] = ep.seq
 		doc["vertices"] = ep.idx.G.NumVertices()
@@ -726,6 +727,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if m := s.live; m != nil {
 		acked, applied := m.ackedSeq.Load(), m.appliedSeq.Load()
+		if ep != nil {
+			// The applier stores appliedSeq just after it swaps the epoch
+			// in, so appliedSeq read now can be ahead of the epoch loaded
+			// above; the epoch's own sequence is the one its checksums
+			// reflect. acked, read after the epoch, is never behind it.
+			applied = ep.seq
+		}
 		doc["acked_seq"] = acked
 		doc["applied_seq"] = applied
 		doc["staleness"] = acked - applied

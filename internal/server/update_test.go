@@ -120,6 +120,28 @@ func TestUpdateAcksAndApplies(t *testing.T) {
 	}
 }
 
+// TestHealthzAppliedSeqMatchesChecksums: /healthz's applied_seq is the
+// sequence of the epoch whose checksums it reports. The applier stores its
+// applied sequence just after the epoch swap, so a probe that read the old
+// epoch can still see the new sequence; reporting that would let a client
+// that waits for applied_seq compare the previous epoch's checksums. The
+// test holds the applier in that window by moving the sequence by hand.
+func TestHealthzAppliedSeqMatchesChecksums(t *testing.T) {
+	s, ts := newLiveServer(t, "clique", nil)
+	var before map[string]any
+	getJSON(t, ts, "/healthz", &before)
+	s.live.ackedSeq.Store(1)
+	s.live.appliedSeq.Store(1)
+	var doc map[string]any
+	getJSON(t, ts, "/healthz", &doc)
+	if doc["applied_seq"].(float64) != 0 || doc["staleness"].(float64) != 1 {
+		t.Fatalf("applied_seq %v, staleness %v for an epoch at sequence 0", doc["applied_seq"], doc["staleness"])
+	}
+	if fmt.Sprint(doc["checksums"]) != fmt.Sprint(before["checksums"]) {
+		t.Fatalf("checksums moved without a publish: %v, then %v", before["checksums"], doc["checksums"])
+	}
+}
+
 // TestCacheInvalidatedAcrossEpochs is the satellite regression test: a
 // cached (vertex, k) answer from the pre-update epoch must not be returned
 // after the update publishes a new epoch.

@@ -175,7 +175,7 @@ type WAL struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	size    int64 // offset of the next record (all complete records end here)
+	size    int64  // offset of the next record (all complete records end here)
 	base    uint64 // sequence floor from the header: every record has seq > base
 	lastSeq uint64
 	err     error // sticky poison
