@@ -327,7 +327,9 @@ type Hierarchy = community.Hierarchy
 type HierarchyStats = community.HierarchyStats
 
 // CommunityRef is a compact reference to one community: O(1) edge/vertex
-// counts, lazy edge materialization.
+// counts, lazy edge materialization, and a vertex list built once per
+// hierarchy and memoised there. Vertices returns a copy the caller owns;
+// AppendVertices appends one to a caller's buffer.
 type CommunityRef = community.Ref
 
 // BuildSummary runs the same pipeline but returns only the summary graph

@@ -28,18 +28,7 @@ type Community struct {
 
 // Vertices returns the sorted distinct vertices spanned by the community.
 func (c *Community) Vertices() []int32 {
-	seen := make(map[int32]struct{}, 2*len(c.Edges))
-	for _, e := range c.Edges {
-		ed := c.g.Edge(e)
-		seen[ed.U] = struct{}{}
-		seen[ed.V] = struct{}{}
-	}
-	out := make([]int32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return appendEdgeVertices(nil, c.g, c.Edges)
 }
 
 // Subgraph materializes the community as its own graph (original vertex
@@ -145,22 +134,26 @@ func (idx *Index) CommunitiesBFS(v int32, k int32) []*Community {
 		if sg.K[seed] < k || visited.Get(int(seed)) {
 			continue
 		}
-		// BFS over qualifying supernodes.
-		var members []int32
-		stack := []int32{seed}
+		// BFS over qualifying supernodes; the queue ends up holding the
+		// whole region, whose member edges are then gathered in one pass.
+		queue := []int32{seed}
 		visited.Set(int(seed))
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, sg.SupernodeEdges(s)...)
+		size := int64(0)
+		for i := 0; i < len(queue); i++ {
+			s := queue[i]
+			size += sg.SupernodeEdgeCount(s)
 			for _, nb := range sg.SupernodeNeighbors(s) {
 				if sg.K[nb] >= k && !visited.Get(int(nb)) {
 					visited.Set(int(nb))
-					stack = append(stack, nb)
+					queue = append(queue, nb)
 				}
 			}
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		members := make([]int32, 0, size)
+		for _, s := range queue {
+			members = append(members, sg.SupernodeEdges(s)...)
+		}
+		members = appendSortedDistinct(members[:0], members, int(idx.G.NumEdges()))
 		result = append(result, &Community{K: k, Edges: members, g: idx.G})
 	}
 	return result
@@ -228,7 +221,7 @@ func DirectCommunities(g *graph.Graph, tau []int32, v int32, k int32) []*Communi
 				return true
 			})
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		members = appendSortedDistinct(members[:0], members, m)
 		result = append(result, &Community{K: k, Edges: members, g: g})
 	}
 	return result

@@ -1,8 +1,6 @@
 package community
 
 import (
-	"sort"
-
 	"equitruss/internal/core"
 	"equitruss/internal/ds"
 )
@@ -37,7 +35,7 @@ func (idx *Index) AllCommunitiesBFS(k int32) []*Community {
 				}
 			}
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		members = appendSortedDistinct(members[:0], members, int(idx.G.NumEdges()))
 		out = append(out, &Community{K: k, Edges: members, g: idx.G})
 	}
 	return CanonicalizeCommunities(out)

@@ -71,6 +71,10 @@ type Hierarchy struct {
 	// number of k-communities — exactly the answer space it serves.
 	levelOff   []int64
 	levelNodes []int32
+
+	// vmemo is the per-node vertex-list memo (vertexmemo.go), allocated on
+	// the first vertex-list read so building a hierarchy never pays for it.
+	vmemo atomic.Pointer[vertexMemo]
 }
 
 // NumNodes returns the number of merge-forest nodes.

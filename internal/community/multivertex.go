@@ -69,7 +69,7 @@ func (idx *Index) CommunitySupernodes(v int32, k int32) [][]int32 {
 				}
 			}
 		}
-		sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
+		sns = appendSortedDistinct(sns[:0], sns, int(sg.NumSupernodes()))
 		result = append(result, sns)
 	}
 	return result

@@ -54,7 +54,8 @@ func (idx *Index) PrepareHierarchy(ctx context.Context, threads int, tr *obs.Tra
 // Ref is a compact reference to one k-truss community: its forest node plus
 // the queried level. Sizes (edge and vertex counts) read precomputed
 // per-node totals without touching the member edges; the edge list is
-// materialized only when Community or Edges is called. Refs are small
+// materialized only when Community or Edges is called, and the vertex list
+// is read from the node's per-epoch memo by AppendVertices. Refs are small
 // immutable values, which is what makes them cheap to cache.
 type Ref struct {
 	K    int32 // normalized query level
@@ -77,9 +78,21 @@ func (r Ref) MinEdge() int32 { return r.h.nodeMin[r.node] }
 // to the answer.
 func (r Ref) Edges() []int32 {
 	out := r.h.appendCommunityEdges(r.idx.SG, r.node, make([]int32, 0, r.h.edges[r.node]))
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return appendSortedDistinct(out[:0], out, int(r.idx.G.NumEdges()))
 }
+
+// AppendVertices appends the community's sorted distinct vertices to dst.
+// The list is built on the first read of its hierarchy node and memoised
+// there for the life of the hierarchy, i.e. of the published epoch; every
+// later call is one O(answer) copy that allocates nothing when dst has
+// room.
+func (r Ref) AppendVertices(dst []int32) []int32 {
+	return append(dst, r.h.vertices(r.idx, r.node)...)
+}
+
+// Vertices returns the community's sorted distinct vertices as a fresh
+// copy the caller owns.
+func (r Ref) Vertices() []int32 { return r.AppendVertices(nil) }
 
 // Community materializes the referenced community in the classic form.
 func (r Ref) Community() *Community {

@@ -157,8 +157,10 @@ type Server struct {
 	mmapBytes        int64
 
 	// testHook, when set, runs inside every query computation — tests use
-	// it to hold requests open across a shutdown.
-	testHook func()
+	// it to hold requests open across a shutdown. renderHook runs before
+	// each answer is rendered; tests use it to stand in for a slow render.
+	testHook   func()
+	renderHook func()
 }
 
 // New builds a Server over a query-ready index: a pending server with the
@@ -348,18 +350,24 @@ type queryDoc struct {
 	Communities []communityDoc `json:"communities"`
 }
 
-func renderQuery(v, k int32, refs []community.Ref, cached, withVertices, withEdges bool) queryDoc {
+// renderQuery builds the answer document for one lookup. Vertex lists are
+// copied out of the hierarchy's per-epoch memo into rb.ids; a slice taken
+// before rb.ids regrows keeps pointing at the old array, which nothing
+// writes again, so every list stays valid until rb is released.
+func (s *Server) renderQuery(rb *renderBuf, v, k int32, refs []community.Ref, cached, withVertices, withEdges bool) queryDoc {
+	if s.renderHook != nil {
+		s.renderHook()
+	}
 	doc := queryDoc{Vertex: v, K: k, Count: len(refs), Cached: cached, Communities: make([]communityDoc, len(refs))}
 	for i, ref := range refs {
 		cd := communityDoc{K: ref.K, Size: int(ref.NumVertices()), NumEdges: int(ref.NumEdges())}
-		if withVertices || withEdges {
-			c := ref.Community()
-			if withVertices {
-				cd.Vertices = c.Vertices()
-			}
-			if withEdges {
-				cd.Edges = c.Edges
-			}
+		if withVertices {
+			start := len(rb.ids)
+			rb.ids = ref.AppendVertices(rb.ids)
+			cd.Vertices = rb.ids[start:]
+		}
+		if withEdges {
+			cd.Edges = ref.Edges()
 		}
 		doc.Communities[i] = cd
 	}
@@ -483,7 +491,11 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	}
 	info.CacheHit = cached
 	st = rq.StartStage("encode")
-	writeJSON(w, http.StatusOK, renderQuery(v, k, refs, cached, withVertices, withEdges))
+	rb := getRenderBuf()
+	doc := s.renderQuery(rb, v, k, refs, cached, withVertices, withEdges)
+	rb.body = appendQueryDoc(rb.body, &doc)
+	writeBody(w, rb.body)
+	rb.release()
 	st.End()
 	span.EndItems(1)
 }
@@ -684,12 +696,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.cache.Put(ep.num, missQ[slot].Vertex, missQ[slot].K, out[slot])
 		}
 	}
+	// Rendering reads the vertex lists, so it is timed as encoding, as on
+	// /community.
+	st = rq.StartStage("encode")
+	rb := getRenderBuf()
 	resp := batchResponse{Results: make([]queryDoc, len(req.Queries))}
 	for i, q := range req.Queries {
-		resp.Results[i] = renderQuery(q.V, norm[i], results[i], cached[i], req.Vertices, req.Edges)
+		resp.Results[i] = s.renderQuery(rb, q.V, norm[i], results[i], cached[i], req.Vertices, req.Edges)
 	}
-	st = rq.StartStage("encode")
-	writeJSON(w, http.StatusOK, resp)
+	rb.body = appendBatchResponse(rb.body, &resp)
+	writeBody(w, rb.body)
+	rb.release()
 	st.End()
 	cBatchQueries.Add(int64(len(req.Queries)))
 	span.EndItems(int64(len(req.Queries)))
