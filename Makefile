@@ -58,11 +58,12 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 benchcheck:
 	$(GO) run ./cmd/benchsuite -experiment fig2,fig4,fig8,support,peel,query -scale 0.05 -out bench/
 
-# Race-enabled server smoke: 64 concurrent clients hammer one handler
-# (httptest) mixing cached singles and pooled batches, answers checked
-# against a precomputed oracle.
+# Race-enabled server smoke at one and four CPUs: 64 concurrent clients
+# hammer one handler (httptest) mixing singles, half of them filling
+# vertex memos, with pooled batches, answers checked against a
+# precomputed oracle.
 serversmoke:
-	$(GO) test -race -run 'TestServerSmokeConcurrent|TestGracefulShutdownDrainsInflight' ./internal/server
+	$(GO) test -race -cpu 1,4 -run 'TestServerSmokeConcurrent|TestGracefulShutdownDrainsInflight' ./internal/server
 
 # Race-enabled observability proof: concurrent mixed load against one
 # handler with 1-in-1 sampling, then asserts /metrics exposes the latency

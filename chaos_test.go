@@ -268,7 +268,7 @@ func TestChaosServerSurvives(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	ts := httptest.NewServer(equitruss.NewHandler(idx, equitruss.ServeOptions{
-		Workers: 4, MaxInFlight: 64, CacheSize: -1, // no cache: every query walks the fault site
+		Workers: 4, MaxInFlight: 64,
 	}))
 	faults.Enable(13)
 	defer faults.Disable()

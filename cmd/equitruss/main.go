@@ -71,7 +71,7 @@ func usage() {
   equitruss query -graph <...> (-index index.bin | -variant ...) -vertex V -k K
   equitruss stats -graph <...> [-variant ...] [-support-kernel ...] [-peel-kernel ...] [-threads N]
   equitruss export -graph <...> [-what summary|graph] [-out file.dot]
-  equitruss serve -graph <...> [-index index.bin | -variant ...] [-addr :8080] [-cache N] [-workers N] [-maxbatch N] [-drain 10s] [-log-format text|json] [-sample N] [-slow 250ms]
+  equitruss serve -graph <...> [-index index.bin | -variant ...] [-addr :8080] [-workers N] [-maxbatch N] [-drain 10s] [-log-format text|json] [-sample N] [-slow 250ms]
   equitruss version
 `)
 }

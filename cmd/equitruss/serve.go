@@ -39,7 +39,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	variantName := fs.String("variant", "afforest", "variant to build with if no -index given")
 	threads := fs.Int("threads", 0, "build threads (0 = all cores)")
 	addr := fs.String("addr", ":8080", "listen address")
-	cacheSize := fs.Int("cache", 0, "LRU result-cache entries (0 = default 4096, negative disables)")
 	workers := fs.Int("workers", 0, "max goroutines executing queries (0 = all cores)")
 	maxBatch := fs.Int("maxbatch", 0, "max queries per /batch request (0 = default 10000)")
 	maxInFlight := fs.Int("maxinflight", 0, "max concurrent query requests before shedding with 429 (0 = default 256, negative = unlimited)")
@@ -123,7 +122,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	}
 	opts := equitruss.ServeOptions{
 		Addr:           *addr,
-		CacheSize:      *cacheSize,
 		Workers:        *workers,
 		MaxBatch:       *maxBatch,
 		MaxInFlight:    *maxInFlight,

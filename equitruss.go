@@ -531,9 +531,6 @@ func OpenIndexFile(path string, g *Graph, verify VerifyMode) (*Index, LoadStats,
 type ServeOptions struct {
 	// Addr is the listen address for Serve; empty means ":8080".
 	Addr string
-	// CacheSize is the LRU result-cache capacity in entries; 0 selects the
-	// default (4096), negative disables caching.
-	CacheSize int
 	// Workers caps the goroutines concurrently executing queries across all
 	// in-flight requests; <= 0 selects one per usable CPU.
 	Workers int
@@ -553,7 +550,7 @@ type ServeOptions struct {
 	// Tracer, when non-nil, records one latency span per request. Spans
 	// accumulate unbounded — diagnostic runs only.
 	Tracer *Tracer
-	// TraceSampleN records a full stage trace (parse → pool wait → cache →
+	// TraceSampleN records a full stage trace (parse → pool wait →
 	// hierarchy query → encode) for one in every TraceSampleN requests,
 	// retained for GET /debug/requests. 0 selects the default (64), 1
 	// traces every request, negative disables sampling.
@@ -566,7 +563,7 @@ type ServeOptions struct {
 	// (recent and slow); 0 selects the default (64).
 	DebugRing int
 	// Logger receives one structured record per request (request_id,
-	// vertex, k, status, duration, cache_hit). Nil selects the process-wide
+	// vertex, k, status, duration). Nil selects the process-wide
 	// default.
 	Logger *slog.Logger
 	// OnListen, when non-nil, receives the bound address once the listener
@@ -586,7 +583,6 @@ type ServeOptions struct {
 // serverConfig maps the public options onto the internal server config.
 func (opt ServeOptions) serverConfig() server.Config {
 	return server.Config{
-		CacheSize:        opt.CacheSize,
 		Workers:          opt.Workers,
 		MaxBatch:         opt.MaxBatch,
 		MaxInFlight:      opt.MaxInFlight,
@@ -604,7 +600,7 @@ func (opt ServeOptions) serverConfig() server.Config {
 // Serve answers community queries from the index over HTTP/JSON until ctx
 // is cancelled, then drains in-flight requests and returns. Endpoints:
 // GET /community?v=&k=, POST /batch, GET /healthz, GET /metrics (Prometheus
-// text, including the LRU cache hit/miss counters). See docs/SERVING.md.
+// text). See docs/SERVING.md.
 func Serve(ctx context.Context, ix *Index, opt ServeOptions) error {
 	if ix == nil {
 		return fmt.Errorf("equitruss: nil index")

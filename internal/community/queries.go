@@ -1,8 +1,9 @@
 package community
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"equitruss/internal/core"
 	"equitruss/internal/obs"
@@ -56,7 +57,7 @@ func (idx *Index) PrepareHierarchy(ctx context.Context, threads int, tr *obs.Tra
 // per-node totals without touching the member edges; the edge list is
 // materialized only when Community or Edges is called, and the vertex list
 // is read from the node's per-epoch memo by AppendVertices. Refs are small
-// immutable values, which is what makes them cheap to cache.
+// immutable values that stay valid for the life of their epoch.
 type Ref struct {
 	K    int32 // normalized query level
 	node int32
@@ -132,18 +133,7 @@ func (idx *Index) CommunityRefs(v int32, k int32) []Ref {
 			refs = append(refs, Ref{K: k, node: node, h: h, idx: idx})
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool { return h.nodeMin[refs[i].node] < h.nodeMin[refs[j].node] })
-	return refs
-}
-
-// CommunityRefsCtx is CommunityRefs with request-scoped observability: when
-// ctx carries a sampled request (obs.Req), the hierarchy walk is recorded
-// as a "hierarchy query" stage in that request's trace. The query itself is
-// unchanged — ctx carries no cancellation here because the walk is O(answer).
-func (idx *Index) CommunityRefsCtx(ctx context.Context, v int32, k int32) []Ref {
-	st := obs.StartStageFromContext(ctx, "hierarchy query")
-	refs := idx.CommunityRefs(v, k)
-	st.End()
+	slices.SortFunc(refs, func(a, b Ref) int { return cmp.Compare(h.nodeMin[a.node], h.nodeMin[b.node]) })
 	return refs
 }
 

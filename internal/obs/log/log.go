@@ -104,9 +104,6 @@ func Status(code int) slog.Attr { return slog.Int("status", code) }
 // Duration tags the request wall time.
 func Duration(d time.Duration) slog.Attr { return slog.Duration("duration", d) }
 
-// CacheHit tags whether the community cache served the query.
-func CacheHit(hit bool) slog.Attr { return slog.Bool("cache_hit", hit) }
-
 // Err tags an error; a nil error yields an empty-string attr so callers
 // can pass it unconditionally.
 func Err(err error) slog.Attr {

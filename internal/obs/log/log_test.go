@@ -30,7 +30,7 @@ func TestJSONLoggerSchema(t *testing.T) {
 	l := New(&buf, JSON, slog.LevelInfo)
 	l.Info("request",
 		ReqID("req-42"), Vertex(7), K(4), Status(200),
-		Duration(1500*time.Microsecond), CacheHit(true), Err(nil))
+		Duration(1500*time.Microsecond), Err(nil))
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, buf.String())
@@ -38,7 +38,7 @@ func TestJSONLoggerSchema(t *testing.T) {
 	if rec["request_id"] != "req-42" || rec["vertex"] != float64(7) || rec["k"] != float64(4) {
 		t.Fatalf("identity fields wrong: %v", rec)
 	}
-	if rec["status"] != float64(200) || rec["cache_hit"] != true || rec["err"] != "" {
+	if rec["status"] != float64(200) || rec["err"] != "" {
 		t.Fatalf("outcome fields wrong: %v", rec)
 	}
 	if _, ok := rec["duration"]; !ok {

@@ -225,7 +225,7 @@ func TestWriteGauges(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteGauges(&buf, []GaugeValue{
 		{Name: "server_pool_in_use", Help: "busy slots", Value: 2},
-		{Name: "server_cache_entries", Value: 17},
+		{Name: "server_inflight_limit", Value: 17},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestWriteGauges(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE equitruss_server_pool_in_use gauge",
 		"equitruss_server_pool_in_use 2",
-		"equitruss_server_cache_entries 17",
+		"equitruss_server_inflight_limit 17",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("WriteGauges missing %q:\n%s", want, out)

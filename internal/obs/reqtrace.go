@@ -13,7 +13,7 @@ import (
 // did this pipeline run spend its time on", this layer answers the serving
 // question — "what did request N spend its time on, and which recent
 // requests were slow or failed". A ReqTracker hands every request a
-// process-unique ID, records a stage tree (parse → pool wait → cache →
+// process-unique ID, records a stage tree (parse → pool wait →
 // query → encode) for a deterministic 1-in-N sample of requests, and keeps
 // fixed-size ring buffers of recent sampled traces and recent slow/errored
 // traces for the /debug/requests endpoint.
@@ -59,14 +59,13 @@ type ReqStage struct {
 }
 
 // ReqInfo carries the request-shaped annotations a handler attaches at
-// completion: query identity, batch size, cache outcome, error text. A
+// completion: query identity, batch size, error text. A
 // plain value struct so attaching it costs nothing.
 type ReqInfo struct {
-	Vertex   int32  `json:"vertex"`
-	K        int32  `json:"k"`
-	Items    int    `json:"items,omitempty"`
-	CacheHit bool   `json:"cache_hit"`
-	Err      string `json:"err,omitempty"`
+	Vertex int32  `json:"vertex"`
+	K      int32  `json:"k"`
+	Items  int    `json:"items,omitempty"`
+	Err    string `json:"err,omitempty"`
 }
 
 // ReqTrace is one completed (or, for sampled requests, in-flight) request

@@ -53,7 +53,7 @@ func TestReqStagesAndRings(t *testing.T) {
 	st = rq.StartStage("query")
 	time.Sleep(time.Millisecond)
 	st.End()
-	dur := rq.Finish(200, ReqInfo{Vertex: 42, K: 5, CacheHit: true})
+	dur := rq.Finish(200, ReqInfo{Vertex: 42, K: 5, Items: 3})
 	if dur <= 0 {
 		t.Fatal("Finish returned non-positive duration")
 	}
@@ -62,7 +62,7 @@ func TestReqStagesAndRings(t *testing.T) {
 		t.Fatalf("recent = %d traces, want 1", len(recent))
 	}
 	tr := recent[0]
-	if tr.ID != 1 || tr.Status != 200 || !tr.Sampled || tr.Info.Vertex != 42 || !tr.Info.CacheHit {
+	if tr.ID != 1 || tr.Status != 200 || !tr.Sampled || tr.Info.Vertex != 42 || tr.Info.Items != 3 {
 		t.Fatalf("trace fields wrong: %+v", tr)
 	}
 	if len(tr.Stages) != 2 || tr.Stages[0].Name != "parse" || tr.Stages[1].Name != "query" {
@@ -157,7 +157,7 @@ func TestReqContextPropagation(t *testing.T) {
 func TestUnsampledRequestZeroAllocs(t *testing.T) {
 	tk := NewReqTracker(ReqConfig{SampleN: 1 << 30, SlowThreshold: time.Hour})
 	h := NewHistogram("req", "")
-	info := ReqInfo{Vertex: 7, K: 4, CacheHit: true}
+	info := ReqInfo{Vertex: 7, K: 4, Items: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		rq := tk.Begin("/community")
 		st := rq.StartStage("parse")

@@ -7,7 +7,7 @@ import (
 )
 
 // The /community and /batch answers are encoded by hand: every field is an
-// integer, a bool or a list of integers, so appending them with strconv
+// integer or a list of integers, so appending them with strconv
 // into a pooled buffer yields exactly the bytes encoding/json would, with
 // no reflection and no per-field allocation. FuzzQueryDocEncode holds the
 // two encoders to byte equality.
@@ -54,8 +54,6 @@ func appendQueryDoc(b []byte, d *queryDoc) []byte {
 	b = strconv.AppendInt(b, int64(d.K), 10)
 	b = append(b, `,"count":`...)
 	b = strconv.AppendInt(b, int64(d.Count), 10)
-	b = append(b, `,"cached":`...)
-	b = strconv.AppendBool(b, d.Cached)
 	b = append(b, `,"communities":`...)
 	if d.Communities == nil {
 		b = append(b, "null"...)

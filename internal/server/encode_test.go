@@ -32,7 +32,7 @@ func jsonLine(t testing.TB, doc any) []byte {
 
 // randomQueryDoc draws a document over the shapes the encoder must handle:
 // nil and empty community lists, omitted and present vertex and edge lists,
-// both cached values, and IDs at the int32 extremes.
+// and IDs at the int32 extremes.
 func randomQueryDoc(rng *rand.Rand) queryDoc {
 	id := func() int32 {
 		switch rng.Intn(4) {
@@ -57,7 +57,7 @@ func randomQueryDoc(rng *rand.Rand) queryDoc {
 		}
 		return out
 	}
-	d := queryDoc{Vertex: id(), K: id(), Count: rng.Intn(1 << 20), Cached: rng.Intn(2) == 0}
+	d := queryDoc{Vertex: id(), K: id(), Count: rng.Intn(1 << 20)}
 	switch rng.Intn(4) {
 	case 0: // nil communities: "null"
 	case 1:
@@ -119,10 +119,9 @@ func materialisedDoc(idx *community.Index, v, k int32, withVertices, withEdges b
 // TestResponseBytesMatchMaterialised compares the served /community and
 // /batch bodies, byte for byte, with encoding/json over the materialised
 // answer, for every (v, k, vertices, edges) combination on the test graph.
-// The cache is off so every answer reports cached=false.
 func TestResponseBytesMatchMaterialised(t *testing.T) {
 	idx, tau := buildTestIndex(t)
-	ts := httptest.NewServer(New(idx, Config{CacheSize: -1}).Handler())
+	ts := httptest.NewServer(New(idx, Config{}).Handler())
 	defer ts.Close()
 	body := func(resp *http.Response, err error) []byte {
 		t.Helper()

@@ -13,8 +13,10 @@ var cEpochSwaps = obs.GetCounter("server_epoch_swaps",
 // epoch is one immutable generation of the serving state. Queries load the
 // current epoch once with an atomic pointer read and answer entirely from
 // it, so a concurrent publish never mixes two indexes inside one request.
-// The epoch number versions the LRU cache key: entries cached under an old
-// epoch become unreachable the instant a new one is published.
+// Everything a query reads hangs off idx, the per-community vertex memo
+// included, so nothing outlives the epoch: once in-flight requests drain,
+// a retired epoch's storage (heap arrays, or an index file mapping kept
+// alive through SummaryGraph.Backing) is garbage.
 type epoch struct {
 	idx *community.Index
 	num uint64 // monotone generation counter, 1 for the first publish
@@ -45,11 +47,6 @@ func (s *Server) Publish(idx *community.Index, seq uint64) uint64 {
 	}
 	s.cur.Store(&epoch{idx: idx, num: num, seq: seq, sums: sums})
 	cEpochSwaps.Inc()
-	// Entries cached under older epochs are unreachable now; purge them so
-	// the retired epoch's storage (heap arrays, or an index file mapping
-	// kept alive through SummaryGraph.Backing) is released as soon as
-	// in-flight queries drain, instead of when the LRU happens to roll over.
-	s.cache.PurgeBelow(num)
 	return num
 }
 

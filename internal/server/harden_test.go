@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -50,7 +49,6 @@ func TestLoadShedReturns429WithRetryAfter(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer close(release)
 
 	shedBefore := cLoadShed.Value()
 	firstDone := make(chan int, 1)
@@ -76,12 +74,11 @@ func TestLoadShedReturns429WithRetryAfter(t *testing.T) {
 	if got := cLoadShed.Value() - shedBefore; got != 1 {
 		t.Fatalf("load-shed counter moved by %d, want 1", got)
 	}
-	release <- struct{}{}
+	close(release) // the hook now passes every request straight through
 	if code := <-firstDone; code != http.StatusOK {
 		t.Fatalf("admitted request finished with %d", code)
 	}
-	// Slot freed: the endpoint admits again (answer comes from cache now,
-	// so no testHook involvement).
+	// Slot freed: the endpoint admits again.
 	if resp := getJSON(t, ts, "/community?v=0&k=3", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after shed window got %d, want 200", resp.StatusCode)
 	}
@@ -142,8 +139,8 @@ func TestBatchDedupCollapsesDuplicateQueries(t *testing.T) {
 	defer ts.Close()
 
 	dedupBefore := cBatchDeduped.Value()
-	// Four queries, two distinct (v, k) pairs, nothing cached yet: the two
-	// repeats must collapse onto the first computation of their pair.
+	// Four queries, two distinct (v, k) pairs: the two repeats must
+	// collapse onto the first computation of their pair.
 	body := `{"queries":[{"v":5,"k":3},{"v":5,"k":3},{"v":6,"k":3},{"v":5,"k":3}]}`
 	resp, out := postBatch(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
@@ -219,39 +216,6 @@ func TestHealthzNeverShed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics shed with %d during overload", resp.StatusCode)
-	}
-}
-
-// TestCacheConcurrentHammer drives the LRU from 32 goroutines; under -race
-// this proves the cache's locking covers every Get/Put/Len interleaving,
-// including constant eviction pressure from a capacity far below the
-// working set.
-func TestCacheConcurrentHammer(t *testing.T) {
-	c := NewCache(64)
-	const goroutines = 32
-	const opsEach = 2000
-	var wg sync.WaitGroup
-	for gid := 0; gid < goroutines; gid++ {
-		wg.Add(1)
-		go func(gid int) {
-			defer wg.Done()
-			for i := 0; i < opsEach; i++ {
-				v := int32((gid*opsEach + i) % 512)
-				k := int32(3 + i%4)
-				switch i % 3 {
-				case 0:
-					c.Put(1, v, k, nil)
-				case 1:
-					c.Get(1, v, k)
-				default:
-					c.Len()
-				}
-			}
-		}(gid)
-	}
-	wg.Wait()
-	if n := c.Len(); n > 64 {
-		t.Fatalf("cache grew past capacity: %d > 64", n)
 	}
 }
 

@@ -87,7 +87,6 @@ func TestServerMetricsUnderLoad(t *testing.T) {
 		"equitruss_runtime_heap_alloc_bytes",
 		"# TYPE equitruss_server_pool_in_use gauge",
 		"equitruss_server_pool_capacity",
-		"equitruss_server_cache_entries",
 		"equitruss_server_inflight_limit",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -119,13 +118,10 @@ func TestServerMetricsUnderLoad(t *testing.T) {
 			stageNames[st.Name] = true
 		}
 	}
-	for _, want := range []string{"parse", "encode"} {
+	for _, want := range []string{"parse", "pool wait", "hierarchy query", "encode"} {
 		if !stageNames[want] {
 			t.Fatalf("no retained trace has a %q stage; saw %v", want, stageNames)
 		}
-	}
-	if !stageNames["hierarchy query"] && !stageNames["cache lookup"] {
-		t.Fatalf("no query-path stages retained; saw %v", stageNames)
 	}
 
 	// --- join: the trace's request ID appears in the structured log.
@@ -139,7 +135,7 @@ func TestServerMetricsUnderLoad(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
 		t.Fatalf("log line is not JSON: %v\n%s", err, line)
 	}
-	for _, key := range []string{"request_id", "status", "duration", "vertex", "k", "cache_hit"} {
+	for _, key := range []string{"request_id", "status", "duration", "vertex", "k"} {
 		if _, ok := rec[key]; !ok {
 			t.Fatalf("log record missing %q: %v", key, rec)
 		}

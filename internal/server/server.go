@@ -14,11 +14,12 @@
 // Queries are answered from the precomputed community hierarchy (built once
 // at server construction): responses carry O(1) edge/vertex counts by
 // default, and member vertex or edge lists are materialized only when the
-// client opts in. Three pieces make it safe under load: an LRU cache keyed
-// by (vertex, normalized k) holding compact community refs, a bounded
-// worker pool so a batch of 10k queries degrades to queueing rather than a
-// goroutine flood, and graceful shutdown that drains in-flight requests
-// with a timeout.
+// client opts in. There is no result cache: the hierarchy walk costs
+// O(deg v + answer) and each community's vertex list is memoised on the
+// epoch's hierarchy, so the index is the cache. Two pieces make it safe
+// under load: a bounded worker pool so a batch of 10k queries degrades to
+// queueing rather than a goroutine flood, and graceful shutdown that drains
+// in-flight requests with a timeout.
 package server
 
 import (
@@ -79,9 +80,6 @@ const siteQuery = "server.query"
 
 // Config tunes a Server. The zero value picks sensible defaults.
 type Config struct {
-	// CacheSize is the LRU capacity in entries; 0 selects the default
-	// (4096), negative disables caching.
-	CacheSize int
 	// Workers caps the goroutines concurrently executing queries across all
 	// requests; <= 0 selects one per usable CPU.
 	Workers int
@@ -102,8 +100,8 @@ type Config struct {
 	// request (items = queries answered). Spans accumulate unbounded, so
 	// tracing is for diagnostic runs, not steady-state serving.
 	Tracer *obs.Trace
-	// SampleN records a full stage trace (parse → pool wait → cache →
-	// hierarchy query → encode) for one in every SampleN requests. 0 selects
+	// SampleN records a full stage trace (parse → pool wait → hierarchy
+	// query → encode) for one in every SampleN requests. 0 selects
 	// the default (64), 1 traces every request, negative disables sampling.
 	SampleN int
 	// SlowThreshold is the latency at or above which a request is retained
@@ -114,7 +112,7 @@ type Config struct {
 	// selects the default (64).
 	DebugRing int
 	// Logger receives one structured record per request (request_id,
-	// vertex, k, status, duration, cache_hit). Nil selects the process-wide
+	// vertex, k, status, duration). Nil selects the process-wide
 	// olog logger. OK requests log at Debug; slow ones at Warn; 5xx at
 	// Error — so an Info-level production logger stays quiet until
 	// something is wrong.
@@ -130,9 +128,14 @@ type Config struct {
 }
 
 const (
-	defaultCacheSize   = 4096
 	defaultMaxBatch    = 10000
 	defaultMaxInFlight = 256
+
+	// batchQueryJSONBytes is the body-size budget per query when capping
+	// POST /batch reads: a fully spelled-out query ({"v":…,"k":…} with
+	// eleven-character IDs) is under 40 JSON bytes, so 64 leaves slack for
+	// whitespace without letting one request stream an unbounded body.
+	batchQueryJSONBytes = 64
 )
 
 // Server answers community queries from the current epoch's immutable
@@ -141,7 +144,6 @@ const (
 type Server struct {
 	cur        atomic.Pointer[epoch]
 	live       *mutator // non-nil once EnableUpdates attached a WAL pipeline
-	cache      *Cache
 	pool       *Pool
 	tr         *obs.Trace
 	reqs       *obs.ReqTracker
@@ -176,10 +178,6 @@ func New(idx *community.Index, cfg Config) *Server {
 // the first epoch. Live serving uses this shape so the HTTP listener (and
 // its probes) can come up while recovery replays the WAL.
 func NewPending(cfg Config) *Server {
-	cacheSize := cfg.CacheSize
-	if cacheSize == 0 {
-		cacheSize = defaultCacheSize
-	}
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxBatch
@@ -189,9 +187,8 @@ func NewPending(cfg Config) *Server {
 		logger = olog.L()
 	}
 	s := &Server{
-		cache: NewCache(cacheSize),
-		pool:  NewPool(cfg.Workers),
-		tr:    cfg.Tracer,
+		pool: NewPool(cfg.Workers),
+		tr:   cfg.Tracer,
 		reqs: obs.NewReqTracker(obs.ReqConfig{
 			SampleN:       cfg.SampleN,
 			SlowThreshold: cfg.SlowThreshold,
@@ -241,7 +238,7 @@ func (s *Server) Close() {
 
 // normalizeK clamps a client-supplied level to the query path's effective
 // minimum, so k = -5, 0, and 3 — which all produce the identical answer —
-// share one cache entry instead of fragmenting the LRU.
+// report the same level and collapse to one computation inside a batch.
 func normalizeK(k int32) int32 {
 	if k < core.MinK {
 		return core.MinK
@@ -341,12 +338,11 @@ type communityDoc struct {
 }
 
 // queryDoc is the answer to one (vertex, k) lookup. K is the normalized
-// level the query was answered (and cached) at.
+// level the query was answered at.
 type queryDoc struct {
 	Vertex      int32          `json:"vertex"`
 	K           int32          `json:"k"`
 	Count       int            `json:"count"`
-	Cached      bool           `json:"cached"`
 	Communities []communityDoc `json:"communities"`
 }
 
@@ -354,11 +350,11 @@ type queryDoc struct {
 // copied out of the hierarchy's per-epoch memo into rb.ids; a slice taken
 // before rb.ids regrows keeps pointing at the old array, which nothing
 // writes again, so every list stays valid until rb is released.
-func (s *Server) renderQuery(rb *renderBuf, v, k int32, refs []community.Ref, cached, withVertices, withEdges bool) queryDoc {
+func (s *Server) renderQuery(rb *renderBuf, q community.Query, refs []community.Ref, withVertices, withEdges bool) queryDoc {
 	if s.renderHook != nil {
 		s.renderHook()
 	}
-	doc := queryDoc{Vertex: v, K: k, Count: len(refs), Cached: cached, Communities: make([]communityDoc, len(refs))}
+	doc := queryDoc{Vertex: q.Vertex, K: q.K, Count: len(refs), Communities: make([]communityDoc, len(refs))}
 	for i, ref := range refs {
 		cd := communityDoc{K: ref.K, Size: int(ref.NumVertices()), NumEdges: int(ref.NumEdges())}
 		if withVertices {
@@ -374,33 +370,49 @@ func (s *Server) renderQuery(rb *renderBuf, v, k int32, refs []community.Ref, ca
 	return doc
 }
 
-// lookup answers one query through the cache, computing (and caching) on a
-// miss under a reserved pool slot. k must already be normalized. When ctx
-// carries a sampled request, the cache probe, pool wait, and hierarchy
-// query each record a stage in its trace.
-func (s *Server) lookup(ctx context.Context, ep *epoch, v, k int32) ([]community.Ref, bool, error) {
-	st := obs.StartStageFromContext(ctx, "cache lookup")
-	refs, ok := s.cache.Get(ep.num, v, k)
-	st.End()
-	if ok {
-		return refs, true, nil
+// answer resolves queries against ep's hierarchy; /community is the
+// one-query case of /batch. It normalizes each k in place, collapses
+// repeated (vertex, k) pairs to one computation, reserves one pool slot per
+// distinct query (as many as are free), and fans the distinct queries out
+// under that grant. results[i] answers qs[i]. When ctx carries a sampled
+// request, the pool wait and the hierarchy query each record a stage.
+func (s *Server) answer(ctx context.Context, ep *epoch, qs []community.Query) ([][]community.Ref, error) {
+	slotOf := make(map[community.Query]int, len(qs))
+	distinct := make([]community.Query, 0, len(qs))
+	for i := range qs {
+		qs[i].K = normalizeK(qs[i].K)
+		if _, ok := slotOf[qs[i]]; !ok {
+			slotOf[qs[i]] = len(distinct)
+			distinct = append(distinct, qs[i])
+		}
 	}
-	st = obs.StartStageFromContext(ctx, "pool wait")
-	got, err := s.pool.Reserve(ctx, 1)
+	if d := len(qs) - len(distinct); d > 0 {
+		cBatchDeduped.Add(int64(d))
+	}
+	st := obs.StartStageFromContext(ctx, "pool wait")
+	got, err := s.pool.Reserve(ctx, len(distinct))
 	st.End()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	// Released by defer, not inline: a panic in the fan-out must not leak
+	// pool slots past the recovery middleware.
 	defer s.pool.Release(got)
 	if s.testHook != nil {
 		s.testHook()
 	}
 	if err := faults.Inject(siteQuery); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	refs = ep.idx.CommunityRefsCtx(ctx, v, k)
-	s.cache.Put(ep.num, v, k, refs)
-	return refs, false, nil
+	out, err := ep.idx.BatchCommunityRefsCtx(ctx, distinct, got)
+	if err != nil || len(distinct) == len(qs) {
+		return out, err
+	}
+	results := make([][]community.Ref, len(qs))
+	for i, q := range qs {
+		results[i] = out[slotOf[q]]
+	}
+	return results, nil
 }
 
 // logReq emits the one structured record every tracked request produces,
@@ -427,7 +439,6 @@ func (s *Server) logReq(rq obs.Req, name string, status int, dur time.Duration, 
 		olog.Duration(dur),
 		olog.Vertex(info.Vertex),
 		olog.K(info.K),
-		olog.CacheHit(info.CacheHit),
 	}
 	if info.Items > 0 {
 		attrs = append(attrs, slog.Int("items", info.Items))
@@ -482,17 +493,16 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 		failf(http.StatusBadRequest, "vertex %d outside [0, %d)", v, ep.idx.G.NumVertices())
 		return
 	}
-	k = normalizeK(k)
-	info.Vertex, info.K = v, k
-	refs, cached, err := s.lookup(rq.WithContext(r.Context()), ep, v, k)
+	qs := []community.Query{{Vertex: v, K: k}}
+	results, err := s.answer(rq.WithContext(r.Context()), ep, qs)
+	info.Vertex, info.K = v, qs[0].K
 	if err != nil {
 		failf(http.StatusServiceUnavailable, "query aborted: %v", err)
 		return
 	}
-	info.CacheHit = cached
 	st = rq.StartStage("encode")
 	rb := getRenderBuf()
-	doc := s.renderQuery(rb, v, k, refs, cached, withVertices, withEdges)
+	doc := s.renderQuery(rb, qs[0], results[0], withVertices, withEdges)
 	rb.body = appendQueryDoc(rb.body, &doc)
 	writeBody(w, rb.body)
 	rb.release()
@@ -600,10 +610,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, "%s", info.Err)
 	}
 	st := rq.StartStage("parse")
+	// Cap the body before decoding: MaxBatch only bounds allocation if it is
+	// enforced before json.Decode materializes an arbitrarily long array.
+	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*batchQueryJSONBytes+1024)
 	var req batchRequest
 	err := json.NewDecoder(r.Body).Decode(&req)
 	st.End()
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			failf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes (at most %d queries per batch)", tooBig.Limit, s.maxBatch)
+			return
+		}
 		failf(http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
@@ -622,87 +640,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := ep.idx.G.NumVertices()
+	qs := make([]community.Query, len(req.Queries))
 	for i, q := range req.Queries {
 		if q.V < 0 || q.V >= n {
 			failf(http.StatusBadRequest, "query %d: vertex %d outside [0, %d)", i, q.V, n)
 			return
 		}
+		qs[i] = community.Query{Vertex: q.V, K: q.K}
 	}
-	// Normalize every k up front, resolve cache hits, collapse duplicate
-	// (vertex, k) misses to one computation each, then fan the survivors
-	// out through BatchCommunityRefsCtx with parallelism granted by the
-	// pool. Normalizing before the dedup key means k=0 and k=3 collapse to
-	// one computation and one cache entry.
-	norm := make([]int32, len(req.Queries))
-	results := make([][]community.Ref, len(req.Queries))
-	cached := make([]bool, len(req.Queries))
-	var missIdx []int  // original query index of each miss
-	var missSlot []int // which missQ entry answers it
-	var missQ []community.Query
-	slotOf := make(map[int64]int)
-	deduped := int64(0)
-	st = rq.StartStage("cache lookup")
-	for i, q := range req.Queries {
-		k := normalizeK(q.K)
-		norm[i] = k
-		if refs, ok := s.cache.Get(ep.num, q.V, k); ok {
-			results[i] = refs
-			cached[i] = true
-			continue
-		}
-		key := int64(q.V)<<32 | int64(uint32(k))
-		slot, ok := slotOf[key]
-		if !ok {
-			slot = len(missQ)
-			slotOf[key] = slot
-			missQ = append(missQ, community.Query{Vertex: q.V, K: k})
-		} else {
-			deduped++
-		}
-		missIdx = append(missIdx, i)
-		missSlot = append(missSlot, slot)
-	}
-	st.End()
-	if deduped > 0 {
-		cBatchDeduped.Add(deduped)
-	}
-	if len(missQ) > 0 {
-		ctx := rq.WithContext(r.Context())
-		st = rq.StartStage("pool wait")
-		got, err := s.pool.Reserve(ctx, len(missQ))
-		st.End()
-		if err != nil {
-			failf(http.StatusServiceUnavailable, "batch aborted: %v", err)
-			return
-		}
-		// Released by defer, not inline: a panic in the fan-out must not
-		// leak pool slots past the recovery middleware.
-		defer s.pool.Release(got)
-		if s.testHook != nil {
-			s.testHook()
-		}
-		if err := faults.Inject(siteQuery); err != nil {
-			failf(http.StatusServiceUnavailable, "batch aborted: %v", err)
-			return
-		}
-		out, err := ep.idx.BatchCommunityRefsCtx(ctx, missQ, got)
-		if err != nil {
-			failf(http.StatusServiceUnavailable, "batch aborted: %v", err)
-			return
-		}
-		for j, i := range missIdx {
-			slot := missSlot[j]
-			results[i] = out[slot]
-			s.cache.Put(ep.num, missQ[slot].Vertex, missQ[slot].K, out[slot])
-		}
+	results, err := s.answer(rq.WithContext(r.Context()), ep, qs)
+	if err != nil {
+		failf(http.StatusServiceUnavailable, "batch aborted: %v", err)
+		return
 	}
 	// Rendering reads the vertex lists, so it is timed as encoding, as on
 	// /community.
 	st = rq.StartStage("encode")
 	rb := getRenderBuf()
 	resp := batchResponse{Results: make([]queryDoc, len(req.Queries))}
-	for i, q := range req.Queries {
-		resp.Results[i] = s.renderQuery(rb, q.V, norm[i], results[i], cached[i], req.Vertices, req.Edges)
+	for i, q := range qs {
+		resp.Results[i] = s.renderQuery(rb, q, results[i], req.Vertices, req.Edges)
 	}
 	rb.body = appendBatchResponse(rb.body, &resp)
 	writeBody(w, rb.body)
@@ -766,15 +723,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // instanceGauges snapshots this server's own capacity state — pool
-// occupancy, cache fill, admission slots. These live on the Server, not in
+// occupancy, admission slots. These live on the Server, not in
 // the shared default registry, so two servers in one process (common in
 // tests) never fight over one gauge.
 func (s *Server) instanceGauges() []obs.GaugeValue {
 	gauges := []obs.GaugeValue{
 		{Name: "server_pool_in_use", Help: "query pool slots currently reserved", Value: float64(s.pool.InUse())},
 		{Name: "server_pool_capacity", Help: "query pool slot capacity", Value: float64(s.pool.Cap())},
-		{Name: "server_cache_entries", Help: "entries held by the community LRU cache", Value: float64(s.cache.Len())},
-		{Name: "server_cache_capacity", Help: "capacity of the community LRU cache", Value: float64(s.cache.Cap())},
 		{Name: "server_index_load_seconds", Help: "wall time spent making the initial index query-ready", Value: s.indexLoadSeconds},
 		{Name: "server_mmap_bytes", Help: "bytes of index file memory-mapped into the serving path (0 for heap-decoded)", Value: float64(s.mmapBytes)},
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"equitruss/internal/community"
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
-	"equitruss/internal/obs"
 	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
@@ -84,21 +84,6 @@ func TestCommunityEndpointMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestCommunityEndpointCachedFlag(t *testing.T) {
-	idx, _ := buildTestIndex(t)
-	ts := httptest.NewServer(New(idx, Config{}).Handler())
-	defer ts.Close()
-	var first, second queryDoc
-	getJSON(t, ts, "/community?v=1&k=3", &first)
-	getJSON(t, ts, "/community?v=1&k=3", &second)
-	if first.Cached {
-		t.Fatal("first lookup reported cached")
-	}
-	if !second.Cached {
-		t.Fatal("second identical lookup not served from cache")
-	}
-}
-
 func TestCommunityEndpointErrors(t *testing.T) {
 	idx, _ := buildTestIndex(t)
 	ts := httptest.NewServer(New(idx, Config{}).Handler())
@@ -152,8 +137,8 @@ func TestBatchEndpoint(t *testing.T) {
 	idx, _ := buildTestIndex(t)
 	ts := httptest.NewServer(New(idx, Config{Workers: 4}).Handler())
 	defer ts.Close()
-	// Duplicates included: the second occurrence may be answered from cache,
-	// but results must align with the request order either way.
+	// Duplicates included: the repeat is computed once, but results must
+	// align with the request order.
 	body := `{"queries":[{"v":0,"k":3},{"v":1,"k":3},{"v":0,"k":3},{"v":2,"k":4}]}`
 	resp, out := postBatch(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
@@ -215,12 +200,11 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestMetricsExposeCacheCounters(t *testing.T) {
+func TestMetricsExposeRequestCounters(t *testing.T) {
 	idx, _ := buildTestIndex(t)
 	ts := httptest.NewServer(New(idx, Config{}).Handler())
 	defer ts.Close()
-	getJSON(t, ts, "/community?v=3&k=3", nil) // miss
-	getJSON(t, ts, "/community?v=3&k=3", nil) // hit
+	getJSON(t, ts, "/community?v=3&k=3", nil)
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -230,43 +214,13 @@ func TestMetricsExposeCacheCounters(t *testing.T) {
 	io.Copy(&buf, resp.Body)
 	body := buf.String()
 	for _, want := range []string{
-		"equitruss_server_cache_hits_total",
-		"equitruss_server_cache_misses_total",
+		"equitruss_server_pool_reservations_total",
 		"equitruss_server_community_requests_total",
 		"equitruss_server_request_latency_ns_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
-	put := func(v int32) { c.Put(1, v, 3, nil) }
-	put(1)
-	put(2)
-	if _, ok := c.Get(1, 1, 3); !ok {
-		t.Fatal("entry 1 missing before eviction")
-	}
-	put(3) // evicts 2 (1 was just touched)
-	if _, ok := c.Get(1, 2, 3); ok {
-		t.Fatal("entry 2 survived eviction")
-	}
-	if _, ok := c.Get(1, 1, 3); !ok {
-		t.Fatal("recently used entry 1 evicted")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("cache len %d, want 2", c.Len())
-	}
-	// A disabled cache is a nil *Cache with no-op methods.
-	var nilCache *Cache = NewCache(-1)
-	nilCache.Put(1, 1, 3, nil)
-	if _, ok := nilCache.Get(1, 1, 3); ok {
-		t.Fatal("disabled cache returned a hit")
-	}
-	if nilCache.Len() != 0 {
-		t.Fatal("disabled cache has entries")
 	}
 }
 
@@ -344,50 +298,38 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestCacheNormalizesK covers the cache-fragmentation fix: every k below
-// core.MinK produces the identical answer, so k = -5, 0, 1, 2, 3 must share
-// one LRU entry (and hit it after the first miss) instead of occupying five.
-func TestCacheNormalizesK(t *testing.T) {
+// TestQueryNormalizesK: every k below core.MinK produces the identical
+// answer, so k = -5, 0, 1, 2, 3 all report the normalized level, and a
+// batch mixing raw levels for one vertex collapses to one computation.
+func TestQueryNormalizesK(t *testing.T) {
 	idx, _ := buildTestIndex(t)
-	s := New(idx, Config{})
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(New(idx, Config{}).Handler())
 	defer ts.Close()
-	hitsBefore := cCacheHits.Value()
+	var want queryDoc
 	for i, k := range []int32{-5, 0, 1, 2, 3} {
 		var doc queryDoc
 		getJSON(t, ts, fmt.Sprintf("/community?v=1&k=%d", k), &doc)
 		if doc.K != core.MinK {
 			t.Fatalf("k=%d: response k %d, want normalized %d", k, doc.K, core.MinK)
 		}
-		if wantCached := i > 0; doc.Cached != wantCached {
-			t.Fatalf("k=%d: cached=%v, want %v", k, doc.Cached, wantCached)
+		if i == 0 {
+			want = doc
+		} else if fmt.Sprint(doc) != fmt.Sprint(want) {
+			t.Fatalf("k=%d: answer %+v differs from k=-5's %+v", k, doc, want)
 		}
 	}
-	if n := s.cache.Len(); n != 1 {
-		t.Fatalf("cache holds %d entries for one normalized query, want 1", n)
-	}
-	if got := cCacheHits.Value() - hitsBefore; got != 4 {
-		t.Fatalf("cache hit counter grew by %d, want 4", got)
-	}
-	// Batch path must normalize too: a batch mixing raw levels for the same
-	// vertex stays one cache entry and reports every query cached.
-	body := `{"queries":[{"v":1,"k":-2},{"v":1,"k":0},{"v":1,"k":3}]}`
-	resp, err := ts.Client().Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /batch: %v", err)
-	}
-	defer resp.Body.Close()
-	var br batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatalf("decode: %v", err)
+	dedupBefore := cBatchDeduped.Value()
+	resp, br := postBatch(t, ts, `{"queries":[{"v":1,"k":-2},{"v":1,"k":0},{"v":1,"k":3}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /batch: status %d", resp.StatusCode)
 	}
 	for i, r := range br.Results {
-		if r.K != core.MinK || !r.Cached {
-			t.Fatalf("batch result %d: k=%d cached=%v, want k=%d cached=true", i, r.K, r.Cached, core.MinK)
+		if r.K != core.MinK || r.Count != want.Count {
+			t.Fatalf("batch result %d: k=%d count=%d, want k=%d count=%d", i, r.K, r.Count, core.MinK, want.Count)
 		}
 	}
-	if n := s.cache.Len(); n != 1 {
-		t.Fatalf("cache holds %d entries after batch, want 1", n)
+	if got := cBatchDeduped.Value() - dedupBefore; got != 2 {
+		t.Fatalf("dedup counter moved by %d for three raw levels of one query, want 2", got)
 	}
 }
 
@@ -473,58 +415,60 @@ func TestCommunityVerticesParam(t *testing.T) {
 	}
 }
 
-// TestCachePurgeBelow is the stale-epoch regression: entries cached under a
-// retired epoch are unreachable through Get (the key carries the epoch) but
-// used to sit in the LRU until natural rollover, pinning the old epoch's
-// index storage. PurgeBelow must drop exactly the stale entries.
-func TestCachePurgeBelow(t *testing.T) {
-	c := NewCache(8)
-	for v := int32(0); v < 3; v++ {
-		c.Put(1, v, 3, nil)
-	}
-	c.Put(2, 0, 3, nil)
-	evBefore := obs.GetCounter("server_cache_evictions", "").Value()
-	if got := c.PurgeBelow(2); got != 3 {
-		t.Fatalf("PurgeBelow removed %d entries, want 3", got)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache len %d after purge, want 1", c.Len())
-	}
-	if _, ok := c.Get(2, 0, 3); !ok {
-		t.Fatal("current-epoch entry lost in purge")
-	}
-	if _, ok := c.Get(1, 0, 3); ok {
-		t.Fatal("stale entry survived purge")
-	}
-	if d := obs.GetCounter("server_cache_evictions", "").Value() - evBefore; d != 3 {
-		t.Fatalf("evictions counter advanced by %d, want 3", d)
-	}
-	if got := c.PurgeBelow(2); got != 0 {
-		t.Fatalf("second purge removed %d entries, want 0", got)
-	}
-	var nilCache *Cache
-	if got := nilCache.PurgeBelow(9); got != 0 {
-		t.Fatal("nil cache purge did something")
-	}
-}
-
-// TestPublishPurgesStaleCacheEntries checks the server-level wiring: after
-// Publish swaps in a new epoch, the previous epoch's cached answers are
-// gone from the LRU, not merely unreachable.
-func TestPublishPurgesStaleCacheEntries(t *testing.T) {
+// TestPublishReleasesRetiredEpoch: nothing on the serving path outlives
+// its epoch — the vertex memo lives on the epoch's hierarchy and no answer
+// is kept across requests — so once Publish swaps in epoch 2 and no request
+// holds epoch 1, epoch 1's index (and any file mapping behind it) is
+// garbage. A finalizer on the first index proves the collector took it.
+func TestPublishReleasesRetiredEpoch(t *testing.T) {
 	g := gen.Clique(5)
 	sup := testkit.Supports(g, triangle.KernelMerge, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
-	s := New(community.NewIndex(g, sg), Config{CacheSize: 16})
-	ep := s.epoch().num
-	s.cache.Put(ep, 0, 5, nil)
-	s.cache.Put(ep, 1, 5, nil)
-	if s.cache.Len() != 2 {
-		t.Fatalf("cache len %d before publish, want 2", s.cache.Len())
+	collected := make(chan struct{})
+	first := community.NewIndex(g, sg)
+	runtime.SetFinalizer(first, func(*community.Index) { close(collected) })
+	s := New(first, Config{})
+	first = nil
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Answer from epoch 1 with vertices, so its hierarchy and memo fill.
+	var doc queryDoc
+	getJSON(t, ts, "/community?v=0&k=5&vertices=1", &doc)
+	if doc.Count != 1 || len(doc.Communities[0].Vertices) != 5 {
+		t.Fatalf("epoch 1 answer %+v, want the one 5-clique", doc)
 	}
 	s.Publish(community.NewIndex(g, sg), 0)
-	if s.cache.Len() != 0 {
-		t.Fatalf("cache holds %d stale entries after publish, want 0", s.cache.Len())
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if i == 100 {
+			t.Fatal("epoch 1 index still reachable after epoch 2 was published")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBatchBodyCapped: /batch caps its body at MaxBatch queries' worth of
+// bytes before decoding, so an unterminated array longer than the cap is
+// cut off with 413 instead of being read and allocated in full.
+func TestBatchBodyCapped(t *testing.T) {
+	idx, _ := buildTestIndex(t)
+	s := New(idx, Config{MaxBatch: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// 14 KiB: ten times the cap of four queries plus slack.
+	body := `{"queries":[` + strings.Repeat(`{"v":0,"k":3},`, 1<<10)
+	resp, _ := postBatch(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("unterminated %d-byte body: status %d, want 413", len(body), resp.StatusCode)
+	}
+	// A well-formed batch inside the cap still answers.
+	if resp, out := postBatch(t, ts, `{"queries":[{"v":0,"k":3},{"v":1,"k":3}]}`); resp.StatusCode != http.StatusOK || len(out.Results) != 2 {
+		t.Fatalf("batch within cap: status %d, %d results", resp.StatusCode, len(out.Results))
 	}
 }

@@ -8,18 +8,24 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"equitruss/internal/obs"
 )
 
 // TestServerSmokeConcurrent hammers one handler with 64 concurrent clients
-// mixing cached and uncached single queries with periodic batches — the
-// `make serversmoke` target runs it under -race so the LRU cache, the
-// worker pool, and the shared index traversals are exercised for data
+// mixing single queries, half of them asking for vertex lists, with
+// periodic batches — the `make serversmoke` target runs it under -race at
+// one and four CPUs so the epoch pointer, the hierarchy's vertex-memo CAS,
+// the worker pool, and the shared index traversals are exercised for data
 // races, and every response is cross-checked against a pre-computed oracle.
 func TestServerSmokeConcurrent(t *testing.T) {
 	idx, _ := buildTestIndex(t)
-	// Small cache + small pool force constant eviction and slot contention.
-	ts := httptest.NewServer(New(idx, Config{CacheSize: 32, Workers: 4}).Handler())
+	// A small pool forces slot contention.
+	ts := httptest.NewServer(New(idx, Config{Workers: 4}).Handler())
 	defer ts.Close()
+	reservations := cPoolReservations.Value()
+	fills := obs.GetCounter("hierarchy_vertex_memo_fills", "")
+	fillsBefore := fills.Value()
 
 	n := idx.G.NumVertices()
 	const clients = 64
@@ -42,9 +48,9 @@ func TestServerSmokeConcurrent(t *testing.T) {
 			defer wg.Done()
 			client := ts.Client()
 			for i := 0; i < perClient; i++ {
-				// Mix: mostly singles over a small vertex range (cache
-				// hits), every 5th request a batch (pool fan-out), every
-				// 7th an uncached-leaning vertex.
+				// Mix: mostly singles over a small vertex range, so
+				// clients race to fill the same communities' vertex
+				// memos; every 5th request a batch (pool fan-out).
 				v := int32((c*7 + i) % 40)
 				if v >= n {
 					v = 0
@@ -72,7 +78,7 @@ func TestServerSmokeConcurrent(t *testing.T) {
 						}
 					}
 				default:
-					resp, err := client.Get(fmt.Sprintf("%s/community?v=%d&k=%d", ts.URL, v, k))
+					resp, err := client.Get(fmt.Sprintf("%s/community?v=%d&k=%d&vertices=%d", ts.URL, v, k, i%2))
 					if err != nil {
 						errc <- err
 						return
@@ -88,6 +94,12 @@ func TestServerSmokeConcurrent(t *testing.T) {
 						errc <- fmt.Errorf("single (%d,%d): count %d, want %d", v, k, doc.Count, want)
 						return
 					}
+					for _, c := range doc.Communities {
+						if i%2 == 1 && len(c.Vertices) != c.Size {
+							errc <- fmt.Errorf("single (%d,%d): %d vertices listed, size %d", v, k, len(c.Vertices), c.Size)
+							return
+						}
+					}
 				}
 			}
 		}(c)
@@ -97,10 +109,12 @@ func TestServerSmokeConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if cCacheHits.Value() == 0 {
-		t.Error("smoke storm produced no cache hits")
+	// Every request reserved at least one pool slot, and the vertex-list
+	// requests filled memos: the storm ran the whole read path.
+	if got := cPoolReservations.Value() - reservations; got < clients*perClient {
+		t.Errorf("smoke storm made %d pool reservations for %d requests", got, clients*perClient)
 	}
-	if cCacheMisses.Value() == 0 {
-		t.Error("smoke storm produced no cache misses")
+	if fills.Value() == fillsBefore {
+		t.Error("smoke storm filled no vertex memo")
 	}
 }
