@@ -103,27 +103,28 @@ func TestChaosBarrierFault(t *testing.T) {
 	}
 	canon := want.Canonical(g)
 
-	base := runtime.NumGoroutine()
-	faults.Enable(3)
-	defer faults.Disable()
-	faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 5})
-	_, _, err = equitruss.BuildSummary(g, equitruss.Options{
-		Variant: equitruss.COptimal, Threads: 4, Context: context.Background(),
-	})
-	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("build under barrier faults returned %v, want ErrInjected", err)
-	}
-	chaosWaitGoroutines(t, base)
+	for _, v := range []equitruss.Variant{equitruss.COptimal, equitruss.Afforest} {
+		base := runtime.NumGoroutine()
+		faults.Enable(3)
+		faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 5})
+		_, _, err = equitruss.BuildSummary(g, equitruss.Options{
+			Variant: v, Threads: 4, Context: context.Background(),
+		})
+		faults.Disable()
+		if !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("%v build under barrier faults returned %v, want ErrInjected", v, err)
+		}
+		chaosWaitGoroutines(t, base)
 
-	faults.Disable()
-	sg, _, err := equitruss.BuildSummary(g, equitruss.Options{
-		Variant: equitruss.COptimal, Threads: 4, Context: context.Background(),
-	})
-	if err != nil {
-		t.Fatalf("rebuild after disarming faults: %v", err)
-	}
-	if sg.Canonical(g) != canon {
-		t.Fatal("rebuild after injected failure disagrees with the serial oracle")
+		sg, _, err := equitruss.BuildSummary(g, equitruss.Options{
+			Variant: v, Threads: 4, Context: context.Background(),
+		})
+		if err != nil {
+			t.Fatalf("%v rebuild after disarming faults: %v", v, err)
+		}
+		if sg.Canonical(g) != canon {
+			t.Fatalf("%v rebuild after injected failure disagrees with the serial oracle", v)
+		}
 	}
 }
 

@@ -354,7 +354,9 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 	tr := opt.Tracer
 	span := tr.Start("Support")
 	start := time.Now()
-	sup, err := triangle.SupportsKernelCtx(ctx, g, opt.SupportKernel, threads, tr)
+	// The oriented kernel's orientation is handed on to the index builder,
+	// whose triangle passes would otherwise orient g a second time.
+	sup, o, err := triangle.SupportsOrientationCtx(ctx, g, opt.SupportKernel, threads, tr)
 	supportTime := time.Since(start)
 	span.End()
 	if err != nil {
@@ -374,7 +376,7 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 		return nil, Timings{}, err
 	}
 
-	sg, tm, err := core.BuildCtx(ctx, g, tau, opt.Variant, threads, tr)
+	sg, tm, err := core.BuildOrientedCtx(ctx, g, tau, o, opt.Variant, threads, tr)
 	if err != nil {
 		return nil, Timings{}, err
 	}

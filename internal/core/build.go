@@ -8,6 +8,7 @@ import (
 	"equitruss/internal/concur"
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
+	"equitruss/internal/triangle"
 )
 
 // Variant selects one of the four index-construction implementations
@@ -63,8 +64,20 @@ var ParallelVariants = []Variant{VariantBaseline, VariantCOptimal, VariantAffore
 // rounds), so a canceled build returns ctx.Err() in bounded time with every
 // worker goroutine joined and no partial index escaping.
 func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant, threads int, tr *obs.Trace) (*SummaryGraph, Timings, error) {
+	return BuildOrientedCtx(ctx, g, tau, nil, variant, threads, tr)
+}
+
+// BuildOrientedCtx is BuildCtx given an orientation of g the caller already
+// holds, such as the one the oriented Support kernel returns. The flat
+// variants (C-Optimal and Afforest) run their triangle passes on its
+// triangle stream; with o nil they orient g in the Init kernel. Serial and
+// Baseline ignore o.
+func BuildOrientedCtx(ctx context.Context, g *graph.Graph, tau []int32, o *triangle.Orientation, variant Variant, threads int, tr *obs.Trace) (*SummaryGraph, Timings, error) {
 	if len(tau) != int(g.NumEdges()) {
 		panic(fmt.Sprintf("core: tau has %d entries for %d edges", len(tau), g.NumEdges()))
+	}
+	if o != nil && o.Graph() != g {
+		panic("core: the orientation belongs to another graph")
 	}
 	if variant == VariantSerial {
 		return buildSerialCtx(ctx, g, tau, tr)
@@ -76,7 +89,8 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	tm.Threads = threads
 	tm.Runs = 1
 
-	// Init kernel: Φ_k grouping plus any variant-specific dictionaries.
+	// Init kernel: Φ_k grouping plus any variant-specific dictionaries, and
+	// the flat variants' orientation when the caller has none.
 	span := tr.Start("Init")
 	start := time.Now()
 	var dict edgeDict
@@ -93,9 +107,13 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	default:
 		panic("core: unknown variant " + variant.String())
 	}
+	err := concur.Err(ctx)
+	if variant != VariantBaseline && o == nil && err == nil {
+		o, err = triangle.Orient(concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}, "Init", g)
+	}
 	tm.Init = time.Since(start)
 	span.End()
-	if err := concur.Err(ctx); err != nil {
+	if err != nil {
 		return nil, tm, err
 	}
 
@@ -103,14 +121,13 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	span = tr.Start("SpNode")
 	start = time.Now()
 	var pi []int32
-	var err error
 	switch variant {
 	case VariantBaseline:
 		pi, err = spNodeBaseline(ctx, g, tau, dict, phi, threads, tr)
 	case VariantCOptimal:
 		pi, err = spNodeCOptimal(ctx, g, tau, phi, threads, tr)
 	case VariantAfforest:
-		pi, err = spNodeAfforest(ctx, g, tau, threads, tr)
+		pi, err = spNodeAfforest(ctx, g, tau, o, threads, tr)
 	}
 	tm.SpNode = time.Since(start)
 	span.End()
@@ -125,7 +142,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 	if variant == VariantBaseline {
 		spEdges, err = spEdgeBaseline(ctx, g, tau, pi, dict, threads, tr)
 	} else {
-		spEdges, err = spEdgeFlat(ctx, g, tau, pi, threads, tr)
+		spEdges, err = spEdgeFlat(ctx, o, tau, pi, threads, tr)
 	}
 	tm.SpEdge = time.Since(start)
 	span.End()

@@ -6,18 +6,21 @@ import (
 	"equitruss/internal/concur"
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
+	"equitruss/internal/triangle"
 )
 
-// spEdgeCancelStride is how many edges a SpEdge worker scans between ctx
-// polls inside its per-thread block.
+// spEdgeCancelStride is how many edges a Baseline SpEdge worker scans
+// between ctx polls inside its per-thread block.
 const spEdgeCancelStride = 2048
 
 // pairSinkBits sizes PairSink's repeat filter: 4096 slots of one packed pair
 // each, 32 KB, which stays in L1 beside the triangle scan. On the lifecycle
-// benchmark's rmat-skew graph (a relabelled R-MAT(13)) SpEdge's 2.18 M
-// candidates shrink to 1.48 M with a last-emitted check only, 0.63 M at 1024
-// slots and 0.49 M at 4096; 16384 slots keep 0.35 M but take 128 KB, more
-// than L1 holds.
+// benchmark's rmat-skew graph (a relabelled R-MAT(13)) the triangle stream
+// makes 2.18 M candidates, one per (triangle, lowest edge, higher edge).
+// They shrink to 1.05 M with a last-emitted check only, 174 k at 1024 slots
+// and 159 k at 4096; 16384 slots keep 142 k but take 128 KB, more than L1
+// holds. The stream meets the triangles of one edge in a row, so repeats
+// arrive close together.
 const pairSinkBits = 12
 
 // emptySlot marks a filter slot that holds no pair: graph.PackPair of two
@@ -66,55 +69,50 @@ func (s *PairSink) flush() []uint64 {
 }
 
 // spEdgeFlat is Algorithm 3 over the flat τ/Π arrays (C-Optimal and
-// Afforest variants): every edge scans its triangles, and whenever it is
-// strictly above the triangle's minimum trussness it emits a superedge from
-// its supernode down to the minimum edge's supernode. Each thread appends
-// to its own subset (ln. 1, 10, 12) through its own PairSink, avoiding races
-// by construction and dropping most repeats before they reach the heap.
-// Workers poll ctx every spEdgeCancelStride edges; a canceled call returns
-// ctx.Err() and no subsets.
-func spEdgeFlat(ctx context.Context, g *graph.Graph, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
+// Afforest variants), run once per triangle on o's triangle stream: every
+// edge of a triangle strictly above its minimum trussness gets a superedge
+// from each minimum edge's supernode to its own — the pairs the per-edge
+// form emits when each of the three edges scans the triangle. Each thread
+// appends to its own subset (ln. 1, 10, 12) through its own PairSink,
+// avoiding races by construction and dropping most repeats before they
+// reach the heap. Workers poll ctx at each chunk claim; a canceled call
+// returns ctx.Err() and no subsets.
+func spEdgeFlat(ctx context.Context, o *triangle.Orientation, tau, pi []int32, threads int, tr *obs.Trace) ([][]uint64, error) {
 	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
-	m := int(g.NumEdges())
-	spEdges := make([][]uint64, threads)
-	err := x.ForThreads("SpEdge", threads, func(tid int) {
-		lo := tid * m / threads
-		hi := (tid + 1) * m / threads
-		sink := NewPairSink()
-		for i := lo; i < hi; i++ {
-			if (i-lo)%spEdgeCancelStride == 0 && concur.Canceled(ctx) {
-				return
-			}
-			e := int32(i)
-			k := tau[e]
-			if k < MinK {
+	sinks := make([]*PairSink, threads)
+	for t := range sinks {
+		sinks[t] = NewPairSink()
+	}
+	err := o.ForEachTriangle(x, "SpEdge", func(tid int, e, e1, e2 int32) {
+		es := [3]int32{e, e1, e2}
+		ks := [3]int32{tau[e], tau[e1], tau[e2]}
+		lo := min(ks[0], ks[1], ks[2])
+		for h := range es {
+			if ks[h] == lo {
 				continue
 			}
-			g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
-				k1, k2 := tau[e1], tau[e2]
-				lowest := min(k, k1, k2)
-				if k > lowest {
-					if lowest == k1 {
-						sink.Add(graph.PackPair(pi[e1], pi[e]))
-					}
-					if lowest == k2 {
-						sink.Add(graph.PackPair(pi[e2], pi[e]))
-					}
+			for l := range es {
+				if ks[l] == lo {
+					sinks[tid].Add(graph.PackPair(pi[es[l]], pi[es[h]]))
 				}
-				return true
-			})
+			}
 		}
-		spEdges[tid] = sink.flush()
 	})
 	if err != nil {
 		return nil, err
+	}
+	spEdges := make([][]uint64, threads)
+	for t, s := range sinks {
+		spEdges[t] = s.flush()
 	}
 	return spEdges, nil
 }
 
 // spEdgeBaseline is Algorithm 3 with the Baseline variant's dictionary
 // lookups for trussness and edge identity (the same indirection its SpNode
-// pays). Cancellation mirrors spEdgeFlat.
+// pays), scanning each edge's triangles as the paper does. Workers poll ctx
+// every spEdgeCancelStride edges; a canceled call returns ctx.Err() and no
+// subsets.
 func spEdgeBaseline(ctx context.Context, g *graph.Graph, tau, pi []int32, dict edgeDict, threads int, tr *obs.Trace) ([][]uint64, error) {
 	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int(g.NumEdges())

@@ -5,11 +5,22 @@ import (
 	"slices"
 	"testing"
 
+	"equitruss/internal/concur"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
+
+// orient builds g's orientation for the stream kernels.
+func orient(t *testing.T, g *graph.Graph) *triangle.Orientation {
+	t.Helper()
+	o, err := triangle.Orient(concur.Exec{}, "", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
 
 // tauOf runs Support and the serial peel on g.
 func tauOf(t *testing.T, g *graph.Graph) []int32 {
@@ -79,8 +90,8 @@ func TestPairSinkDropsOnlyRepeats(t *testing.T) {
 // appended or counted as filtered.
 func TestSpEdgeFilterKeepsSuperedgeSet(t *testing.T) {
 	g := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3)
-	tau := tauOf(t, g)
-	pi, err := spNodeAfforest(nil, g, tau, 1, nil)
+	tau, o := tauOf(t, g), orient(t, g)
+	pi, err := spNodeAfforest(nil, g, tau, o, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestSpEdgeFilterKeepsSuperedgeSet(t *testing.T) {
 	}
 	dict := buildEdgeDict(g, tau)
 	kernels := map[string]func(threads int) ([][]uint64, error){
-		"flat":     func(threads int) ([][]uint64, error) { return spEdgeFlat(nil, g, tau, pi, threads, nil) },
+		"flat":     func(threads int) ([][]uint64, error) { return spEdgeFlat(nil, o, tau, pi, threads, nil) },
 		"baseline": func(threads int) ([][]uint64, error) { return spEdgeBaseline(nil, g, tau, pi, dict, threads, nil) },
 	}
 	for name, spEdge := range kernels {
@@ -122,21 +133,22 @@ func TestSpEdgeFilterKeepsSuperedgeSet(t *testing.T) {
 
 // TestSuperedgeAllocationTracksOutput pins SpEdge + SmGraph's memory to the
 // number of superedges they produce. On the hub-heavy R-MAT(13) graph of the
-// lifecycle benchmark's rmat-skew workload every superedge has about
-// nineteen candidates; appending them all and copying them through
-// per-destination buckets allocated about 1950 bytes per superedge, while
-// filtering repeats at emission and merging in one buffer allocates under
-// 300.
+// lifecycle benchmark's rmat-skew workload the triangle stream makes about
+// nineteen candidates per superedge (2.18 M for 115 k). Appending them all
+// and copying them through per-destination buckets allocated about 1950
+// bytes per superedge; filtering repeats at emission and merging in one
+// buffer allocates about 70, of which the stream's emission order keeps
+// about 1.4 appended pairs per superedge.
 func TestSuperedgeAllocationTracksOutput(t *testing.T) {
 	g := gen.RMAT(13, 16, 0.57, 0.19, 0.19, 1)
-	tau := tauOf(t, g)
-	pi, err := spNodeAfforest(nil, g, tau, 1, nil)
+	tau, o := tauOf(t, g), orient(t, g)
+	pi, err := spNodeAfforest(nil, g, tau, o, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	spEdges, err := spEdgeFlat(nil, g, tau, pi, 1, nil)
+	spEdges, err := spEdgeFlat(nil, o, tau, pi, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

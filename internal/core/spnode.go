@@ -8,6 +8,7 @@ import (
 	"equitruss/internal/ds"
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
+	"equitruss/internal/triangle"
 )
 
 // MinK is the smallest trussness that forms supernodes: k-truss communities
@@ -314,13 +315,14 @@ const afforestSampleSize = 1024
 
 // spNodeAfforest computes Π with the Afforest strategy: a couple of cheap
 // link rounds over the first triangle partners approximate the components;
-// the dominant component is then identified by sampling and its members are
-// skipped in the exhaustive finalization pass, which links every remaining
-// partner of every edge outside it. Exactness is preserved because the
-// final pass processes all edges not yet in the dominant component and the
-// partner relation is symmetric. Cancellation is checked at every scheduler
-// barrier (link rounds, compression passes, finalization, materialization).
-func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads int, tr *obs.Trace) ([]int32, error) {
+// the dominant component is then identified by sampling, and one exhaustive
+// pass over the triangle stream of o finishes the job. Two edges are
+// k-triangle connected through a triangle exactly when they are its τ = k
+// minimum edges, so the pass links the lowest-τ edges of every triangle,
+// skipping pairs that already sit in the dominant root, and the result is
+// exact. Cancellation is checked at every scheduler barrier (link rounds,
+// compression passes, the stream pass, materialization).
+func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, o *triangle.Orientation, threads int, tr *obs.Trace) ([]int32, error) {
 	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int32(g.NumEdges())
 	cuf := ds.NewConcurrentUnionFind(int(m))
@@ -362,27 +364,25 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, threads in
 	}
 	// Component approximation: sample to find the dominant component.
 	dominant := sampleDominant(cuf, tau, m)
-	// Finalization: exhaustively link everything outside the dominant
-	// component, skipping the (typically large) fraction already settled.
-	err := x.ForRangeDynamic("SpNode", int(m), 512, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := int32(i)
-			k := tau[e]
-			if k < MinK {
-				continue
+	link := func(a, b int32) {
+		if cuf.Find(a) != dominant || cuf.Find(b) != dominant {
+			cuf.Union(a, b)
+		}
+	}
+	// Exhaustive pass: every triangle, once. Every edge of a triangle has
+	// τ >= 3, so its lowest-τ edges always belong to supernodes.
+	err := o.ForEachTriangle(x, "SpNode", func(_ int, e, e1, e2 int32) {
+		k, k1, k2 := tau[e], tau[e1], tau[e2]
+		switch lo := min(k, k1, k2); {
+		case k == lo && k1 == lo:
+			link(e, e1)
+			if k2 == lo {
+				link(e, e2)
 			}
-			if dominant >= 0 && cuf.Find(e) == dominant {
-				continue
-			}
-			g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
-				if tau[e1] == k && tau[e2] >= k {
-					cuf.Union(e, e1)
-				}
-				if tau[e2] == k && tau[e1] >= k {
-					cuf.Union(e, e2)
-				}
-				return true
-			})
+		case k == lo && k2 == lo:
+			link(e, e2)
+		case k1 == lo && k2 == lo:
+			link(e1, e2)
 		}
 	})
 	if err != nil {
@@ -416,7 +416,8 @@ func compressAll(ctx context.Context, cuf *ds.ConcurrentUnionFind, threads int) 
 // sampleDominant returns the most frequent component root among a fixed
 // sample of τ>=3 edges, or -1 when none qualify. The sampled total and the
 // dominant component's hit count feed the afforest sampling counters — the
-// hit ratio is the fraction of work the finalization pass gets to skip.
+// hit ratio approximates the share of the exhaustive pass's links that find
+// both edges already in the dominant root.
 func sampleDominant(cuf *ds.ConcurrentUnionFind, tau []int32, m int32) int32 {
 	if m == 0 {
 		return -1

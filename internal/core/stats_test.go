@@ -66,8 +66,8 @@ func TestComputeStatsEmpty(t *testing.T) {
 
 // TestAfforestDominantSkip exercises the sampling skip path: a graph whose
 // index is one giant supernode (triangle strip) plus a few small cliques.
-// The strip dominates, so the finalization pass skips most edges — the
-// result must still be exact.
+// The strip dominates, so the exhaustive stream pass finds most of its
+// links already in the dominant root — the result must still be exact.
 func TestAfforestDominantSkip(t *testing.T) {
 	strip := gen.TriangleStrip(5000) // ~10k τ=3 edges, one supernode
 	// Append small K5s as separate components.

@@ -84,6 +84,14 @@ func ChooseKernel(g *graph.Graph) Kernel {
 // granularity, per-thread "Support" spans into tr, scheduler-barrier fault
 // sites — and produce bit-identical supports.
 func SupportsKernelCtx(ctx context.Context, g *graph.Graph, k Kernel, threads int, tr *obs.Trace) ([]int32, error) {
+	sup, _, err := SupportsOrientationCtx(ctx, g, k, threads, tr)
+	return sup, err
+}
+
+// SupportsOrientationCtx is SupportsKernelCtx that also hands back the
+// orientation the oriented kernel built, so later triangle passes over g
+// need not orient again. The orientation is nil when the merge kernel ran.
+func SupportsOrientationCtx(ctx context.Context, g *graph.Graph, k Kernel, threads int, tr *obs.Trace) ([]int32, *Orientation, error) {
 	if k == KernelAuto {
 		k = ChooseKernel(g)
 		if k == KernelOriented {
@@ -94,10 +102,11 @@ func SupportsKernelCtx(ctx context.Context, g *graph.Graph, k Kernel, threads in
 	}
 	switch k {
 	case KernelMerge:
-		return SupportsCtx(ctx, g, threads, tr)
+		sup, err := SupportsCtx(ctx, g, threads, tr)
+		return sup, nil, err
 	case KernelOriented:
 		return SupportsOrientedCtx(ctx, g, threads, tr)
 	default:
-		return nil, fmt.Errorf("triangle: unknown support kernel %v", k)
+		return nil, nil, fmt.Errorf("triangle: unknown support kernel %v", k)
 	}
 }

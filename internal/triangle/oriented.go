@@ -10,11 +10,16 @@ import (
 	"equitruss/internal/obs"
 )
 
-// Counters emitted by the oriented kernel: enumerated triangles expose the
-// work actually done (exactly one hit per triangle, vs three per triangle
-// for the merge kernel's symmetric intersections).
-var cOrientedTriangles = obs.GetCounter("support_oriented_triangles",
-	"triangles enumerated by the oriented compact-forward Support kernel")
+// Counters emitted by the orientation and the triangle stream: a build
+// that orients once and runs k stream passes shows one orientation and k
+// visits per triangle (the merge kernel's per-edge intersections meet each
+// triangle three times per pass).
+var (
+	cOrientations = obs.GetCounter("triangle_orientations",
+		"degree orientations built for the oriented triangle stream")
+	cStreamTriangles = obs.GetCounter("triangle_stream_triangles",
+		"triangles visited by the oriented triangle stream, one visit per triangle per pass")
+)
 
 // accArrayLimit caps the per-thread credit-accumulation footprint of the
 // oriented kernel (threads × edges int32 entries). Below the cap every
@@ -24,38 +29,38 @@ var cOrientedTriangles = obs.GetCounter("support_oriented_triangles",
 // memory.
 const accArrayLimit = 1 << 26 // 64M entries = 256 MiB of int32
 
-// orientedGrain is the dynamic chunk size of the enumeration stage, matching
+// orientedGrain is the dynamic chunk size of the triangle stream, matching
 // the merge kernel's grain so per-thread span items are comparable.
 const orientedGrain = 512
 
-// SupportsOrientedCtx computes per-edge supports with the compact-forward
-// scheme behind the O(|E|^1.5) bound the paper cites: orient every edge
-// from lower to higher (degree, id) rank, enumerate each triangle exactly
-// once as an intersection of out-neighborhoods, and credit all three member
-// edges. On skewed graphs the oriented lists (length ≤ O(√m)) are much
-// shorter than hub adjacencies, so the kernel does far less intersection
-// work than the merge kernel's symmetric per-edge scans.
-//
-// It shares the merge kernel's full production contract: workers poll ctx
-// at chunk-claim granularity and the call returns ctx.Err() with every
-// goroutine joined once it fires, every parallel stage emits per-thread
-// "Support" spans into tr, and each stage's barrier is a "concur.barrier"
-// fault-injection site.
-func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, error) {
-	n := int(g.NumVertices())
-	m := int(g.NumEdges())
-	sup := make([]int32, m)
-	if m == 0 {
-		return sup, nil
-	}
-	if threads <= 0 {
-		threads = concur.MaxThreads()
-	}
+// Orientation is a graph with every edge directed from its lower to its
+// higher (degree, id) rank: the compact-forward scheme behind the
+// O(|E|^1.5) bound the paper cites. Each vertex's out-list holds only
+// higher-ranked neighbours, so on skewed graphs it is O(√m) long where a
+// hub's adjacency is not, and each triangle is the intersection of the
+// out-lists of its lowest-ranked edge's endpoints, found exactly once.
+// Build it with Orient; it is read-only afterwards and safe to share.
+type Orientation struct {
+	g    *graph.Graph
+	pos  []int32 // pos[v]: rank of v under ascending (degree, id)
+	off  []int64 // out-list of v: [off[v], off[v+1])
+	rank []int32 // rank of each out-edge's head, ascending within a list
+	eid  []int32 // edge ID of each out-edge
+}
 
-	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
+// Orient ranks g's vertices by (degree, id) and builds the oriented
+// out-lists, running on x and naming its per-thread spans name (the
+// caller's stage). It returns x's error, with every worker joined, when x's
+// context fires or a barrier fault is injected.
+func Orient(x concur.Exec, name string, g *graph.Graph) (*Orientation, error) {
+	n := int(g.NumVertices())
+	if x.Threads <= 0 {
+		x.Threads = concur.MaxThreads()
+	}
+	threads := x.Threads
 
 	// Rank vertices by (degree, id); rank(u) < rank(v) orients u -> v.
-	pos, err := rankByDegree(x, g)
+	pos, err := rankByDegree(x, name, g)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +68,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	// Build the oriented CSR: out-neighbors of v are neighbors with higher
 	// rank, kept with their edge IDs and sorted by rank for merging.
 	outOff := make([]int64, n+1)
-	err = x.For("Support", n, func(i int) {
+	err = x.For(name, n, func(i int) {
 		v := int32(i)
 		var d int64
 		for _, w := range g.Neighbors(v) {
@@ -82,12 +87,12 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	total := outOff[n]
 	outRank := make([]int32, total) // rank of the head vertex
 	outEID := make([]int32, total)
-	err = x.ForThreads("Support", threads, func(tid int) {
+	err = x.ForThreads(name, threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		var scratch sortScratch // reused across every vertex of this thread
 		for i := lo; i < hi; i++ {
-			if i&0xFFF == 0 && concur.Canceled(ctx) {
+			if i&0xFFF == 0 && concur.Canceled(x.Ctx) {
 				return
 			}
 			v := int32(i)
@@ -107,92 +112,132 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 	if err != nil {
 		return nil, err
 	}
+	cOrientations.Inc()
+	return &Orientation{g: g, pos: pos, off: outOff, rank: outRank, eid: outEID}, nil
+}
 
-	// Enumerate: for each oriented edge (v, w), intersect out(v) × out(w).
-	// Triangle credits accumulate into per-thread arrays (reduced after the
-	// barrier) when the footprint allows, killing the triple-atomic
-	// contention of the naive scheme; otherwise each credit is an atomic add.
-	edges := g.Edges()
-	useAcc := int64(threads)*int64(m) <= accArrayLimit
-	accs := make([][]int32, threads)
+// Graph returns the graph o orients.
+func (o *Orientation) Graph() *graph.Graph { return o.g }
+
+// ForEachTriangle calls fn(tid, e, e1, e2) exactly once per triangle of the
+// graph, from x.Threads workers (<= 0 selects all cores) that claim dynamic
+// chunks of edges. For the triangle on vertices u, v, w with u and v the
+// two lowest-ranked, e is edge (u, v), e1 is (u, w) and e2 is (v, w); tid in
+// [0, threads) names the calling worker, so fn may write per-thread state
+// without synchronisation. Workers poll x's context each time they claim a
+// chunk; the call returns its error, with every worker joined, once it
+// fires. Per-thread spans are named name, after the calling stage.
+func (o *Orientation) ForEachTriangle(x concur.Exec, name string, fn func(tid int, e, e1, e2 int32)) error {
+	if x.Threads <= 0 {
+		x.Threads = concur.MaxThreads()
+	}
+	edges := o.g.Edges()
+	m := len(edges)
+	pos, off, rank, eid := o.pos, o.off, o.rank, o.eid
 	var cursor atomic.Int64
-	err = x.ForThreads("Support", threads, func(tid int) {
-		var acc []int32
-		if useAcc {
-			acc = make([]int32, m)
-			accs[tid] = acc
-		}
+	return x.ForThreads(name, x.Threads, func(tid int) {
 		var tris int64
-		for {
-			if concur.Canceled(ctx) {
-				break
-			}
+		for !concur.Canceled(x.Ctx) {
 			lo := int(cursor.Add(orientedGrain)) - orientedGrain
 			if lo >= m {
 				break
 			}
-			hi := lo + orientedGrain
-			if hi > m {
-				hi = m
-			}
-			for eid := lo; eid < hi; eid++ {
-				e := edges[eid]
-				u, v := e.U, e.V
+			hi := min(lo+orientedGrain, m)
+			for e := lo; e < hi; e++ {
+				u, v := edges[e].U, edges[e].V
 				if pos[u] > pos[v] {
 					u, v = v, u // orient: u -> v
 				}
-				i, bu := outOff[u], outOff[u+1]
-				j, bv := outOff[v], outOff[v+1]
-				var own int32
+				i, bu := off[u], off[u+1]
+				j, bv := off[v], off[v+1]
 				for i < bu && j < bv {
-					ri, rj := outRank[i], outRank[j]
+					ri, rj := rank[i], rank[j]
 					switch {
 					case ri < rj:
 						i++
 					case ri > rj:
 						j++
 					default:
-						// Triangle (u, v, w): credit all three edges.
-						own++
-						if acc != nil {
-							acc[outEID[i]]++
-							acc[outEID[j]]++
-						} else {
-							atomic.AddInt32(&sup[outEID[i]], 1)
-							atomic.AddInt32(&sup[outEID[j]], 1)
-						}
+						fn(tid, int32(e), eid[i], eid[j])
+						tris++
 						i++
 						j++
 					}
 				}
-				if acc != nil {
-					acc[eid] += own
-				} else if own != 0 {
-					atomic.AddInt32(&sup[eid], own)
-				}
-				tris += int64(own)
 			}
 		}
-		cOrientedTriangles.Add(tris)
+		cStreamTriangles.Add(tris)
 	})
-	if err != nil {
-		return nil, err
+}
+
+// SupportsOrientedCtx computes per-edge supports with the compact-forward
+// scheme: it orients g and runs one triangle stream pass that credits each
+// triangle's three edges. On skewed graphs the oriented lists are much
+// shorter than hub adjacencies, so the kernel does far less intersection
+// work than the merge kernel's symmetric per-edge scans. It returns the
+// orientation with the supports, for later triangle passes over the same
+// graph.
+//
+// It shares the merge kernel's full production contract: workers poll ctx
+// at chunk-claim granularity and the call returns ctx.Err() with every
+// goroutine joined once it fires, every parallel stage emits per-thread
+// "Support" spans into tr, and each stage's barrier is a "concur.barrier"
+// fault-injection site.
+func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, *Orientation, error) {
+	if threads <= 0 {
+		threads = concur.MaxThreads()
 	}
-	if useAcc {
-		err = x.ForRange("Support", m, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				var s int32
-				for t := 0; t < threads; t++ {
-					s += accs[t][e]
-				}
-				sup[e] = s
-			}
+	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
+	o, err := Orient(x, "Support", g)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := int(g.NumEdges())
+	sup := make([]int32, m)
+	if m == 0 {
+		return sup, o, nil
+	}
+
+	// Triangle credits accumulate into per-thread arrays (reduced after the
+	// barrier) when the footprint allows, killing the triple-atomic
+	// contention of the naive scheme; otherwise each credit is an atomic add.
+	if int64(threads)*int64(m) > accArrayLimit {
+		err = o.ForEachTriangle(x, "Support", func(_ int, e, e1, e2 int32) {
+			atomic.AddInt32(&sup[e], 1)
+			atomic.AddInt32(&sup[e1], 1)
+			atomic.AddInt32(&sup[e2], 1)
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		return sup, o, nil
 	}
-	return sup, nil
+	accs := make([][]int32, threads)
+	for t := range accs {
+		accs[t] = make([]int32, m)
+	}
+	err = o.ForEachTriangle(x, "Support", func(tid int, e, e1, e2 int32) {
+		acc := accs[tid]
+		acc[e]++
+		acc[e1]++
+		acc[e2]++
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	err = x.ForRange("Support", m, func(lo, hi int) {
+		for e := lo; e < hi; e++ {
+			var s int32
+			for t := 0; t < threads; t++ {
+				s += accs[t][e]
+			}
+			sup[e] = s
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return sup, o, nil
 }
 
 // rankByDegree returns pos with pos[v] = rank of v under ascending
@@ -201,7 +246,7 @@ func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *o
 // (degree, thread), and a parallel placement pass. Stability by id falls out
 // of the blocks being id-ordered and the scan visiting threads in order —
 // no comparison sort anywhere.
-func rankByDegree(x concur.Exec, g *graph.Graph) ([]int32, error) {
+func rankByDegree(x concur.Exec, name string, g *graph.Graph) ([]int32, error) {
 	n := int(g.NumVertices())
 	pos := make([]int32, n)
 	threads := x.Threads
@@ -212,7 +257,7 @@ func rankByDegree(x concur.Exec, g *graph.Graph) ([]int32, error) {
 		threads = 1
 	}
 	maxPT := make([]int32, threads)
-	err := x.ForThreads("Support", threads, func(tid int) {
+	err := x.ForThreads(name, threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		var max int32
@@ -234,7 +279,7 @@ func rankByDegree(x concur.Exec, g *graph.Graph) ([]int32, error) {
 	}
 	buckets := int(maxDeg) + 1
 	counts := make([][]int32, threads)
-	err = x.ForThreads("Support", threads, func(tid int) {
+	err = x.ForThreads(name, threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		cnt := make([]int32, buckets)
@@ -254,7 +299,7 @@ func rankByDegree(x concur.Exec, g *graph.Graph) ([]int32, error) {
 			base += c
 		}
 	}
-	err = x.ForThreads("Support", threads, func(tid int) {
+	err = x.ForThreads(name, threads, func(tid int) {
 		lo := tid * n / threads
 		hi := (tid + 1) * n / threads
 		cnt := counts[tid]

@@ -1,6 +1,6 @@
-// Package triangle implements the Support kernel of the pipeline: exact
-// per-edge triangle counts (Definition 2 of the paper) plus whole-graph
-// triangle counting.
+// Package triangle implements the Support kernel of the pipeline, exact
+// per-edge triangle counts (Definition 2 of the paper), and the oriented
+// triangle stream the index builders share with it.
 //
 // Support of edge (u, v) equals |N(u) ∩ N(v)| in a simple graph, so each
 // edge's support is computed independently by a sorted-merge intersection —
@@ -38,20 +38,4 @@ func SupportsCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace
 		return nil, err
 	}
 	return sup, nil
-}
-
-// Count returns the total number of triangles in g. Every triangle is
-// counted once per constituent edge by the per-edge supports, so the sum of
-// supports equals three times the triangle count. The supports come from
-// the auto-selected kernel, so skewed graphs get the oriented scheme.
-func Count(ctx context.Context, g *graph.Graph, threads int) (int64, error) {
-	sup, err := SupportsKernelCtx(ctx, g, KernelAuto, threads, nil)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, s := range sup {
-		total += int64(s)
-	}
-	return total / 3, nil
 }

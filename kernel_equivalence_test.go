@@ -7,32 +7,43 @@ import (
 
 	"equitruss"
 	"equitruss/internal/gen"
+	"equitruss/internal/obs"
 )
 
 // TestBuildSummaryKernelEquivalence: kernels are an implementation detail —
 // on a skewed RMAT graph every Support kernel choice (including auto, which
-// resolves to oriented here) and the serial peel selected through Options
+// resolves to oriented here) and the serial peel selected through Options,
+// and the flat variants over either Support kernel at one and four threads,
 // must produce a bit-identical trussness array and the same canonical
-// summary graph as the merge reference.
+// summary graph as the Serial build. The merge rows have the index builder
+// orient the graph itself; the oriented rows hand it the orientation the
+// Support kernel built.
 func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	g := equitruss.GenerateRMAT(14, 8, 42)
-	ref, _, err := equitruss.BuildSummary(g, equitruss.Options{
-		Variant: equitruss.Afforest, Threads: 4, SupportKernel: equitruss.KernelMerge,
-	})
+	ref, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.Serial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	canon := ref.Canonical(g)
-	for _, c := range []struct {
+	type row struct {
 		name string
 		opt  equitruss.Options
-	}{
-		{fmt.Sprint(equitruss.KernelOriented), equitruss.Options{SupportKernel: equitruss.KernelOriented}},
-		{fmt.Sprint(equitruss.KernelAuto), equitruss.Options{SupportKernel: equitruss.KernelAuto}},
-		{"peel-serial", equitruss.Options{PeelKernel: equitruss.PeelSerial}},
-	} {
+	}
+	rows := []row{
+		{fmt.Sprint(equitruss.KernelOriented), equitruss.Options{Variant: equitruss.Afforest, Threads: 4, SupportKernel: equitruss.KernelOriented}},
+		{fmt.Sprint(equitruss.KernelAuto), equitruss.Options{Variant: equitruss.Afforest, Threads: 4, SupportKernel: equitruss.KernelAuto}},
+		{"peel-serial", equitruss.Options{Variant: equitruss.Afforest, Threads: 4, PeelKernel: equitruss.PeelSerial}},
+	}
+	for _, v := range []equitruss.Variant{equitruss.COptimal, equitruss.Afforest} {
+		for _, k := range []equitruss.SupportKernel{equitruss.KernelMerge, equitruss.KernelOriented} {
+			for _, threads := range []int{1, 4} {
+				rows = append(rows, row{fmt.Sprintf("%v-%v-T%d", v, k, threads),
+					equitruss.Options{Variant: v, Threads: threads, SupportKernel: k}})
+			}
+		}
+	}
+	for _, c := range rows {
 		t.Run(c.name, func(t *testing.T) {
-			c.opt.Variant, c.opt.Threads = equitruss.Afforest, 4
 			sg, _, err := equitruss.BuildSummary(g, c.opt)
 			if err != nil {
 				t.Fatal(err)
@@ -43,9 +54,39 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 				}
 			}
 			if sg.Canonical(g) != canon {
-				t.Fatal("summary graph differs from the merge-kernel reference")
+				t.Fatal("summary graph differs from the Serial build")
 			}
 		})
+	}
+}
+
+// TestBuildSummaryOrientsOnce: the pipeline builds at most one orientation.
+// With oriented Support the flat variants reuse the Support kernel's; with
+// merge Support the index builder makes the only one; Serial and Baseline
+// make none beyond Support's. A second orientation would cost a second
+// copy of the oriented out-lists in every build's allocations.
+func TestBuildSummaryOrientsOnce(t *testing.T) {
+	g := equitruss.GenerateRMAT(12, 8, 42)
+	orientations := obs.GetCounter("triangle_orientations", "")
+	for _, c := range []struct {
+		v    equitruss.Variant
+		k    equitruss.SupportKernel
+		want int64
+	}{
+		{equitruss.Afforest, equitruss.KernelOriented, 1},
+		{equitruss.COptimal, equitruss.KernelOriented, 1},
+		{equitruss.Afforest, equitruss.KernelMerge, 1},
+		{equitruss.Baseline, equitruss.KernelOriented, 1},
+		{equitruss.Baseline, equitruss.KernelMerge, 0},
+		{equitruss.Serial, equitruss.KernelMerge, 0},
+	} {
+		before := orientations.Value()
+		if _, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: c.v, Threads: 2, SupportKernel: c.k}); err != nil {
+			t.Fatal(err)
+		}
+		if got := orientations.Value() - before; got != c.want {
+			t.Errorf("%v with %v Support built %d orientations, want %d", c.v, c.k, got, c.want)
+		}
 	}
 }
 
