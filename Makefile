@@ -24,11 +24,12 @@ race:
 # The gate every change must pass: gofmt over the whole tree (the nested
 # benchmark module included), vet, vulnerability scan (when the
 # scanner is installed), build, full tests, the race-detector subset
-# covering the shared-state hot spots (schedulers, the triangle, peel and
-# index-construction kernels, the community index, observability, and the
-# pipeline's orientation shared from Support to the index builder) at one
-# worker thread and at more workers than the box has cores, the chaos
-# suite, and the nested lifecycle-benchmark module.
+# covering the shared-state hot spots (schedulers, the chunked edge-list
+# parser and CSR builder, the triangle, peel and index-construction
+# kernels, the community index, observability, and the pipeline's
+# orientation shared from Support to the index builder) at one worker
+# thread and at more workers than the box has cores, the chaos suite, and
+# the nested lifecycle-benchmark module.
 ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -40,7 +41,7 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	fi
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	$(GO) test ./...
-	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/triangle ./internal/truss ./internal/core ./internal/community ./internal/obs
+	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/graph ./internal/graphio ./internal/triangle ./internal/truss ./internal/core ./internal/community ./internal/obs
 	$(GO) test -race -cpu 1,4 -run TestBuildSummaryKernelEquivalence .
 	$(MAKE) benchcheck
 

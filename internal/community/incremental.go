@@ -137,8 +137,8 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 
 	// Merge the (sorted) old edge array with the sorted inserts, dropping
 	// deletes: one O(m) pass yields the new canonical edge list, both ID
-	// translations, and the new tau array — no map iteration, no re-sort of
-	// anything but the nearly-sorted result inside FromEdgeList.
+	// translations, and the new tau array — no map iteration, and the
+	// result is canonical and sorted, so FromEdgeList sorts nothing.
 	oldEdges := oldG.Edges()
 	mOld := len(oldEdges)
 	newEdges := make([]graph.Edge, 0, mOld+len(insKeys)-len(deletedOld))

@@ -223,20 +223,26 @@ func TestSerialParallelBuildIdentical(t *testing.T) {
 		in = append(in, Edge{int32(rnd.Intn(300)), int32(rnd.Intn(300))})
 	}
 	gp := mustGraph(t, in, 300)
-	gs, err := FromEdgeListSerial(in, 300)
+	gs, err := buildCSR(in, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gp.NumEdges() != gs.NumEdges() {
 		t.Fatalf("edge counts differ: %d vs %d", gp.NumEdges(), gs.NumEdges())
 	}
+	for eid := int32(0); eid < int32(gp.NumEdges()); eid++ {
+		if gp.Edge(eid) != gs.Edge(eid) {
+			t.Fatalf("edge %d differs: %v vs %v", eid, gp.Edge(eid), gs.Edge(eid))
+		}
+	}
 	for v := int32(0); v < 300; v++ {
 		a, b := gp.Neighbors(v), gs.Neighbors(v)
+		ea, eb := gp.IncidentEIDs(v), gs.IncidentEIDs(v)
 		if len(a) != len(b) {
 			t.Fatalf("vertex %d degree differs", v)
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if a[i] != b[i] || ea[i] != eb[i] {
 				t.Fatalf("vertex %d adjacency differs", v)
 			}
 		}

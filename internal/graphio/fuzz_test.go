@@ -1,20 +1,28 @@
 package graphio
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
+	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
-// FuzzReadEdgeList feeds arbitrary text to the edge-list parser: it must
-// never panic, and any successfully parsed graph must round-trip through
-// the writer.
+// FuzzReadEdgeList feeds arbitrary text to the edge-list parser. At every
+// chunk count from 1 to 7, so piece boundaries land mid-file, the parallel
+// byte parser must agree with the line-by-line oracle on accept/reject, the
+// error text (line number included) and the exact edge list. Any input
+// that builds a graph must round-trip through the writer edge for edge.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# comment\n\n3 4 junk\n")
@@ -22,9 +30,33 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("-1 5\n")
 	f.Add("99999999999 1\n")
 	f.Add("0 1 2 3 4\n1\t2\n")
+	f.Add("+3 4\r\n")
+	f.Add("0 1\n1 2junk\n")
+	f.Add("0 1\n1\x002\n")
+	f.Add("0\u00a01\n2 3\n")
+	f.Add("2147483647 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		want, wantErr := oracleEdgeList(input)
+		for chunks := 1; chunks <= 7; chunks++ {
+			got, err := parseEdgeList([]byte(input), chunks)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("chunks=%d: error %v, oracle %v", chunks, err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("chunks=%d: edges %v, oracle %v", chunks, got, want)
+			}
+		}
+		// Building allocates per vertex ID; keep the fuzzer's IDs small.
+		for _, e := range want {
+			if e.U > 1<<16 || e.V > 1<<16 {
+				return
+			}
+		}
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
+			if wantErr == nil {
+				t.Fatalf("parsed edges rejected by the builder: %v", err)
+			}
 			return
 		}
 		var buf bytes.Buffer
@@ -35,10 +67,51 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of written graph: %v", err)
 		}
-		if g2.NumEdges() != g.NumEdges() {
-			t.Fatalf("round trip changed edges: %d vs %d", g2.NumEdges(), g.NumEdges())
+		if g2.NumVertices() != g.NumVertices() || !slices.Equal(g2.Edges(), g.Edges()) {
+			t.Fatalf("round trip changed the graph: %v vs %v", g2, g)
 		}
 	})
+}
+
+// oracleEdgeList is the line-by-line reader the byte parser replaced
+// (bufio.Scanner, strings.Fields, strconv.ParseInt), with the vertex-ID
+// range check both now make, returning the edge list before the CSR
+// build. Its buffer is sized to the input so no line is too long.
+func oracleEdgeList(input string) ([]graph.Edge, error) {
+	sc := bufio.NewScanner(strings.NewReader(input))
+	sc.Buffer(nil, len(input)+1)
+	var edges []graph.Edge
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || text[0] == '#' || text[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graphio: line %d: want 'u v', got %q", line, text)
+		}
+		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, fields[0], err)
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graphio: line %d: bad vertex %q: %v", line, fields[1], err)
+		}
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("graphio: line %d: negative vertex id in %q", line, text)
+		}
+		if u == math.MaxInt32 || v == math.MaxInt32 {
+			return nil, fmt.Errorf("graphio: line %d: vertex id %d out of range in %q", line, math.MaxInt32, text)
+		}
+		edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graphio: scan: %w", err)
+	}
+	return edges, nil
 }
 
 // FuzzReadBinaryIndex throws mutated bytes at the binary index reader: it

@@ -2,14 +2,15 @@ package graphio
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
-	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
 	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
@@ -215,18 +216,72 @@ func TestBinaryIndexTruncated(t *testing.T) {
 }
 
 func TestBigScannerLine(t *testing.T) {
-	// Very long comment lines must not break the scanner buffer.
-	long := "# " + strings.Repeat("x", 1<<18) + "\n0 1\n"
-	g, err := ReadEdgeList(strings.NewReader(long))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d", g.NumEdges())
+	// Very long comment lines must not break the reader: 256 KiB, and a
+	// 2 MiB one, past the 1 MiB cap of the old line scanner.
+	for _, size := range []int{1 << 18, 2 << 20} {
+		long := "# " + strings.Repeat("x", size) + "\n0 1\n"
+		g, err := ReadEdgeList(strings.NewReader(long))
+		if err != nil {
+			t.Fatalf("%d-byte comment: %v", size, err)
+		}
+		if g.NumEdges() != 1 {
+			t.Fatalf("%d-byte comment: edges = %d", size, g.NumEdges())
+		}
 	}
 }
 
-var _ = graph.Edge{} // keep the import used if assertions above change
+// TestReadEdgeListMaxVertexID is the regression for vertex 2147483647:
+// n = maxID + 1 used to wrap, leaving a graph with n = 0 and m = 1. The
+// line must be rejected by number, in either column.
+func TestReadEdgeListMaxVertexID(t *testing.T) {
+	for _, in := range []string{"2147483647 0\n", "0 1\n# c\n1 2147483647\n"} {
+		_, err := ReadEdgeList(strings.NewReader(in))
+		want := fmt.Sprintf("line %d:", strings.Count(in, "\n"))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("input %q: error %v, want one naming %q", in, err, want)
+		}
+	}
+}
+
+// TestParseEdgeListChunked parses one file at every chunk count from 1 to
+// 7 and checks the edge list and, with a bad line planted at several
+// places, the error's line number against the line-by-line oracle.
+func TestParseEdgeListChunked(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("# header\n")
+	for i := 0; i < 3000; i++ {
+		switch i % 7 {
+		case 0:
+			fmt.Fprintf(&sb, "%d\t%d\r\n", i, i+1)
+		case 1:
+			sb.WriteString("\n% comment\n")
+		case 2:
+			fmt.Fprintf(&sb, "  +%d %d extra\n", i, i/2)
+		default:
+			fmt.Fprintf(&sb, "%d %d\n", i, (i*31)%3000)
+		}
+	}
+	good := sb.String()
+	lines := strings.SplitAfter(good, "\n")
+	inputs := []string{good, strings.TrimSuffix(good, "\n")}
+	for _, at := range []int{1, 2, len(lines) / 3, len(lines) - 2} {
+		bad := slices.Clone(lines)
+		bad[at] = "7 x\n"
+		inputs = append(inputs, strings.Join(bad, ""))
+	}
+	for _, in := range inputs {
+		want, wantErr := oracleEdgeList(in)
+		for chunks := 1; chunks <= 7; chunks++ {
+			got, err := parseEdgeList([]byte(in), chunks)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("chunks=%d: error %v, oracle %v", chunks, err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("chunks=%d: %d edges, oracle %d", chunks, len(got), len(want))
+			}
+		}
+	}
+}
 
 func TestWriteSummaryDOT(t *testing.T) {
 	g := gen.PaperFigure3()
