@@ -26,7 +26,8 @@ race:
 # scanner is installed), build, full tests, the race-detector subset
 # covering the shared-state hot spots (schedulers, the chunked edge-list
 # parser and CSR builder, the triangle, peel and index-construction
-# kernels, the community index, observability, and the pipeline's
+# kernels, the concurrent union-find behind Afforest SpNode, the community
+# index, observability, and the pipeline's
 # orientation shared from Support to the index builder) at one worker
 # thread and at more workers than the box has cores, the chaos suite, and
 # the nested lifecycle-benchmark module.
@@ -41,7 +42,7 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 	fi
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	$(GO) test ./...
-	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/graph ./internal/graphio ./internal/triangle ./internal/truss ./internal/core ./internal/community ./internal/obs
+	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/graph ./internal/graphio ./internal/triangle ./internal/truss ./internal/core ./internal/ds ./internal/community ./internal/obs
 	$(GO) test -race -cpu 1,4 -run TestBuildSummaryKernelEquivalence .
 	$(MAKE) benchcheck
 

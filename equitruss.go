@@ -8,7 +8,7 @@
 // The library covers the full pipeline: per-edge triangle support,
 // k-truss decomposition, EquiTruss index construction in four variants
 // (the original sequential Algorithm, parallel Shiloach–Vishkin Baseline,
-// cache-optimized C-Optimal, and sampling-based Afforest), and indexed
+// cache-optimized C-Optimal, and union-find Afforest), and indexed
 // community queries.
 //
 // Quick start:
@@ -67,7 +67,7 @@ const (
 	Serial   = core.VariantSerial   // Original EquiTruss (Algorithm 1)
 	Baseline = core.VariantBaseline // parallel SV, hash-map dictionaries
 	COptimal = core.VariantCOptimal // parallel SV, contiguous CSR-aligned storage
-	Afforest = core.VariantAfforest // sampling-based CC construction
+	Afforest = core.VariantAfforest // union-find CC over the triangle stream
 )
 
 // SupportKernel selects the Support-stage (per-edge triangle counting)

@@ -354,7 +354,7 @@ func TestCountersAccumulate(t *testing.T) {
 	// The Afforest pipeline must have moved these counters off zero.
 	for _, name := range []string{
 		"truss_peel_levels", "truss_support_decrements",
-		"spnode_afforest_sample_total", "spedge_emitted", "spedge_filtered", "smgraph_superedges_final",
+		"triangle_stream_triangles", "spedge_emitted", "spedge_filtered", "smgraph_superedges_final",
 	} {
 		if vals[name] <= 0 {
 			t.Fatalf("counter %s = %d after an Afforest build\nall: %v", name, vals[name], vals)

@@ -22,7 +22,8 @@ const (
 	VariantBaseline
 	// VariantCOptimal is parallel SV with CSR-aligned, contiguous storage.
 	VariantCOptimal
-	// VariantAfforest is the sampling-based Afforest construction.
+	// VariantAfforest is the Afforest construction: concurrent union-find
+	// over one pass of the oriented triangle stream.
 	VariantAfforest
 )
 
@@ -102,8 +103,8 @@ func BuildOrientedCtx(ctx context.Context, g *graph.Graph, tau []int32, o *trian
 	case VariantCOptimal:
 		phi, _ = phiGroups(g, tau, threads)
 	case VariantAfforest:
-		// Afforest needs no Φ ordering: cross-k hooks are impossible, so
-		// all trussness groups converge in the same passes.
+		// Afforest needs no Φ ordering: each triangle unions only its
+		// lowest-τ edges, so all trussness groups converge in one pass.
 	default:
 		panic("core: unknown variant " + variant.String())
 	}

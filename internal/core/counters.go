@@ -11,10 +11,6 @@ var (
 		"SV shortcut (pointer-jumping) rounds executed in SpNode")
 	cHookCASFailures = obs.GetCounter("spnode_hook_cas_failures",
 		"SV hook CASes lost to concurrent writers in SpNode")
-	cAffSampleHits = obs.GetCounter("spnode_afforest_sample_hits",
-		"sampled edges that landed in the dominant component during Afforest SpNode")
-	cAffSampleTotal = obs.GetCounter("spnode_afforest_sample_total",
-		"edges sampled for dominant-component approximation in Afforest SpNode")
 	cUnionFindRetries = obs.GetCounter("unionfind_cas_retries",
 		"union-find hook CASes retried under contention (Afforest forests)")
 	cSpEdgeEmitted = obs.GetCounter("spedge_emitted",

@@ -302,93 +302,37 @@ func flattenPi(ctx context.Context, pi []int32, tau []int32, threads int) error 
 }
 
 // ---------------------------------------------------------------------------
-// Afforest SpNode: sampling-based CC (Sutton et al.) over edge entities.
+// Afforest SpNode: concurrent union-find (Sutton et al.) over edge entities.
 // ---------------------------------------------------------------------------
 
-// afforestNeighborRounds is the number of link rounds run over a bounded
-// prefix of each edge's triangle partners before component approximation.
-const afforestNeighborRounds = 2
-
-// afforestSampleSize is the number of edges sampled to identify the
-// largest intermediate component.
-const afforestSampleSize = 1024
-
-// spNodeAfforest computes Π with the Afforest strategy: a couple of cheap
-// link rounds over the first triangle partners approximate the components;
-// the dominant component is then identified by sampling, and one exhaustive
-// pass over the triangle stream of o finishes the job. Two edges are
-// k-triangle connected through a triangle exactly when they are its τ = k
-// minimum edges, so the pass links the lowest-τ edges of every triangle,
-// skipping pairs that already sit in the dominant root, and the result is
-// exact. Cancellation is checked at every scheduler barrier (link rounds,
-// compression passes, the stream pass, materialization).
+// spNodeAfforest computes Π with one pass over the triangle stream of o.
+// Two edges are k-triangle connected through a triangle exactly when they
+// are its τ = k minimum edges, so the pass unions the lowest-τ edges of
+// every triangle on a concurrent union-find forest and the resulting
+// components are Π. After the stream's barrier a parallel Find pass
+// (which path-compresses) materialises each edge's root. Cancellation is
+// checked at both barriers.
 func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, o *triangle.Orientation, threads int, tr *obs.Trace) ([]int32, error) {
 	x := concur.Exec{Ctx: ctx, Trace: tr, Threads: threads}
 	m := int32(g.NumEdges())
 	cuf := ds.NewConcurrentUnionFind(int(m))
-	// Link rounds over the r-th valid partner of each edge.
-	for r := 0; r < afforestNeighborRounds; r++ {
-		err := x.ForRangeDynamic("SpNode", int(m), 512, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := int32(i)
-				k := tau[e]
-				if k < MinK {
-					continue
-				}
-				seen := 0
-				g.ForEachTriangleOf(e, func(w, e1, e2 int32) bool {
-					if tau[e1] == k && tau[e2] >= k {
-						if seen == r {
-							cuf.Union(e, e1)
-							return false
-						}
-						seen++
-					}
-					if tau[e2] == k && tau[e1] >= k {
-						if seen == r {
-							cuf.Union(e, e2)
-							return false
-						}
-						seen++
-					}
-					return true
-				})
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := compressAll(ctx, cuf, threads); err != nil {
-			return nil, err
-		}
-	}
-	// Component approximation: sample to find the dominant component.
-	dominant := sampleDominant(cuf, tau, m)
-	link := func(a, b int32) {
-		if cuf.Find(a) != dominant || cuf.Find(b) != dominant {
-			cuf.Union(a, b)
-		}
-	}
-	// Exhaustive pass: every triangle, once. Every edge of a triangle has
-	// τ >= 3, so its lowest-τ edges always belong to supernodes.
+	// Every edge of a triangle has τ >= 3, so its lowest-τ edges always
+	// belong to supernodes.
 	err := o.ForEachTriangle(x, "SpNode", func(_ int, e, e1, e2 int32) {
 		k, k1, k2 := tau[e], tau[e1], tau[e2]
 		switch lo := min(k, k1, k2); {
 		case k == lo && k1 == lo:
-			link(e, e1)
+			cuf.Union(e, e1)
 			if k2 == lo {
-				link(e, e2)
+				cuf.Union(e, e2)
 			}
 		case k == lo && k2 == lo:
-			link(e, e2)
+			cuf.Union(e, e2)
 		case k1 == lo && k2 == lo:
-			link(e1, e2)
+			cuf.Union(e1, e2)
 		}
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := compressAll(ctx, cuf, threads); err != nil {
 		return nil, err
 	}
 	pi := make([]int32, m)
@@ -403,44 +347,4 @@ func spNodeAfforest(ctx context.Context, g *graph.Graph, tau []int32, o *triangl
 	}
 	cUnionFindRetries.Add(cuf.Retries())
 	return pi, nil
-}
-
-// compressAll path-compresses every element (parallel Find pass).
-func compressAll(ctx context.Context, cuf *ds.ConcurrentUnionFind, threads int) error {
-	x := concur.Exec{Ctx: ctx, Threads: threads}
-	return x.For("", cuf.Len(), func(i int) {
-		cuf.Find(int32(i))
-	})
-}
-
-// sampleDominant returns the most frequent component root among a fixed
-// sample of τ>=3 edges, or -1 when none qualify. The sampled total and the
-// dominant component's hit count feed the afforest sampling counters — the
-// hit ratio approximates the share of the exhaustive pass's links that find
-// both edges already in the dominant root.
-func sampleDominant(cuf *ds.ConcurrentUnionFind, tau []int32, m int32) int32 {
-	if m == 0 {
-		return -1
-	}
-	counts := make(map[int32]int)
-	stride := m / afforestSampleSize
-	if stride < 1 {
-		stride = 1
-	}
-	sampled := 0
-	for e := int32(0); e < m; e += stride {
-		if tau[e] >= MinK {
-			counts[cuf.Find(e)]++
-			sampled++
-		}
-	}
-	best, bestN := int32(-1), 0
-	for r, n := range counts {
-		if n > bestN {
-			best, bestN = r, n
-		}
-	}
-	cAffSampleTotal.Add(int64(sampled))
-	cAffSampleHits.Add(int64(bestN))
-	return best
 }

@@ -17,8 +17,7 @@ type Stats struct {
 	KMax         int32
 	// KHistogram[k] = number of supernodes with trussness k.
 	KHistogram map[int32]int64
-	// LargestSupernode is the member count of the biggest supernode (the
-	// component Afforest's sampling is designed to find).
+	// LargestSupernode is the member count of the biggest supernode.
 	LargestSupernode int64
 	// MeanSupernodeSize is IndexedEdges / Supernodes.
 	MeanSupernodeSize float64

@@ -64,11 +64,12 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
-// TestAfforestDominantSkip exercises the sampling skip path: a graph whose
-// index is one giant supernode (triangle strip) plus a few small cliques.
-// The strip dominates, so the exhaustive stream pass finds most of its
-// links already in the dominant root — the result must still be exact.
-func TestAfforestDominantSkip(t *testing.T) {
+// TestAfforestGiantSupernode: a graph whose index is one giant supernode
+// (a triangle strip) plus a few small cliques. Nearly every union of the
+// stream pass lands in the strip's component, so the concurrent forest
+// sees its deepest trees and most contention there; at one and four
+// threads the result must still match Serial exactly.
+func TestAfforestGiantSupernode(t *testing.T) {
 	strip := gen.TriangleStrip(5000) // ~10k τ=3 edges, one supernode
 	// Append small K5s as separate components.
 	base := strip.NumVertices()
@@ -87,15 +88,16 @@ func TestAfforestDominantSkip(t *testing.T) {
 	}
 	tau := buildTau(t, g)
 	want, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
-	got, _ := testkit.Summary(g, tau, core.VariantAfforest, 2)
-	if err := got.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if got.Canonical(g) != want.Canonical(g) {
-		t.Fatal("afforest with dominant skip differs from serial")
-	}
-	st := got.ComputeStats()
-	if st.Supernodes != 9 { // strip + 8 cliques
-		t.Fatalf("supernodes = %d, want 9", st.Supernodes)
+	for _, threads := range []int{1, 4} {
+		got, _ := testkit.Summary(g, tau, core.VariantAfforest, threads)
+		if err := got.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		if got.Canonical(g) != want.Canonical(g) {
+			t.Fatalf("afforest at %d threads differs from serial", threads)
+		}
+		if st := got.ComputeStats(); st.Supernodes != 9 { // strip + 8 cliques
+			t.Fatalf("supernodes at %d threads = %d, want 9", threads, st.Supernodes)
+		}
 	}
 }

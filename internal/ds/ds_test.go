@@ -133,9 +133,6 @@ func TestConcurrentUnionFindParallelChain(t *testing.T) {
 			t.Fatalf("element %d not in the single component", i)
 		}
 	}
-	if cuf.Len() != n {
-		t.Fatalf("Len = %d", cuf.Len())
-	}
 }
 
 func TestConcurrentUnionFindParallelRandom(t *testing.T) {

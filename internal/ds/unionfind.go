@@ -151,10 +151,3 @@ func (cuf *ConcurrentUnionFind) Flatten() {
 		}
 	}
 }
-
-// Parents exposes the raw parent array (after Flatten: the component label
-// of each element).
-func (cuf *ConcurrentUnionFind) Parents() []int32 { return cuf.parent }
-
-// Len returns the number of elements in the forest.
-func (cuf *ConcurrentUnionFind) Len() int { return len(cuf.parent) }

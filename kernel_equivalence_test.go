@@ -60,32 +60,49 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildSummaryOrientsOnce: the pipeline builds at most one orientation.
-// With oriented Support the flat variants reuse the Support kernel's; with
+// TestBuildSummaryOrientsOnce: the pipeline builds at most one orientation
+// and walks the triangle stream at most once per kernel. With oriented
+// Support the flat variants reuse the Support kernel's orientation; with
 // merge Support the index builder makes the only one; Serial and Baseline
 // make none beyond Support's. A second orientation would cost a second
-// copy of the oriented out-lists in every build's allocations.
+// copy of the oriented out-lists in every build's allocations. The stream
+// runs once in oriented Support, once in Afforest's SpNode and once in the
+// flat SpEdge (C-Optimal and Afforest), so triangle_stream_triangles must
+// advance by exactly that many passes times the graph's triangle count.
 func TestBuildSummaryOrientsOnce(t *testing.T) {
 	g := equitruss.GenerateRMAT(12, 8, 42)
+	var triangles int64
+	for _, s := range equitruss.SupportsWithKernel(g, equitruss.KernelMerge, 2) {
+		triangles += int64(s)
+	}
+	triangles /= 3
+	if triangles == 0 {
+		t.Fatal("test graph has no triangles")
+	}
 	orientations := obs.GetCounter("triangle_orientations", "")
+	visits := obs.GetCounter("triangle_stream_triangles", "")
 	for _, c := range []struct {
-		v    equitruss.Variant
-		k    equitruss.SupportKernel
-		want int64
+		v      equitruss.Variant
+		k      equitruss.SupportKernel
+		want   int64
+		passes int64
 	}{
-		{equitruss.Afforest, equitruss.KernelOriented, 1},
-		{equitruss.COptimal, equitruss.KernelOriented, 1},
-		{equitruss.Afforest, equitruss.KernelMerge, 1},
-		{equitruss.Baseline, equitruss.KernelOriented, 1},
-		{equitruss.Baseline, equitruss.KernelMerge, 0},
-		{equitruss.Serial, equitruss.KernelMerge, 0},
+		{equitruss.Afforest, equitruss.KernelOriented, 1, 3},
+		{equitruss.COptimal, equitruss.KernelOriented, 1, 2},
+		{equitruss.Afforest, equitruss.KernelMerge, 1, 2},
+		{equitruss.Baseline, equitruss.KernelOriented, 1, 1},
+		{equitruss.Baseline, equitruss.KernelMerge, 0, 0},
+		{equitruss.Serial, equitruss.KernelMerge, 0, 0},
 	} {
-		before := orientations.Value()
+		before, visitsBefore := orientations.Value(), visits.Value()
 		if _, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: c.v, Threads: 2, SupportKernel: c.k}); err != nil {
 			t.Fatal(err)
 		}
 		if got := orientations.Value() - before; got != c.want {
 			t.Errorf("%v with %v Support built %d orientations, want %d", c.v, c.k, got, c.want)
+		}
+		if got := visits.Value() - visitsBefore; got != c.passes*triangles {
+			t.Errorf("%v with %v Support visited %d stream triangles, want %d passes × %d", c.v, c.k, got, c.passes, triangles)
 		}
 	}
 }
