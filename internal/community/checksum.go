@@ -1,149 +1,149 @@
 package community
 
 import (
-	"sort"
+	"sync/atomic"
 
+	"equitruss/internal/concur"
 	"equitruss/internal/core"
+	"equitruss/internal/graph"
 )
 
 // Checksums fingerprints the three layers of a query-ready index. The
-// values are canonical: they depend only on the graph's edge set, the
-// trussness function, the supernode partition, and the superedge relation
-// — never on the dense IDs a particular construction variant or thread
-// count happened to assign. Two indexes over the same logical state (one
-// recovered from a snapshot + WAL replay, one built from scratch over the
-// same edge stream) therefore produce identical checksums, which is the
-// bit-identity test behind the crash-recovery differential.
+// values are canonical: they depend only on the logical state (edge set,
+// trussness, supernode partition, superedges, hierarchy), never on the
+// dense IDs a construction variant, thread count or update assigned. Two
+// indexes over the same state (one recovered from a snapshot + WAL replay,
+// one built from scratch) therefore agree bit for bit, which is the test
+// behind the crash-recovery differential.
+//
+// Elements are keyed by endpoints, never by ID: an edge by its
+// graph.PackPair, a supernode by the pair of its smallest member edge.
+// Each element is hashed on its own; a layer is its element count mixed in
+// plus the sum of its element hashes mod 2^64. The sum is order-free, so
+// any number of threads can split the fold, and renumbering edge IDs
+// changes no element's hash.
 type Checksums struct {
-	// Tau covers the per-edge trussness in canonical edge order.
+	// Tau covers every edge's trussness.
 	Tau uint64 `json:"tau"`
-	// Summary covers the supernode partition (each supernode named by its
-	// smallest member edge), per-supernode trussness, and the superedge
-	// relation over those canonical names.
+	// Summary covers every edge's supernode name (τ = 2 edges marked),
+	// every supernode's trussness, and the superedges over those names.
 	Summary uint64 `json:"summary"`
 	// Hierarchy covers the merge forest: every node's level, canonical
-	// name (smallest member edge), member-edge and vertex counts, and its
-	// parent's canonical identity.
+	// name (its smallest member edge's pair), member-edge and vertex
+	// counts, and its parent's level and name.
 	Hierarchy uint64 `json:"hierarchy"`
 }
 
-// FNV-1a 64-bit folding.
+// Tags tell apart the summary layer's kinds of element (the other layers
+// have one kind each and use tag 0) in bits 31 and 63, which no PackPair
+// key sets. noName, which is no PackPair key, names the supernode of a
+// τ = 2 edge and the parent of a root.
 const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
+	tagMember    uint64 = 1 << 31
+	tagK         uint64 = 1 << 63
+	tagSuperedge uint64 = 1<<63 | 1<<31
+	noName              = ^uint64(0)
 )
 
-func fold(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xFF
-		h *= fnvPrime
+// mix is SplitMix64's output function, a bijection on 64-bit words.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// hash hashes one element: its tag and key, then its values in order.
+func hash(tag, key uint64, vals ...uint64) uint64 {
+	h := mix(key ^ tag)
+	for _, v := range vals {
+		h = mix(h + v)
 	}
 	return h
 }
 
-func fold32(h uint64, v int32) uint64 { return fold(h, uint64(uint32(v))) }
+// sum2 runs body over a split of [0, n) and adds up the two sums it returns
+// per range. Addition commutes, so neither the split nor the schedule can
+// change the result. An Exec without a context cannot fail.
+func sum2(x concur.Exec, n int, body func(lo, hi int) (a, b uint64)) (uint64, uint64) {
+	var a, b atomic.Uint64
+	_ = x.ForRangeDynamic("", n, 0, func(lo, hi int) {
+		da, db := body(lo, hi)
+		a.Add(da)
+		b.Add(db)
+	})
+	return a.Load(), b.Load()
+}
 
-// Checksums computes the canonical fingerprints. The hierarchy is built
-// (once, lazily) if it does not exist yet.
-func (idx *Index) Checksums() Checksums {
-	sg := idx.SG
-	var cs Checksums
+// Checksums computes the canonical fingerprints on all usable CPUs. The
+// hierarchy is built (once, lazily) if it does not exist yet.
+func (idx *Index) Checksums() Checksums { return idx.checksums(concur.MaxThreads()) }
 
-	// τ layer: edge IDs are canonical (graphs are built sorted by (U, V)),
-	// so a straight fold is already order-independent of construction.
-	h := fold(fnvOffset, uint64(len(sg.Tau)))
-	for _, t := range sg.Tau {
-		h = fold32(h, t)
-	}
-	cs.Tau = h
-
-	// Summary layer: name each supernode by its smallest member edge.
-	s := sg.NumSupernodes()
-	minRep := make([]int32, s)
-	for sn := int32(0); sn < s; sn++ {
-		rep := int32(-1)
-		for _, e := range sg.SupernodeEdges(sn) {
-			if rep < 0 || e < rep {
-				rep = e
-			}
+func (idx *Index) checksums(threads int) Checksums {
+	g, sg, hr := idx.G, idx.SG, idx.Hierarchy()
+	x := concur.Exec{Threads: threads}
+	m, s, n := len(sg.Tau), int(sg.NumSupernodes()), int(hr.NumNodes())
+	key := func(e int32) uint64 {
+		if e < 0 || int(e) >= m {
+			return noName
 		}
-		minRep[sn] = rep
+		ed := g.Edge(e)
+		return graph.PackPair(ed.U, ed.V)
 	}
-	h = fold(fnvOffset, uint64(s))
-	// Per-edge membership under canonical names, in canonical edge order.
-	for _, sn := range sg.EdgeToSN {
-		if sn == core.NoSupernode {
-			h = fold32(h, -1)
-		} else {
-			h = fold32(h, minRep[sn])
-		}
-	}
-	// Per-supernode trussness, sorted by canonical name.
-	order := make([]int32, s)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return minRep[order[a]] < minRep[order[b]] })
-	for _, sn := range order {
-		h = fold32(h, minRep[sn])
-		h = fold32(h, sg.K[sn])
-	}
-	// Superedge relation over canonical names, sorted.
-	type pair struct{ a, b int32 }
-	var pairs []pair
-	for sn := int32(0); sn < s; sn++ {
-		for _, nb := range sg.SupernodeNeighbors(sn) {
-			if sn < nb {
-				a, b := minRep[sn], minRep[nb]
-				if a > b {
-					a, b = b, a
+	// Supernodes: name each by its smallest member edge, fold its K.
+	minKey := make([]uint64, s)
+	kSum, _ := sum2(x, s, func(lo, hi int) (sum, _ uint64) {
+		for sn := lo; sn < hi; sn++ {
+			rep := int32(-1)
+			for _, e := range sg.SupernodeEdges(int32(sn)) {
+				if rep < 0 || e < rep {
+					rep = e
 				}
-				pairs = append(pairs, pair{a, b})
+			}
+			minKey[sn] = key(rep)
+			sum += hash(tagK, minKey[sn], uint64(sg.K[sn]))
+		}
+		return sum, 0
+	})
+	// Edges: τ and membership under canonical names.
+	tauSum, memSum := sum2(x, m, func(lo, hi int) (ts, ms uint64) {
+		for e := lo; e < hi; e++ {
+			k, name := key(int32(e)), noName
+			if sn := sg.EdgeToSN[e]; sn != core.NoSupernode {
+				name = minKey[sn]
+			}
+			ts += hash(0, k, uint64(sg.Tau[e]))
+			ms += hash(tagMember, k, name)
+		}
+		return ts, ms
+	})
+	// Superedges: each unordered pair of names once.
+	seSum, _ := sum2(x, s, func(lo, hi int) (sum, _ uint64) {
+		for sn := lo; sn < hi; sn++ {
+			for _, nb := range sg.SupernodeNeighbors(int32(sn)) {
+				if int32(sn) < nb {
+					a, b := minKey[sn], minKey[nb]
+					sum += hash(tagSuperedge, min(a, b), max(a, b))
+				}
 			}
 		}
-	}
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].a != pairs[y].a {
-			return pairs[x].a < pairs[y].a
-		}
-		return pairs[x].b < pairs[y].b
+		return sum, 0
 	})
-	for _, p := range pairs {
-		h = fold32(h, p.a)
-		h = fold32(h, p.b)
-	}
-	cs.Summary = h
-
-	// Hierarchy layer: a node's canonical identity is (level, smallest
-	// member edge) — unique, since at one level an edge belongs to exactly
-	// one community.
-	hr := idx.Hierarchy()
-	n := int(hr.NumNodes())
-	norder := make([]int32, n)
-	for i := range norder {
-		norder[i] = int32(i)
-	}
-	sort.Slice(norder, func(a, b int) bool {
-		x, y := norder[a], norder[b]
-		if hr.nodeK[x] != hr.nodeK[y] {
-			return hr.nodeK[x] < hr.nodeK[y]
+	// Hierarchy nodes: (level, name), counts, parent's (level, name).
+	hSum, _ := sum2(x, n, func(lo, hi int) (sum, _ uint64) {
+		for id := lo; id < hi; id++ {
+			pk, pname := uint64(0), noName // a root; levels start at MinK
+			if p := hr.parent[id]; p >= 0 {
+				pk, pname = uint64(hr.nodeK[p]), key(hr.nodeMin[p])
+			}
+			sum += hash(0, key(hr.nodeMin[id]), uint64(hr.nodeK[id]),
+				uint64(hr.edges[id]), uint64(hr.verts[id]), pk, pname)
 		}
-		return hr.nodeMin[x] < hr.nodeMin[y]
+		return sum, 0
 	})
-	h = fold(fnvOffset, uint64(n))
-	for _, id := range norder {
-		h = fold32(h, hr.nodeK[id])
-		h = fold32(h, hr.nodeMin[id])
-		h = fold(h, uint64(hr.edges[id]))
-		h = fold(h, uint64(hr.verts[id]))
-		if p := hr.parent[id]; p < 0 {
-			h = fold32(h, -1)
-			h = fold32(h, -1)
-		} else {
-			h = fold32(h, hr.nodeK[p])
-			h = fold32(h, hr.nodeMin[p])
-		}
+	return Checksums{
+		Tau:       mix(uint64(m)) + tauSum,
+		Summary:   mix(uint64(s)) + kSum + memSum + seSum,
+		Hierarchy: mix(uint64(n)) + hSum,
 	}
-	cs.Hierarchy = h
-	return cs
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"equitruss/internal/community"
+	"equitruss/internal/mmapio"
 	"equitruss/internal/obs"
 )
 
@@ -26,6 +27,16 @@ type epoch struct {
 	sums community.Checksums
 }
 
+// indexErr returns the integrity failure a lazy verifier found in the
+// epoch's mapped index file, or nil: one atomic load, cheap enough for
+// every probe.
+func (ep *epoch) indexErr() error {
+	if m, ok := ep.idx.SG.Backing.(*mmapio.Mapping); ok {
+		return m.VerifyErr()
+	}
+	return nil
+}
+
 // epoch returns the current serving epoch, or nil before the first Publish
 // (a recovering server that has not finished its initial build).
 func (s *Server) epoch() *epoch { return s.cur.Load() }
@@ -33,8 +44,9 @@ func (s *Server) epoch() *epoch { return s.cur.Load() }
 // Publish makes idx the serving index, swapped in atomically under the next
 // epoch number. seq is the WAL sequence the index state includes (0 for
 // static serving). Everything expensive — the hierarchy build and the
-// canonical checksums — happens before the swap, so queries never pay a
-// lazy-build latency spike and never observe a half-published epoch.
+// canonical checksums, one parallel order-free fold on all usable CPUs —
+// happens before the swap, so queries never pay a lazy-build latency spike
+// and never observe a half-published epoch.
 // Publish returns the new epoch number. It is safe to call concurrently
 // with queries, but publishers must serialize among themselves (the update
 // applier is the only publisher in live serving).
@@ -52,7 +64,8 @@ func (s *Server) Publish(idx *community.Index, seq uint64) uint64 {
 
 // handleReadyz is the readiness probe: 200 only once an index epoch is
 // published — meaning any snapshot was loaded and the WAL replayed through
-// the initial build. Distinct from /healthz (liveness): a recovering server
+// the initial build — and while no lazy verifier has found the epoch's
+// index file corrupt. Distinct from /healthz (liveness): a recovering server
 // is alive but not ready, and an orchestrator should route traffic only on
 // readiness. Registered outside the admission limiter so probes keep
 // passing under query overload.
@@ -60,6 +73,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ep := s.epoch()
 	if ep == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
+		return
+	}
+	if err := ep.indexErr(); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"ready":  false,
+			"epoch":  ep.num,
+			"reason": "index corrupt: " + err.Error(),
+		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -672,9 +672,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is the liveness probe: always 200 while the process
 // serves, even before the first epoch (readiness is /readyz's job). Beyond
 // the index shape it reports the serving epoch, the update pipeline's
-// acked-vs-applied sequence gap (staleness), and the canonical state
-// checksums as hex strings — uint64 fingerprints would lose precision as
-// JSON numbers.
+// acked-vs-applied sequence gap (staleness), whether a lazy verifier found
+// the index file corrupt ("index"), and the canonical state checksums as
+// hex strings — uint64 fingerprints would lose precision as JSON numbers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc := map[string]any{
 		"status":             "ok",
@@ -691,6 +691,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		doc["supernodes"] = ep.idx.SG.NumSupernodes()
 		doc["superedges"] = ep.idx.SG.NumSuperedges()
 		doc["hierarchy_nodes"] = ep.idx.Hierarchy().NumNodes()
+		doc["index"] = "ok"
+		if err := ep.indexErr(); err != nil {
+			doc["index"] = "corrupt: " + err.Error()
+		}
 		doc["checksums"] = map[string]string{
 			"tau":       fmt.Sprintf("%016x", ep.sums.Tau),
 			"summary":   fmt.Sprintf("%016x", ep.sums.Summary),
