@@ -52,15 +52,15 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
 # (Fig. 5) and C-Optimal and Afforest SpNode faster at the top of the
 # thread sweep (Fig. 7), both read from the fig8 rows; SpNode the largest
 # Baseline kernel (Fig. 4); EquiTruss at least as costly as TrussDecomp
-# (Fig. 2); the auto Support and peel kernels within 15% of the fastest
-# explicit kernel; and the query hierarchy far ahead of BFS. No baseline
+# (Fig. 2); the auto peel kernel within 15% of the fastest explicit
+# kernel; and the query hierarchy far ahead of BFS. No baseline
 # file is read; each predicate prints its margin and any failure exits 1.
 # Cells under a 20 ms floor are not checked, but a predicate left with no
 # cell fails. The run's BENCH_*.json artifact and TSVs land in bench/
 # (gitignored). Cold start and the live-update applier are measured by the
 # lifecycle benchmark.
 benchcheck:
-	$(GO) run ./cmd/benchsuite -experiment fig2,fig4,fig8,support,peel,query -scale 0.05 -out bench/
+	$(GO) run ./cmd/benchsuite -experiment fig2,fig4,fig8,peel,query -scale 0.05 -out bench/
 
 # Race-enabled server smoke at one and four CPUs: 64 concurrent clients
 # hammer one handler (httptest) mixing singles, half of them filling

@@ -16,7 +16,6 @@ import (
 	"equitruss/internal/dynamic"
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -66,7 +65,7 @@ func BenchmarkDynamicMaintenance(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := spec.Generate(*benchFactor)
-	tau, _ := testkit.Tau(g, testkit.Supports(g, triangle.KernelMerge, 0), truss.PeelLevelSync, 0)
+	tau, _ := testkit.Tau(g, testkit.Supports(g, 0), truss.PeelLevelSync, 0)
 	dg := dynamic.FromStatic(g, tau)
 	// Churn endpoints drawn from the graph's vertex range; insert a fresh
 	// edge then remove it so state returns to baseline each iteration.
@@ -86,7 +85,7 @@ func BenchmarkDynamicMaintenance(b *testing.B) {
 	})
 	b.Run("from-scratch-decomposition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sup := testkit.Supports(g, triangle.KernelMerge, 0)
+			sup := testkit.Supports(g, 0)
 			testkit.Tau(g, sup, truss.PeelLevelSync, 0)
 		}
 	})

@@ -21,6 +21,7 @@ import (
 	"equitruss"
 	"equitruss/internal/faults"
 	"equitruss/internal/mmapio"
+	"equitruss/internal/testkit"
 )
 
 // chaosWaitGoroutines polls until the goroutine count returns to base —
@@ -133,9 +134,9 @@ func TestChaosBarrierFault(t *testing.T) {
 }
 
 // TestChaosLegacyAPIsImmuneToBarrierFaults: the no-error legacy APIs
-// (Supports, Trussness and their kernel-selecting forms) run the kernels
+// (Supports, Trussness and the context-free peel kernels) run the kernels
 // without a context, which is neither cancelable nor a fault site, so
-// arming the scheduler barrier site must neither panic them nor corrupt
+// arming the scheduler barrier site must neither fail them nor corrupt
 // their output — while the ctx-taking APIs in the same process still
 // observe the injected fault. Regression test for the wrappers panicking on
 // "unreachable" injected errors.
@@ -148,14 +149,10 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	defer faults.Disable()
 	faults.Set("concur.barrier", faults.Plan{Action: faults.Error, Every: 1})
 
-	for _, k := range []equitruss.SupportKernel{
-		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelOriented,
-	} {
-		sup := equitruss.SupportsWithKernel(g, k, 4)
-		for i := range wantSup {
-			if sup[i] != wantSup[i] {
-				t.Fatalf("kernel %v under armed barrier: support[%d] = %d, want %d", k, i, sup[i], wantSup[i])
-			}
+	sup := equitruss.Supports(g, 4)
+	for i := range wantSup {
+		if sup[i] != wantSup[i] {
+			t.Fatalf("Supports under armed barrier: support[%d] = %d, want %d", i, sup[i], wantSup[i])
 		}
 	}
 	tau := equitruss.Trussness(g, 4)
@@ -164,16 +161,16 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 			t.Fatalf("Trussness under armed barrier: tau[%d] = %d, want %d", i, tau[i], wantTau[i])
 		}
 	}
-	// The kernel dispatcher rides the same form, and its outputs must stay
-	// bit-identical under the armed barrier — including the scan-free pkt
-	// peel kernel.
+	// The peel kernel dispatcher rides the same form, and its outputs must
+	// stay bit-identical under the armed barrier — including the scan-free
+	// pkt peel kernel.
 	for _, pk := range []equitruss.PeelKernel{
 		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,
 	} {
-		kTau := equitruss.TrussnessWithKernels(g, equitruss.KernelAuto, pk, 4)
+		kTau, _ := testkit.Tau(g, sup, pk, 4)
 		for i := range wantTau {
 			if kTau[i] != wantTau[i] {
-				t.Fatalf("TrussnessWithKernels(%v) under armed barrier: tau[%d] = %d, want %d", pk, i, kTau[i], wantTau[i])
+				t.Fatalf("peel %v under armed barrier: tau[%d] = %d, want %d", pk, i, kTau[i], wantTau[i])
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func runFig2(cfg config) {
 	for _, name := range nets {
 		g := dataset(cfg, name)
 		start := time.Now()
-		sup := testkit.Supports(g, cfg.kernel, 1)
+		sup := testkit.Supports(g, 1)
 		supportT := time.Since(start)
 		start = time.Now()
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
@@ -52,7 +52,7 @@ func runFig4(cfg config) {
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
 		start := time.Now()
-		sup := testkit.Supports(g, cfg.kernel, 1)
+		sup := testkit.Supports(g, 1)
 		supportT := time.Since(start)
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		_, tm := testkit.Summary(g, tau, core.VariantBaseline, 1)

@@ -35,7 +35,6 @@ import (
 	"equitruss/internal/graph"
 	"equitruss/internal/obs"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -52,7 +51,6 @@ type experiment struct {
 type config struct {
 	scale   float64          // dataset size factor
 	maxThr  int              // top of the thread sweep
-	kernel  triangle.Kernel  // Support kernel for all triangle counting
 	peel    truss.PeelKernel // TrussDecomp kernel for all peeling
 	verbose bool
 	sink    *tsvSink       // optional TSV mirror of every table
@@ -82,10 +80,9 @@ var experiments = []experiment{
 	{"fig9", "Figure 9: parallel efficiency", runFig9, false},
 	{"tab4", "Table 4: single-thread comparison incl. Original (serial)", runTab4, false},
 	{"tab5", "Table 5: index sizes and parallel speedups", runTab5, false},
-	{"support", "Support kernel sweep: merge vs oriented", runSupport, false},
 	{"peel", "Peel kernel sweep: levelsync vs serial vs pkt", runPeel, false},
 	{"query", "Query path: hierarchy vs indexed-BFS vs DirectCommunities", runQuery, false},
-	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose (honors -support-kernel and -peel-kernel)", runRMAT18, true},
+	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose (honors -peel-kernel)", runRMAT18, true},
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -95,10 +92,9 @@ func main() { os.Exit(run(os.Args[1:])) }
 // predicate fails, 0 otherwise.
 func run(args []string) int {
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
-	expID := fs.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., support, peel, query, rmat18) or 'all'")
+	expID := fs.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., peel, query, rmat18) or 'all'")
 	scale := fs.Float64("scale", 0.25, "dataset size factor (1.0 = paper-surrogate default size)")
 	maxThr := fs.Int("maxthreads", concur.MaxThreads(), "top of the thread sweep (at least 1)")
-	kernelName := fs.String("support-kernel", "auto", "Support kernel: auto|merge|oriented")
 	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	list := fs.Bool("list", false, "list experiments and exit")
 	verbose := fs.Bool("v", false, "verbose progress")
@@ -120,32 +116,26 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "benchsuite: -maxthreads must be at least 1, got %d\n", *maxThr)
 		return 2
 	}
-	kernel, err := triangle.ParseKernel(*kernelName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		return 2
-	}
 	peel, err := truss.ParsePeelKernel(*peelName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
 		return 2
 	}
 	art := &benchArtifact{
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		GitRev:        gitRev(),
-		CPUs:          runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Scale:         *scale,
-		MaxThreads:    *maxThr,
-		SupportKernel: kernel.String(),
-		PeelKernel:    peel.String(),
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		GitRev:     gitRev(),
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Scale:      *scale,
+		MaxThreads: *maxThr,
+		PeelKernel: peel.String(),
 	}
-	cfg := config{scale: *scale, maxThr: *maxThr, kernel: kernel, peel: peel, verbose: *verbose, art: art}
+	cfg := config{scale: *scale, maxThr: *maxThr, peel: peel, verbose: *verbose, art: art}
 	if *outDir != "" {
 		cfg.sink = &tsvSink{dir: *outDir}
 	}
-	fmt.Printf("# benchsuite: %d CPUs, GOMAXPROCS=%d, scale=%.2f, kernel=%s, peel=%s, rev=%s\n\n",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), cfg.scale, kernel, peel, art.GitRev)
+	fmt.Printf("# benchsuite: %d CPUs, GOMAXPROCS=%d, scale=%.2f, peel=%s, rev=%s\n\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), cfg.scale, peel, art.GitRev)
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*expID, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -240,17 +230,16 @@ func gitRev() string {
 // written as BENCH_<timestamp>.json so perf trajectories can be compared
 // across commits without scraping stdout.
 type benchArtifact struct {
-	Timestamp     string             `json:"timestamp"`
-	GitRev        string             `json:"git_rev"`
-	CPUs          int                `json:"cpus"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Scale         float64            `json:"scale"`
-	MaxThreads    int                `json:"max_threads"`
-	SupportKernel string             `json:"support_kernel"`
-	PeelKernel    string             `json:"peel_kernel,omitempty"`
-	Experiments   []experimentResult `json:"experiments"`
-	Tables        []*table           `json:"tables"`
-	Counters      []obs.CounterValue `json:"counters,omitempty"`
+	Timestamp   string             `json:"timestamp"`
+	GitRev      string             `json:"git_rev"`
+	CPUs        int                `json:"cpus"`
+	GOMAXPROCS  int                `json:"gomaxprocs"`
+	Scale       float64            `json:"scale"`
+	MaxThreads  int                `json:"max_threads"`
+	PeelKernel  string             `json:"peel_kernel,omitempty"`
+	Experiments []experimentResult `json:"experiments"`
+	Tables      []*table           `json:"tables"`
+	Counters    []obs.CounterValue `json:"counters,omitempty"`
 }
 
 type experimentResult struct {
@@ -325,7 +314,7 @@ func trussness(cfg config, name string, g *graph.Graph) []int32 {
 	if tau, ok := tauCache[key]; ok {
 		return tau
 	}
-	sup := testkit.Supports(g, cfg.kernel, 0)
+	sup := testkit.Supports(g, 0)
 	tau, _ := testkit.Tau(g, sup, cfg.peel, 0)
 	tauCache[key] = tau
 	return tau

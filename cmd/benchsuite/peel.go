@@ -28,7 +28,7 @@ func runPeel(cfg config) {
 	t := newTable("Network", "Kernel", "Seconds", "vsLevelsync", "Auto", "Checksum")
 	for _, name := range fourNets {
 		g := dataset(cfg, name)
-		sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
+		sup := testkit.Supports(g, cfg.maxThr)
 		pick := truss.ChoosePeelKernel(g.NumEdges(), slices.Max(sup), cfg.maxThr)
 		cells := make([]cell, len(peelKernels))
 		for i, k := range peelKernels {

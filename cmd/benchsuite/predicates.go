@@ -51,7 +51,6 @@ var predicates = []predicate{
 	{"Fig 4", "fig4", shareCells("SpNode%", fig4MinLead, "Support%", "Init%", "SpEdge%", "SmGraph%", "Remap%")},
 	{"Fig 2", "fig2", shareCells("EquiTruss%", fig2MinLead, "TrussDecomp%")},
 	{"Fig 7", "fig8", fig7Cells},
-	{"Selectors/support", "support", selectorCells},
 	{"Selectors/peel", "peel", selectorCells},
 	{"Query", "query", queryCells},
 }
@@ -172,8 +171,8 @@ func shareCells(lead string, need float64, rest ...string) func([]*table) []verd
 	}
 }
 
-// selectorCells: on every network of a kernel sweep (rows grouped by
-// network), the kernel auto picks runs within selectorMaxLoss of the
+// selectorCells: on every network of the peel kernel sweep (rows grouped
+// by network), the kernel auto picks runs within selectorMaxLoss of the
 // fastest explicit kernel. The floor holds the fastest kernel's time.
 func selectorCells(ts []*table) []verdict {
 	var vs []verdict

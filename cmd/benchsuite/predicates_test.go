@@ -24,10 +24,8 @@ func TestPredicates(t *testing.T) {
 	fig8 := func(sub string, rows ...[]interface{}) *table {
 		return tb("fig8", sub, []string{"Threads", "Variant", "SpNode(s)"}, rows...)
 	}
-	sweep := func(experiment string) func(rows ...[]interface{}) []*table {
-		return func(rows ...[]interface{}) []*table {
-			return []*table{tb(experiment, "", []string{"Network", "Kernel", "Seconds", "Auto"}, rows...)}
-		}
+	peel := func(rows ...[]interface{}) []*table {
+		return []*table{tb("peel", "", []string{"Network", "Kernel", "Seconds", "Auto"}, rows...)}
 	}
 	query := func(direct float64) []*table {
 		return []*table{tb("query", "", []string{"Workload", "Engine", "Seconds"},
@@ -85,27 +83,15 @@ func TestPredicates(t *testing.T) {
 		{"fig7 at maxthreads 1", "Fig 7", []*table{fig8("orkut-sim", []interface{}{1, "C-Optimal", 1.0}, []interface{}{1, "Afforest", 0.5})}, false,
 			"Fig 7 FAIL: margin 0.77 over 2 cells, worst orkut-sim C-Optimal SpNode T1/T1 1.00× (need ≥ 1.30×)"},
 
-		{"support selector passes", "Selectors/support", sweep("support")(
-			[]interface{}{"orkut-sim", "merge", 0.22, false}, []interface{}{"orkut-sim", "oriented", 0.06, true}), true,
-			"Selectors/support ok: margin 1.15 over 1 cells, worst orkut-sim auto=oriented/fastest=oriented 1.00×"},
-		{"support selector fails", "Selectors/support", sweep("support")(
-			[]interface{}{"orkut-sim", "merge", 0.22, true}, []interface{}{"orkut-sim", "oriented", 0.06, false}), false,
-			"Selectors/support FAIL: margin 0.31 over 1 cells, worst orkut-sim auto=merge/fastest=oriented 3.67× (need ≤ 1.15×)"},
-		// youtube-sim's auto pick is 3× off, but its fastest kernel is under
-		// the floor.
-		{"support selector under floor", "Selectors/support", sweep("support")(
-			[]interface{}{"youtube-sim", "merge", 0.009, true}, []interface{}{"youtube-sim", "oriented", 0.003, false}), false,
-			"Selectors/support FAIL: support ran but gave no cell"},
-
-		{"peel selector passes", "Selectors/peel", sweep("peel")(
+		{"peel selector passes", "Selectors/peel", peel(
 			[]interface{}{"orkut-sim", "levelsync", 0.44, false}, []interface{}{"orkut-sim", "serial", 0.56, false},
 			[]interface{}{"orkut-sim", "pkt", 0.26, true}), true,
 			"Selectors/peel ok"},
-		{"peel selector fails", "Selectors/peel", sweep("peel")(
+		{"peel selector fails", "Selectors/peel", peel(
 			[]interface{}{"orkut-sim", "levelsync", 0.44, true}, []interface{}{"orkut-sim", "serial", 0.56, false},
 			[]interface{}{"orkut-sim", "pkt", 0.26, false}), false,
 			"Selectors/peel FAIL: margin 0.68 over 1 cells, worst orkut-sim auto=levelsync/fastest=pkt 1.69× (need ≤ 1.15×)"},
-		{"peel selector under floor", "Selectors/peel", sweep("peel")(
+		{"peel selector under floor", "Selectors/peel", peel(
 			[]interface{}{"dblp-sim", "serial", 0.002, true}, []interface{}{"dblp-sim", "pkt", 0.001, false}), false,
 			"Selectors/peel FAIL: peel ran but gave no cell"},
 

@@ -49,7 +49,7 @@ type queryEngine struct {
 // wrong answer is worse than no time.
 func runQuery(cfg config) {
 	g := gen.RMAT(queryRMATScale, queryRMATEdgeFactor, 0.57, 0.19, 0.19, queryRMATSeed)
-	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
+	sup := testkit.Supports(g, cfg.maxThr)
 	tau, _ := testkit.Tau(g, sup, truss.PeelLevelSync, cfg.maxThr)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, cfg.maxThr)
 	idx := community.NewIndex(g, sg)

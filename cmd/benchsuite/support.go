@@ -8,74 +8,41 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 )
 
-// supportReps is how many times each (dataset, kernel) cell is timed; the
-// minimum is recorded. Min-of-N is the standard defense against scheduler
-// noise for short single-process benchmarks.
+// supportReps is how many times each Support cell is timed; the minimum is
+// recorded. Min-of-N is the standard defense against scheduler noise for
+// short single-process benchmarks.
 const supportReps = 3
-
-// supportKernels is the sweep order. Merge first: the vsMerge column
-// divides by it.
-var supportKernels = []triangle.Kernel{triangle.KernelMerge, triangle.KernelOriented}
-
-// runSupport times every explicit Support kernel on the four-network set.
-// The Auto column marks the kernel triangle.ChooseKernel picks for the
-// graph — computed, not timed again — so the selector predicate can hold
-// the pick against the fastest kernel. All kernels must produce identical
-// support arrays — a mismatch is a correctness bug, so the experiment
-// panics rather than reporting a time for a wrong answer.
-func runSupport(cfg config) {
-	t := newTable("Network", "Kernel", "Seconds", "vsMerge", "Auto", "Checksum")
-	for _, name := range fourNets {
-		g := dataset(cfg, name)
-		pick := triangle.ChooseKernel(g)
-		cells := make([]cell, len(supportKernels))
-		for i, k := range supportKernels {
-			cells[i] = supportCell(g, k, cfg.maxThr)
-		}
-		secs, sums := timeCells(cfg, supportReps, cells)
-		for i, k := range supportKernels {
-			if sums[i] != sums[0] {
-				panic(fmt.Sprintf("support kernel %s disagrees with merge on %s: checksum %#x != %#x",
-					k, name, sums[i], sums[0]))
-			}
-			t.row(name, k.String(), secs[i], ratio(secs[0], secs[i]), k == pick, sums[i])
-		}
-	}
-	emit(cfg, "support", "", t)
-}
 
 // rmat18Scale and rmat18EdgeFactor define the skewed stress graph from the
 // acceptance criteria: 2^18 vertices, ~2M undirected edges, heavy-tailed
-// degree distribution where the oriented kernel's O(m^1.5) bound beats
-// merge's hub-quadratic intersections.
+// degree distribution, the shape the Support kernel's O(m^1.5) bound is
+// for.
 const (
 	rmat18Scale      = 18
 	rmat18EdgeFactor = 8
 	rmat18Seed       = 42
 )
 
-// runRMAT18 builds the scale-18 RMAT graph and times the Support stage with
-// the configured -support-kernel (auto resolves per the heuristic), then
-// runs the truss decomposition so the artifact also witnesses the supports
-// feed a correct downstream τ. Excluded from `-experiment all`: it is the
-// committed-artifact producer, run explicitly once per kernel.
+// runRMAT18 builds the scale-18 RMAT graph and times the Support stage,
+// then runs the truss decomposition with the configured -peel-kernel so the
+// artifact also witnesses the supports feed a correct downstream τ.
+// Excluded from `-experiment all`: it is the committed-artifact producer,
+// run explicitly.
 func runRMAT18(cfg config) {
 	g := gen.RMAT(rmat18Scale, rmat18EdgeFactor, 0.57, 0.19, 0.19, rmat18Seed)
-	fmt.Printf("rmat18: %d vertices, %d edges, kernel=%s, peel=%s\n",
-		g.NumVertices(), g.NumEdges(), cfg.kernel, cfg.peel)
-	secs, sums := timeCells(cfg, supportReps, []cell{supportCell(g, cfg.kernel, cfg.maxThr)})
+	fmt.Printf("rmat18: %d vertices, %d edges, peel=%s\n", g.NumVertices(), g.NumEdges(), cfg.peel)
+	secs, sums := timeCells(cfg, supportReps, []cell{supportCell(g, cfg.maxThr)})
 	sec, sum := secs[0], sums[0]
-	sup := testkit.Supports(g, cfg.kernel, cfg.maxThr)
+	sup := testkit.Supports(g, cfg.maxThr)
 	start := time.Now()
 	tau, _ := testkit.Tau(g, sup, cfg.peel, cfg.maxThr)
 	decomp := time.Since(start)
 	cfg.observe(decomp)
 	decompSec := decomp.Seconds()
-	t := newTable("Graph", "Kernel", "Peel", "Support(s)", "Decompose(s)", "SupSum", "TauSum")
-	t.row("rmat18", cfg.kernel.String(), cfg.peel.String(), sec, decompSec, sum, checksumInt32(tau))
+	t := newTable("Graph", "Peel", "Support(s)", "Decompose(s)", "SupSum", "TauSum")
+	t.row("rmat18", cfg.peel.String(), sec, decompSec, sum, checksumInt32(tau))
 	emit(cfg, "rmat18", "", t)
 }
 
@@ -86,11 +53,11 @@ type cell struct {
 	sum func() uint64
 }
 
-// supportCell is the Support stage of g under one kernel.
-func supportCell(g *graph.Graph, k triangle.Kernel, threads int) cell {
+// supportCell is the Support stage of g.
+func supportCell(g *graph.Graph, threads int) cell {
 	var sup []int32
 	return cell{
-		run: func() { sup = testkit.Supports(g, k, threads) },
+		run: func() { sup = testkit.Supports(g, threads) },
 		sum: func() uint64 { return checksumInt32(sup) },
 	}
 }

@@ -70,24 +70,6 @@ const (
 	Afforest = core.VariantAfforest // union-find CC over the triangle stream
 )
 
-// SupportKernel selects the Support-stage (per-edge triangle counting)
-// implementation. All kernels produce bit-identical supports; they differ
-// only in how much intersection work skewed degree distributions cost.
-type SupportKernel = triangle.Kernel
-
-// The Support kernels. The zero value KernelAuto — the default — picks per
-// graph by size: merge below 2^15 edges, oriented above (see
-// docs/ALGORITHMS.md, "Support kernel selection").
-const (
-	KernelAuto     = triangle.KernelAuto     // per-graph size rule
-	KernelMerge    = triangle.KernelMerge    // per-edge sorted-merge intersection
-	KernelOriented = triangle.KernelOriented // degree-oriented compact-forward (O(|E|^1.5))
-)
-
-// ParseSupportKernel parses a -support-kernel flag value
-// (auto|merge|oriented).
-func ParseSupportKernel(s string) (SupportKernel, error) { return triangle.ParseKernel(s) }
-
 // PeelKernel selects the TrussDecomp-stage (k-truss peeling) implementation.
 // All kernels produce bit-identical trussness; they differ in how frontier
 // discovery and triangle updates are scheduled.
@@ -130,10 +112,6 @@ type Options struct {
 	// Threads caps the parallelism; <= 0 uses all cores. Ignored by the
 	// Serial variant.
 	Threads int
-	// SupportKernel selects the Support-stage kernel. The zero value is
-	// KernelAuto: plain merge on small graphs, oriented compact-forward
-	// from 2^15 edges up. Both kernels produce bit-identical supports.
-	SupportKernel SupportKernel
 	// PeelKernel selects the TrussDecomp-stage kernel. The zero value is
 	// PeelAuto: serial for small graphs, scan-free pkt when the
 	// level-synchronous kernel's per-level rescans would dominate,
@@ -251,38 +229,21 @@ func GenerateRMAT(scale, edgeFactor int, seed uint64) *Graph {
 	return gen.RMAT(scale, edgeFactor, 0.57, 0.19, 0.19, seed)
 }
 
-// Supports returns the per-edge triangle counts (Definition 2), computed
-// with the auto-selected kernel. Use SupportsWithKernel to force one.
+// Supports returns the per-edge triangle counts (Definition 2). threads <= 0
+// uses all cores. Like every no-error convenience here it runs the kernel
+// without a context, which can be neither cancelled nor fault-injected, so
+// it cannot fail.
 func Supports(g *Graph, threads int) []int32 {
-	return SupportsWithKernel(g, KernelAuto, threads)
-}
-
-// SupportsWithKernel returns the per-edge triangle counts computed with the
-// selected kernel (KernelAuto resolves per graph). Like every no-error
-// convenience here it runs the kernel without a context, which can be
-// neither cancelled nor fault-injected; only an unknown kernel panics.
-func SupportsWithKernel(g *Graph, k SupportKernel, threads int) []int32 {
-	sup, err := triangle.SupportsKernelCtx(nil, g, k, threads, nil)
-	if err != nil {
-		panic("equitruss: " + err.Error())
-	}
+	sup, _, _ := triangle.SupportsOrientedCtx(nil, g, threads, nil)
 	return sup
 }
 
 // Trussness runs support computation and k-truss decomposition with the
-// auto-selected kernels, returning τ(e) for every edge ID (Definition 4).
-// threads <= 0 uses all cores. Use TrussnessWithKernels to force kernels.
+// auto-selected peel kernel, returning τ(e) for every edge ID
+// (Definition 4). threads <= 0 uses all cores. Without a context and with
+// a known peel kernel the decomposition cannot fail.
 func Trussness(g *Graph, threads int) []int32 {
-	return TrussnessWithKernels(g, KernelAuto, PeelAuto, threads)
-}
-
-// TrussnessWithKernels is Trussness with explicit Support and TrussDecomp
-// kernel selections (the auto values resolve per instance).
-func TrussnessWithKernels(g *Graph, sk SupportKernel, pk PeelKernel, threads int) []int32 {
-	tau, _, err := truss.DecomposeKernelCtx(nil, g, SupportsWithKernel(g, sk, threads), pk, threads, nil)
-	if err != nil {
-		panic("equitruss: " + err.Error())
-	}
+	tau, _, _ := truss.DecomposeKernelCtx(nil, g, Supports(g, threads), PeelAuto, threads, nil)
 	return tau
 }
 
@@ -354,9 +315,9 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 	tr := opt.Tracer
 	span := tr.Start("Support")
 	start := time.Now()
-	// The oriented kernel's orientation is handed on to the index builder,
-	// whose triangle passes would otherwise orient g a second time.
-	sup, o, err := triangle.SupportsOrientationCtx(ctx, g, opt.SupportKernel, threads, tr)
+	// Support's orientation is handed on to the index builder, whose
+	// triangle passes would otherwise orient g a second time.
+	sup, o, err := triangle.SupportsOrientedCtx(ctx, g, threads, tr)
 	supportTime := time.Since(start)
 	span.End()
 	if err != nil {

@@ -278,9 +278,11 @@ func TestTracedBuildEmitsSpans(t *testing.T) {
 			t.Fatalf("kernel %s imbalance %f < 1", name, k.Imbalance)
 		}
 	}
-	// The dynamic Support scheduler accounts for every edge exactly once.
-	if got := rep.Kernel("Support").Items; got != int64(g.NumEdges()) {
-		t.Fatalf("Support items = %d, want %d", got, g.NumEdges())
+	// Support's item-counting passes account for every vertex exactly once
+	// (the orientation's out-degree pass) and every edge exactly once (the
+	// reduction of the per-thread triangle credits).
+	if got, want := rep.Kernel("Support").Items, int64(g.NumVertices())+g.NumEdges(); got != want {
+		t.Fatalf("Support items = %d, want %d vertices + %d edges", got, g.NumVertices(), g.NumEdges())
 	}
 
 	// The Chrome trace export must be valid JSON with the expected events.

@@ -10,7 +10,6 @@ import (
 	"equitruss/internal/graph"
 	"equitruss/internal/graphio"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -18,7 +17,7 @@ import (
 func buildVariantIndex(t *testing.T, variant core.Variant, threads int) *Index {
 	t.Helper()
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7)
-	sup := testkit.Supports(g, triangle.KernelMerge, threads)
+	sup := testkit.Supports(g, threads)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, variant, threads)
 	return NewIndex(g, sg)
@@ -48,7 +47,7 @@ func TestChecksumsCanonicalAcrossVariants(t *testing.T) {
 // layer's fingerprint (on a graph where that edge carries truss structure).
 func TestChecksumsDetectStateChange(t *testing.T) {
 	g := gen.Clique(8)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	ref := NewIndex(g, sg).Checksums()
@@ -57,7 +56,7 @@ func TestChecksumsDetectStateChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup2 := testkit.Supports(g2, triangle.KernelMerge, 1)
+	sup2 := testkit.Supports(g2, 1)
 	tau2, _ := testkit.Tau(g2, sup2, truss.PeelSerial, 1)
 	sg2, _ := testkit.Summary(g2, tau2, core.VariantSerial, 1)
 	got := NewIndex(g2, sg2).Checksums()
@@ -75,7 +74,7 @@ func TestChecksumsDetectStateChange(t *testing.T) {
 // buildIndex builds a query-ready index over g with the hierarchy built.
 func buildIndex(t testing.TB, g *graph.Graph) *Index {
 	t.Helper()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantAfforest, 1)
 	idx := NewIndex(g, sg)

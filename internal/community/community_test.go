@@ -11,13 +11,12 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
 func pipeline(t testing.TB, g *graph.Graph) ([]int32, *community.Index) {
 	t.Helper()
-	sup := testkit.Supports(g, triangle.KernelMerge, 2)
+	sup := testkit.Supports(g, 2)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 	if err := sg.Validate(g); err != nil {

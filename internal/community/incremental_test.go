@@ -11,7 +11,6 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -29,7 +28,7 @@ func rebuildFromScratch(t *testing.T, dg *dynamic.Graph) *Index {
 
 func indexFromGraph(t *testing.T, g *graph.Graph) (*Index, []int32) {
 	t.Helper()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	return NewIndex(g, sg), tau

@@ -11,7 +11,6 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -77,7 +76,7 @@ func TestAppendVerticesMatchesBruteForce(t *testing.T) {
 	}
 	variants := []core.Variant{core.VariantSerial, core.VariantBaseline, core.VariantCOptimal, core.VariantAfforest}
 	for _, gc := range graphs {
-		sup := testkit.Supports(gc.g, triangle.KernelMerge, 2)
+		sup := testkit.Supports(gc.g, 2)
 		tau, _ := testkit.Tau(gc.g, sup, truss.PeelSerial, 1)
 		kmax := truss.KMax(tau)
 		for _, variant := range variants {

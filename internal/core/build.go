@@ -69,7 +69,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, tau []int32, variant Variant,
 }
 
 // BuildOrientedCtx is BuildCtx given an orientation of g the caller already
-// holds, such as the one the oriented Support kernel returns. The flat
+// holds, such as the one the Support kernel returns. The flat
 // variants (C-Optimal and Afforest) run their triangle passes on its
 // triangle stream; with o nil they orient g in the Init kernel. Serial and
 // Baseline ignore o.

@@ -9,14 +9,13 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
 // buildTau runs the prerequisite kernels for a test graph.
 func buildTau(t testing.TB, g *graph.Graph) []int32 {
 	t.Helper()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	return tau
 }

@@ -25,7 +25,7 @@ func orient(t *testing.T, g *graph.Graph) *triangle.Orientation {
 // tauOf runs Support and the serial peel on g.
 func tauOf(t *testing.T, g *graph.Graph) []int32 {
 	t.Helper()
-	sup, err := triangle.SupportsKernelCtx(nil, g, triangle.KernelMerge, 1, nil)
+	sup, _, err := triangle.SupportsOrientedCtx(nil, g, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -37,7 +36,7 @@ func TestBatchChurnOnSurrogatesMatchesOracle(t *testing.T) {
 		if testing.Short() && g.NumEdges() > 3000 {
 			t.Skipf("%s too large for -short", s.name)
 		}
-		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		sup := testkit.Supports(g, 1)
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		dg := FromStatic(g, tau)
 		assertExact(t, dg, s.name+" import")

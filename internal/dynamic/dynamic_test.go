@@ -8,7 +8,6 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -20,7 +19,7 @@ func oracleTau(t testing.TB, dg *Graph) map[uint64]int32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	out := make(map[uint64]int32)
 	for eid, e := range g.Edges() {
@@ -63,7 +62,7 @@ func TestInsertBuildUpClique(t *testing.T) {
 
 func TestDeleteTearDownClique(t *testing.T) {
 	g := gen.Clique(6)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	dg := FromStatic(g, tau)
 	for _, e := range g.Edges() {
@@ -133,7 +132,7 @@ func TestRandomChurnMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		sup := testkit.Supports(g, 1)
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		dg = FromStatic(g, tau)
 		for op := 0; op < 40; op++ {
@@ -179,7 +178,7 @@ func TestChurnOnStructuredGraphs(t *testing.T) {
 		"bridged":    gen.BridgedCliques(4),
 	}
 	for name, g := range graphs {
-		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		sup := testkit.Supports(g, 1)
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		dg := FromStatic(g, tau)
 		assertExact(t, dg, name+" import")
@@ -231,7 +230,7 @@ func TestInsertTriangleClosesSupernode(t *testing.T) {
 // clique's trussness by one (cascading recheck), exactly.
 func TestDeletionCascade(t *testing.T) {
 	g := gen.Clique(7)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	dg := FromStatic(g, tau)
 	dg.DeleteEdge(0, 1)

@@ -6,7 +6,6 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -15,7 +14,7 @@ import (
 func cliqueDyn(t *testing.T, n int32) *Graph {
 	t.Helper()
 	g := gen.Clique(n)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	return FromStatic(g, tau)
 }

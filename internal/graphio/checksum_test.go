@@ -14,7 +14,6 @@ import (
 	"equitruss/internal/faults"
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -22,7 +21,7 @@ import (
 func testSummaryGraph(t testing.TB) *core.SummaryGraph {
 	t.Helper()
 	g := gen.PaperFigure3()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	return sg

@@ -14,7 +14,6 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -191,7 +190,7 @@ func FuzzReadBinaryIndex(f *testing.F) {
 // different checks (header CRC, section CRC, zero-padding).
 func FuzzReadV3Index(f *testing.F) {
 	g := gen.PaperFigure3()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	var buf bytes.Buffer

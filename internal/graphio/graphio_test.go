@@ -12,7 +12,6 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -144,7 +143,7 @@ func TestBinaryIndexBadInput(t *testing.T) {
 func TestBinaryIndexCorruptIDs(t *testing.T) {
 	base := func() *core.SummaryGraph {
 		g := gen.Clique(5)
-		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		sup := testkit.Supports(g, 1)
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 		return sg
@@ -200,7 +199,7 @@ func TestBinaryIndexCorruptIDs(t *testing.T) {
 
 func TestBinaryIndexTruncated(t *testing.T) {
 	g := gen.Clique(4)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	var buf bytes.Buffer
@@ -285,7 +284,7 @@ func TestParseEdgeListChunked(t *testing.T) {
 
 func TestWriteSummaryDOT(t *testing.T) {
 	g := gen.PaperFigure3()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 2)
 	var buf bytes.Buffer
@@ -306,7 +305,7 @@ func TestWriteSummaryDOT(t *testing.T) {
 
 func TestWriteGraphDOT(t *testing.T) {
 	g := gen.Clique(3)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	var buf bytes.Buffer
 	if err := WriteGraphDOT(&buf, g, tau); err != nil {

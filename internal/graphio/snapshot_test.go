@@ -8,14 +8,13 @@ import (
 
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
 func testSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 7)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	return &Snapshot{G: g, Tau: tau, Seq: 42}
 }
@@ -55,7 +54,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	fig3 := gen.PaperFigure3()
 	small := &Snapshot{G: fig3, Seq: 7}
-	small.Tau, _ = testkit.Tau(fig3, testkit.Supports(fig3, triangle.KernelMerge, 1), truss.PeelSerial, 1)
+	small.Tau, _ = testkit.Tau(fig3, testkit.Supports(fig3, 1), truss.PeelSerial, 1)
 	var data []byte
 	for _, tc := range []struct {
 		snap *Snapshot

@@ -16,14 +16,13 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
 // buildTestIndex builds a real summary graph for serialization tests.
 func buildTestIndex(t testing.TB, g *graph.Graph) *core.SummaryGraph {
 	t.Helper()
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	return sg

@@ -18,7 +18,6 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -28,7 +27,7 @@ import (
 func buildTestIndex(t testing.TB) (*community.Index, []int32) {
 	t.Helper()
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
-	sup := testkit.Supports(g, triangle.KernelMerge, 0)
+	sup := testkit.Supports(g, 0)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 0)
 	return community.NewIndex(g, sg), tau
@@ -422,7 +421,7 @@ func TestCommunityVerticesParam(t *testing.T) {
 // garbage. A finalizer on the first index proves the collector took it.
 func TestPublishReleasesRetiredEpoch(t *testing.T) {
 	g := gen.Clique(5)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
 	collected := make(chan struct{})

@@ -18,7 +18,6 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 	"equitruss/internal/wal"
 )
@@ -29,7 +28,7 @@ import (
 func newLiveServer(t *testing.T, scale string, mutate func(*LiveConfig)) (*Server, *httptest.Server) {
 	t.Helper()
 	g := liveBaseGraph(scale)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	w, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"), wal.Options{})
@@ -364,7 +363,7 @@ func TestReadyzGating(t *testing.T) {
 // the exact published state, checksum for checksum.
 func TestUpdateRecoveryDifferential(t *testing.T) {
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 42)
-	sup := testkit.Supports(g, triangle.KernelMerge, 1)
+	sup := testkit.Supports(g, 1)
 	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 	walPath := filepath.Join(t.TempDir(), "wal.log")
@@ -568,7 +567,7 @@ func TestUpdateRepairOrRebuildDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup := testkit.Supports(g, triangle.KernelMerge, 1)
+		sup := testkit.Supports(g, 1)
 		tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
 		sg, _ := testkit.Summary(g, tau, core.VariantSerial, 1)
 		want := community.NewIndex(g, sg).Checksums()

@@ -11,9 +11,9 @@ import (
 	"equitruss/internal/truss"
 )
 
-// Supports returns the per-edge triangle counts computed by kernel k.
-func Supports(g *graph.Graph, k triangle.Kernel, threads int) []int32 {
-	sup, err := triangle.SupportsKernelCtx(nil, g, k, threads, nil)
+// Supports returns the per-edge triangle counts.
+func Supports(g *graph.Graph, threads int) []int32 {
+	sup, _, err := triangle.SupportsOrientedCtx(nil, g, threads, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,3 +1,12 @@
+// Package triangle implements the Support kernel of the pipeline, exact
+// per-edge triangle counts (Definition 2 of the paper), and the oriented
+// triangle stream the index builders share with it.
+//
+// Support orients the graph by (degree, id) — the compact-forward scheme
+// behind the O(|E|^1.5) bound the paper cites — and credits each triangle's
+// three edges in one pass of the stream, which finds every triangle exactly
+// once. Workers claim dynamic chunks of edges, which evens out power-law
+// skew (hub edges cost far more than leaf edges).
 package triangle
 
 import (
@@ -12,8 +21,7 @@ import (
 
 // Counters emitted by the orientation and the triangle stream: a build
 // that orients once and runs k stream passes shows one orientation and k
-// visits per triangle (the merge kernel's per-edge intersections meet each
-// triangle three times per pass).
+// visits per triangle.
 var (
 	cOrientations = obs.GetCounter("triangle_orientations",
 		"degree orientations built for the oriented triangle stream")
@@ -22,15 +30,16 @@ var (
 )
 
 // accArrayLimit caps the per-thread credit-accumulation footprint of the
-// oriented kernel (threads × edges int32 entries). Below the cap every
+// Support kernel (threads × edges int32 entries). Below the cap every
 // worker accumulates into a private array and a scatter-free parallel
 // reduction produces the final supports — zero atomics on the hot path.
 // Above it the kernel falls back to atomic credits, trading contention for
 // memory.
 const accArrayLimit = 1 << 26 // 64M entries = 256 MiB of int32
 
-// orientedGrain is the dynamic chunk size of the triangle stream, matching
-// the merge kernel's grain so per-thread span items are comparable.
+// orientedGrain is the dynamic chunk size of the triangle stream: edges
+// claimed per chunk, and so the granularity at which workers poll the
+// context.
 const orientedGrain = 512
 
 // Orientation is a graph with every edge directed from its lower to its
@@ -170,18 +179,19 @@ func (o *Orientation) ForEachTriangle(x concur.Exec, name string, fn func(tid in
 	})
 }
 
-// SupportsOrientedCtx computes per-edge supports with the compact-forward
-// scheme: it orients g and runs one triangle stream pass that credits each
+// SupportsOrientedCtx is the Support kernel: it returns support(e) for every
+// edge ID, computed with the given number of threads (<= 0 means all
+// cores). It orients g and runs one triangle stream pass that credits each
 // triangle's three edges. On skewed graphs the oriented lists are much
 // shorter than hub adjacencies, so the kernel does far less intersection
-// work than the merge kernel's symmetric per-edge scans. It returns the
+// work than a per-edge merge of full adjacencies. It returns the
 // orientation with the supports, for later triangle passes over the same
 // graph.
 //
-// It shares the merge kernel's full production contract: workers poll ctx
-// at chunk-claim granularity and the call returns ctx.Err() with every
-// goroutine joined once it fires, every parallel stage emits per-thread
-// "Support" spans into tr, and each stage's barrier is a "concur.barrier"
+// Workers poll ctx at chunk-claim granularity and the call returns
+// ctx.Err() with every goroutine joined once it fires; a nil ctx is the
+// form that cannot fail. Every parallel stage emits per-thread "Support"
+// spans into tr, and each stage's barrier is a "concur.barrier"
 // fault-injection site.
 func SupportsOrientedCtx(ctx context.Context, g *graph.Graph, threads int, tr *obs.Trace) ([]int32, *Orientation, error) {
 	if threads <= 0 {

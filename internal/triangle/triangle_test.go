@@ -3,6 +3,7 @@ package triangle
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"equitruss/internal/concur"
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/obs"
 )
 
 func randomGraph(seed int64, n int32, p float64) *graph.Graph {
@@ -32,10 +34,10 @@ func randomGraph(seed int64, n int32, p float64) *graph.Graph {
 	return g
 }
 
-// supports runs one Support kernel without a context, the form that
+// supports runs the Support kernel without a context, the form that
 // cannot fail.
-func supports(g *graph.Graph, k Kernel, threads int) []int32 {
-	sup, err := SupportsKernelCtx(nil, g, k, threads, nil)
+func supports(g *graph.Graph, threads int) []int32 {
+	sup, _, err := SupportsOrientedCtx(nil, g, threads, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -54,6 +56,29 @@ func count(g *graph.Graph, threads int) int64 {
 		panic(err)
 	}
 	return n.Load()
+}
+
+// commonNeighborSupports is the per-edge reference: |N(u) ∩ N(v)| by a
+// sorted-merge intersection of the two full adjacencies.
+func commonNeighborSupports(g *graph.Graph) []int32 {
+	sup := make([]int32, g.NumEdges())
+	for eid, e := range g.Edges() {
+		sup[eid] = g.CommonNeighborCount(e.U, e.V)
+	}
+	return sup
+}
+
+// equalSupports fails t at the first edge whose support differs.
+func equalSupports(t *testing.T, what string, got, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d supports, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: support[%d] = %d, want %d", what, i, got[i], want[i])
+		}
+	}
 }
 
 // bruteSupports counts triangles per edge by checking every vertex.
@@ -83,7 +108,7 @@ func TestSupportsKnownShapes(t *testing.T) {
 		{"triangle", gen.Clique(3), func(int32) int32 { return 1 }},
 	}
 	for _, tc := range cases {
-		sup := supports(tc.g, KernelMerge, 2)
+		sup := supports(tc.g, 2)
 		for eid, s := range sup {
 			if want := tc.want(int32(eid)); s != want {
 				t.Errorf("%s: support[%d] = %d, want %d", tc.name, eid, s, want)
@@ -97,13 +122,7 @@ func TestSupportsMatchesBrute(t *testing.T) {
 		g := randomGraph(seed, 20, 0.3)
 		want := bruteSupports(g)
 		for _, threads := range []int{1, 2, 4} {
-			got := supports(g, KernelMerge, threads)
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-			got = supports(g, KernelOriented, threads)
+			got := supports(g, threads)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -283,7 +302,7 @@ func TestForEachTriangleCancel(t *testing.T) {
 
 func TestSupportsEmptyGraph(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 3)
-	if sup := supports(g, KernelMerge, 2); len(sup) != 0 {
+	if sup := supports(g, 2); len(sup) != 0 {
 		t.Fatalf("supports on edgeless graph: %v", sup)
 	}
 	if count(g, 2) != 0 {
@@ -291,6 +310,9 @@ func TestSupportsEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestSupportsOrientedOnGenerators: the kernel's supports equal the
+// per-edge common-neighbour counts on every generator shape, hub-heavy
+// ones included.
 func TestSupportsOrientedOnGenerators(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.PaperFigure3(),
@@ -300,19 +322,99 @@ func TestSupportsOrientedOnGenerators(t *testing.T) {
 		starPlusClique(t),
 	}
 	for gi, g := range graphs {
-		want := supports(g, KernelMerge, 2)
-		got := supports(g, KernelOriented, 2)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("graph %d edge %d: oriented %d vs merge %d", gi, i, got[i], want[i])
-			}
-		}
+		equalSupports(t, fmt.Sprintf("graph %d", gi), supports(g, 2), commonNeighborSupports(g))
 	}
 }
 
+// TestSupportsOrientedEmpty: an edgeless graph still hands back its
+// orientation, so a build over it does not orient a second time.
 func TestSupportsOrientedEmpty(t *testing.T) {
 	g, _ := graph.FromEdgeList(nil, 5)
-	if s := supports(g, KernelOriented, 2); len(s) != 0 {
-		t.Fatalf("oriented supports on empty graph: %v", s)
+	s, o, err := SupportsOrientedCtx(nil, g, 2, nil)
+	if err != nil || len(s) != 0 {
+		t.Fatalf("supports on empty graph: %v, %v", s, err)
+	}
+	if o == nil || o.Graph() != g {
+		t.Fatal("no orientation of the empty graph handed back")
+	}
+}
+
+// TestSupportsAtomicCredits: above accArrayLimit the kernel credits each
+// triangle with atomic adds instead of per-thread arrays. Enough workers
+// on an R-MAT graph push it over the limit (goroutines, not OS threads);
+// both branches must match the per-edge reference.
+func TestSupportsAtomicCredits(t *testing.T) {
+	g := gen.RMAT(13, 16, 0.57, 0.19, 0.19, 1)
+	m := int(g.NumEdges())
+	want := commonNeighborSupports(g)
+	for _, threads := range []int{accArrayLimit/m + 1, 2} {
+		equalSupports(t, fmt.Sprintf("%d threads (%d credit entries)", threads, threads*m), supports(g, threads), want)
+	}
+}
+
+// TestKernelsAgreeOnAllDatasets is the differential gate: the kernel's
+// supports equal the per-edge common-neighbour counts on every dataset
+// surrogate plus a skewed R-MAT graph. Runs under -race in `make ci`.
+func TestKernelsAgreeOnAllDatasets(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"rmat12": gen.RMAT(12, 8, 0.57, 0.19, 0.19, 7),
+	}
+	for _, spec := range gen.Datasets {
+		graphs[spec.Name] = spec.Generate(0.01)
+	}
+	for name, g := range graphs {
+		equalSupports(t, name, supports(g, 3), commonNeighborSupports(g))
+	}
+}
+
+// TestCountInvariant: the sum of edge supports is exactly three times the
+// number of triangles the stream visits (each triangle credits its three
+// edges once).
+func TestCountInvariant(t *testing.T) {
+	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 9)
+	want := count(g, 2)
+	if want <= 0 {
+		t.Fatalf("RMAT-11 triangle count = %d", want)
+	}
+	var sum int64
+	for _, s := range supports(g, 2) {
+		sum += int64(s)
+	}
+	if sum%3 != 0 {
+		t.Fatalf("support sum %d not divisible by 3", sum)
+	}
+	if sum/3 != want {
+		t.Fatalf("%d triangles via supports, the stream visits %d", sum/3, want)
+	}
+}
+
+func TestSupportsCtxFormsCancel(t *testing.T) {
+	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := SupportsOrientedCtx(ctx, g, 2, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled SupportsOrientedCtx returned %v", err)
+	}
+	if _, err := SupportsKernelCtx(ctx, g, KernelAuto, 2, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled SupportsKernelCtx returned %v", err)
+	}
+}
+
+// TestOrientedSpansNamedSupport: the orientation and the stream pass report
+// themselves under the "Support" span name, so pipeline reports aggregate
+// the stage.
+func TestOrientedSpansNamedSupport(t *testing.T) {
+	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 3)
+	tr := obs.NewTrace()
+	if _, _, err := SupportsOrientedCtx(context.Background(), g, 3, tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("Support kernel emitted no spans")
+	}
+	for _, s := range tr.Spans() {
+		if s.Name != "Support" {
+			t.Fatalf("span named %q, want Support", s.Name)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func randomGraph(seed int64, n int32, p float64) *graph.Graph {
 // supportsOf and decompose run the kernels without a context, the form
 // that cannot fail.
 func supportsOf(g *graph.Graph, threads int) []int32 {
-	sup, err := triangle.SupportsCtx(nil, g, threads, nil)
+	sup, _, err := triangle.SupportsOrientedCtx(nil, g, threads, nil)
 	if err != nil {
 		panic(err)
 	}

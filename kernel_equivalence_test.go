@@ -8,16 +8,16 @@ import (
 	"equitruss"
 	"equitruss/internal/gen"
 	"equitruss/internal/obs"
+	"equitruss/internal/testkit"
 )
 
 // TestBuildSummaryKernelEquivalence: kernels are an implementation detail —
-// on a skewed RMAT graph every Support kernel choice (including auto, which
-// resolves to oriented here) and the serial peel selected through Options,
-// and the flat variants over either Support kernel at one and four threads,
-// must produce a bit-identical trussness array and the same canonical
-// summary graph as the Serial build. The merge rows have the index builder
-// orient the graph itself; the oriented rows hand it the orientation the
-// Support kernel built.
+// on a skewed RMAT graph the serial peel selected through Options, and the
+// flat variants at one and four threads, must produce a bit-identical
+// trussness array and the same canonical summary graph as the Serial
+// build. The flat variants walk the triangle stream over the orientation
+// Support built. Row names keep the oriented Support they run, so a row
+// reads the same across runs of this test.
 func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	g := equitruss.GenerateRMAT(14, 8, 42)
 	ref, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.Serial})
@@ -30,16 +30,12 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 		opt  equitruss.Options
 	}
 	rows := []row{
-		{fmt.Sprint(equitruss.KernelOriented), equitruss.Options{Variant: equitruss.Afforest, Threads: 4, SupportKernel: equitruss.KernelOriented}},
-		{fmt.Sprint(equitruss.KernelAuto), equitruss.Options{Variant: equitruss.Afforest, Threads: 4, SupportKernel: equitruss.KernelAuto}},
 		{"peel-serial", equitruss.Options{Variant: equitruss.Afforest, Threads: 4, PeelKernel: equitruss.PeelSerial}},
 	}
 	for _, v := range []equitruss.Variant{equitruss.COptimal, equitruss.Afforest} {
-		for _, k := range []equitruss.SupportKernel{equitruss.KernelMerge, equitruss.KernelOriented} {
-			for _, threads := range []int{1, 4} {
-				rows = append(rows, row{fmt.Sprintf("%v-%v-T%d", v, k, threads),
-					equitruss.Options{Variant: v, Threads: threads, SupportKernel: k}})
-			}
+		for _, threads := range []int{1, 4} {
+			rows = append(rows, row{fmt.Sprintf("%v-oriented-T%d", v, threads),
+				equitruss.Options{Variant: v, Threads: threads}})
 		}
 	}
 	for _, c := range rows {
@@ -60,19 +56,17 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildSummaryOrientsOnce: the pipeline builds at most one orientation
-// and walks the triangle stream at most once per kernel. With oriented
-// Support the flat variants reuse the Support kernel's orientation; with
-// merge Support the index builder makes the only one; Serial and Baseline
-// make none beyond Support's. A second orientation would cost a second
-// copy of the oriented out-lists in every build's allocations. The stream
-// runs once in oriented Support, once in Afforest's SpNode and once in the
-// flat SpEdge (C-Optimal and Afforest), so triangle_stream_triangles must
-// advance by exactly that many passes times the graph's triangle count.
+// TestBuildSummaryOrientsOnce: every build orients exactly once, in
+// Support, and walks the triangle stream once per kernel that needs it:
+// the flat variants reuse Support's orientation instead of building a
+// second copy of the oriented out-lists. The stream runs once in Support,
+// once in Afforest's SpNode and once in the flat SpEdge (C-Optimal and
+// Afforest), so triangle_stream_triangles must advance by exactly that
+// many passes times the graph's triangle count.
 func TestBuildSummaryOrientsOnce(t *testing.T) {
 	g := equitruss.GenerateRMAT(12, 8, 42)
 	var triangles int64
-	for _, s := range equitruss.SupportsWithKernel(g, equitruss.KernelMerge, 2) {
+	for _, s := range equitruss.Supports(g, 2) {
 		triangles += int64(s)
 	}
 	triangles /= 3
@@ -83,26 +77,22 @@ func TestBuildSummaryOrientsOnce(t *testing.T) {
 	visits := obs.GetCounter("triangle_stream_triangles", "")
 	for _, c := range []struct {
 		v      equitruss.Variant
-		k      equitruss.SupportKernel
-		want   int64
 		passes int64
 	}{
-		{equitruss.Afforest, equitruss.KernelOriented, 1, 3},
-		{equitruss.COptimal, equitruss.KernelOriented, 1, 2},
-		{equitruss.Afforest, equitruss.KernelMerge, 1, 2},
-		{equitruss.Baseline, equitruss.KernelOriented, 1, 1},
-		{equitruss.Baseline, equitruss.KernelMerge, 0, 0},
-		{equitruss.Serial, equitruss.KernelMerge, 0, 0},
+		{equitruss.Afforest, 3},
+		{equitruss.COptimal, 2},
+		{equitruss.Baseline, 1},
+		{equitruss.Serial, 1},
 	} {
 		before, visitsBefore := orientations.Value(), visits.Value()
-		if _, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: c.v, Threads: 2, SupportKernel: c.k}); err != nil {
+		if _, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: c.v, Threads: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if got := orientations.Value() - before; got != c.want {
-			t.Errorf("%v with %v Support built %d orientations, want %d", c.v, c.k, got, c.want)
+		if got := orientations.Value() - before; got != 1 {
+			t.Errorf("%v built %d orientations, want 1", c.v, got)
 		}
 		if got := visits.Value() - visitsBefore; got != c.passes*triangles {
-			t.Errorf("%v with %v Support visited %d stream triangles, want %d passes × %d", c.v, c.k, got, c.passes, triangles)
+			t.Errorf("%v visited %d stream triangles, want %d passes × %d", c.v, got, c.passes, triangles)
 		}
 	}
 }
@@ -125,14 +115,11 @@ func tauChecksum(tau []int32) uint64 {
 	return h.Sum64()
 }
 
-// TestKernelMatrixEquivalence crosses every Support kernel with every peel
-// kernel on RMAT plus all dataset surrogates: the τ/kmax FNV checksum must
-// be identical across the whole matrix — kernels are implementation
+// TestKernelMatrixEquivalence runs every peel kernel over the supports on
+// RMAT plus all dataset surrogates: the τ/kmax FNV checksum at four threads
+// must equal the serial peel's at one thread — kernels are implementation
 // details, never answers.
 func TestKernelMatrixEquivalence(t *testing.T) {
-	supportKernels := []equitruss.SupportKernel{
-		equitruss.KernelAuto, equitruss.KernelMerge, equitruss.KernelOriented,
-	}
 	peelKernels := []equitruss.PeelKernel{
 		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,
 	}
@@ -148,14 +135,13 @@ func TestKernelMatrixEquivalence(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			want := tauChecksum(equitruss.TrussnessWithKernels(g, equitruss.KernelMerge, equitruss.PeelSerial, 1))
-			for _, sk := range supportKernels {
-				for _, pk := range peelKernels {
-					got := tauChecksum(equitruss.TrussnessWithKernels(g, sk, pk, 4))
-					if got != want {
-						t.Fatalf("support=%v peel=%v: τ checksum %016x, want %016x (m=%d)",
-							sk, pk, got, want, g.NumEdges())
-					}
+			ref, _ := testkit.Tau(g, equitruss.Supports(g, 1), equitruss.PeelSerial, 1)
+			want := tauChecksum(ref)
+			sup := equitruss.Supports(g, 4)
+			for _, pk := range peelKernels {
+				tau, _ := testkit.Tau(g, sup, pk, 4)
+				if got := tauChecksum(tau); got != want {
+					t.Fatalf("peel=%v: τ checksum %016x, want %016x (m=%d)", pk, got, want, g.NumEdges())
 				}
 			}
 		})

@@ -238,7 +238,7 @@ func baseDynamic(ctx context.Context, base *Graph, threads int) (*dynamic.Graph,
 	if base == nil {
 		return dynamic.New(0), nil
 	}
-	sup, err := triangle.SupportsKernelCtx(ctx, base, KernelAuto, threads, nil)
+	sup, _, err := triangle.SupportsOrientedCtx(ctx, base, threads, nil)
 	if err != nil {
 		return nil, err
 	}

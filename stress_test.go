@@ -7,7 +7,6 @@ import (
 	"equitruss/internal/core"
 	"equitruss/internal/gen"
 	"equitruss/internal/testkit"
-	"equitruss/internal/triangle"
 	"equitruss/internal/truss"
 )
 
@@ -21,7 +20,7 @@ func TestStressModerateRMAT(t *testing.T) {
 		t.Skip("stress test skipped in -short mode")
 	}
 	g := gen.RMAT(13, 10, 0.57, 0.19, 0.19, 2024)
-	sup := testkit.Supports(g, triangle.KernelMerge, 0)
+	sup := testkit.Supports(g, 0)
 	tauS, kS := testkit.Tau(g, sup, truss.PeelSerial, 1)
 	tauP, kP := testkit.Tau(g, sup, truss.PeelLevelSync, 0)
 	if kS != kP {
