@@ -29,9 +29,10 @@ race:
 # kernels, the concurrent union-find behind Afforest SpNode, the community
 # index, observability, and the pipeline's
 # orientation shared from Support to the index builder) at one worker
-# thread and at more workers than the box has cores, the chaos suite, and
-# the nested lifecycle-benchmark module.
-ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle
+# thread and at more workers than the box has cores, the chaos suite, the
+# nested lifecycle-benchmark module, and every example program run end to
+# end against the public API.
+ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle examples
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \

@@ -22,6 +22,7 @@ import (
 	"equitruss/internal/faults"
 	"equitruss/internal/mmapio"
 	"equitruss/internal/testkit"
+	"equitruss/internal/truss"
 )
 
 // chaosWaitGoroutines polls until the goroutine count returns to base —
@@ -164,8 +165,8 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 	// The peel kernel dispatcher rides the same form, and its outputs must
 	// stay bit-identical under the armed barrier — including the scan-free
 	// pkt peel kernel.
-	for _, pk := range []equitruss.PeelKernel{
-		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,
+	for _, pk := range []truss.PeelKernel{
+		truss.PeelAuto, truss.PeelSerial, truss.PeelLevelSync, truss.PeelPKT,
 	} {
 		kTau, _ := testkit.Tau(g, sup, pk, 4)
 		for i := range wantTau {
@@ -197,7 +198,7 @@ func TestChaosCorruptIndexRejected(t *testing.T) {
 	if err := equitruss.SaveIndexFile(path, sg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := equitruss.LoadIndexFile(path, g); err != nil {
+	if _, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager); err != nil {
 		t.Fatalf("clean index failed to load: %v", err)
 	}
 	blob, err := os.ReadFile(path)
@@ -214,7 +215,7 @@ func TestChaosCorruptIndexRejected(t *testing.T) {
 		if err := os.WriteFile(cpath, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := equitruss.LoadIndexFile(cpath, g); err == nil {
+		if _, _, err := equitruss.OpenIndexFile(cpath, g, equitruss.VerifyEager); err == nil {
 			t.Fatalf("flipped byte %d of %d accepted at load", pos, len(blob))
 		}
 	}
@@ -253,7 +254,7 @@ func TestChaosSaveFaultPreservesOldIndex(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatal("failed save modified the existing index file")
 	}
-	if _, err := equitruss.LoadIndexFile(path, g); err != nil {
+	if _, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager); err != nil {
 		t.Fatalf("old index unloadable after failed save: %v", err)
 	}
 }

@@ -49,9 +49,8 @@ type experiment struct {
 }
 
 type config struct {
-	scale   float64          // dataset size factor
-	maxThr  int              // top of the thread sweep
-	peel    truss.PeelKernel // TrussDecomp kernel for all peeling
+	scale   float64 // dataset size factor
+	maxThr  int     // top of the thread sweep
 	verbose bool
 	sink    *tsvSink       // optional TSV mirror of every table
 	art     *benchArtifact // run artifact; emit appends every table
@@ -82,7 +81,7 @@ var experiments = []experiment{
 	{"tab5", "Table 5: index sizes and parallel speedups", runTab5, false},
 	{"peel", "Peel kernel sweep: levelsync vs serial vs pkt", runPeel, false},
 	{"query", "Query path: hierarchy vs indexed-BFS vs DirectCommunities", runQuery, false},
-	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose (honors -peel-kernel)", runRMAT18, true},
+	{"rmat18", "RMAT scale-18 skewed graph: Support + Decompose by every peel kernel", runRMAT18, true},
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -95,7 +94,6 @@ func run(args []string) int {
 	expID := fs.String("experiment", "all", "comma-separated experiment ids (tab3, fig2, ..., peel, query, rmat18) or 'all'")
 	scale := fs.Float64("scale", 0.25, "dataset size factor (1.0 = paper-surrogate default size)")
 	maxThr := fs.Int("maxthreads", concur.MaxThreads(), "top of the thread sweep (at least 1)")
-	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	list := fs.Bool("list", false, "list experiments and exit")
 	verbose := fs.Bool("v", false, "verbose progress")
 	outDir := fs.String("out", "", "directory for TSV copies of every table (plot-ready)")
@@ -116,11 +114,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "benchsuite: -maxthreads must be at least 1, got %d\n", *maxThr)
 		return 2
 	}
-	peel, err := truss.ParsePeelKernel(*peelName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		return 2
-	}
 	art := &benchArtifact{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		GitRev:     gitRev(),
@@ -128,14 +121,13 @@ func run(args []string) int {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      *scale,
 		MaxThreads: *maxThr,
-		PeelKernel: peel.String(),
 	}
-	cfg := config{scale: *scale, maxThr: *maxThr, peel: peel, verbose: *verbose, art: art}
+	cfg := config{scale: *scale, maxThr: *maxThr, verbose: *verbose, art: art}
 	if *outDir != "" {
 		cfg.sink = &tsvSink{dir: *outDir}
 	}
-	fmt.Printf("# benchsuite: %d CPUs, GOMAXPROCS=%d, scale=%.2f, peel=%s, rev=%s\n\n",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), cfg.scale, peel, art.GitRev)
+	fmt.Printf("# benchsuite: %d CPUs, GOMAXPROCS=%d, scale=%.2f, rev=%s\n\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), cfg.scale, art.GitRev)
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*expID, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -236,7 +228,6 @@ type benchArtifact struct {
 	GOMAXPROCS  int                `json:"gomaxprocs"`
 	Scale       float64            `json:"scale"`
 	MaxThreads  int                `json:"max_threads"`
-	PeelKernel  string             `json:"peel_kernel,omitempty"`
 	Experiments []experimentResult `json:"experiments"`
 	Tables      []*table           `json:"tables"`
 	Counters    []obs.CounterValue `json:"counters,omitempty"`
@@ -306,7 +297,7 @@ func dataset(cfg config, name string) *graph.Graph {
 }
 
 // tauCache holds trussness per dataset so repeated experiments share the
-// decomposition.
+// decomposition, peeled by the kernel the auto rule picks as in a build.
 var tauCache = map[string][]int32{}
 
 func trussness(cfg config, name string, g *graph.Graph) []int32 {
@@ -315,7 +306,7 @@ func trussness(cfg config, name string, g *graph.Graph) []int32 {
 		return tau
 	}
 	sup := testkit.Supports(g, 0)
-	tau, _ := testkit.Tau(g, sup, cfg.peel, 0)
+	tau, _ := testkit.Tau(g, sup, truss.PeelAuto, 0)
 	tauCache[key] = tau
 	return tau
 }

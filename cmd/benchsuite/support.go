@@ -3,11 +3,13 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"equitruss/internal/gen"
 	"equitruss/internal/graph"
 	"equitruss/internal/testkit"
+	"equitruss/internal/truss"
 )
 
 // supportReps is how many times each Support cell is timed; the minimum is
@@ -26,23 +28,22 @@ const (
 )
 
 // runRMAT18 builds the scale-18 RMAT graph and times the Support stage,
-// then runs the truss decomposition with the configured -peel-kernel so the
-// artifact also witnesses the supports feed a correct downstream τ.
-// Excluded from `-experiment all`: it is the committed-artifact producer,
-// run explicitly.
+// then times every peel kernel on its supports, as the peel sweep does, so
+// the artifact also witnesses the supports feed a correct downstream τ. The
+// decomposition runs for seconds at this scale, so each kernel is timed
+// once. Excluded from `-experiment all`: it is the committed-artifact
+// producer, run explicitly.
 func runRMAT18(cfg config) {
 	g := gen.RMAT(rmat18Scale, rmat18EdgeFactor, 0.57, 0.19, 0.19, rmat18Seed)
-	fmt.Printf("rmat18: %d vertices, %d edges, peel=%s\n", g.NumVertices(), g.NumEdges(), cfg.peel)
+	fmt.Printf("rmat18: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	secs, sums := timeCells(cfg, supportReps, []cell{supportCell(g, cfg.maxThr)})
-	sec, sum := secs[0], sums[0]
 	sup := testkit.Supports(g, cfg.maxThr)
-	start := time.Now()
-	tau, _ := testkit.Tau(g, sup, cfg.peel, cfg.maxThr)
-	decomp := time.Since(start)
-	cfg.observe(decomp)
-	decompSec := decomp.Seconds()
-	t := newTable("Graph", "Peel", "Support(s)", "Decompose(s)", "SupSum", "TauSum")
-	t.row("rmat18", cfg.peel.String(), sec, decompSec, sum, checksumInt32(tau))
+	pick := truss.ChoosePeelKernel(g.NumEdges(), slices.Max(sup), cfg.maxThr)
+	peelSecs, tauSums := timePeelKernels(cfg, 1, "rmat18", g, sup)
+	t := newTable("Graph", "Peel", "Support(s)", "Decompose(s)", "Auto", "SupSum", "TauSum")
+	for i, k := range peelKernels {
+		t.row("rmat18", k.String(), secs[0], peelSecs[i], k == pick, sums[0], tauSums[i])
+	}
 	emit(cfg, "rmat18", "", t)
 }
 

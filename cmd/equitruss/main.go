@@ -67,9 +67,9 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  equitruss build -graph <path|dataset:name[:factor]> [-variant serial|baseline|coptimal|afforest] [-peel-kernel auto|serial|levelsync|pkt] [-threads N] [-out index.bin]
+  equitruss build -graph <path|dataset:name[:factor]> [-variant serial|baseline|coptimal|afforest] [-threads N] [-out index.bin]
   equitruss query -graph <...> (-index index.bin | -variant ...) -vertex V -k K
-  equitruss stats -graph <...> [-variant ...] [-peel-kernel ...] [-threads N]
+  equitruss stats -graph <...> [-variant ...] [-threads N]
   equitruss export -graph <...> [-what summary|graph] [-out file.dot]
   equitruss serve -graph <...> [-index index.bin | -variant ...] [-addr :8080] [-workers N] [-maxbatch N] [-drain 10s] [-log-format text|json] [-sample N] [-slow 250ms]
   equitruss version
@@ -121,7 +121,6 @@ func runBuildCtx(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	variantName := fs.String("variant", "afforest", "serial|baseline|coptimal|afforest")
-	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	out := fs.String("out", "", "write binary index to this path")
 	obsf := addObsFlags(fs)
@@ -130,10 +129,6 @@ func runBuildCtx(ctx context.Context, args []string) error {
 		return fmt.Errorf("-graph is required")
 	}
 	variant, err := parseVariant(*variantName)
-	if err != nil {
-		return err
-	}
-	peel, err := equitruss.ParsePeelKernel(*peelName)
 	if err != nil {
 		return err
 	}
@@ -147,7 +142,7 @@ func runBuildCtx(ctx context.Context, args []string) error {
 		return err
 	}
 	sg, tm, err := equitruss.BuildSummary(g, equitruss.Options{
-		Variant: variant, Threads: *threads, PeelKernel: peel, Tracer: tr, Context: ctx,
+		Variant: variant, Threads: *threads, Tracer: tr, Context: ctx,
 	})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -237,7 +232,6 @@ func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	variantName := fs.String("variant", "afforest", "variant")
-	peelName := fs.String("peel-kernel", "auto", "TrussDecomp kernel: auto|serial|levelsync|pkt")
 	threads := fs.Int("threads", 0, "threads (0 = all cores)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON document instead of text")
 	obsf := addObsFlags(fs)
@@ -246,10 +240,6 @@ func runStats(args []string) error {
 		return fmt.Errorf("-graph is required")
 	}
 	variant, err := parseVariant(*variantName)
-	if err != nil {
-		return err
-	}
-	peel, err := equitruss.ParsePeelKernel(*peelName)
 	if err != nil {
 		return err
 	}
@@ -263,7 +253,7 @@ func runStats(args []string) error {
 	}
 	// The full pipeline runs once; Trussness is not called separately so the
 	// counters and spans describe exactly one build.
-	sg, tm, err := equitruss.BuildSummary(g, equitruss.Options{Variant: variant, Threads: *threads, PeelKernel: peel, Tracer: tr})
+	sg, tm, err := equitruss.BuildSummary(g, equitruss.Options{Variant: variant, Threads: *threads, Tracer: tr})
 	if err != nil {
 		return err
 	}

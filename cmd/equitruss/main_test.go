@@ -107,15 +107,6 @@ func TestRunBuildQueryStatsEndToEnd(t *testing.T) {
 	if err := runStats([]string{"-graph", gpath}); err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	// Every peel kernel must drive the same pipeline end to end.
-	for _, peel := range []string{"serial", "levelsync", "pkt"} {
-		if err := runBuild([]string{"-graph", gpath, "-peel-kernel", peel}); err != nil {
-			t.Fatalf("build -peel-kernel %s: %v", peel, err)
-		}
-	}
-	if err := runStats([]string{"-graph", gpath, "-peel-kernel", "pkt"}); err != nil {
-		t.Fatalf("stats -peel-kernel pkt: %v", err)
-	}
 }
 
 func TestRunBuildErrors(t *testing.T) {
@@ -124,9 +115,6 @@ func TestRunBuildErrors(t *testing.T) {
 	}
 	if err := runBuild([]string{"-graph", "g.txt", "-variant", "bogus"}); err == nil {
 		t.Error("bad variant accepted")
-	}
-	if err := runBuild([]string{"-graph", "g.txt", "-peel-kernel", "bogus"}); err == nil {
-		t.Error("bad peel kernel accepted")
 	}
 	if err := runQuery([]string{"-graph", "g.txt"}); err == nil {
 		t.Error("missing -vertex accepted")

@@ -70,30 +70,10 @@ const (
 	Afforest = core.VariantAfforest // union-find CC over the triangle stream
 )
 
-// PeelKernel selects the TrussDecomp-stage (k-truss peeling) implementation.
-// All kernels produce bit-identical trussness; they differ in how frontier
-// discovery and triangle updates are scheduled.
-type PeelKernel = truss.PeelKernel
-
-// The peeling kernels. The zero value PeelAuto — the default — picks per
-// instance from the edge count and the peel-level spread: serial for small
-// graphs, the scan-free pkt kernel when per-level rescans would dominate,
-// level-synchronous otherwise (see docs/ALGORITHMS.md, "Peeling kernels").
-const (
-	PeelAuto      = truss.PeelAuto      // per-instance size/spread heuristic
-	PeelSerial    = truss.PeelSerial    // sequential bucket-queue peeling
-	PeelLevelSync = truss.PeelLevelSync // level-synchronous, frontier by full-edge rescan
-	PeelPKT       = truss.PeelPKT       // scan-free frontiers + lazy adjacency compaction
-)
-
-// ParsePeelKernel parses a -peel-kernel flag value
-// (auto|serial|levelsync|pkt).
-func ParsePeelKernel(s string) (PeelKernel, error) { return truss.ParsePeelKernel(s) }
-
 // Tracer collects pipeline and per-thread spans during a build. A nil
 // *Tracer disables tracing at zero cost — the instrumented kernels never
 // read the clock or allocate. Pass one via Options.Tracer, then export with
-// WriteTrace (Chrome trace-event JSON) or WriteMetrics (Prometheus text).
+// WriteTrace (Chrome trace-event JSON) or read it back with BuildReport.
 type Tracer = obs.Trace
 
 // NewTracer returns an enabled span collector for Options.Tracer.
@@ -112,12 +92,6 @@ type Options struct {
 	// Threads caps the parallelism; <= 0 uses all cores. Ignored by the
 	// Serial variant.
 	Threads int
-	// PeelKernel selects the TrussDecomp-stage kernel. The zero value is
-	// PeelAuto: serial for small graphs, scan-free pkt when the
-	// level-synchronous kernel's per-level rescans would dominate,
-	// levelsync otherwise. All kernels produce bit-identical trussness.
-	// The Serial variant forces the serial kernel.
-	PeelKernel PeelKernel
 	// Tracer, when non-nil, records one pipeline span per kernel and
 	// per-thread spans inside every parallel kernel. Nil disables tracing
 	// with no overhead.
@@ -147,17 +121,6 @@ type Index struct {
 	Trace *Tracer
 }
 
-// BatchCommunities answers one query per (vertex, k) pair in parallel;
-// results align with the input slice. It is the no-error form of
-// BatchCommunitiesCtx: without a context the batch cannot be cancelled.
-func (ix *Index) BatchCommunities(queries []Query, threads int) [][]*Community {
-	out, err := ix.BatchCommunitiesCtx(nil, queries, threads)
-	if err != nil {
-		panic("equitruss: " + err.Error())
-	}
-	return out
-}
-
 // BuildReport aggregates the build's trace and the process counter
 // registry into per-kernel statistics. When the build ran without a
 // tracer, a pipeline-only trace is synthesized from Timings, so wall times
@@ -184,20 +147,9 @@ type CounterValue = obs.CounterValue
 // Counters snapshots the process-wide counter registry (sorted by name).
 func Counters() []CounterValue { return obs.DefaultRegistry().Snapshot() }
 
-// ResetCounters zeroes every registered counter — call between runs when
-// per-run counter deltas are wanted (e.g. benchmark harnesses).
-func ResetCounters() { obs.DefaultRegistry().Reset() }
-
 // WriteTrace writes the tracer's spans as Chrome trace-event JSON, loadable
 // in chrome://tracing or Perfetto.
 func WriteTrace(w io.Writer, tr *Tracer) error { return obs.WriteChromeTrace(w, tr) }
-
-// WriteMetrics writes the process counter registry and the tracer's
-// per-kernel aggregates (tr may be nil for counters only) in Prometheus
-// text exposition format.
-func WriteMetrics(w io.Writer, tr *Tracer) error {
-	return obs.WritePrometheus(w, obs.DefaultRegistry(), tr)
-}
 
 // NewGraph builds a graph from an edge list. Self-loops and duplicate
 // edges are removed; numVertices <= 0 infers the vertex count.
@@ -208,11 +160,6 @@ func NewGraph(edges []Edge, numVertices int32) (*Graph, error) {
 // LoadEdgeList reads a SNAP-style whitespace-separated edge-list file.
 func LoadEdgeList(path string) (*Graph, error) {
 	return graphio.ReadEdgeListFile(path)
-}
-
-// ReadEdgeList parses SNAP-style edge-list text from a reader.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	return graphio.ReadEdgeList(r)
 }
 
 // GenerateDataset materializes one of the built-in synthetic surrogates of
@@ -240,10 +187,10 @@ func Supports(g *Graph, threads int) []int32 {
 
 // Trussness runs support computation and k-truss decomposition with the
 // auto-selected peel kernel, returning τ(e) for every edge ID
-// (Definition 4). threads <= 0 uses all cores. Without a context and with
-// a known peel kernel the decomposition cannot fail.
+// (Definition 4). threads <= 0 uses all cores. Without a context the
+// decomposition cannot fail.
 func Trussness(g *Graph, threads int) []int32 {
-	tau, _, _ := truss.DecomposeKernelCtx(nil, g, Supports(g, threads), PeelAuto, threads, nil)
+	tau, _, _ := truss.DecomposeKernelCtx(nil, g, Supports(g, threads), truss.PeelAuto, threads, nil)
 	return tau
 }
 
@@ -326,7 +273,9 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 
 	span = tr.Start("TrussDecomp")
 	start = time.Now()
-	peel := opt.PeelKernel
+	// The peel kernel is picked per instance (truss.ChoosePeelKernel); the
+	// Serial variant is the sequential pipeline end to end.
+	peel := truss.PeelAuto
 	if opt.Variant == Serial {
 		peel = truss.PeelSerial
 	}
@@ -350,7 +299,7 @@ func buildSummary(g *Graph, opt Options) (*SummaryGraph, Timings, error) {
 // supernode).
 type Stats = core.Stats
 
-// Query is one (vertex, k) community lookup for Index.BatchCommunities.
+// Query is one (vertex, k) community lookup for Index.BatchCommunitiesCtx.
 type Query = community.Query
 
 // MaximalKTruss materializes the maximal k-truss subgraph given a
@@ -388,10 +337,6 @@ func EvaluateCommunity(g *Graph, c *Community) CommunityMetrics {
 // expensive kernels from scratch on query-side state.
 type DynamicGraph = dynamic.Graph
 
-// NewDynamicGraph returns an empty dynamic graph with capacity for n
-// vertices (grown automatically).
-func NewDynamicGraph(n int32) *DynamicGraph { return dynamic.New(n) }
-
 // NewDynamicFromGraph imports a static graph, computing its decomposition.
 func NewDynamicFromGraph(g *Graph, threads int) *DynamicGraph {
 	return dynamic.FromStatic(g, Trussness(g, threads))
@@ -409,29 +354,6 @@ const (
 
 // ParseVerifyMode parses a -verify flag value (eager|lazy).
 func ParseVerifyMode(s string) (VerifyMode, error) { return graphio.ParseVerifyMode(s) }
-
-// SaveIndex writes a summary graph as a binary index stream — the same
-// flat, checksummed layout SaveIndexFile puts on disk (see
-// docs/ALGORITHMS.md, "Index layout").
-func SaveIndex(w io.Writer, sg *SummaryGraph) error {
-	return graphio.WriteBinaryIndex(w, sg)
-}
-
-// LoadIndex reads a summary graph written by SaveIndex and attaches it to
-// its graph as a query-ready Index. ReadBinaryIndex validates every ID
-// range and CSR offset in the stream, so a corrupt or mismatched index is
-// rejected here with a descriptive error instead of panicking at query
-// time.
-func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
-	sg, err := graphio.ReadBinaryIndex(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(sg.Tau) != int(g.NumEdges()) {
-		return nil, fmt.Errorf("equitruss: index built for %d edges, graph has %d", len(sg.Tau), g.NumEdges())
-	}
-	return &Index{Index: community.NewIndex(g, sg)}, nil
-}
 
 // SaveIndexFile writes a summary graph to path crash-safely: the
 // checksummed image goes to a same-directory temp file that is fsynced and
@@ -452,22 +374,13 @@ type LoadStats struct {
 	MmapBytes int64
 }
 
-// LoadIndexFile reads an index file written by SaveIndexFile and attaches
-// it to its graph as a query-ready Index. Files are checksum-verified: any
-// single flipped byte on disk is rejected.
-func LoadIndexFile(path string, g *Graph) (*Index, error) {
-	ix, _, err := OpenIndexFile(path, g, VerifyEager)
-	return ix, err
-}
-
 // OpenIndexFile loads an index file by the fastest safe path and reports
 // how. On a little-endian host the file is memory-mapped: the seven index
 // arrays alias the page cache directly and cold-start cost is
 // page-fault-driven — milliseconds for multi-hundred-MB indexes — instead
 // of a full decode. verify selects eager (checksums before returning) or
 // lazy (structural validation now, CRC sweep in the background)
-// verification for that path. A big-endian host, or a file in the legacy v2
-// stream layout (readable for one more release), takes the portable decode
+// verification for that path. A big-endian host takes the portable decode
 // path, where verify is ignored and checksums are always checked inline.
 func OpenIndexFile(path string, g *Graph, verify VerifyMode) (*Index, LoadStats, error) {
 	start := time.Now()

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"equitruss"
+	"equitruss/internal/truss"
 )
 
 func TestBuildIndexQuickstart(t *testing.T) {
@@ -79,11 +82,11 @@ func TestIndexSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := equitruss.SaveIndex(&buf, idx.SG); err != nil {
+	path := filepath.Join(t.TempDir(), "index.bin")
+	if err := equitruss.SaveIndexFile(path, idx.SG); err != nil {
 		t.Fatal(err)
 	}
-	idx2, err := equitruss.LoadIndex(&buf, g)
+	idx2, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +100,7 @@ func TestIndexSaveLoad(t *testing.T) {
 	}
 	// Mismatched graph must be rejected.
 	other := equitruss.GenerateRMAT(6, 3, 9)
-	var buf2 bytes.Buffer
-	if err := equitruss.SaveIndex(&buf2, idx.SG); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := equitruss.LoadIndex(&buf2, other); err == nil {
+	if _, _, err := equitruss.OpenIndexFile(path, other, equitruss.VerifyEager); err == nil {
 		t.Fatal("index accepted for wrong graph")
 	}
 }
@@ -125,7 +124,11 @@ func TestNilGraphRejected(t *testing.T) {
 }
 
 func TestReadEdgeListPublic(t *testing.T) {
-	g, err := equitruss.ReadEdgeList(bytes.NewBufferString("0 1\n1 2\n0 2\n"))
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n0 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := equitruss.LoadEdgeList(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +170,23 @@ func TestIndexStatsAndBatchPublic(t *testing.T) {
 		t.Fatal("no supernodes in dataset index")
 	}
 	queries := []equitruss.Query{{Vertex: 0, K: 3}, {Vertex: 1, K: 4}}
-	out := idx.BatchCommunities(queries, 2)
-	if len(out) != 2 {
-		t.Fatalf("batch results = %d", len(out))
+	out, err := idx.BatchCommunitiesCtx(nil, queries, 2)
+	if err != nil || len(out) != 2 {
+		t.Fatalf("batch results = %d, err %v", len(out), err)
 	}
 }
 
 func TestDynamicGraphPublic(t *testing.T) {
-	dg := equitruss.NewDynamicGraph(4)
-	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
-		if _, err := dg.InsertEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	line, err := equitruss.NewGraph([]equitruss.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg := equitruss.NewDynamicFromGraph(line, 1)
+	if tau, _ := dg.Trussness(0, 1); tau != 2 {
+		t.Fatalf("τ(0,1) on a path = %d", tau)
+	}
+	if _, err := dg.InsertEdge(0, 2); err != nil {
+		t.Fatal(err)
 	}
 	if tau, ok := dg.Trussness(0, 1); !ok || tau != 3 {
 		t.Fatalf("τ(0,1) = %d, %v", tau, ok)
@@ -242,15 +250,22 @@ func TestAllCommunitiesPublic(t *testing.T) {
 	}
 }
 
-func TestTracedBuildEmitsSpans(t *testing.T) {
-	g, err := equitruss.GenerateDataset("amazon-sim", 0.05)
+// parallelPeelGraph is a graph of at least 2^15 edges with few peel levels,
+// on which the auto peel rule picks levelsync at two or more threads, so
+// TrussDecomp runs a parallel kernel.
+func parallelPeelGraph(t *testing.T) *equitruss.Graph {
+	t.Helper()
+	g, err := equitruss.GenerateDataset("amazon-sim", 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func TestTracedBuildEmitsSpans(t *testing.T) {
+	g := parallelPeelGraph(t)
 	tr := equitruss.NewTracer()
-	// Pin a parallel peel kernel so TrussDecomp emits per-thread spans even
-	// on a graph small enough for auto to pick the serial bucket queue.
-	idx, err := equitruss.BuildIndex(g, equitruss.Options{Variant: equitruss.Afforest, Threads: 4, Tracer: tr, PeelKernel: equitruss.PeelPKT})
+	idx, err := equitruss.BuildIndex(g, equitruss.Options{Variant: equitruss.Afforest, Threads: 4, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +294,11 @@ func TestTracedBuildEmitsSpans(t *testing.T) {
 		}
 	}
 	// Support's item-counting passes account for every vertex exactly once
-	// (the orientation's out-degree pass) and every edge exactly once (the
-	// reduction of the per-thread triangle credits).
-	if got, want := rep.Kernel("Support").Items, int64(g.NumVertices())+g.NumEdges(); got != want {
-		t.Fatalf("Support items = %d, want %d vertices + %d edges", got, g.NumVertices(), g.NumEdges())
+	// (the orientation's out-degree pass) and every edge exactly twice (the
+	// triangle stream's edge chunks and the reduction of the per-thread
+	// triangle credits).
+	if got, want := rep.Kernel("Support").Items, int64(g.NumVertices())+2*g.NumEdges(); got != want {
+		t.Fatalf("Support items = %d, want %d vertices + 2 × %d edges", got, g.NumVertices(), g.NumEdges())
 	}
 
 	// The Chrome trace export must be valid JSON with the expected events.
@@ -301,18 +317,6 @@ func TestTracedBuildEmitsSpans(t *testing.T) {
 	}
 	if len(doc.TraceEvents) < 8 {
 		t.Fatalf("only %d trace events", len(doc.TraceEvents))
-	}
-
-	// And the Prometheus exposition must carry kernel gauges and counters.
-	buf.Reset()
-	if err := equitruss.WriteMetrics(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"equitruss_kernel_seconds", "equitruss_kernel_imbalance_ratio", "_total"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -336,30 +340,80 @@ func TestBuildReportWithoutTracer(t *testing.T) {
 	}
 }
 
-func TestCountersAccumulate(t *testing.T) {
-	equitruss.ResetCounters()
-	g, err := equitruss.GenerateDataset("amazon-sim", 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin the level-synchronous peel kernel: auto may resolve to the serial
-	// bucket queue on a graph this small, which runs none of the parallel
-	// peel counters this test pins.
-	opt := equitruss.Options{Variant: equitruss.Afforest, Threads: 2, PeelKernel: equitruss.PeelLevelSync}
-	if _, err := equitruss.BuildIndex(g, opt); err != nil {
-		t.Fatal(err)
-	}
-	vals := map[string]int64{}
+// counterDeltas runs build and returns how far it moved each counter of
+// the process registry.
+func counterDeltas(t *testing.T, build func() error) map[string]int64 {
+	t.Helper()
+	before := map[string]int64{}
 	for _, c := range equitruss.Counters() {
-		vals[c.Name] = c.Value
+		before[c.Name] = c.Value
 	}
+	if err := build(); err != nil {
+		t.Fatal(err)
+	}
+	delta := map[string]int64{}
+	for _, c := range equitruss.Counters() {
+		delta[c.Name] = c.Value - before[c.Name]
+	}
+	return delta
+}
+
+func TestCountersAccumulate(t *testing.T) {
+	g := parallelPeelGraph(t)
+	vals := counterDeltas(t, func() error {
+		_, err := equitruss.BuildIndex(g, equitruss.Options{Variant: equitruss.Afforest, Threads: 2})
+		return err
+	})
 	// The Afforest pipeline must have moved these counters off zero.
 	for _, name := range []string{
 		"truss_peel_levels", "truss_support_decrements",
 		"triangle_stream_triangles", "spedge_emitted", "spedge_filtered", "smgraph_superedges_final",
 	} {
 		if vals[name] <= 0 {
-			t.Fatalf("counter %s = %d after an Afforest build\nall: %v", name, vals[name], vals)
+			t.Fatalf("counter %s moved by %d in an Afforest build\nall: %v", name, vals[name], vals)
+		}
+	}
+}
+
+// TestBuildPicksPeelKernel pins the one peel rule of the pipeline: the
+// Serial variant peels serially without consulting the auto rule, and a
+// parallel variant runs the kernel truss.ChoosePeelKernel picks for the
+// instance — levelsync on a flat graph, pkt on a skewed one.
+func TestBuildPicksPeelKernel(t *testing.T) {
+	autoCounters := []string{"truss_peel_auto_serial", "truss_peel_auto_levelsync", "truss_peel_auto_pkt"}
+	flat := parallelPeelGraph(t)
+	moved := counterDeltas(t, func() error {
+		_, err := equitruss.BuildIndex(flat, equitruss.Options{Variant: equitruss.Serial})
+		return err
+	})
+	for _, name := range autoCounters {
+		if moved[name] != 0 {
+			t.Fatalf("Serial build moved %s by %d", name, moved[name])
+		}
+	}
+	for _, c := range []struct {
+		g    *equitruss.Graph
+		want truss.PeelKernel
+	}{
+		{flat, truss.PeelLevelSync},
+		{equitruss.GenerateRMAT(12, 16, 5), truss.PeelPKT},
+	} {
+		const threads = 2
+		if pick := truss.ChoosePeelKernel(c.g.NumEdges(), slices.Max(equitruss.Supports(c.g, threads)), threads); pick != c.want {
+			t.Fatalf("auto picks %v on a graph of %d edges, the test needs %v", pick, c.g.NumEdges(), c.want)
+		}
+		moved := counterDeltas(t, func() error {
+			_, err := equitruss.BuildIndex(c.g, equitruss.Options{Variant: equitruss.Afforest, Threads: threads})
+			return err
+		})
+		for _, name := range autoCounters {
+			want := int64(0)
+			if name == "truss_peel_auto_"+c.want.String() {
+				want = 1
+			}
+			if moved[name] != want {
+				t.Fatalf("Afforest build at %d threads (m=%d) moved %s by %d, want %d", threads, c.g.NumEdges(), name, moved[name], want)
+			}
 		}
 	}
 }

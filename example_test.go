@@ -47,9 +47,8 @@ func ExampleTrussness() {
 // ExampleDynamicGraph shows exact incremental maintenance: closing a
 // triangle raises trussness, breaking it lowers it back.
 func ExampleDynamicGraph() {
-	dg := equitruss.NewDynamicGraph(3)
-	dg.InsertEdge(0, 1)
-	dg.InsertEdge(1, 2)
+	g, _ := equitruss.NewGraph([]equitruss.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, 0)
+	dg := equitruss.NewDynamicFromGraph(g, 1)
 	dg.InsertEdge(0, 2)
 	k, _ := dg.Trussness(0, 1)
 	fmt.Println("closed:", k)

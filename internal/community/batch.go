@@ -18,7 +18,7 @@ import (
 func (idx *Index) BatchCommunitiesCtx(ctx context.Context, queries []Query, threads int) ([][]*Community, error) {
 	out := make([][]*Community, len(queries))
 	x := concur.Exec{Ctx: ctx, Threads: threads}
-	if err := x.ForRangeDynamic("", len(queries), 8, func(lo, hi int) {
+	if err := x.ForRangeDynamic("", len(queries), 8, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = idx.Communities(queries[i].Vertex, queries[i].K)
 		}
@@ -40,7 +40,7 @@ func (idx *Index) BatchCommunityRefsCtx(ctx context.Context, queries []Query, th
 	// single-goroutine by contract, so the workers do not open sub-stages.
 	st := obs.StartStageFromContext(ctx, "hierarchy query")
 	x := concur.Exec{Ctx: ctx, Threads: threads}
-	err := x.ForRangeDynamic("", len(queries), 8, func(lo, hi int) {
+	err := x.ForRangeDynamic("", len(queries), 8, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = idx.CommunityRefs(queries[i].Vertex, queries[i].K)
 		}

@@ -67,7 +67,7 @@ func hash(tag, key uint64, vals ...uint64) uint64 {
 // change the result. An Exec without a context cannot fail.
 func sum2(x concur.Exec, n int, body func(lo, hi int) (a, b uint64)) (uint64, uint64) {
 	var a, b atomic.Uint64
-	_ = x.ForRangeDynamic("", n, 0, func(lo, hi int) {
+	_ = x.ForRangeDynamic("", n, 0, func(_, lo, hi int) {
 		da, db := body(lo, hi)
 		a.Add(da)
 		b.Add(db)

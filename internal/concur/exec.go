@@ -1,7 +1,7 @@
 // Package concur provides the shared-memory parallel primitives used by the
 // EquiTruss pipeline: one scheduler per loop shape (static, static-block,
-// dynamic-block, per-thread), a parallel max reduction, and small atomic
-// helpers.
+// dynamic-block, per-thread), a parallel max reduction, and cancellation
+// probes for opaque loop bodies.
 //
 // The package deliberately mirrors the OpenMP constructs used in the paper
 // ("#pragma omp parallel for", reductions, thread-local storage) with
@@ -162,14 +162,15 @@ func (x Exec) ForRange(name string, n int, body func(lo, hi int)) error {
 	return x.barrierExit()
 }
 
-// ForRangeDynamic runs body(lo, hi) under dynamic chunked scheduling, like
-// "omp parallel for schedule(dynamic, grain)": workers repeatedly claim
+// ForRangeDynamic runs body(tid, lo, hi) under dynamic chunked scheduling,
+// like "omp parallel for schedule(dynamic, grain)": workers repeatedly claim
 // half-open chunks from a shared atomic cursor until the iteration space is
 // exhausted. It is the right scheduler for skewed per-iteration work (e.g.
 // per-edge triangle intersection on power-law graphs); each worker's span
 // records the iterations it claimed, so the skew is visible per worker.
-// grain <= 0 selects a heuristic chunk.
-func (x Exec) ForRangeDynamic(name string, n, grain int, body func(lo, hi int)) error {
+// tid in [0, threads) names the worker, so body may write per-thread state
+// without synchronisation. grain <= 0 selects a heuristic chunk.
+func (x Exec) ForRangeDynamic(name string, n, grain int, body func(tid, lo, hi int)) error {
 	if n <= 0 {
 		return x.barrierExit()
 	}
@@ -184,7 +185,7 @@ func (x Exec) ForRangeDynamic(name string, n, grain int, body func(lo, hi int)) 
 		// One worker claims every chunk in order; the static scheduler does
 		// exactly that without the cursor.
 		x.Threads = 1
-		return x.ForRange(name, n, body)
+		return x.ForRange(name, n, func(lo, hi int) { body(0, lo, hi) })
 	}
 	done := x.poller()
 	var cursor atomic.Int64
@@ -207,7 +208,7 @@ func (x Exec) ForRangeDynamic(name string, n, grain int, body func(lo, hi int)) 
 				if hi > n {
 					hi = n
 				}
-				body(lo, hi)
+				body(tid, lo, hi)
 				items += int64(hi - lo)
 			}
 			r.EndItems(items)

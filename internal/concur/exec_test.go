@@ -35,7 +35,7 @@ var shapes = []struct {
 		})
 	}},
 	{"ForRangeDynamic", true, func(x Exec, n int, visit func(i int)) error {
-		return x.ForRangeDynamic("loop", n, 64, func(lo, hi int) {
+		return x.ForRangeDynamic("loop", n, 64, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				visit(i)
 			}

@@ -36,19 +36,30 @@ func TestForRangeCoversRangeDisjointly(t *testing.T) {
 
 // TestForDynamicCoversRange pins the dynamic scheduler's grain handling,
 // which the shape table runs at one grain only: the heuristic (0), the
-// smallest grain, and a grain larger than the whole range.
+// smallest grain, and a grain larger than the whole range. Every chunk is
+// handed a worker id below the thread count, so bodies may index
+// per-thread state by it.
 func TestForDynamicCoversRange(t *testing.T) {
-	for _, grain := range []int{0, 1, 10, 10000, 100000} {
-		n := 12345
-		hits := make([]int32, n)
-		Exec{Threads: 4}.ForRangeDynamic("", n, grain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
+	for _, threads := range []int{1, 4} {
+		for _, grain := range []int{0, 1, 10, 10000, 100000} {
+			n := 12345
+			hits := make([]int32, n)
+			var badTID atomic.Int32
+			Exec{Threads: threads}.ForRangeDynamic("", n, grain, func(tid, lo, hi int) {
+				if tid < 0 || tid >= threads {
+					badTID.Store(1)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			if badTID.Load() != 0 {
+				t.Fatalf("threads=%d grain=%d: a chunk got a worker id outside [0, %d)", threads, grain, threads)
 			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("grain=%d: index %d visited %d times", grain, i, h)
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("threads=%d grain=%d: index %d visited %d times", threads, grain, i, h)
+				}
 			}
 		}
 	}
@@ -78,45 +89,6 @@ func TestMaxInt32(t *testing.T) {
 	}
 	if got := MaxInt32(0, 3, -7, nil); got != -7 {
 		t.Fatalf("empty max = %d, want default -7", got)
-	}
-}
-
-func TestCASMinMax(t *testing.T) {
-	v := int32(10)
-	if !CASMinInt32(&v, 5) || v != 5 {
-		t.Fatalf("CASMin failed: v=%d", v)
-	}
-	if CASMinInt32(&v, 7) {
-		t.Fatal("CASMin lowered to a larger value")
-	}
-	if !CASMaxInt32(&v, 9) || v != 9 {
-		t.Fatalf("CASMax failed: v=%d", v)
-	}
-	if CASMaxInt32(&v, 3) {
-		t.Fatal("CASMax raised to a smaller value")
-	}
-}
-
-func TestCASMinConcurrent(t *testing.T) {
-	v := int32(1 << 30)
-	Exec{Threads: 8}.For("", 1000, func(i int) { CASMinInt32(&v, int32(i)) })
-	if v != 0 {
-		t.Fatalf("concurrent CASMin = %d, want 0", v)
-	}
-}
-
-func TestFetchAdd(t *testing.T) {
-	var x64 int64
-	var x32 int32
-	Exec{Threads: 8}.For("", 1000, func(i int) {
-		FetchAddInt64(&x64, 2)
-		FetchAddInt32(&x32, 1)
-	})
-	if x64 != 2000 || x32 != 1000 {
-		t.Fatalf("fetch-add totals = %d/%d, want 2000/1000", x64, x32)
-	}
-	if prev := FetchAddInt64(&x64, 5); prev != 2000 {
-		t.Fatalf("FetchAddInt64 returned %d, want previous 2000", prev)
 	}
 }
 

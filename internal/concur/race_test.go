@@ -54,7 +54,7 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 	x := Exec{Trace: tr, Threads: 8}
 	for rounds := 0; rounds < 4; rounds++ {
 		var sum atomic.Int64
-		x.ForRangeDynamic("dynamic", n, 128, func(lo, hi int) {
+		x.ForRangeDynamic("dynamic", n, 128, func(_, lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				local += int64(i)
@@ -62,7 +62,7 @@ func TestStressDynamicSchedulersShared(t *testing.T) {
 			sum.Add(local)
 			c.Add(int64(hi - lo))
 		})
-		x.ForRangeDynamic("dynamic", n, 256, func(lo, hi int) {
+		x.ForRangeDynamic("dynamic", n, 256, func(_, lo, hi int) {
 			sum.Add(int64(hi - lo))
 		})
 		want := int64(n)*(n-1)/2 + n

@@ -85,7 +85,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 			hooking = 0
 			// Hooking phase (ln. 10–20).
 			cSVHookRounds.Inc()
-			err := x.ForRangeDynamic("SpNode", len(edgesK), 256, func(lo, hi int) {
+			err := x.ForRangeDynamic("SpNode", len(edgesK), 256, func(_, lo, hi int) {
 				localHook := false
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
@@ -130,7 +130,7 @@ func spNodeBaseline(ctx context.Context, g *graph.Graph, tau []int32, dict edgeD
 			}
 			// Shortcut phase (ln. 21–23).
 			cSVShortcutRounds.Inc()
-			if err := x.ForRangeDynamic("SpNode", len(edgesK), 512, func(lo, hi int) {
+			if err := x.ForRangeDynamic("SpNode", len(edgesK), 512, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := int64(edgesK[i])
 					for {
@@ -218,7 +218,7 @@ func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]in
 		for hooking != 0 {
 			hooking = 0
 			cSVHookRounds.Inc()
-			err := x.ForRangeDynamic("SpNode", len(edgesK), 256, func(lo, hi int) {
+			err := x.ForRangeDynamic("SpNode", len(edgesK), 256, func(_, lo, hi int) {
 				localHook := false
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
@@ -241,7 +241,7 @@ func spNodeCOptimal(ctx context.Context, g *graph.Graph, tau []int32, phi [][]in
 				return nil, err
 			}
 			cSVShortcutRounds.Inc()
-			if err := x.ForRangeDynamic("SpNode", len(edgesK), 512, func(lo, hi int) {
+			if err := x.ForRangeDynamic("SpNode", len(edgesK), 512, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := edgesK[i]
 					for {

@@ -24,9 +24,6 @@ func (b *Bitset) Len() int { return b.n }
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Get reports whether bit i is set.
 func (b *Bitset) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -60,11 +57,6 @@ func (b *Bitset) ClearAtomic(i int) {
 			return
 		}
 	}
-}
-
-// GetAtomic reports bit i using an atomic load.
-func (b *Bitset) GetAtomic(i int) bool {
-	return atomic.LoadUint64(&b.words[i>>6])&(1<<(uint(i)&63)) != 0
 }
 
 // Reset clears every bit.

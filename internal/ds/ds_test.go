@@ -15,7 +15,7 @@ func TestUnionFindBasics(t *testing.T) {
 	if uf.Len() != 10 {
 		t.Fatalf("Len = %d", uf.Len())
 	}
-	if uf.Same(0, 1) {
+	if uf.Find(0) == uf.Find(1) {
 		t.Fatal("fresh forest merged 0 and 1")
 	}
 	if !uf.Union(0, 1) {
@@ -24,7 +24,7 @@ func TestUnionFindBasics(t *testing.T) {
 	if uf.Union(0, 1) {
 		t.Fatal("repeat union reported a merge")
 	}
-	if !uf.Same(0, 1) {
+	if uf.Find(0) != uf.Find(1) {
 		t.Fatal("union did not merge")
 	}
 	uf.Union(2, 3)
@@ -34,7 +34,7 @@ func TestUnionFindBasics(t *testing.T) {
 			t.Fatalf("vertex %d not merged", v)
 		}
 	}
-	if uf.Same(0, 4) {
+	if uf.Find(0) == uf.Find(4) {
 		t.Fatal("4 should be separate")
 	}
 }
@@ -68,7 +68,7 @@ func TestUnionFindMatchesReference(t *testing.T) {
 		}
 		for a := int32(0); a < int32(n); a++ {
 			for b := a + 1; b < int32(n); b++ {
-				if uf.Same(a, b) != (ref.find(a) == ref.find(b)) {
+				if (uf.Find(a) == uf.Find(b)) != (ref.find(a) == ref.find(b)) {
 					return false
 				}
 			}
@@ -91,10 +91,9 @@ func TestConcurrentUnionFindSequentialEquivalence(t *testing.T) {
 			cuf.Union(a, b)
 			uf.Union(a, b)
 		}
-		cuf.Flatten()
 		for a := int32(0); a < int32(n); a++ {
 			for b := a + 1; b < int32(n); b++ {
-				if cuf.Same(a, b) != uf.Same(a, b) {
+				if (cuf.Find(a) == cuf.Find(b)) != (uf.Find(a) == uf.Find(b)) {
 					return false
 				}
 			}
@@ -123,7 +122,6 @@ func TestConcurrentUnionFindParallelChain(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	cuf.Flatten()
 	root := cuf.Find(0)
 	if root != 0 {
 		t.Fatalf("root = %d, want 0 (min-ID hooking)", root)
@@ -158,13 +156,12 @@ func TestConcurrentUnionFindParallelRandom(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	cuf.Flatten()
 	uf := NewUnionFind(n)
 	for _, p := range pairs {
 		uf.Union(p.a, p.b)
 	}
 	for v := 1; v < n; v++ {
-		if cuf.Same(0, int32(v)) != uf.Same(0, int32(v)) {
+		if (cuf.Find(0) == cuf.Find(int32(v))) != (uf.Find(0) == uf.Find(int32(v))) {
 			t.Fatalf("component disagreement at %d", v)
 		}
 	}
@@ -189,9 +186,9 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 6 {
 		t.Fatalf("Count = %d, want 6", b.Count())
 	}
-	b.Clear(64)
+	b.ClearAtomic(64)
 	if b.Get(64) {
-		t.Fatal("bit 64 still set after Clear")
+		t.Fatal("bit 64 still set after ClearAtomic")
 	}
 	b.Reset()
 	if b.Count() != 0 {
@@ -207,8 +204,8 @@ func TestBitsetAtomicSetReportsFirstWin(t *testing.T) {
 	if b.SetAtomic(5) {
 		t.Fatal("second SetAtomic returned true")
 	}
-	if !b.GetAtomic(5) {
-		t.Fatal("GetAtomic lost the bit")
+	if !b.Get(5) {
+		t.Fatal("SetAtomic lost the bit")
 	}
 	b.ClearAtomic(5)
 	if b.Get(5) {

@@ -38,8 +38,5 @@ func (s *Stamps) Visit(i int32) bool {
 	return true
 }
 
-// Visited reports whether i has been visited in the current epoch.
-func (s *Stamps) Visited(i int32) bool { return s.mark[i] == s.epoch }
-
 // Len returns the current ID-space size.
 func (s *Stamps) Len() int { return len(s.mark) }

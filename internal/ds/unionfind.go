@@ -51,9 +51,6 @@ func (uf *UnionFind) Union(x, y int32) bool {
 	return true
 }
 
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int32) bool { return uf.Find(x) == uf.Find(y) }
-
 // Len returns the number of elements in the forest.
 func (uf *UnionFind) Len() int { return len(uf.parent) }
 
@@ -78,7 +75,7 @@ func NewConcurrentUnionFind(n int) *ConcurrentUnionFind {
 }
 
 // Find returns the current representative of x. Concurrent unions may move
-// the representative; callers that need a settled answer call Flatten first.
+// the representative; the answer is settled once every union has returned.
 func (cuf *ConcurrentUnionFind) Find(x int32) int32 {
 	for {
 		p := atomic.LoadInt32(&cuf.parent[x])
@@ -118,36 +115,3 @@ func (cuf *ConcurrentUnionFind) Union(x, y int32) {
 // Retries returns the number of Union hook CASes lost to concurrent
 // writers — a direct measure of contention on the forest.
 func (cuf *ConcurrentUnionFind) Retries() int64 { return cuf.retries.Load() }
-
-// Same reports whether x and y are currently in the same set. Only exact
-// when no unions are running concurrently.
-func (cuf *ConcurrentUnionFind) Same(x, y int32) bool {
-	for {
-		rx := cuf.Find(x)
-		ry := cuf.Find(y)
-		if rx == ry {
-			return true
-		}
-		// rx may no longer be a root if a concurrent union hooked it.
-		if atomic.LoadInt32(&cuf.parent[rx]) == rx {
-			return false
-		}
-	}
-}
-
-// Flatten points every element directly at its root. Call after all unions
-// complete (single-threaded or from a quiescent barrier).
-func (cuf *ConcurrentUnionFind) Flatten() {
-	for i := range cuf.parent {
-		x := int32(i)
-		r := x
-		for cuf.parent[r] != r {
-			r = cuf.parent[r]
-		}
-		for cuf.parent[x] != r {
-			next := cuf.parent[x]
-			cuf.parent[x] = r
-			x = next
-		}
-	}
-}

@@ -83,7 +83,7 @@ func TestDeltaBasicInsertDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dg.Tracking() {
+	if dg.insAcc != nil {
 		t.Fatal("tracking on before TrackDeltas")
 	}
 	dg.TrackDeltas(true)

@@ -403,9 +403,6 @@ func (dg *Graph) TrackDeltas(on bool) {
 	}
 }
 
-// Tracking reports whether delta accumulation is enabled.
-func (dg *Graph) Tracking() bool { return dg.insAcc != nil }
-
 func (dg *Graph) resetAccumulators() {
 	dg.insAcc = make(map[uint64]struct{})
 	dg.delAcc = make(map[uint64]struct{})

@@ -204,7 +204,7 @@ func bucketByLow(x concur.Exec, input []Edge, n int32) []Edge {
 	// Bucket sizes follow the degree distribution, so claim vertices in
 	// dynamic chunks.
 	count := make([]int64, int(n)+1)
-	_ = x.ForRangeDynamic("", int(n), 0, func(lo, hi int) {
+	_ = x.ForRangeDynamic("", int(n), 0, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			b := high[start[u]:start[u+1]]
 			slices.Sort(b)
@@ -215,7 +215,7 @@ func bucketByLow(x concur.Exec, input []Edge, n int32) []Edge {
 		count[u] += count[u-1]
 	}
 	edges := make([]Edge, count[n])
-	_ = x.ForRangeDynamic("", int(n), 0, func(lo, hi int) {
+	_ = x.ForRangeDynamic("", int(n), 0, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			out := edges[count[u]:count[u+1]]
 			for i, v := range high[start[u] : start[u]+int64(len(out))] {

@@ -123,24 +123,6 @@ func AverageClustering(g *graph.Graph, vertices []int32) float64 {
 	return total / float64(len(vertices))
 }
 
-// GlobalClustering returns the graph's transitivity: 3·triangles / paths
-// of length two.
-func GlobalClustering(g *graph.Graph) float64 {
-	var wedges, closedX3 int64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		d := int64(g.Degree(v))
-		wedges += d * (d - 1) / 2
-	}
-	for eid := int32(0); eid < int32(g.NumEdges()); eid++ {
-		e := g.Edge(eid)
-		closedX3 += int64(g.CommonNeighborCount(e.U, e.V))
-	}
-	if wedges == 0 {
-		return 0
-	}
-	return float64(closedX3) / float64(wedges)
-}
-
 // Report bundles the per-community metrics for presentation.
 type Report struct {
 	Vertices          int

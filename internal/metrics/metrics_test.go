@@ -70,22 +70,6 @@ func TestAverageClustering(t *testing.T) {
 	}
 }
 
-func TestGlobalClustering(t *testing.T) {
-	if c := GlobalClustering(gen.Clique(5)); !almost(c, 1.0) {
-		t.Fatalf("K5 transitivity = %f", c)
-	}
-	if c := GlobalClustering(gen.Path(5)); c != 0 {
-		t.Fatalf("path transitivity = %f", c)
-	}
-	// Planted communities must be far more clustered than an ER graph of
-	// the same size — the property that makes truss methods work.
-	planted := gen.PlantedPartition(10, 8, 0.8, 1.0, 3)
-	er := gen.ErdosRenyi(planted.NumVertices(), planted.NumEdges(), 3)
-	if GlobalClustering(planted) < 4*GlobalClustering(er) {
-		t.Fatalf("planted %f not ≫ er %f", GlobalClustering(planted), GlobalClustering(er))
-	}
-}
-
 func TestEvaluateReport(t *testing.T) {
 	g := gen.Clique(6)
 	r := Evaluate(g, verts(6))

@@ -35,9 +35,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter (tests and per-run CLI snapshots).
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // CounterValue is one registry entry snapshot.
 type CounterValue struct {
 	Name  string `json:"name"`
@@ -91,15 +88,6 @@ func (r *Registry) Snapshot() []CounterValue {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Reset zeroes every registered counter.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.Reset()
-	}
 }
 
 // defaultRegistry is the process-wide registry every pipeline kernel

@@ -120,11 +120,6 @@ func (r *Registry) HistogramSnapshots() []HistogramSnapshot {
 	return out
 }
 
-// GetGauge registers (or fetches) a gauge in the process-wide registry.
-func GetGauge(name, help string) *Gauge {
-	return defaultRegistry.Gauge(name, help)
-}
-
 // GetHistogram registers (or fetches) a histogram in the process-wide
 // registry. Packages call this from var initializers so lookups never sit
 // on a hot path.

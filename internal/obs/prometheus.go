@@ -34,15 +34,6 @@ func WritePrometheus(w io.Writer, reg *Registry, t *Trace) error {
 	return bw.Flush()
 }
 
-// WritePrometheusReport is WritePrometheus over an already-aggregated
-// report (counters included in the report itself).
-func WritePrometheusReport(w io.Writer, rep *Report) error {
-	bw := bufio.NewWriter(w)
-	writePromCounters(bw, rep.Counters)
-	writeKernelGauges(bw, rep)
-	return bw.Flush()
-}
-
 // WriteGauges writes one gauge family per value in the Prometheus text
 // format — the hook for per-instance gauges (a server's pool occupancy,
 // cache size) that live outside any shared registry.

@@ -130,48 +130,40 @@ func (o *Orientation) Graph() *graph.Graph { return o.g }
 
 // ForEachTriangle calls fn(tid, e, e1, e2) exactly once per triangle of the
 // graph, from x.Threads workers (<= 0 selects all cores) that claim dynamic
-// chunks of edges. For the triangle on vertices u, v, w with u and v the
-// two lowest-ranked, e is edge (u, v), e1 is (u, w) and e2 is (v, w); tid in
-// [0, threads) names the calling worker, so fn may write per-thread state
-// without synchronisation. Workers poll x's context each time they claim a
-// chunk; the call returns its error, with every worker joined, once it
-// fires. Per-thread spans are named name, after the calling stage.
+// chunks of orientedGrain edges. For the triangle on vertices u, v, w with u
+// and v the two lowest-ranked, e is edge (u, v), e1 is (u, w) and e2 is
+// (v, w); tid in [0, threads) names the calling worker, so fn may write
+// per-thread state without synchronisation. Workers poll x's context each
+// time they claim a chunk; the call returns its error, with every worker
+// joined, once it fires. Per-thread spans are named name, after the calling
+// stage, and carry the edges each worker claimed.
 func (o *Orientation) ForEachTriangle(x concur.Exec, name string, fn func(tid int, e, e1, e2 int32)) error {
 	if x.Threads <= 0 {
 		x.Threads = concur.MaxThreads()
 	}
 	edges := o.g.Edges()
-	m := len(edges)
 	pos, off, rank, eid := o.pos, o.off, o.rank, o.eid
-	var cursor atomic.Int64
-	return x.ForThreads(name, x.Threads, func(tid int) {
+	return x.ForRangeDynamic(name, len(edges), orientedGrain, func(tid, lo, hi int) {
 		var tris int64
-		for !concur.Canceled(x.Ctx) {
-			lo := int(cursor.Add(orientedGrain)) - orientedGrain
-			if lo >= m {
-				break
+		for e := lo; e < hi; e++ {
+			u, v := edges[e].U, edges[e].V
+			if pos[u] > pos[v] {
+				u, v = v, u // orient: u -> v
 			}
-			hi := min(lo+orientedGrain, m)
-			for e := lo; e < hi; e++ {
-				u, v := edges[e].U, edges[e].V
-				if pos[u] > pos[v] {
-					u, v = v, u // orient: u -> v
-				}
-				i, bu := off[u], off[u+1]
-				j, bv := off[v], off[v+1]
-				for i < bu && j < bv {
-					ri, rj := rank[i], rank[j]
-					switch {
-					case ri < rj:
-						i++
-					case ri > rj:
-						j++
-					default:
-						fn(tid, int32(e), eid[i], eid[j])
-						tris++
-						i++
-						j++
-					}
+			i, bu := off[u], off[u+1]
+			j, bv := off[v], off[v+1]
+			for i < bu && j < bv {
+				ri, rj := rank[i], rank[j]
+				switch {
+				case ri < rj:
+					i++
+				case ri > rj:
+					j++
+				default:
+					fn(tid, int32(e), eid[i], eid[j])
+					tris++
+					i++
+					j++
 				}
 			}
 		}

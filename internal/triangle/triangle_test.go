@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"equitruss/internal/concur"
 	"equitruss/internal/gen"
@@ -293,6 +294,12 @@ func TestForEachTriangleCancel(t *testing.T) {
 		}
 		if n := visited.Load(); n >= total {
 			t.Fatalf("threads %d: cancelled stream still visited all %d triangles", threads, n)
+		}
+		// A joined worker has called wg.Done but may still be exiting; a
+		// leaked one never exits, so the count must settle within the bound.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("threads %d: %d goroutines after the stream returned, %d before", threads, n, base)

@@ -31,7 +31,8 @@ const (
 	PeelPKT
 )
 
-// String names the kernel for flags, metadata, and error messages.
+// String names the kernel for benchmark tables, counters and error
+// messages.
 func (k PeelKernel) String() string {
 	switch k {
 	case PeelAuto:
@@ -44,23 +45,6 @@ func (k PeelKernel) String() string {
 		return "pkt"
 	default:
 		return fmt.Sprintf("PeelKernel(%d)", int(k))
-	}
-}
-
-// ParsePeelKernel parses a kernel name as accepted by the -peel-kernel
-// flag.
-func ParsePeelKernel(s string) (PeelKernel, error) {
-	switch s {
-	case "auto", "":
-		return PeelAuto, nil
-	case "serial":
-		return PeelSerial, nil
-	case "levelsync", "level-sync", "ls":
-		return PeelLevelSync, nil
-	case "pkt", "scanfree", "scan-free":
-		return PeelPKT, nil
-	default:
-		return 0, fmt.Errorf("truss: unknown peel kernel %q (want auto|serial|levelsync|pkt)", s)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"equitruss/internal/gen"
 	"equitruss/internal/obs"
 	"equitruss/internal/testkit"
+	"equitruss/internal/truss"
 )
 
 // TestBuildSummaryKernelEquivalence: kernels are an implementation detail —
-// on a skewed RMAT graph the serial peel selected through Options, and the
-// flat variants at one and four threads, must produce a bit-identical
-// trussness array and the same canonical summary graph as the Serial
-// build. The flat variants walk the triangle stream over the orientation
+// on a skewed RMAT graph the serial peel feeding the Afforest builder at
+// four threads, and the flat variants at one and four threads, must produce
+// a bit-identical trussness array and the same canonical summary graph as
+// the Serial build. The flat variants walk the triangle stream over the orientation
 // Support built. Row names keep the oriented Support they run, so a row
 // reads the same across runs of this test.
 func TestBuildSummaryKernelEquivalence(t *testing.T) {
@@ -26,21 +27,25 @@ func TestBuildSummaryKernelEquivalence(t *testing.T) {
 	}
 	canon := ref.Canonical(g)
 	type row struct {
-		name string
-		opt  equitruss.Options
+		name  string
+		build func() (*equitruss.SummaryGraph, error)
 	}
-	rows := []row{
-		{"peel-serial", equitruss.Options{Variant: equitruss.Afforest, Threads: 4, PeelKernel: equitruss.PeelSerial}},
-	}
+	rows := []row{{"peel-serial", func() (*equitruss.SummaryGraph, error) {
+		tau, _ := testkit.Tau(g, testkit.Supports(g, 4), truss.PeelSerial, 4)
+		sg, _ := testkit.Summary(g, tau, equitruss.Afforest, 4)
+		return sg, nil
+	}}}
 	for _, v := range []equitruss.Variant{equitruss.COptimal, equitruss.Afforest} {
 		for _, threads := range []int{1, 4} {
-			rows = append(rows, row{fmt.Sprintf("%v-oriented-T%d", v, threads),
-				equitruss.Options{Variant: v, Threads: threads}})
+			rows = append(rows, row{fmt.Sprintf("%v-oriented-T%d", v, threads), func() (*equitruss.SummaryGraph, error) {
+				sg, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: v, Threads: threads})
+				return sg, err
+			}})
 		}
 	}
 	for _, c := range rows {
 		t.Run(c.name, func(t *testing.T) {
-			sg, _, err := equitruss.BuildSummary(g, c.opt)
+			sg, err := c.build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +125,8 @@ func tauChecksum(tau []int32) uint64 {
 // must equal the serial peel's at one thread — kernels are implementation
 // details, never answers.
 func TestKernelMatrixEquivalence(t *testing.T) {
-	peelKernels := []equitruss.PeelKernel{
-		equitruss.PeelAuto, equitruss.PeelSerial, equitruss.PeelLevelSync, equitruss.PeelPKT,
+	peelKernels := []truss.PeelKernel{
+		truss.PeelAuto, truss.PeelSerial, truss.PeelLevelSync, truss.PeelPKT,
 	}
 	graphs := map[string]*equitruss.Graph{
 		"rmat-12": equitruss.GenerateRMAT(12, 8, 42),
@@ -135,7 +140,7 @@ func TestKernelMatrixEquivalence(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			ref, _ := testkit.Tau(g, equitruss.Supports(g, 1), equitruss.PeelSerial, 1)
+			ref, _ := testkit.Tau(g, equitruss.Supports(g, 1), truss.PeelSerial, 1)
 			want := tauChecksum(ref)
 			sup := equitruss.Supports(g, 4)
 			for _, pk := range peelKernels {

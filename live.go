@@ -242,7 +242,7 @@ func baseDynamic(ctx context.Context, base *Graph, threads int) (*dynamic.Graph,
 	if err != nil {
 		return nil, err
 	}
-	tau, _, err := truss.DecomposeKernelCtx(ctx, base, sup, PeelAuto, threads, nil)
+	tau, _, err := truss.DecomposeKernelCtx(ctx, base, sup, truss.PeelAuto, threads, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func canonCommunities(cs []*equitruss.Community) string {
 	return fmt.Sprint(keys)
 }
 
-// TestSaveLoadRoundTripAllVariants saves and reloads an index built by each
+// TestSaveLoadRoundTripAllVariants saves and reopens an index built by each
 // of the four construction variants and checks the reloaded index answers
 // every (vertex, k) query exactly like the index-free DirectCommunities
 // oracle — the full persistence path has to preserve query semantics, not
@@ -43,11 +43,11 @@ func TestSaveLoadRoundTripAllVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := equitruss.SaveIndex(&buf, idx.SG); err != nil {
+			path := filepath.Join(t.TempDir(), "index.bin")
+			if err := equitruss.SaveIndexFile(path, idx.SG); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := equitruss.LoadIndex(&buf, g)
+			loaded, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,13 +186,6 @@ func TestSavedIndexBytesPinned(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 3840 {
 		t.Fatalf("saved index is %d bytes, sha256 %s; want 3840 bytes, %s", len(raw), got, want)
 	}
-	var stream bytes.Buffer
-	if err := equitruss.SaveIndex(&stream, ix.SG); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stream.Bytes(), raw) {
-		t.Fatal("SaveIndex and SaveIndexFile wrote different bytes")
-	}
 }
 
 // TestSavedIndexBytesDeterministic: building one graph twice writes the
@@ -200,6 +193,7 @@ func TestSavedIndexBytesPinned(t *testing.T) {
 // nothing a map iteration or the scheduler decides.
 func TestSavedIndexBytesDeterministic(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 3)
+	dir := t.TempDir()
 	for _, variant := range core.Variants {
 		var saved [2][]byte
 		for i := range saved {
@@ -210,11 +204,13 @@ func TestSavedIndexBytesDeterministic(t *testing.T) {
 			if n := ix.SG.NumSuperedges(); n < 200 {
 				t.Fatalf("%s: %d superedges, too few to expose an order that varies", variant, n)
 			}
-			var buf bytes.Buffer
-			if err := equitruss.SaveIndex(&buf, ix.SG); err != nil {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.bin", variant, i))
+			if err := equitruss.SaveIndexFile(path, ix.SG); err != nil {
 				t.Fatal(err)
 			}
-			saved[i] = buf.Bytes()
+			if saved[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if !bytes.Equal(saved[0], saved[1]) {
 			t.Errorf("%s: two builds of one graph saved different index bytes", variant)
