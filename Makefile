@@ -8,7 +8,7 @@ GO ?= go
 REV ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X equitruss/internal/buildinfo.revision=$(REV)
 
-.PHONY: all build test race bench benchcheck repro examples ci serversmoke servermetrics chaos crashsafe coldstart lifecycle clean
+.PHONY: all build test race bench benchcheck repro examples ci serversmoke servermetrics chaos crashsafe coldstart lifecycle loc clean
 
 all: build test
 
@@ -123,6 +123,14 @@ bench:
 # Long-form reproduction of the paper's evaluation; writes plot-ready TSVs.
 repro:
 	$(GO) run ./cmd/benchsuite -experiment all -scale 0.25 -out results/
+
+# Go line counts, non-test and test, over the root package, the commands
+# and the internal packages (examples and the benchmark module excluded):
+# the size ROADMAP tracks.
+LOC_FILES = ls *.go cmd/*/*.go internal/*/*.go internal/obs/log/*.go
+loc:
+	@echo "non-test $$($(LOC_FILES) | grep -v _test.go | xargs cat | wc -l)"
+	@echo "test     $$($(LOC_FILES) | grep _test.go | xargs cat | wc -l)"
 
 examples:
 	$(GO) run ./examples/quickstart

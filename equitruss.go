@@ -332,9 +332,10 @@ func EvaluateCommunity(g *Graph, c *Community) CommunityMetrics {
 
 // DynamicGraph is a mutable graph whose per-edge trussness is maintained
 // exactly under single-edge insertions and deletions (see internal/dynamic
-// for the fixpoint argument). Use ToStatic + BuildIndex to refresh the
-// community index after a batch of updates without re-running the two most
-// expensive kernels from scratch on query-side state.
+// for the fixpoint argument). ToStatic returns the updated graph and its
+// maintained τ; BuildIndex on that graph re-runs the whole pipeline,
+// Support and TrussDecomp included. Only the live server (OpenLive,
+// ServeLive) builds the index from the maintained τ without re-peeling.
 type DynamicGraph = dynamic.Graph
 
 // NewDynamicFromGraph imports a static graph, computing its decomposition.

@@ -33,7 +33,9 @@ var ErrDeltaTooLarge = errors.New("community: delta region exceeds the increment
 // pre-existing edges with their new trussness, Inserted/Deleted the
 // membership changes, and Touched the surviving triangle partners of
 // deleted edges (their trussness may be unchanged but their triangle set is
-// not). The maps must be mutually disjoint.
+// not). The maps must be mutually disjoint. G, Tau and OldToNew are the
+// window's successor CSR, which the repaired index adopts; OldToNew must
+// cover the maintained index's edges.
 type EdgeDelta = dynamic.Delta
 
 // ApplyStats summarizes one incremental repair for logs and benchmarks.
@@ -69,139 +71,22 @@ type Maintainer struct {
 // NewMaintainer wraps a published index for incremental maintenance.
 func NewMaintainer(idx *Index) *Maintainer { return &Maintainer{idx: idx} }
 
-// Apply builds the successor index for one delta. maxRegionFrac bounds the
-// repair region as a fraction of the new edge count (0 disables the bound);
+// Apply builds the successor index for one delta, on the delta's successor
+// graph and τ (which the new index adopts). maxRegionFrac bounds the repair
+// region as a fraction of the new edge count (0 disables the bound);
 // exceeding it returns ErrDeltaTooLarge with the maintainer unchanged.
 func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplyStats, error) {
 	var st ApplyStats
 	oldIdx := mt.idx
 	oldG, oldSG := oldIdx.G, oldIdx.SG
-	n := oldG.NumVertices()
-	if d.NumVertices > n {
-		n = d.NumVertices
+	if int64(len(d.OldToNew)) != oldG.NumEdges() {
+		return nil, st, fmt.Errorf("community: delta maps %d prior edges, the index has %d", len(d.OldToNew), oldG.NumEdges())
 	}
-	if d.Empty() && n == oldG.NumVertices() {
+	if d.Empty() && d.G == oldG {
 		return oldIdx, st, nil
 	}
-
-	// Resolve pre-existing delta keys to old edge IDs.
-	oldNV := oldG.NumVertices()
-	resolveOld := func(k uint64, kind string) (int32, error) {
-		u, v := graph.UnpackPair(k)
-		if u >= oldNV || v >= oldNV {
-			return -1, fmt.Errorf("community: %s key (%d,%d) beyond the prior vertex space", kind, u, v)
-		}
-		eid := oldG.EdgeID(u, v)
-		if eid < 0 {
-			return -1, fmt.Errorf("community: %s key (%d,%d) not in the prior graph", kind, u, v)
-		}
-		return eid, nil
-	}
-	deletedOld := make([]int32, 0, len(d.Deleted))
-	for k := range d.Deleted {
-		eid, err := resolveOld(k, "deleted")
-		if err != nil {
-			return nil, st, err
-		}
-		deletedOld = append(deletedOld, eid)
-	}
-	slices.Sort(deletedOld)
-	type changedEdge struct {
-		oldEID int32
-		tau    int32
-	}
-	changedOld := make([]changedEdge, 0, len(d.Changed))
-	for k, t := range d.Changed {
-		eid, err := resolveOld(k, "changed")
-		if err != nil {
-			return nil, st, err
-		}
-		changedOld = append(changedOld, changedEdge{eid, t})
-	}
-	touchedOld := make([]int32, 0, len(d.Touched))
-	for k := range d.Touched {
-		eid, err := resolveOld(k, "touched")
-		if err != nil {
-			return nil, st, err
-		}
-		touchedOld = append(touchedOld, eid)
-	}
-	insKeys := make([]uint64, 0, len(d.Inserted))
-	for k := range d.Inserted {
-		if u, v := graph.UnpackPair(k); u < oldNV && v < oldNV && oldG.EdgeID(u, v) >= 0 {
-			return nil, st, fmt.Errorf("community: inserted key (%d,%d) already in the prior graph", u, v)
-		}
-		insKeys = append(insKeys, k)
-	}
-	slices.Sort(insKeys)
-
-	// Merge the (sorted) old edge array with the sorted inserts, dropping
-	// deletes: one O(m) pass yields the new canonical edge list, both ID
-	// translations, and the new tau array — no map iteration, and the
-	// result is canonical and sorted, so FromEdgeList sorts nothing.
-	oldEdges := oldG.Edges()
-	mOld := len(oldEdges)
-	newEdges := make([]graph.Edge, 0, mOld+len(insKeys)-len(deletedOld))
-	oldToNew := make([]int32, mOld)
-	tauNew := make([]int32, 0, cap(newEdges))
-	insNew := make([]int32, len(insKeys))
-	di := 0 // cursor into deletedOld
-	j := 0  // cursor into insKeys
-	for i := 0; i < mOld; i++ {
-		e := oldEdges[i]
-		ek := graph.PackPair(e.U, e.V)
-		for j < len(insKeys) && insKeys[j] < ek {
-			u, v := graph.UnpackPair(insKeys[j])
-			insNew[j] = int32(len(newEdges))
-			newEdges = append(newEdges, graph.Edge{U: u, V: v})
-			tauNew = append(tauNew, d.Inserted[insKeys[j]])
-			j++
-		}
-		if di < len(deletedOld) && deletedOld[di] == int32(i) {
-			oldToNew[i] = -1
-			di++
-			continue
-		}
-		oldToNew[i] = int32(len(newEdges))
-		newEdges = append(newEdges, e)
-		tauNew = append(tauNew, oldSG.Tau[i])
-	}
-	for ; j < len(insKeys); j++ {
-		u, v := graph.UnpackPair(insKeys[j])
-		insNew[j] = int32(len(newEdges))
-		newEdges = append(newEdges, graph.Edge{U: u, V: v})
-		tauNew = append(tauNew, d.Inserted[insKeys[j]])
-	}
-	if di != len(deletedOld) {
-		return nil, st, errors.New("community: deleted edge IDs out of range during merge")
-	}
-	mNew := len(newEdges)
-	newToOld := make([]int32, mNew)
-	for i := range newToOld {
-		newToOld[i] = -1
-	}
-	changedNew := make([]int32, 0, len(changedOld))
-	for i, ne := range oldToNew {
-		if ne >= 0 {
-			newToOld[ne] = int32(i)
-		}
-	}
-	for _, ce := range changedOld {
-		ne := oldToNew[ce.oldEID]
-		if ne < 0 {
-			return nil, st, errors.New("community: changed edge also reported deleted")
-		}
-		tauNew[ne] = ce.tau
-		changedNew = append(changedNew, ne)
-	}
-
-	gNew, err := graph.FromEdgeList(newEdges, n)
-	if err != nil {
-		return nil, st, err
-	}
-	if gNew.NumEdges() != int64(mNew) {
-		return nil, st, fmt.Errorf("community: merged edge list shrank from %d to %d (duplicate insert?)", mNew, gNew.NumEdges())
-	}
+	gNew, tauNew, oldToNew := d.G, d.Tau, d.OldToNew
+	mNew := int(gNew.NumEdges())
 
 	// Dirty old supernodes: the old homes of every changed/deleted/touched
 	// edge, plus the old homes of the new-graph triangle partners of every
@@ -216,14 +101,30 @@ func (mt *Maintainer) Apply(d EdgeDelta, maxRegionFrac float64) (*Index, ApplySt
 			dirtyList = append(dirtyList, sn)
 		}
 	}
-	for _, eid := range deletedOld {
-		markDirty(oldSG.EdgeToSN[eid])
+	newToOld := make([]int32, mNew)
+	for i := range newToOld {
+		newToOld[i] = -1
 	}
-	for _, ce := range changedOld {
-		markDirty(oldSG.EdgeToSN[ce.oldEID])
+	for i, ne := range oldToNew {
+		if ne < 0 {
+			markDirty(oldSG.EdgeToSN[i])
+		} else {
+			newToOld[ne] = int32(i)
+		}
 	}
-	for _, eid := range touchedOld {
-		markDirty(oldSG.EdgeToSN[eid])
+	newID := func(k uint64) int32 { return gNew.EdgeID(graph.UnpackPair(k)) }
+	changedNew := make([]int32, 0, len(d.Changed))
+	for k := range d.Changed {
+		ne := newID(k)
+		changedNew = append(changedNew, ne)
+		markDirty(oldSG.EdgeToSN[newToOld[ne]])
+	}
+	insNew := make([]int32, 0, len(d.Inserted))
+	for k := range d.Inserted {
+		insNew = append(insNew, newID(k))
+	}
+	for k := range d.Touched {
+		markDirty(oldSG.EdgeToSN[oldG.EdgeID(graph.UnpackPair(k))])
 	}
 	markPartners := func(ne int32) {
 		gNew.ForEachTriangleOf(ne, func(w, e1, e2 int32) bool {

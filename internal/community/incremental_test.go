@@ -42,7 +42,6 @@ func runChurnDifferential(t *testing.T, g0 *graph.Graph, seed int64, batches, op
 	t.Helper()
 	idx0, tau0 := indexFromGraph(t, g0)
 	dg := dynamic.FromStatic(g0, tau0)
-	dg.TrackDeltas(true)
 	mt := NewMaintainer(idx0)
 
 	// Known edges (for deletions that actually hit), as packed keys.
@@ -148,7 +147,6 @@ func TestIncrementalRegionBudget(t *testing.T) {
 	g := gen.Clique(8)
 	idx, tau := indexFromGraph(t, g)
 	dg := dynamic.FromStatic(g, tau)
-	dg.TrackDeltas(true)
 	mt := NewMaintainer(idx)
 
 	if !dg.DeleteEdge(0, 1) {
@@ -181,7 +179,6 @@ func TestIncrementalEmptyDelta(t *testing.T) {
 	g := gen.TwoTriangles()
 	idx, tau := indexFromGraph(t, g)
 	dg := dynamic.FromStatic(g, tau)
-	dg.TrackDeltas(true)
 	mt := NewMaintainer(idx)
 	got, _, err := mt.Apply(EdgeDelta(dg.Delta()), 0.25)
 	if err != nil {
@@ -221,8 +218,9 @@ func TestBuildIsSpliceOfEverything(t *testing.T) {
 				}
 			}
 
-			d := EdgeDelta{Touched: make(map[uint64]struct{})}
+			d := EdgeDelta{Touched: make(map[uint64]struct{}), G: g, Tau: tau, OldToNew: make([]int32, g.NumEdges())}
 			for eid, e := range g.Edges() {
+				d.OldToNew[eid] = int32(eid)
 				if tau[eid] >= core.MinK {
 					d.Touched[uint64(uint32(e.U))<<32|uint64(uint32(e.V))] = struct{}{}
 				}

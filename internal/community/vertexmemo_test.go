@@ -155,7 +155,6 @@ func TestVertexMemoDiesWithItsEpoch(t *testing.T) {
 	g := gen.Clique(5)
 	idx, tau := indexFromGraph(t, g)
 	dg := dynamic.FromStatic(g, tau)
-	dg.TrackDeltas(true)
 	mt := NewMaintainer(idx)
 	vertsAt := func(ix *Index, v, k int32) []int32 {
 		refs := ix.CommunityRefs(v, k)

@@ -1,15 +1,21 @@
 package dynamic
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"equitruss/internal/gen"
 	"equitruss/internal/graph"
+	"equitruss/internal/testkit"
+	"equitruss/internal/truss"
 )
 
-// deltaOracle replays an op sequence twice — once on a tracked graph, once
-// on an untracked clone — and checks the reported delta against the exact
-// before/after difference of the τ maps.
+// checkDeltaAgainstStates checks a reported delta against the exact
+// before/after difference of the τ maps, and its successor against the
+// state it folds.
 func checkDeltaAgainstStates(t *testing.T, before map[uint64]int32, dg *Graph, d Delta) {
 	t.Helper()
 	after := dg.TauSnapshot()
@@ -70,23 +76,38 @@ func checkDeltaAgainstStates(t *testing.T, before map[uint64]int32, dg *Graph, d
 			t.Fatalf("Touched overlaps Inserted on key %x", k)
 		}
 	}
-	if d.NumVertices != dg.NumVertices() {
-		t.Fatalf("delta NumVertices = %d, graph has %d", d.NumVertices, dg.NumVertices())
+	if d.G.NumVertices() != dg.NumVertices() {
+		t.Fatalf("successor has %d vertices, graph has %d", d.G.NumVertices(), dg.NumVertices())
+	}
+	// The successor is the final state, and OldToNew carries every
+	// surviving window-start edge to its own endpoints.
+	if int(d.G.NumEdges()) != len(after) {
+		t.Fatalf("successor has %d edges, state has %d", d.G.NumEdges(), len(after))
+	}
+	for eid, e := range d.G.Edges() {
+		if ta, ok := after[graph.PackPair(e.U, e.V)]; !ok || ta != d.Tau[eid] {
+			t.Fatalf("successor edge (%d,%d) τ=%d, state has (%d,%v)", e.U, e.V, d.Tau[eid], ta, ok)
+		}
+	}
+	for old, ne := range d.OldToNew {
+		e := dg.base.Edge(int32(old))
+		_, gone := d.Deleted[graph.PackPair(e.U, e.V)]
+		if gone != (ne < 0) || ne >= 0 && d.G.Edge(ne) != e {
+			t.Fatalf("OldToNew[%d] = %d for edge (%d,%d), deleted=%v", old, ne, e.U, e.V, gone)
+		}
 	}
 }
 
 func TestDeltaBasicInsertDelete(t *testing.T) {
 	dg := New(8)
-	// Seed a triangle plus a tail, untracked (simulating recovery replay).
+	// Seed a triangle plus a tail in a first window (simulating recovery
+	// replay), then open the window under test.
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
 		if _, err := dg.InsertEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if dg.insAcc != nil {
-		t.Fatal("tracking on before TrackDeltas")
-	}
-	dg.TrackDeltas(true)
+	dg.ResetDelta()
 	before := dg.TauSnapshot()
 
 	// Close a second triangle on (0,2): (0,3) with (2,3) existing.
@@ -133,7 +154,7 @@ func TestDeltaNetsOutInsertDeleteCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dg.TrackDeltas(true)
+	dg.ResetDelta()
 	before := dg.TauSnapshot()
 
 	// Insert then delete: nets to nothing for (1,3); the triangle partners
@@ -186,7 +207,7 @@ func TestDeltaRandomChurn(t *testing.T) {
 			dg.InsertEdge(u, v)
 		}
 	}
-	dg.TrackDeltas(true)
+	dg.ResetDelta()
 	for batch := 0; batch < 20; batch++ {
 		before := dg.TauSnapshot()
 		for op := 0; op < 10; op++ {
@@ -205,5 +226,92 @@ func TestDeltaRandomChurn(t *testing.T) {
 		d := dg.Delta()
 		checkDeltaAgainstStates(t, before, dg, d)
 		dg.ResetDelta()
+	}
+}
+
+// TestFromStaticCopiesNothing: opening a window over a CSR graph aliases
+// its edges and τ, so it allocates a few empty maps, not an O(m) mirror.
+func TestFromStaticCopiesNothing(t *testing.T) {
+	g := gen.RMAT(13, 16, 0.57, 0.19, 0.19, 1)
+	tau, _ := testkit.Tau(g, testkit.Supports(g, 1), truss.PeelSerial, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dg := FromStatic(g, tau)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("FromStatic on %d edges allocated %d bytes, want under 64 KiB", g.NumEdges(), got)
+	}
+	if dg.NumEdges() != g.NumEdges() {
+		t.Fatalf("window holds %d edges, base has %d", dg.NumEdges(), g.NumEdges())
+	}
+}
+
+// TestOneFoldPerWindow: an unchanged window exports the base itself, and
+// after ops the delta, ToStatic and the next window's base are one graph —
+// the window is folded once.
+func TestOneFoldPerWindow(t *testing.T) {
+	g := gen.SharedEdgeCliquePair(6, 5)
+	tau, _ := testkit.Tau(g, testkit.Supports(g, 1), truss.PeelSerial, 1)
+	dg := FromStatic(g, tau)
+	if g0, tau0, _ := dg.ToStatic(); g0 != g || &tau0[0] != &tau[0] {
+		t.Fatal("ToStatic on an empty window did not return the base graph and τ")
+	}
+	dg.DeleteEdge(0, 1)
+	if _, err := dg.InsertEdge(0, g.NumVertices()); err != nil {
+		t.Fatal(err)
+	}
+	d := dg.Delta()
+	g1, tau1, _ := dg.ToStatic()
+	if d.G != g1 || &d.Tau[0] != &tau1[0] {
+		t.Fatal("Delta and ToStatic folded the window twice")
+	}
+	dg.ResetDelta()
+	if g2, _, _ := dg.ToStatic(); g2 != g1 {
+		t.Fatal("ResetDelta did not adopt the folded graph as the base")
+	}
+}
+
+// TestChurnLeavesTheBaseUnwritten: the window is over the given graph and
+// τ, which a serving index shares, and a window of inserts, deletes and
+// re-inserts writes overrides only — the base hashes the same before and
+// after.
+func TestChurnLeavesTheBaseUnwritten(t *testing.T) {
+	g := gen.RMAT(8, 8, 0.57, 0.19, 0.19, 42)
+	tau, _ := testkit.Tau(g, testkit.Supports(g, 1), truss.PeelSerial, 1)
+	hash := func() uint64 {
+		h := fnv.New64a()
+		if err := binary.Write(h, binary.LittleEndian, g.Edges()); err != nil {
+			t.Fatal(err)
+		}
+		if err := binary.Write(h, binary.LittleEndian, tau); err != nil {
+			t.Fatal(err)
+		}
+		return h.Sum64()
+	}
+	want := hash()
+	dg := FromStatic(g, tau)
+	if g0, tau0, _ := dg.ToStatic(); g0 != g || &tau0[0] != &tau[0] {
+		t.Fatal("the window is not over the given graph and τ")
+	}
+	rng := rand.New(rand.NewSource(5))
+	n := int(g.NumVertices())
+	for op := 0; op < 400; op++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		if dg.HasEdge(u, v) {
+			dg.DeleteEdge(u, v)
+		} else if _, err := dg.InsertEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dg.Delta().Empty() {
+		t.Fatal("churn left an empty delta")
+	}
+	assertExact(t, dg, "churn window")
+	if got := hash(); got != want {
+		t.Fatalf("base hash %x after the window, %x before", got, want)
 	}
 }

@@ -14,10 +14,17 @@
 // trussness. Deletion leaves old values as upper bounds; insertion raises
 // a provably-sufficient candidate set by one and bounds the new edge by an
 // h-index-style estimate; both then lower to the fixpoint locally.
+//
+// The graph is one window over a published CSR: the base graph and its τ
+// are shared with the serving index and never written, and the window holds
+// only what changed since. Folding the window into the next CSR (Delta,
+// ToStatic) is the one way an overlay becomes a static graph.
 package dynamic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"equitruss/internal/graph"
@@ -27,153 +34,186 @@ import (
 // Graph is a mutable simple undirected graph with exact per-edge trussness
 // maintained across updates.
 type Graph struct {
-	adj []map[int32]struct{} // adjacency sets, grown on demand
-	tau map[uint64]int32     // canonical packed edge -> trussness
-	m   int64
+	base    *graph.Graph // the published CSR; aliased, never written
+	baseTau []int32      // τ aligned with base's edge IDs; aliased, never written
+	n       int32        // vertex-ID space, at least base's
 
-	// Delta accumulators, nil unless TrackDeltas(true) was called. They
-	// record, since the last ResetDelta, which edges appeared (insAcc),
-	// disappeared (delAcc), had a trussness value committed that differs
-	// from the stored one (chAcc), or were triangle partners of a deleted
-	// edge at delete time (touchAcc — the only moment those triangles are
-	// still observable). Raw accumulators may overlap across an op
-	// sequence (delete-then-insert, insert-then-delete); Delta reconciles
-	// them against the final state.
-	insAcc   map[uint64]struct{}
-	delAcc   map[uint64]struct{}
-	chAcc    map[uint64]struct{}
-	touchAcc map[uint64]struct{}
+	// The window: every change since base.
+	tau     map[uint64]int32    // τ overrides: every inserted edge, and base edges committed to a new value
+	ins     map[uint64]struct{} // present edges that base does not hold
+	extra   map[int32][]int32   // neighbours over ins
+	del     map[int32]struct{}  // deleted base edge IDs
+	touched map[uint64]struct{} // triangle partners of deleted edges, recorded at delete time
+
+	next *successor // the window folded, nil until asked for after an op
 }
 
-// New returns an empty dynamic graph with capacity for n vertices (grown
-// automatically as edges mention larger IDs).
+// successor is a window folded into a CSR: base minus deletes plus inserts,
+// τ aligned with its edge IDs, and the base→successor edge-ID map.
+type successor struct {
+	g        *graph.Graph
+	tau      []int32
+	oldToNew []int32
+}
+
+// ref names a present edge: its packed key and, for a base edge, its base
+// edge ID (-1 for an edge only the window holds).
+type ref struct {
+	key uint64
+	id  int32
+}
+
+// New returns an empty dynamic graph with n vertices (grown automatically as
+// edges mention larger IDs).
 func New(n int32) *Graph {
-	return &Graph{
-		adj: make([]map[int32]struct{}, n),
-		tau: make(map[uint64]int32),
-	}
+	g, _ := graph.FromEdgeList(nil, n) // an empty edge list is always valid
+	return FromStatic(g, nil)
 }
 
-// FromStatic imports a CSR graph and its decomposition.
+// FromStatic opens a window over a CSR graph and its decomposition. Both are
+// aliased, not copied, and never written.
 func FromStatic(g *graph.Graph, tau []int32) *Graph {
-	dg := New(g.NumVertices())
-	for eid, e := range g.Edges() {
-		dg.ensure(e.V)
-		dg.link(e.U, e.V)
-		dg.tau[graph.PackPair(e.U, e.V)] = tau[eid]
-		dg.m++
-	}
+	dg := &Graph{base: g, baseTau: tau, n: g.NumVertices()}
+	dg.clearWindow()
 	return dg
 }
 
+func (dg *Graph) clearWindow() {
+	dg.tau = make(map[uint64]int32)
+	dg.ins = make(map[uint64]struct{})
+	dg.extra = make(map[int32][]int32)
+	dg.del = make(map[int32]struct{})
+	dg.touched = make(map[uint64]struct{})
+	dg.next = nil
+}
+
 // NumVertices returns the current vertex-ID space size.
-func (dg *Graph) NumVertices() int32 { return int32(len(dg.adj)) }
+func (dg *Graph) NumVertices() int32 { return dg.n }
 
 // NumEdges returns the current edge count.
-func (dg *Graph) NumEdges() int64 { return dg.m }
+func (dg *Graph) NumEdges() int64 {
+	return dg.base.NumEdges() - int64(len(dg.del)) + int64(len(dg.ins))
+}
+
+// lookup resolves (u, v) to a present edge.
+func (dg *Graph) lookup(u, v int32) (ref, bool) {
+	if nb := dg.base.NumVertices(); u >= 0 && v >= 0 && u < nb && v < nb {
+		if id := dg.base.EdgeID(u, v); id >= 0 {
+			_, gone := dg.del[id]
+			return ref{graph.PackPair(u, v), id}, !gone
+		}
+	}
+	key := graph.PackPair(u, v)
+	_, ok := dg.ins[key]
+	return ref{key, -1}, ok
+}
+
+// tauOf reads the committed trussness of a present edge.
+func (dg *Graph) tauOf(r ref) int32 {
+	if t, ok := dg.tau[r.key]; ok {
+		return t
+	}
+	return dg.baseTau[r.id]
+}
 
 // Trussness returns τ(u, v) and whether the edge exists.
 func (dg *Graph) Trussness(u, v int32) (int32, bool) {
-	t, ok := dg.tau[graph.PackPair(u, v)]
-	return t, ok
+	r, ok := dg.lookup(u, v)
+	if !ok {
+		return 0, false
+	}
+	return dg.tauOf(r), true
 }
 
 // HasEdge reports whether (u, v) is present.
 func (dg *Graph) HasEdge(u, v int32) bool {
-	_, ok := dg.Trussness(u, v)
+	_, ok := dg.lookup(u, v)
 	return ok
 }
 
-func (dg *Graph) ensure(v int32) {
-	for int32(len(dg.adj)) <= v {
-		dg.adj = append(dg.adj, nil)
+func (dg *Graph) degree(x int32) int {
+	d := len(dg.extra[x])
+	if x < dg.base.NumVertices() {
+		d += int(dg.base.Degree(x))
 	}
+	return d
 }
 
-func (dg *Graph) link(u, v int32) {
-	if dg.adj[u] == nil {
-		dg.adj[u] = make(map[int32]struct{})
+// forEachTriangle invokes fn(w, uw, vw) for every common neighbour w of u
+// and v, walking the side with fewer neighbours — its surviving base CSR
+// neighbours, then its window neighbours — and probing the other.
+func (dg *Graph) forEachTriangle(u, v int32, fn func(w int32, uw, vw ref)) {
+	x, y := u, v
+	if dg.degree(x) > dg.degree(y) {
+		x, y = y, x
 	}
-	if dg.adj[v] == nil {
-		dg.adj[v] = make(map[int32]struct{})
-	}
-	dg.adj[u][v] = struct{}{}
-	dg.adj[v][u] = struct{}{}
-}
-
-func (dg *Graph) unlink(u, v int32) {
-	delete(dg.adj[u], v)
-	delete(dg.adj[v], u)
-}
-
-// forEachTriangle invokes fn(w) for every common neighbor of u and v,
-// iterating the smaller adjacency set.
-func (dg *Graph) forEachTriangle(u, v int32, fn func(w int32)) {
-	if u >= int32(len(dg.adj)) || v >= int32(len(dg.adj)) {
-		return
-	}
-	a, b := dg.adj[u], dg.adj[v]
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for w := range a {
-		if _, ok := b[w]; ok {
-			fn(w)
+	visit := func(w, xid int32) {
+		if yw, ok := dg.lookup(y, w); ok {
+			xw := ref{graph.PackPair(x, w), xid}
+			if x == u {
+				fn(w, xw, yw)
+			} else {
+				fn(w, yw, xw)
+			}
 		}
+	}
+	if x < dg.base.NumVertices() {
+		ids := dg.base.IncidentEIDs(x)
+		for i, w := range dg.base.Neighbors(x) {
+			if _, gone := dg.del[ids[i]]; !gone {
+				visit(w, ids[i])
+			}
+		}
+	}
+	for _, w := range dg.extra[x] {
+		visit(w, -1)
 	}
 }
 
 // cur reads the working trussness of an edge during an update: the pending
-// override if present, the committed value otherwise.
-func cur(tau map[uint64]int32, pending map[uint64]int32, key uint64) int32 {
-	if t, ok := pending[key]; ok {
+// value if present, the committed value otherwise.
+func (dg *Graph) cur(pending map[ref]int32, r ref) int32 {
+	if t, ok := pending[r]; ok {
 		return t
 	}
-	return tau[key]
+	return dg.tauOf(r)
 }
 
 // InsertEdge adds (u, v) and restores exact trussness everywhere. Returns
-// false (no change) if the edge already exists; self-loops and negative
-// IDs are rejected with an error.
+// false (no change) if the edge already exists; self-loops and vertex IDs
+// outside [0, MaxInt32) are rejected with an error.
 func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
-	if u < 0 || v < 0 {
-		return false, fmt.Errorf("dynamic: negative vertex in (%d, %d)", u, v)
+	if u < 0 || v < 0 || u == math.MaxInt32 || v == math.MaxInt32 {
+		return false, fmt.Errorf("dynamic: vertex out of range in (%d, %d)", u, v)
 	}
 	if u == v {
 		return false, fmt.Errorf("dynamic: self-loop (%d, %d)", u, u)
 	}
-	key := graph.PackPair(u, v)
-	if _, ok := dg.tau[key]; ok {
+	r, ok := dg.lookup(u, v)
+	if ok {
 		return false, nil
 	}
-	dg.ensure(u)
-	dg.ensure(v)
-	dg.link(u, v)
-	dg.m++
-	if dg.insAcc != nil {
-		if _, wasDeleted := dg.delAcc[key]; wasDeleted {
-			// Re-insert of an edge deleted earlier in the same delta window:
-			// it existed at window start and exists now — a change, not an
-			// insert (its commit below lands in chAcc via lowerToFixpoint).
-			delete(dg.delAcc, key)
-			dg.chAcc[key] = struct{}{}
-		} else {
-			dg.insAcc[key] = struct{}{}
-		}
+	dg.next = nil
+	dg.n = max(dg.n, u+1, v+1)
+	if r.id >= 0 {
+		delete(dg.del, r.id) // re-insert of a deleted base edge
+	} else {
+		dg.ins[r.key] = struct{}{}
+		dg.extra[u] = append(dg.extra[u], v)
+		dg.extra[v] = append(dg.extra[v], u)
 	}
+	// The new edge reads τ 0 until its fixpoint commits, as an absent edge
+	// would; a re-inserted base edge keeps its override, so the delta
+	// reports it as changed.
+	dg.tau[r.key] = 0
 
 	// Upper bound for the new edge: the largest k such that at least k-2
 	// of its triangles have min(partner τ)+1 >= k (partners may themselves
 	// rise by one, hence the +1; any overestimate is corrected by the
 	// lowering pass).
 	var mins []int32
-	dg.forEachTriangle(u, v, func(w int32) {
-		t1 := dg.tau[graph.PackPair(u, w)]
-		t2 := dg.tau[graph.PackPair(v, w)]
-		if t2 < t1 {
-			t1 = t2
-		}
-		mins = append(mins, t1+1)
+	dg.forEachTriangle(u, v, func(w int32, uw, vw ref) {
+		mins = append(mins, min(dg.tauOf(uw), dg.tauOf(vw))+1)
 	})
 	sort.Slice(mins, func(i, j int) bool { return mins[i] > mins[j] })
 	ub := int32(2)
@@ -187,15 +227,15 @@ func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
 		}
 	}
 
-	pending := map[uint64]int32{key: ub}
+	pending := map[ref]int32{r: ub}
 	// Candidate set: for each level k < ub, edges with τ = k that are
 	// triangle-connected to the new edge inside the subgraph of edges with
 	// τ >= k (only such edges can be pulled into a (k+1)-truss that uses
 	// the new edge). Their bound rises by one.
 	for k := int32(2); k < ub; k++ {
-		for _, cand := range dg.reachableAtLevel(key, k) {
+		for _, cand := range dg.reachableAtLevel(r, k) {
 			if _, seen := pending[cand]; !seen {
-				pending[cand] = dg.tau[cand] + 1
+				pending[cand] = dg.tauOf(cand) + 1
 			}
 		}
 	}
@@ -206,63 +246,62 @@ func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
 // DeleteEdge removes (u, v) and restores exact trussness. Returns false if
 // the edge does not exist.
 func (dg *Graph) DeleteEdge(u, v int32) bool {
-	key := graph.PackPair(u, v)
-	if _, ok := dg.tau[key]; !ok {
+	r, ok := dg.lookup(u, v)
+	if !ok {
 		return false
 	}
+	dg.next = nil
 	// Seed the recheck queue with all triangle partners (their qualifying
 	// triangle counts may have dropped); old values remain upper bounds.
-	pending := map[uint64]int32{}
-	var seeds []uint64
-	dg.forEachTriangle(u, v, func(w int32) {
-		seeds = append(seeds, graph.PackPair(u, w), graph.PackPair(v, w))
+	var seeds []ref
+	dg.forEachTriangle(u, v, func(w int32, uw, vw ref) {
+		seeds = append(seeds, uw, vw)
 	})
-	dg.unlink(u, v)
-	delete(dg.tau, key)
-	dg.m--
-	if dg.delAcc != nil {
-		if _, wasInserted := dg.insAcc[key]; wasInserted {
-			// Insert-then-delete inside one window nets out to no edge.
-			delete(dg.insAcc, key)
-		} else {
-			dg.delAcc[key] = struct{}{}
-		}
-		delete(dg.chAcc, key)
-		// The deleted edge's triangles are gone after unlink; its partners
-		// lose a witness even when their trussness does not move.
-		for _, s := range seeds {
-			dg.touchAcc[s] = struct{}{}
-		}
+	if r.id >= 0 {
+		dg.del[r.id] = struct{}{}
+	} else {
+		delete(dg.ins, r.key)
+		dg.extra[u] = removeValue(dg.extra[u], v)
+		dg.extra[v] = removeValue(dg.extra[v], u)
 	}
+	delete(dg.tau, r.key)
+	pending := make(map[ref]int32, len(seeds))
 	for _, s := range seeds {
-		pending[s] = dg.tau[s]
+		// The deleted edge's triangles are gone; its partners lose a
+		// witness even when their trussness does not move.
+		dg.touched[s.key] = struct{}{}
+		pending[s] = dg.tauOf(s)
 	}
 	dg.lowerToFixpoint(pending)
 	return true
 }
 
+func removeValue(s []int32, x int32) []int32 {
+	i := slices.Index(s, x)
+	s[i] = s[len(s)-1]
+	return s[:len(s)-1]
+}
+
 // reachableAtLevel collects edges with τ == k triangle-connected to the
 // start edge within the subgraph of edges with τ >= k (the start edge is
 // always admitted). BFS over edges; triangles must lie fully inside.
-func (dg *Graph) reachableAtLevel(start uint64, k int32) []uint64 {
-	visited := map[uint64]bool{start: true}
-	queue := []uint64{start}
-	var out []uint64
+func (dg *Graph) reachableAtLevel(start ref, k int32) []ref {
+	visited := map[uint64]bool{start.key: true}
+	queue := []ref{start}
+	var out []ref
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
-		u, v := graph.UnpackPair(e)
-		dg.forEachTriangle(u, v, func(w int32) {
-			e1, e2 := graph.PackPair(u, w), graph.PackPair(v, w)
-			t1, t2 := dg.tau[e1], dg.tau[e2]
-			if t1 < k || t2 < k {
+		u, v := graph.UnpackPair(e.key)
+		dg.forEachTriangle(u, v, func(w int32, e1, e2 ref) {
+			if dg.tauOf(e1) < k || dg.tauOf(e2) < k {
 				return
 			}
-			for _, nxt := range [2]uint64{e1, e2} {
-				if !visited[nxt] {
-					visited[nxt] = true
+			for _, nxt := range [2]ref{e1, e2} {
+				if !visited[nxt.key] {
+					visited[nxt.key] = true
 					queue = append(queue, nxt)
-					if dg.tau[nxt] == k {
+					if dg.tauOf(nxt) == k {
 						out = append(out, nxt)
 					}
 				}
@@ -275,32 +314,31 @@ func (dg *Graph) reachableAtLevel(start uint64, k int32) []uint64 {
 // lowerToFixpoint repeatedly rechecks pending edges, lowering any whose
 // qualifying-triangle count no longer supports its working trussness, and
 // cascading to the triangle partners the drop can invalidate. On exit the
-// pending values are exact and are committed.
-func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
-	queue := make([]uint64, 0, len(pending))
-	inQueue := make(map[uint64]bool, len(pending))
+// pending values are exact, and those that differ from the committed ones
+// are written as overrides.
+func (dg *Graph) lowerToFixpoint(pending map[ref]int32) {
+	queue := make([]ref, 0, len(pending))
+	inQueue := make(map[ref]bool, len(pending))
 	for e := range pending {
 		queue = append(queue, e)
 		inQueue[e] = true
 	}
 	// Deterministic processing order is unnecessary for correctness (the
 	// greatest fixpoint is unique) but keeps debugging sane.
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
+	sort.Slice(queue, func(i, j int) bool { return queue[i].key < queue[j].key })
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
 		inQueue[e] = false
-		k := cur(dg.tau, pending, e)
+		k := dg.cur(pending, e)
 		if k <= truss.MinTrussness {
 			pending[e] = truss.MinTrussness
 			continue
 		}
-		u, v := graph.UnpackPair(e)
+		u, v := graph.UnpackPair(e.key)
 		var s int32
-		dg.forEachTriangle(u, v, func(w int32) {
-			t1 := cur(dg.tau, pending, graph.PackPair(u, w))
-			t2 := cur(dg.tau, pending, graph.PackPair(v, w))
-			if t1 >= k && t2 >= k {
+		dg.forEachTriangle(u, v, func(w int32, uw, vw ref) {
+			if dg.cur(pending, uw) >= k && dg.cur(pending, vw) >= k {
 				s++
 			}
 		})
@@ -314,9 +352,9 @@ func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
 			queue = append(queue, e)
 			inQueue[e] = true
 		}
-		dg.forEachTriangle(u, v, func(w int32) {
-			for _, p := range [2]uint64{graph.PackPair(u, w), graph.PackPair(v, w)} {
-				if cur(dg.tau, pending, p) == k && !inQueue[p] {
+		dg.forEachTriangle(u, v, func(w int32, uw, vw ref) {
+			for _, p := range [2]ref{uw, vw} {
+				if dg.cur(pending, p) == k && !inQueue[p] {
 					if _, tracked := pending[p]; !tracked {
 						pending[p] = k
 					}
@@ -327,40 +365,103 @@ func (dg *Graph) lowerToFixpoint(pending map[uint64]int32) {
 		})
 	}
 	for e, t := range pending {
-		if dg.chAcc != nil {
-			if old, ok := dg.tau[e]; !ok || old != t {
-				dg.chAcc[e] = struct{}{}
-			}
+		if t != dg.tauOf(e) {
+			dg.tau[e.key] = t
 		}
-		dg.tau[e] = t
 	}
 }
 
-// ToStatic exports the current graph and trussness as a CSR graph plus a
-// tau array aligned with its edge IDs — ready for core.BuildCtx to construct
-// a fresh index.
-func (dg *Graph) ToStatic() (*graph.Graph, []int32, error) {
-	edges := make([]graph.Edge, 0, dg.m)
-	for key := range dg.tau {
-		u, v := graph.UnpackPair(key)
-		edges = append(edges, graph.Edge{U: u, V: v})
+// graphUnchanged reports whether the window leaves base's edges, τ and
+// vertex space as they are (it may still hold touched partners).
+func (dg *Graph) graphUnchanged() bool {
+	return len(dg.tau) == 0 && len(dg.ins) == 0 && len(dg.del) == 0 && dg.n == dg.base.NumVertices()
+}
+
+// successor folds the window into the next CSR, at most once per window
+// state: base's sorted edges minus the deleted IDs, merged with the sorted
+// inserts in one pass, so the edge list comes out canonical and
+// FromEdgeList sorts nothing. An unchanged graph folds to base itself.
+func (dg *Graph) successor() *successor {
+	if dg.next != nil {
+		return dg.next
 	}
-	g, err := graph.FromEdgeList(edges, dg.NumVertices())
+	oldEdges := dg.base.Edges()
+	oldToNew := make([]int32, len(oldEdges))
+	if dg.graphUnchanged() {
+		for i := range oldToNew {
+			oldToNew[i] = int32(i)
+		}
+		dg.next = &successor{g: dg.base, tau: dg.baseTau, oldToNew: oldToNew}
+		return dg.next
+	}
+	insKeys := make([]uint64, 0, len(dg.ins))
+	for k := range dg.ins {
+		insKeys = append(insKeys, k)
+	}
+	slices.Sort(insKeys)
+	deleted := make([]int32, 0, len(dg.del))
+	for id := range dg.del {
+		deleted = append(deleted, id)
+	}
+	slices.Sort(deleted)
+
+	newEdges := make([]graph.Edge, 0, dg.NumEdges())
+	tauNew := make([]int32, 0, dg.NumEdges())
+	j, di := 0, 0 // cursors into insKeys and deleted
+	appendInserts := func(below uint64) {
+		for ; j < len(insKeys) && insKeys[j] < below; j++ {
+			u, v := graph.UnpackPair(insKeys[j])
+			newEdges = append(newEdges, graph.Edge{U: u, V: v})
+			tauNew = append(tauNew, dg.tau[insKeys[j]])
+		}
+	}
+	for i, e := range oldEdges {
+		appendInserts(graph.PackPair(e.U, e.V))
+		if di < len(deleted) && deleted[di] == int32(i) {
+			oldToNew[i] = -1
+			di++
+			continue
+		}
+		oldToNew[i] = int32(len(newEdges))
+		newEdges = append(newEdges, e)
+		tauNew = append(tauNew, dg.baseTau[i])
+	}
+	appendInserts(math.MaxUint64)
+	for k, t := range dg.tau {
+		if _, isIns := dg.ins[k]; !isIns {
+			u, v := graph.UnpackPair(k)
+			tauNew[oldToNew[dg.base.EdgeID(u, v)]] = t
+		}
+	}
+	g, err := graph.FromEdgeList(newEdges, dg.n)
 	if err != nil {
-		return nil, nil, err
+		// Every inserted ID was range-checked, and the rest come from a CSR.
+		panic(fmt.Sprintf("dynamic: folding the window: %v", err))
 	}
-	tau := make([]int32, g.NumEdges())
-	for eid, e := range g.Edges() {
-		tau[eid] = dg.tau[graph.PackPair(e.U, e.V)]
+	dg.next = &successor{g: g, tau: tauNew, oldToNew: oldToNew}
+	return dg.next
+}
+
+// ToStatic returns the current graph as a CSR graph plus a tau array
+// aligned with its edge IDs — ready for core.BuildCtx to construct a fresh
+// index. It is the window's successor, the graph Delta reports and
+// ResetDelta adopts; with the graph unchanged since the last ResetDelta it
+// is the base itself. Both results are shared and must not be modified. The
+// error is always nil.
+func (dg *Graph) ToStatic() (*graph.Graph, []int32, error) {
+	if dg.graphUnchanged() {
+		return dg.base, dg.baseTau, nil
 	}
-	return g, tau, nil
+	s := dg.successor()
+	return s.g, s.tau, nil
 }
 
 // Delta describes the net effect of the operations applied since the last
-// ResetDelta, in terms of canonically packed edge keys (graph.PackPair). It is
-// exactly the input the incremental summary-graph repair needs: which edges
-// appeared, which disappeared, which survivors carry a different trussness,
-// and which survivors lost a triangle to a deletion without moving.
+// ResetDelta, in terms of canonically packed edge keys (graph.PackPair), and
+// the CSR they fold into. It is exactly the input the incremental
+// summary-graph repair needs: which edges appeared, which disappeared, which
+// survivors carry a different trussness, which survivors lost a triangle to
+// a deletion without moving, and the successor graph with its τ.
 type Delta struct {
 	// Changed maps pre-existing surviving edges whose trussness differs
 	// (or may differ — delete/re-insert cycles are reported conservatively)
@@ -376,10 +477,15 @@ type Delta struct {
 	// unchanged, but their triangle set — and therefore the superedge
 	// witnesses around them — changed. Disjoint from Changed and Inserted.
 	Touched map[uint64]struct{}
-	// NumVertices is the vertex-ID space size after the window, which can
-	// exceed the largest surviving endpoint when an insert that grew the
-	// space was later deleted.
-	NumVertices int32
+	// G and Tau are the successor: the window-start graph minus Deleted
+	// plus Inserted, with canonical edge IDs and τ aligned with them. Its
+	// vertex space can exceed the largest surviving endpoint when an insert
+	// that grew the space was later deleted. Both are shared, not copies.
+	G   *graph.Graph
+	Tau []int32
+	// OldToNew maps each window-start edge ID to its ID in G, or -1 for a
+	// deleted edge.
+	OldToNew []int32
 }
 
 // Size returns the number of distinct edges named by the delta.
@@ -390,83 +496,66 @@ func (d Delta) Size() int {
 // Empty reports whether the delta names no edges at all.
 func (d Delta) Empty() bool { return d.Size() == 0 }
 
-// TrackDeltas enables (or disables) delta accumulation. Disabled graphs pay
-// nothing per update; enabling starts an empty window. The live applier
-// enables tracking once at startup — recovery replay runs untracked.
-func (dg *Graph) TrackDeltas(on bool) {
-	if !on {
-		dg.insAcc, dg.delAcc, dg.chAcc, dg.touchAcc = nil, nil, nil, nil
-		return
-	}
-	if dg.insAcc == nil {
-		dg.resetAccumulators()
-	}
-}
+// TrackDeltas does nothing: the window always starts at the last
+// ResetDelta. It is kept because the lifecycle benchmark calls it.
+func (dg *Graph) TrackDeltas(bool) {}
 
-func (dg *Graph) resetAccumulators() {
-	dg.insAcc = make(map[uint64]struct{})
-	dg.delAcc = make(map[uint64]struct{})
-	dg.chAcc = make(map[uint64]struct{})
-	dg.touchAcc = make(map[uint64]struct{})
-}
-
-// Delta reconciles the raw accumulators against the current state and
-// returns the net delta for the open window. It does not close the window —
-// call ResetDelta once the delta has been durably consumed, so a failed
-// consumer retry sees the union of both windows.
+// Delta returns the net delta for the open window. It does not close the
+// window — call ResetDelta once the delta has been durably consumed, so a
+// failed consumer retry sees the union of both windows.
 func (dg *Graph) Delta() Delta {
+	s := dg.successor()
 	d := Delta{
-		Changed:     make(map[uint64]int32, len(dg.chAcc)),
-		Inserted:    make(map[uint64]int32, len(dg.insAcc)),
-		Deleted:     make(map[uint64]struct{}, len(dg.delAcc)),
-		Touched:     make(map[uint64]struct{}, len(dg.touchAcc)),
-		NumVertices: dg.NumVertices(),
+		Changed:  make(map[uint64]int32),
+		Inserted: make(map[uint64]int32, len(dg.ins)),
+		Deleted:  make(map[uint64]struct{}, len(dg.del)),
+		Touched:  make(map[uint64]struct{}),
+		G:        s.g,
+		Tau:      s.tau,
+		OldToNew: s.oldToNew,
 	}
-	for k := range dg.insAcc {
-		d.Inserted[k] = dg.tau[k]
-	}
-	for k := range dg.delAcc {
-		d.Deleted[k] = struct{}{}
-	}
-	for k := range dg.chAcc {
-		if _, ins := dg.insAcc[k]; ins {
-			continue // an insert's own fixpoint commit, already in Inserted
-		}
-		if t, ok := dg.tau[k]; ok {
+	for k, t := range dg.tau {
+		if _, isIns := dg.ins[k]; isIns {
+			d.Inserted[k] = t
+		} else {
 			d.Changed[k] = t
 		}
-		// else: changed then deleted — Deleted already covers it.
 	}
-	for k := range dg.touchAcc {
-		if _, ok := dg.tau[k]; !ok {
-			continue // partner itself deleted later in the window
+	for id := range dg.del {
+		e := dg.base.Edge(id)
+		d.Deleted[graph.PackPair(e.U, e.V)] = struct{}{}
+	}
+	for k := range dg.touched {
+		_, isIns := dg.ins[k]
+		_, ch := d.Changed[k]
+		if _, ok := dg.lookup(graph.UnpackPair(k)); ok && !isIns && !ch {
+			d.Touched[k] = struct{}{}
 		}
-		if _, ins := dg.insAcc[k]; ins {
-			continue
-		}
-		if _, ch := d.Changed[k]; ch {
-			continue
-		}
-		d.Touched[k] = struct{}{}
 	}
 	return d
 }
 
-// ResetDelta closes the current window, discarding the accumulators. No-op
-// when tracking is disabled.
+// ResetDelta closes the current window: the successor becomes the base.
 func (dg *Graph) ResetDelta() {
-	if dg.insAcc != nil {
-		dg.resetAccumulators()
+	if !dg.graphUnchanged() {
+		s := dg.successor()
+		dg.base, dg.baseTau = s.g, s.tau
 	}
+	dg.clearWindow()
 }
 
-// TauSnapshot returns a copy of the edge→trussness mapping (packed keys).
-// It is an O(m) map copy kept for tests and differential oracles; the live
-// applier consumes Delta instead, whose cost scales with the batch.
+// TauSnapshot returns the edge→trussness mapping (packed keys) as a new
+// map. It is an O(m) copy kept for tests and differential oracles; the
+// live applier consumes Delta instead.
 func (dg *Graph) TauSnapshot() map[uint64]int32 {
-	out := make(map[uint64]int32, len(dg.tau))
-	for k, v := range dg.tau {
-		out[k] = v
+	out := make(map[uint64]int32, dg.NumEdges())
+	for id, e := range dg.base.Edges() {
+		if _, gone := dg.del[int32(id)]; !gone {
+			out[graph.PackPair(e.U, e.V)] = dg.baseTau[id]
+		}
+	}
+	for k, t := range dg.tau {
+		out[k] = t
 	}
 	return out
 }

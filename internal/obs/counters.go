@@ -42,15 +42,14 @@ type CounterValue struct {
 	Value int64  `json:"value"`
 }
 
-// Registry is a set of named metrics — monotonic counters, gauges,
-// latency histograms, and snapshot-time collectors. Registration is
+// Registry is a set of named metrics — monotonic counters, latency
+// histograms, and snapshot-time gauge collectors. Registration is
 // idempotent: the first registration of a name wins (including its help
 // text), so packages can declare the metrics they emit at init time without
 // coordination.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	collectors []Collector
 }
@@ -59,7 +58,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }

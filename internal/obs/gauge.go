@@ -1,43 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sort"
-	"sync/atomic"
-)
-
-// Gauge is a named instantaneous value safe for concurrent use — the
-// non-monotonic sibling of Counter, for levels that move both ways (pool
-// occupancy, cache size, heap bytes). Stored as float64 bits in one atomic
-// word: Set and Value are single atomic ops, Add is a CAS loop.
-type Gauge struct {
-	name string
-	help string
-	bits atomic.Uint64
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// Help returns the one-line description.
-func (g *Gauge) Help() string { return g.help }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (either sign).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+import "sort"
 
 // GaugeValue is one gauge snapshot entry — also the emission unit of
 // registered collectors.
@@ -53,19 +16,6 @@ type GaugeValue struct {
 // explicit Set calls. Collectors run under the registry lock; keep them
 // cheap and non-blocking.
 type Collector func(emit func(GaugeValue))
-
-// Gauge returns the gauge registered under name, creating it on first use.
-// Like counters, the first registration of a name wins.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
-}
 
 // Histogram returns the histogram registered under name, creating it on
 // first use. The first registration of a name wins.
@@ -87,15 +37,12 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.collectors = append(r.collectors, c)
 }
 
-// GaugeSnapshot returns the current values of every registered gauge plus
-// everything the registered collectors emit, sorted by name.
+// GaugeSnapshot returns everything the registered collectors emit, sorted
+// by name.
 func (r *Registry) GaugeSnapshot() []GaugeValue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]GaugeValue, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		out = append(out, GaugeValue{Name: g.name, Help: g.help, Value: g.Value()})
-	}
+	var out []GaugeValue
 	for _, c := range r.collectors {
 		c(func(v GaugeValue) { out = append(out, v) })
 	}

@@ -70,14 +70,13 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentHammer drives 32 goroutines through shared
-// histogram and gauge instances — the race-detector proof that the sharded
-// atomic design is sound (run under `make race` / the ci race subset).
+// TestHistogramConcurrentHammer drives 32 goroutines through a shared
+// histogram — the race-detector proof that the sharded atomic design is
+// sound (run under `make race` / the ci race subset).
 func TestHistogramConcurrentHammer(t *testing.T) {
 	const goroutines = 32
 	const perG = 2000
 	h := NewHistogram("hammer", "")
-	g := &Gauge{name: "hammer_gauge"}
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
@@ -85,10 +84,8 @@ func TestHistogramConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				h.Observe(time.Duration(w*perG+i) * time.Microsecond)
-				g.Add(1)
 				if i%64 == 0 {
 					h.Snapshot()
-					g.Value()
 				}
 			}
 		}(w)
@@ -104,9 +101,6 @@ func TestHistogramConcurrentHammer(t *testing.T) {
 	}
 	if bucketSum != uint64(goroutines*perG) {
 		t.Fatalf("bucket sum = %d, want %d", bucketSum, goroutines*perG)
-	}
-	if g.Value() != goroutines*perG {
-		t.Fatalf("gauge = %v, want %d", g.Value(), goroutines*perG)
 	}
 }
 
@@ -124,24 +118,12 @@ func TestHistogramObserveZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAddValue(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("pool_in_use", "slots in use")
-	if again := r.Gauge("pool_in_use", "other help ignored"); again != g {
-		t.Fatal("gauge registration is not idempotent")
-	}
-	g.Set(4)
-	g.Add(2.5)
-	g.Add(-1.5)
-	if v := g.Value(); v != 5 {
-		t.Fatalf("gauge value = %v, want 5", v)
-	}
-}
-
 func TestRegistryGaugeAndHistogramSnapshots(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("zz_last", "").Set(9)
-	r.Gauge("aa_first", "first").Set(1)
+	r.RegisterCollector(func(emit func(GaugeValue)) {
+		emit(GaugeValue{Name: "zz_last", Value: 9})
+		emit(GaugeValue{Name: "aa_first", Help: "first", Value: 1})
+	})
 	r.RegisterCollector(func(emit func(GaugeValue)) {
 		emit(GaugeValue{Name: "mm_collected", Value: 3})
 	})

@@ -12,8 +12,8 @@ import (
 const promNamespace = "equitruss"
 
 // WritePrometheus writes a Prometheus text-exposition (version 0.0.4)
-// snapshot of a registry: every counter as a *_total counter, every gauge
-// (explicit and collector-emitted) as a gauge, every histogram as a
+// snapshot of a registry: every counter as a *_total counter, every
+// collector-emitted gauge as a gauge, every histogram as a
 // *_seconds histogram family plus a *_quantile_seconds gauge digest — and,
 // when a trace is supplied, per-kernel wall seconds, per-thread busy
 // seconds, and the max/mean imbalance ratio as gauges. Either argument may

@@ -15,8 +15,10 @@ func fullFixtureRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("requests", "served requests").Add(12)
 	r.Counter("tricky", "path C:\\tmp\nsecond line").Add(1)
-	r.Gauge("pool_in_use", "slots busy").Set(3)
-	r.Gauge("ratio", "a fractional gauge").Set(0.25)
+	r.RegisterCollector(func(emit func(GaugeValue)) {
+		emit(GaugeValue{Name: "pool_in_use", Help: "slots busy", Value: 3})
+		emit(GaugeValue{Name: "ratio", Help: "a fractional gauge", Value: 0.25})
+	})
 	r.RegisterCollector(func(emit func(GaugeValue)) {
 		emit(GaugeValue{Name: "collected", Help: "from a collector", Value: 7})
 	})

@@ -140,14 +140,3 @@ func (t *Trace) Len() int {
 	defer t.mu.Unlock()
 	return len(t.spans)
 }
-
-// Reset drops all recorded spans and restarts the epoch.
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.epoch = time.Now()
-	t.mu.Unlock()
-}

@@ -68,8 +68,10 @@ var (
 type LiveConfig struct {
 	// WAL is the open write-ahead log updates are acked against. Required.
 	WAL *wal.WAL
-	// Dyn is the mutable graph state as of AppliedSeq. Required. After
-	// EnableUpdates the applier goroutine owns it exclusively.
+	// Dyn is the mutable graph state as of AppliedSeq: a window over the
+	// first published epoch's graph and τ (the same edges, so edge IDs
+	// agree), with no changes pending. Required. After EnableUpdates the
+	// applier goroutine owns it exclusively.
 	Dyn *dynamic.Graph
 	// AppliedSeq is the WAL sequence already reflected in Dyn (and in the
 	// first published epoch).
@@ -187,7 +189,8 @@ func (m *mutator) markDegraded(msg string) {
 // EnableUpdates attaches the durable update pipeline and starts the applier
 // goroutine. Call once, before serving traffic, on a server whose first
 // epoch (matching cfg.Dyn at cfg.AppliedSeq) has been or is about to be
-// published. Stop with Close.
+// published. The first repair applies the window cfg.Dyn has open, so it
+// must hold exactly the ops since that epoch. Stop with Close.
 func (s *Server) EnableUpdates(cfg LiveConfig) error {
 	if s.live != nil {
 		return errors.New("server: updates already enabled")
@@ -219,9 +222,6 @@ func (s *Server) EnableUpdates(cfg LiveConfig) error {
 	if cfg.Logger == nil {
 		cfg.Logger = olog.L()
 	}
-	// Open the delta window now, before any update can be admitted, so the
-	// first repair sees exactly the ops since the first published epoch.
-	cfg.Dyn.TrackDeltas(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &mutator{
 		s:      s,
@@ -359,7 +359,8 @@ func (m *mutator) rebuildWithRetry(ctx context.Context, last *uint64) bool {
 // rebuild turns the applied mutations into a new published epoch: the
 // summary/hierarchy repair from the batch delta, or — when the repair
 // declines (region over maxRepairFrac, or a repair invariant error) — a
-// from-scratch rebuild from the maintained trussness (no re-peeling).
+// from-scratch rebuild from the maintained trussness (no re-peeling). Both
+// run on the window's successor graph, folded once per window.
 func (m *mutator) rebuild(ctx context.Context, seq uint64) error {
 	if err := faults.Inject(siteUpdate); err != nil {
 		return err
@@ -383,8 +384,9 @@ func (m *mutator) rebuild(ctx context.Context, seq uint64) error {
 }
 
 // publish makes idx the serving epoch at seq and the new delta base: the
-// delta window closes and the maintainer repoints, so the next drain repairs
-// from exactly this state.
+// delta window closes, adopting idx's graph and τ (the window's successor)
+// as its base, and the maintainer repoints, so the next drain repairs from
+// exactly this state.
 func (m *mutator) publish(idx *community.Index, seq uint64) {
 	m.s.Publish(idx, seq)
 	m.appliedSeq.Store(seq)
@@ -432,7 +434,8 @@ func (m *mutator) tryIncremental(seq uint64) bool {
 }
 
 // compact writes a snapshot of the applied state and truncates the WAL to
-// the records past it. Both steps are fallible and both failure modes are
+// the records past it. It runs right after a publish, so the state is the
+// published epoch's graph and τ, taken without a copy. Both steps are fallible and both failure modes are
 // safe: a failed snapshot leaves the old snapshot + full log (recovery just
 // replays more), and a failed truncate leaves a longer log than needed.
 func (m *mutator) compact(seq uint64) {

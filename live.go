@@ -86,8 +86,8 @@ type LiveOptions struct {
 }
 
 // LiveIndex is a recovered, updatable serving state: the query-ready index
-// at WAL sequence Seq, the mutable graph it was derived from, and the open
-// log that future updates append to.
+// at WAL sequence Seq, the mutable graph over it (whose base is the index's
+// own graph and τ), and the open log that future updates append to.
 type LiveIndex struct {
 	Index *Index
 	Dyn   *DynamicGraph
@@ -111,11 +111,15 @@ func (li *LiveIndex) Close() error { return li.WAL.Close() }
 //     (step 2) when the WAL still reaches back to sequence 1, and fails
 //     otherwise (the log alone cannot reconstruct state past a compaction).
 //  2. Otherwise start from base (decomposed at recovery time), or empty
-//     when base is nil.
+//     when base is nil. Either way the dynamic graph is a window over that
+//     graph and its τ, which it aliases rather than copies.
 //  3. Open wal.log (truncating any torn tail) and replay every record past
-//     the snapshot sequence through the exact dynamic-trussness maintenance.
-//  4. Build the summary graph and index from the maintained trussness — no
-//     re-peeling.
+//     the snapshot sequence through the exact dynamic-trussness maintenance
+//     into the window.
+//  4. Build the summary graph and index from the window's successor and
+//     its maintained trussness — no re-peeling. With an empty log that is
+//     the starting graph itself. The window then closes, so the index's
+//     graph is the base of the first update window.
 //
 // The result is bit-identical (by canonical Checksums) to building
 // statically over the same edge stream, which is exactly what the crashsafe
@@ -221,6 +225,7 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 	if err != nil {
 		return nil, err
 	}
+	dyn.ResetDelta()
 	ok = true
 	return &LiveIndex{
 		Index:        &Index{Index: community.NewIndex(g, sg), Timings: timings},

@@ -142,6 +142,21 @@ func TestLiveRecoveryMatchesStaticRebuild(t *testing.T) {
 	}
 }
 
+// TestOpenLiveServesTheBaseGraph: with no snapshot and an empty log the
+// first epoch is built on the base graph itself, and the update window
+// opens over it — the live server holds one copy of the graph.
+func TestOpenLiveServesTheBaseGraph(t *testing.T) {
+	base := liveBase(t)
+	li := openLive(t, t.TempDir(), base, nil)
+	defer li.Close()
+	if li.Index.G != base {
+		t.Fatal("OpenLive built its index on a copy of the base graph")
+	}
+	if g, _, _ := li.Dyn.ToStatic(); g != base {
+		t.Fatal("the update window is not over the served graph")
+	}
+}
+
 // TestOpenLiveRejectsRetiredUpdateMode: the applier has one publish
 // strategy, so a caller still asking for a retired mode learns that it is
 // gone instead of being served the one that exists; "auto", its name, is
