@@ -135,8 +135,9 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 		OnListen:       onListen,
 	}
 	if *walDir != "" {
-		// Durable live serving: recover snapshot + WAL over the base graph,
-		// then serve with the update pipeline attached.
+		// Durable live serving: map the snapshot (or index the base graph)
+		// and replay the WAL tail, then serve with the update pipeline
+		// attached.
 		li, err := equitruss.OpenLive(ctx, g, equitruss.LiveOptions{
 			Dir:              *walDir,
 			SyncPolicy:       *walSync,

@@ -183,17 +183,17 @@ func TestChecksumsIgnoreSplit(t *testing.T) {
 func TestChecksumsMappedMatchesHeap(t *testing.T) {
 	idx := buildIndex(t, gen.RMAT(10, 8, 0.57, 0.19, 0.19, 5))
 	path := filepath.Join(t.TempDir(), "idx.v3")
-	if err := graphio.WriteBinaryIndexFile(path, idx.SG); err != nil {
+	if err := graphio.WriteBinaryIndexFile(path, &graphio.IndexFile{SG: idx.SG}); err != nil {
 		t.Fatal(err)
 	}
-	sg, m, err := graphio.MapIndexFile(path, graphio.VerifyEager)
+	f, m, err := graphio.MapIndexFile(path, graphio.VerifyEager)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Mapped() {
 		t.Log("index file read onto the heap (no mmap on this host)")
 	}
-	if got, want := NewIndex(idx.G, sg).Checksums(), idx.Checksums(); got != want {
+	if got, want := NewIndex(idx.G, f.SG).Checksums(), idx.Checksums(); got != want {
 		t.Fatalf("mapped index checksums %+v != heap index %+v", got, want)
 	}
 }

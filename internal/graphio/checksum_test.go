@@ -31,7 +31,19 @@ func testSummaryGraph(t testing.TB) *core.SummaryGraph {
 func indexBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteBinaryIndex(&buf, testSummaryGraph(t)); err != nil {
+	if err := WriteBinaryIndex(&buf, &IndexFile{SG: testSummaryGraph(t)}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// liveStateBytes returns testSummaryGraph's index with its graph part
+// (Figure 3 and a WAL sequence) as written: a live-state file.
+func liveStateBytes(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	f := &IndexFile{SG: testSummaryGraph(t), G: gen.PaperFigure3(), Seq: 42}
+	if err := WriteBinaryIndex(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -90,15 +102,15 @@ func TestIndexFileRoundTrip(t *testing.T) {
 	sg := testSummaryGraph(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.eqt")
-	if err := WriteBinaryIndexFile(path, sg); err != nil {
+	if err := WriteBinaryIndexFile(path, &IndexFile{SG: sg}); err != nil {
 		t.Fatal(err)
 	}
-	sg2, err := ReadBinaryIndexFile(path)
+	f, err := ReadBinaryIndexFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := gen.PaperFigure3()
-	if sg.Canonical(g) != sg2.Canonical(g) {
+	if sg.Canonical(g) != f.SG.Canonical(g) {
 		t.Fatal("file round trip changed the index")
 	}
 	// No temp debris after a successful save.
@@ -118,7 +130,7 @@ func TestAtomicWritePreservesOldFileOnFailure(t *testing.T) {
 	sg := testSummaryGraph(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.eqt")
-	if err := WriteBinaryIndexFile(path, sg); err != nil {
+	if err := WriteBinaryIndexFile(path, &IndexFile{SG: sg}); err != nil {
 		t.Fatal(err)
 	}
 	old, err := os.ReadFile(path)
@@ -128,7 +140,7 @@ func TestAtomicWritePreservesOldFileOnFailure(t *testing.T) {
 
 	faults.Enable(99)
 	faults.Set(siteWrite, faults.Plan{Action: faults.Error, Every: 1})
-	err = WriteBinaryIndexFile(path, sg)
+	err = WriteBinaryIndexFile(path, &IndexFile{SG: sg})
 	faults.Disable()
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
@@ -158,7 +170,7 @@ func TestAtomicWritePreservesOldFileOnFailure(t *testing.T) {
 func TestGraphioReadFaultInjection(t *testing.T) {
 	sg := testSummaryGraph(t)
 	var ibuf bytes.Buffer
-	if err := WriteBinaryIndex(&ibuf, sg); err != nil {
+	if err := WriteBinaryIndex(&ibuf, &IndexFile{SG: sg}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,10 +11,7 @@ import (
 	"testing"
 
 	"equitruss/internal/core"
-	"equitruss/internal/gen"
 	"equitruss/internal/graph"
-	"equitruss/internal/testkit"
-	"equitruss/internal/truss"
 )
 
 // FuzzReadEdgeList feeds arbitrary text to the edge-list parser. At every
@@ -121,118 +118,94 @@ func oracleEdgeList(input string) ([]graph.Edge, error) {
 func FuzzReadBinaryIndex(f *testing.F) {
 	f.Add([]byte{0x49, 0x54, 0x51, 0x45, 1, 0, 0, 0})
 	f.Add([]byte("garbage"))
-	// Seed with a written index so the mutator explores the reader's
-	// neighborhood, not just broken headers: the stream itself, variants
-	// with a flipped byte inside a checksum field (the header CRC, the first
-	// and last section CRC slots) or inside a checksummed payload — the
-	// paths where the reader must reject via checksum verification rather
-	// than structural validation — and relabels as the no-longer-readable
-	// v1 and v2.
-	{
-		idx := indexBytes(f)
-		f.Add(bytes.Clone(idx))
-		for _, pos := range []int{v3HeaderCRCOff, 48 + 16, 48 + 24*6 + 16, v3HeaderSize} {
-			flipped := bytes.Clone(idx)
+	// Seed with a written index and a live-state file so the mutator
+	// explores the reader's neighborhood, not just broken headers: the
+	// images themselves, variants with a flipped byte inside a checksum
+	// field (the header CRC, the first and last section CRC slots, the
+	// graph part's CRCs) or inside a checksummed payload — the paths where
+	// the reader must reject via checksum verification rather than
+	// structural validation — and relabels as the no-longer-readable v1
+	// and v2.
+	for _, img := range [][]byte{indexBytes(f), liveStateBytes(f)} {
+		f.Add(bytes.Clone(img))
+		for _, pos := range []int{v3HeaderCRCOff, 48 + 16, 48 + 24*6 + 16, 248, v3GraphCRCOff, v3HeaderSize, len(img) - 8} {
+			flipped := bytes.Clone(img)
 			flipped[pos] ^= 0xA5
 			f.Add(flipped)
 		}
 		for _, version := range []byte{1, 2} {
-			old := bytes.Clone(idx)
+			old := bytes.Clone(img)
 			old[4] = version
 			f.Add(old)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Guard against absurd size prefixes exploding allocations: the
-		// reader validates sizes against negativity; cap input length so
-		// even accepted sizes stay bounded by the stream.
-		if len(data) > 1<<16 {
-			data = data[:1<<16]
-		}
-		sg, err := ReadBinaryIndex(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted: every traversal a query performs must stay in bounds.
-		for s := int32(0); s < sg.NumSupernodes(); s++ {
-			for _, e := range sg.SupernodeEdges(s) {
-				_ = sg.Tau[e]
-			}
-			for _, nb := range sg.SupernodeNeighbors(s) {
-				_ = sg.K[nb]
-			}
-		}
-		for _, sn := range sg.EdgeToSN {
-			if sn != core.NoSupernode {
-				_ = sg.K[sn]
-			}
-		}
-		// And it must survive a write/read round trip unchanged in shape.
-		var buf bytes.Buffer
-		if err := WriteBinaryIndex(&buf, sg); err != nil {
-			t.Fatalf("write after successful read: %v", err)
-		}
-		sg2, err := ReadBinaryIndex(&buf)
-		if err != nil {
-			t.Fatalf("re-read of written index: %v", err)
-		}
-		if sg2.NumSupernodes() != sg.NumSupernodes() || len(sg2.Tau) != len(sg.Tau) {
-			t.Fatalf("round trip changed shape: %v vs %v", sg2, sg)
-		}
-	})
+	f.Fuzz(fuzzDecode)
 }
 
 // FuzzReadV3Index throws mutated bytes at the v3 stream decoder: like
 // FuzzReadBinaryIndex, it must reject or accept without panicking, and an
-// accepted index must be traversal-safe. Seeded from a real v3 file plus
-// variants with a byte flipped in the header CRC, a section CRC slot, the
-// payload, and the padding — the regions the decoder rejects through
-// different checks (header CRC, section CRC, zero-padding).
+// accepted index must be traversal-safe. Seeded from a real v3 file and a
+// live-state file plus variants with a byte flipped in the header CRC, a
+// section CRC slot, the payload, the padding, the graph part's fields and
+// the edges section — the regions the decoder rejects through different
+// checks (header CRC, section CRC, zero-padding, graph part CRC, canonical
+// edges).
 func FuzzReadV3Index(f *testing.F) {
-	g := gen.PaperFigure3()
-	sup := testkit.Supports(g, 1)
-	tau, _ := testkit.Tau(g, sup, truss.PeelSerial, 1)
-	sg, _ := testkit.Summary(g, tau, core.VariantCOptimal, 1)
+	for _, v3 := range [][]byte{indexBytes(f), liveStateBytes(f)} {
+		f.Add(bytes.Clone(v3))
+		for _, pos := range []int{0, 4, 8, 16, 48, v3HeaderCRCOff, 232, 240, v3HeaderSize,
+			v3HeaderSize + 60, len(v3) - 60, len(v3) - 1} {
+			flipped := bytes.Clone(v3)
+			flipped[pos] ^= 0xA5
+			f.Add(flipped)
+		}
+		f.Add(v3[:v3HeaderSize])
+	}
+	f.Fuzz(fuzzDecode)
+}
+
+// fuzzDecode is both index fuzzers' body: data is decoded, and an accepted
+// index must be traversal-safe and round-trip through the writer with its
+// shape, and its graph part, unchanged.
+func fuzzDecode(t *testing.T, data []byte) {
+	// Guard against absurd size prefixes exploding allocations: the
+	// reader validates sizes against negativity; cap input length so
+	// even accepted sizes stay bounded by the stream.
+	if len(data) > 1<<16 {
+		data = data[:1<<16]
+	}
+	f, err := ReadBinaryIndex(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	sg := f.SG
+	// Accepted: every traversal a query performs must stay in bounds.
+	for s := int32(0); s < sg.NumSupernodes(); s++ {
+		for _, e := range sg.SupernodeEdges(s) {
+			_ = sg.Tau[e]
+		}
+		for _, nb := range sg.SupernodeNeighbors(s) {
+			_ = sg.K[nb]
+		}
+	}
+	for _, sn := range sg.EdgeToSN {
+		if sn != core.NoSupernode {
+			_ = sg.K[sn]
+		}
+	}
 	var buf bytes.Buffer
-	if err := WriteBinaryIndex(&buf, sg); err != nil {
-		f.Fatal(err)
+	if err := WriteBinaryIndex(&buf, f); err != nil {
+		t.Fatalf("write after successful read: %v", err)
 	}
-	v3 := buf.Bytes()
-	f.Add(bytes.Clone(v3))
-	for _, pos := range []int{0, 4, 16, 48, v3HeaderCRCOff, 240, v3HeaderSize,
-		v3HeaderSize + 60, len(v3) - 1} {
-		flipped := bytes.Clone(v3)
-		flipped[pos] ^= 0xA5
-		f.Add(flipped)
+	f2, err := ReadBinaryIndex(&buf)
+	if err != nil {
+		t.Fatalf("re-read of written index: %v", err)
 	}
-	f.Add(v3[:v3HeaderSize])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			data = data[:1<<16]
-		}
-		sg, err := ReadBinaryIndex(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for s := int32(0); s < sg.NumSupernodes(); s++ {
-			for _, e := range sg.SupernodeEdges(s) {
-				_ = sg.Tau[e]
-			}
-			for _, nb := range sg.SupernodeNeighbors(s) {
-				_ = sg.K[nb]
-			}
-		}
-		// An accepted v3 stream must round-trip through the writer.
-		var buf bytes.Buffer
-		if err := WriteBinaryIndex(&buf, sg); err != nil {
-			t.Fatalf("write after successful read: %v", err)
-		}
-		sg2, err := ReadBinaryIndex(&buf)
-		if err != nil {
-			t.Fatalf("re-read of written index: %v", err)
-		}
-		if sg2.NumSupernodes() != sg.NumSupernodes() || len(sg2.Tau) != len(sg.Tau) {
-			t.Fatalf("round trip changed shape: %v vs %v", sg2, sg)
-		}
-	})
+	if f2.SG.NumSupernodes() != sg.NumSupernodes() || len(f2.SG.Tau) != len(sg.Tau) {
+		t.Fatalf("round trip changed shape: %v vs %v", f2.SG, sg)
+	}
+	if (f.G == nil) != (f2.G == nil) || f.Seq != f2.Seq ||
+		f.G != nil && !slices.Equal(f.G.Edges(), f2.G.Edges()) {
+		t.Fatal("round trip changed the graph part")
+	}
 }

@@ -1,14 +1,13 @@
 // Package graphio reads and writes graphs and indexes: SNAP-style
 // whitespace-separated edge-list text (the format of the paper's datasets)
-// for graphs, one flat little-endian binary layout for summary graphs (see
-// v3.go) so a built index is served straight from the file, and the
-// durable-update snapshot (snapshot.go).
+// for graphs, and one flat little-endian binary layout for indexes (see
+// v3.go), so a built index is served straight from the file and a live
+// server's state file is the same layout with the graph part added.
 package graphio
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -263,28 +262,10 @@ const (
 	maxSaneCount = int64(math.MaxInt32)
 )
 
-// readSlice reads n fixed-size elements in bounded chunks, so a corrupt
-// header claiming billions of entries makes the read fail when the stream
-// runs dry instead of driving one giant up-front allocation.
-func readSlice[T any](r io.Reader, n int64) ([]T, error) {
-	var zero T
-	elem := int64(binary.Size(zero))
-	chunk := (int64(1) << 22) / elem // ≤ 4 MiB per read
-	out := make([]T, 0, min(n, chunk))
-	for int64(len(out)) < n {
-		c := min(n-int64(len(out)), chunk)
-		buf := make([]T, c)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, buf...)
-	}
-	return out, nil
-}
-
-// indexSectionNames label the seven array sections of the index format,
-// in stream order, for checksum-mismatch error messages.
+// indexSectionNames label the sections of the index format in stream
+// order — the seven index arrays, then the graph part's edges — for
+// checksum-mismatch error messages.
 var indexSectionNames = [...]string{
 	"tau", "edge-to-supernode", "supernode-k", "edge-list", "adjacency",
-	"edge-offsets", "adjacency-offsets",
+	"edge-offsets", "adjacency-offsets", "edges",
 }

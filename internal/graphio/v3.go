@@ -7,10 +7,14 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
+	"unsafe"
 
 	"equitruss/internal/core"
+	"equitruss/internal/graph"
 	"equitruss/internal/mmapio"
 	"equitruss/internal/obs"
+	"equitruss/internal/truss"
 )
 
 // Format v3 is a flat, offset-addressed layout built for zero-copy loading:
@@ -22,7 +26,7 @@ import (
 //	header (256 bytes, CRC32C-protected):
 //	  [0]   magic "EQTI"            u32
 //	  [4]   version = 3             u32
-//	  [8]   flags = 0               u32
+//	  [8]   flags                   u32 (0, or v3FlagGraph)
 //	  [12]  section count = 7       u32
 //	  [16]  m  (edges)              i64
 //	  [24]  s  (supernodes)         i64
@@ -31,7 +35,12 @@ import (
 //	  [48]  7 section descriptors:  {offset i64, count i64, crc u32, elemSize u32}
 //	  [216] file size               i64
 //	  [224] header CRC32C of [0,224)
-//	  [228] zero padding to 256
+//	  [228] zero padding to 256, or with v3FlagGraph the graph part's fields:
+//	  [228]   zero                  u32
+//	  [232]   n  (vertices)         i64
+//	  [240]   WAL sequence          u64
+//	  [248]   edges section CRC32C  u32
+//	  [252]   CRC32C of [0,252)     u32
 //
 // Sections follow in the fixed order tau, edge-to-supernode, supernode-k,
 // edge-list, adjacency, edge-offsets, adjacency-offsets; each starts at the
@@ -41,6 +50,14 @@ import (
 // header, verified eagerly at load or deferred to a background pass
 // (VerifyLazy). The layout is little-endian only: big-endian hosts fall
 // back to the streaming decoder, which works everywhere.
+//
+// The graph part is optional: a live server's state file (written at each
+// compaction) carries the graph the index summarizes and the WAL sequence
+// the pair reflects, so a restart maps the index instead of rebuilding it.
+// It adds an eighth section after the seven, edges, holding the canonical
+// edge list as 2m int32s (u0 v0 u1 v1 ...) in edge-ID order, so the edge IDs
+// a loader rebuilds line up with tau. Files without it are the index files
+// `equitruss build` writes, unchanged.
 
 const (
 	formatV3       = uint32(3)
@@ -48,7 +65,14 @@ const (
 	v3SectionCount = 7
 	v3HeaderSize   = 256
 	v3HeaderCRCOff = 224
+
+	// v3FlagGraph marks a file carrying the graph part.
+	v3FlagGraph = uint32(1)
+	// v3GraphCRCOff holds the graph part's CRC32C of the header before it.
+	v3GraphCRCOff = 252
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
 	cMmapLoads = obs.GetCounter("graphio_mmap_loads",
@@ -102,26 +126,63 @@ type v3Section struct {
 type v3Header struct {
 	m, s, el, al int64
 	fileSize     int64
-	secs         [v3SectionCount]v3Section
+	// secs are the seven index sections, then the edges section when the
+	// file carries the graph part.
+	secs []v3Section
+	// The graph part's fields: graph is false, and n and seq zero, without it.
+	graph bool
+	n     int64
+	seq   uint64
+}
+
+// IndexFile is the content of an index file: the summary graph and, when
+// the file carries the graph part, the graph it summarizes (its edge IDs
+// aligned with SG.Tau) and the WAL sequence the pair reflects. G is nil and
+// Seq zero for an index without the graph part.
+type IndexFile struct {
+	SG  *core.SummaryGraph
+	G   *graph.Graph
+	Seq uint64
 }
 
 // v3Pad rounds n up to the section alignment.
 func v3Pad(n int64) int64 { return (n + v3Align - 1) &^ (v3Align - 1) }
 
-// v3SectionBytes returns the seven sections' little-endian byte images in
-// stream order (zero-copy on LE hosts), with their element sizes.
-func v3SectionBytes(sg *core.SummaryGraph) ([v3SectionCount][]byte, [v3SectionCount]uint32) {
-	var secs [v3SectionCount][]byte
-	var elem [v3SectionCount]uint32
-	for i, a := range [][]int32{sg.Tau, sg.EdgeToSN, sg.K, sg.EdgeList, sg.Adj} {
-		secs[i] = mmapio.Int32Bytes(a)
-		elem[i] = 4
+// v3SectionBytes returns the sections' little-endian byte images in stream
+// order (zero-copy on LE hosts): the seven index arrays, then the edges when
+// f carries a graph.
+func v3SectionBytes(f *IndexFile) [][]byte {
+	sg := f.SG
+	secs := make([][]byte, 0, v3SectionCount+1)
+	for _, a := range [][]int32{sg.Tau, sg.EdgeToSN, sg.K, sg.EdgeList, sg.Adj} {
+		secs = append(secs, mmapio.Int32Bytes(a))
 	}
-	for i, a := range [][]int64{sg.EdgeOffsets, sg.AdjOffsets} {
-		secs[5+i] = mmapio.Int64Bytes(a)
-		elem[5+i] = 8
+	for _, a := range [][]int64{sg.EdgeOffsets, sg.AdjOffsets} {
+		secs = append(secs, mmapio.Int64Bytes(a))
 	}
-	return secs, elem
+	if f.G != nil {
+		secs = append(secs, mmapio.Int32Bytes(edgeInts(f.G.Edges())))
+	}
+	return secs
+}
+
+// v3ElemSize is the element size of section i: the two offset arrays are
+// int64, every other section int32.
+func v3ElemSize(i int) uint32 {
+	if i == 5 || i == 6 {
+		return 8
+	}
+	return 4
+}
+
+// edgeInts views an edge list as its flat int32 image (u0 v0 u1 v1 ...),
+// and intEdges views such an image as edges; neither copies.
+func edgeInts(e []graph.Edge) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(e))), 2*len(e))
+}
+
+func intEdges(a []int32) []graph.Edge {
+	return unsafe.Slice((*graph.Edge)(unsafe.Pointer(unsafe.SliceData(a))), len(a)/2)
 }
 
 // sectionCounts returns the expected element count of every section, in
@@ -130,18 +191,21 @@ func sectionCounts(m, s, el, al int64) [v3SectionCount]int64 {
 	return [v3SectionCount]int64{m, m, s, el, al, s + 1, s + 1}
 }
 
-// WriteBinaryIndex serializes a summary graph in the flat v3 layout — the
-// only layout written.
-func WriteBinaryIndex(w io.Writer, sg *core.SummaryGraph) error {
+// WriteBinaryIndex serializes an index in the flat v3 layout — the only
+// layout written — with the graph part when f.G is set.
+func WriteBinaryIndex(w io.Writer, f *IndexFile) error {
 	if err := injectWrite(); err != nil {
 		return err
 	}
-	secs, elem := v3SectionBytes(sg)
+	sg := f.SG
+	if f.G != nil && f.G.NumEdges() != int64(len(sg.Tau)) {
+		return fmt.Errorf("graphio: index has %d edges, its graph %d", len(sg.Tau), f.G.NumEdges())
+	}
+	secs := v3SectionBytes(f)
 	hdr := make([]byte, v3HeaderSize)
 	le := binary.LittleEndian
 	le.PutUint32(hdr[0:], indexMagic)
 	le.PutUint32(hdr[4:], formatV3)
-	le.PutUint32(hdr[8:], 0) // flags
 	le.PutUint32(hdr[12:], v3SectionCount)
 	sizes := []int64{int64(len(sg.Tau)), int64(len(sg.K)), int64(len(sg.EdgeList)), int64(len(sg.Adj))}
 	for i, sz := range sizes {
@@ -149,15 +213,27 @@ func WriteBinaryIndex(w io.Writer, sg *core.SummaryGraph) error {
 	}
 	off := int64(v3HeaderSize)
 	for i, sec := range secs {
-		d := hdr[48+24*i:]
-		le.PutUint64(d[0:], uint64(off))
-		le.PutUint64(d[8:], uint64(len(sec))/uint64(elem[i]))
-		le.PutUint32(d[16:], crc32.Checksum(sec, castagnoli))
-		le.PutUint32(d[20:], elem[i])
+		if i < v3SectionCount {
+			elem := v3ElemSize(i)
+			d := hdr[48+24*i:]
+			le.PutUint64(d[0:], uint64(off))
+			le.PutUint64(d[8:], uint64(len(sec))/uint64(elem))
+			le.PutUint32(d[16:], crc32.Checksum(sec, castagnoli))
+			le.PutUint32(d[20:], elem)
+		}
 		off = v3Pad(off + int64(len(sec)))
 	}
 	le.PutUint64(hdr[216:], uint64(off)) // file size
+	if f.G != nil {
+		le.PutUint32(hdr[8:], v3FlagGraph)
+	}
 	le.PutUint32(hdr[v3HeaderCRCOff:], crc32.Checksum(hdr[:v3HeaderCRCOff], castagnoli))
+	if f.G != nil {
+		le.PutUint64(hdr[232:], uint64(f.G.NumVertices()))
+		le.PutUint64(hdr[240:], f.Seq)
+		le.PutUint32(hdr[248:], crc32.Checksum(secs[v3SectionCount], castagnoli))
+		le.PutUint32(hdr[v3GraphCRCOff:], crc32.Checksum(hdr[:v3GraphCRCOff], castagnoli))
+	}
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("graphio: writing v3 header: %w", err)
 	}
@@ -175,11 +251,11 @@ func WriteBinaryIndex(w io.Writer, sg *core.SummaryGraph) error {
 	return nil
 }
 
-// WriteBinaryIndexFile atomically writes a summary graph to path in the
-// flat v3 layout (see AtomicWriteFile for the crash-safety contract).
-func WriteBinaryIndexFile(path string, sg *core.SummaryGraph) error {
+// WriteBinaryIndexFile atomically writes an index to path in the flat v3
+// layout (see AtomicWriteFile for the crash-safety contract).
+func WriteBinaryIndexFile(path string, f *IndexFile) error {
 	return AtomicWriteFile(path, func(w io.Writer) error {
-		return WriteBinaryIndex(w, sg)
+		return WriteBinaryIndex(w, f)
 	})
 }
 
@@ -188,7 +264,8 @@ func WriteBinaryIndexFile(path string, sg *core.SummaryGraph) error {
 // carries the expected element size and count and sits exactly at its
 // canonical 64-byte-aligned offset. A descriptor pointing anywhere else
 // (overlapping, misaligned, out of bounds) is rejected here, before any
-// offset is dereferenced or any allocation sized from it.
+// offset is dereferenced or any allocation sized from it. With the graph
+// part, its CRC is verified before its vertex count is trusted.
 func parseV3Header(hdr []byte) (*v3Header, error) {
 	le := binary.LittleEndian
 	if got := le.Uint32(hdr[0:]); got != indexMagic {
@@ -201,27 +278,50 @@ func parseV3Header(hdr []byte) (*v3Header, error) {
 		return nil, fmt.Errorf("graphio: v3 header checksum mismatch: computed %#x, stored %#x",
 			got, le.Uint32(hdr[v3HeaderCRCOff:]))
 	}
-	if flags := le.Uint32(hdr[8:]); flags != 0 {
+	flags := le.Uint32(hdr[8:])
+	if flags&^v3FlagGraph != 0 {
 		return nil, fmt.Errorf("graphio: unsupported v3 flags %#x", flags)
 	}
 	if n := le.Uint32(hdr[12:]); n != v3SectionCount {
 		return nil, fmt.Errorf("graphio: v3 header has %d sections, want %d", n, v3SectionCount)
 	}
 	h := &v3Header{
-		m:  int64(le.Uint64(hdr[16:])),
-		s:  int64(le.Uint64(hdr[24:])),
-		el: int64(le.Uint64(hdr[32:])),
-		al: int64(le.Uint64(hdr[40:])),
+		m:     int64(le.Uint64(hdr[16:])),
+		s:     int64(le.Uint64(hdr[24:])),
+		el:    int64(le.Uint64(hdr[32:])),
+		al:    int64(le.Uint64(hdr[40:])),
+		graph: flags == v3FlagGraph,
 	}
 	for _, sz := range []int64{h.m, h.s, h.el, h.al} {
 		if sz < 0 || sz > maxSaneCount {
 			return nil, fmt.Errorf("graphio: corrupt v3 sizes m=%d s=%d el=%d al=%d", h.m, h.s, h.el, h.al)
 		}
 	}
+	// The tail after the header CRC is either zero or, with the graph part,
+	// covered by the graph part's own CRC; both keep the whole-file
+	// property that any flipped byte is rejected.
+	tail := hdr[v3HeaderCRCOff+4 : v3HeaderSize]
+	if h.graph {
+		if got := crc32.Checksum(hdr[:v3GraphCRCOff], castagnoli); got != le.Uint32(hdr[v3GraphCRCOff:]) {
+			return nil, fmt.Errorf("graphio: v3 graph part checksum mismatch: computed %#x, stored %#x",
+				got, le.Uint32(hdr[v3GraphCRCOff:]))
+		}
+		tail = hdr[v3HeaderCRCOff+4 : 232]
+		h.n = int64(le.Uint64(hdr[232:]))
+		h.seq = le.Uint64(hdr[240:])
+		if h.n < 0 || h.n > maxSaneCount {
+			return nil, fmt.Errorf("graphio: corrupt v3 vertex count %d", h.n)
+		}
+	}
+	for i, b := range tail {
+		if b != 0 {
+			return nil, fmt.Errorf("graphio: v3 header padding byte %d is %#x, want 0", v3HeaderCRCOff+4+i, b)
+		}
+	}
 	h.fileSize = int64(le.Uint64(hdr[216:]))
 	counts := sectionCounts(h.m, h.s, h.el, h.al)
 	wantOff := int64(v3HeaderSize)
-	for i := range h.secs {
+	for i := range v3SectionCount {
 		d := hdr[48+24*i:]
 		sec := v3Section{
 			off:      int64(le.Uint64(d[0:])),
@@ -229,11 +329,7 @@ func parseV3Header(hdr []byte) (*v3Header, error) {
 			crc:      le.Uint32(d[16:]),
 			elemSize: le.Uint32(d[20:]),
 		}
-		wantElem := uint32(4)
-		if i >= 5 {
-			wantElem = 8
-		}
-		if sec.elemSize != wantElem {
+		if wantElem := v3ElemSize(i); sec.elemSize != wantElem {
 			return nil, fmt.Errorf("graphio: %s section element size %d, want %d",
 				indexSectionNames[i], sec.elemSize, wantElem)
 		}
@@ -246,17 +342,17 @@ func parseV3Header(hdr []byte) (*v3Header, error) {
 				indexSectionNames[i], sec.off, wantOff)
 		}
 		wantOff = v3Pad(sec.off + sec.count*int64(sec.elemSize))
-		h.secs[i] = sec
+		h.secs = append(h.secs, sec)
+	}
+	if h.graph {
+		// The edges section has no descriptor: its place and size follow
+		// from the layout and m.
+		sec := v3Section{off: wantOff, count: 2 * h.m, crc: le.Uint32(hdr[248:]), elemSize: 4}
+		wantOff = v3Pad(sec.off + sec.count*4)
+		h.secs = append(h.secs, sec)
 	}
 	if h.fileSize != wantOff {
 		return nil, fmt.Errorf("graphio: v3 file size %d, sections end at %d", h.fileSize, wantOff)
-	}
-	// The reserved tail is outside the CRC'd prefix; requiring it zero keeps
-	// the whole-file property that any flipped byte is rejected.
-	for i := v3HeaderCRCOff + 4; i < v3HeaderSize; i++ {
-		if hdr[i] != 0 {
-			return nil, fmt.Errorf("graphio: v3 header padding byte %d is %#x, want 0", i, hdr[i])
-		}
 	}
 	return h, nil
 }
@@ -289,11 +385,12 @@ func verifyV3Sections(data []byte, h *v3Header) error {
 	return nil
 }
 
-// v3SummaryGraph builds a SummaryGraph whose arrays alias the mapped
-// sections (no copy). Alignment holds by construction — sections are
+// v3Index builds an IndexFile whose summary-graph arrays alias the mapped
+// sections (no copy); the graph part's graph is rebuilt on the heap from the
+// mapped edges. Alignment holds by construction — sections are
 // 64-byte-aligned relative to a page-aligned base — and the casts verify it
 // anyway.
-func v3SummaryGraph(data []byte, h *v3Header) (*core.SummaryGraph, error) {
+func v3Index(data []byte, h *v3Header) (*IndexFile, error) {
 	sec := func(i int) []byte {
 		s := h.secs[i]
 		return data[s.off : s.off+s.count*int64(s.elemSize)]
@@ -310,19 +407,53 @@ func v3SummaryGraph(data []byte, h *v3Header) (*core.SummaryGraph, error) {
 			return nil, fmt.Errorf("graphio: %s section: %w", indexSectionNames[5+i], err)
 		}
 	}
-	return sg, nil
+	f := &IndexFile{SG: sg}
+	if h.graph {
+		edges, err := mmapio.Int32s(sec(v3SectionCount))
+		if err != nil {
+			return nil, fmt.Errorf("graphio: edges section: %w", err)
+		}
+		if f.G, err = graphPart(h, intEdges(edges), sg.Tau); err != nil {
+			return nil, err
+		}
+		f.Seq = h.seq
+	}
+	return f, nil
+}
+
+// graphPart rebuilds the graph of a file's graph part and checks it against
+// the index: the stored edges must be canonical (strictly increasing, U < V)
+// so the rebuilt edge IDs are the stored order and line up with tau, the
+// vertex count must be the stored one, and every tau must be at least
+// MinTrussness, the floor the dynamic maintenance starts from.
+func graphPart(h *v3Header, edges []graph.Edge, tau []int32) (*graph.Graph, error) {
+	g, err := graph.FromEdgeList(edges, int32(h.n))
+	if err != nil {
+		return nil, fmt.Errorf("graphio: corrupt graph part: %w", err)
+	}
+	if int64(g.NumVertices()) != h.n || !slices.Equal(g.Edges(), edges) {
+		return nil, fmt.Errorf("graphio: corrupt graph part: %d stored edges over %d vertices are not a canonical edge list",
+			len(edges), h.n)
+	}
+	for i, t := range tau {
+		if t < truss.MinTrussness {
+			return nil, fmt.Errorf("graphio: corrupt graph part: tau[%d] = %d < %d", i, t, truss.MinTrussness)
+		}
+	}
+	return g, nil
 }
 
 // MapIndexFile loads a v3 index file zero-copy: the file is mapped
 // read-only and the summary graph's arrays alias the mapping (recorded in
 // SummaryGraph.Backing, which keeps the mapping alive — see mmapio). The
 // header is always CRC-verified before any offset is trusted, ValidateLoaded
-// always runs before the index is returned, and section checksums are
-// verified per mode: up front (VerifyEager) or in a background goroutine
-// whose finding surfaces through the returned Mapping's VerifyErr
-// (VerifyLazy). Only little-endian hosts can load zero-copy; use
-// ReadBinaryIndexFile elsewhere (OpenIndexFile picks between the two).
-func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
+// (and, with the graph part, graphPart's checks) always runs before the
+// index is returned, and section checksums are verified per mode: up front
+// (VerifyEager) or in a background goroutine whose finding surfaces through
+// the returned Mapping's VerifyErr (VerifyLazy). Only little-endian hosts
+// can load zero-copy; use ReadBinaryIndexFile elsewhere (OpenIndexFile
+// picks between the two).
+func MapIndexFile(path string, mode VerifyMode) (*IndexFile, *mmapio.Mapping, error) {
 	if err := injectRead(); err != nil {
 		return nil, nil, err
 	}
@@ -336,7 +467,7 @@ func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Map
 	if err != nil {
 		return nil, nil, err
 	}
-	fail := func(err error) (*core.SummaryGraph, *mmapio.Mapping, error) {
+	fail := func(err error) (*IndexFile, *mmapio.Mapping, error) {
 		m.Unmap()
 		return nil, nil, err
 	}
@@ -352,19 +483,20 @@ func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Map
 		return fail(fmt.Errorf("graphio: %s: file is %d bytes, header says %d (truncated or trailing garbage)",
 			path, len(data), h.fileSize))
 	}
-	sg, err := v3SummaryGraph(data, h)
-	if err != nil {
-		return fail(err)
-	}
-	sg.Backing = m
-	if err := sg.ValidateLoaded(); err != nil {
-		return fail(fmt.Errorf("graphio: corrupt index: %w", err))
-	}
 	if mode == VerifyEager {
 		if err := verifyV3Sections(data, h); err != nil {
 			return fail(err)
 		}
-	} else {
+	}
+	f, err := v3Index(data, h)
+	if err != nil {
+		return fail(err)
+	}
+	f.SG.Backing = m
+	if err := f.SG.ValidateLoaded(); err != nil {
+		return fail(fmt.Errorf("graphio: corrupt index: %w", err))
+	}
+	if mode == VerifyLazy {
 		// The goroutine's reference keeps the mapping alive against the GC
 		// finalizer for the duration of the pass. Deliberately spawned only
 		// after every fail() path is behind us: fail unmaps, and a verifier
@@ -379,7 +511,7 @@ func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Map
 		}()
 	}
 	cMmapLoads.Inc()
-	return sg, m, nil
+	return f, m, nil
 }
 
 // ReadBinaryIndex is the streaming index decoder: portable (any endianness,
@@ -388,7 +520,7 @@ func MapIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Map
 // verified before any size field drives an allocation, every section CRC as
 // its payload is decoded, and the padding between sections must be zero, so
 // any single flipped byte in a stored index is rejected.
-func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
+func ReadBinaryIndex(r io.Reader) (*IndexFile, error) {
 	if err := injectRead(); err != nil {
 		return nil, err
 	}
@@ -419,27 +551,24 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 		return nil
 	}
 	sg := &core.SummaryGraph{}
+	var edges []int32
+	i32 := []*[]int32{&sg.Tau, &sg.EdgeToSN, &sg.K, &sg.EdgeList, &sg.Adj, nil, nil, &edges}
+	i64 := []*[]int64{5: &sg.EdgeOffsets, 6: &sg.AdjOffsets}
 	prev := "header"
-	for i, dst := range []*[]int32{&sg.Tau, &sg.EdgeToSN, &sg.K, &sg.EdgeList, &sg.Adj} {
-		if err := skipTo(h.secs[i].off, prev); err != nil {
-			return nil, err
-		}
-		if *dst, err = readV3Int32s(br, h.secs[i], indexSectionNames[i]); err != nil {
-			return nil, err
-		}
-		pos += h.secs[i].count * 4
-		prev = indexSectionNames[i]
-	}
-	for i, dst := range []*[]int64{&sg.EdgeOffsets, &sg.AdjOffsets} {
-		sec := h.secs[5+i]
+	for i, sec := range h.secs {
 		if err := skipTo(sec.off, prev); err != nil {
 			return nil, err
 		}
-		if *dst, err = readV3Int64s(br, sec, indexSectionNames[5+i]); err != nil {
+		if sec.elemSize == 8 {
+			*i64[i], err = readV3Int64s(br, sec, indexSectionNames[i])
+		} else {
+			*i32[i], err = readV3Int32s(br, sec, indexSectionNames[i])
+		}
+		if err != nil {
 			return nil, err
 		}
-		pos += sec.count * 8
-		prev = indexSectionNames[5+i]
+		pos += sec.count * int64(sec.elemSize)
+		prev = indexSectionNames[i]
 	}
 	if err := skipTo(h.fileSize, prev); err != nil {
 		return nil, err
@@ -451,7 +580,25 @@ func ReadBinaryIndex(r io.Reader) (*core.SummaryGraph, error) {
 	if err := sg.ValidateLoaded(); err != nil {
 		return nil, fmt.Errorf("graphio: corrupt index: %w", err)
 	}
-	return sg, nil
+	f := &IndexFile{SG: sg}
+	if h.graph {
+		if f.G, err = graphPart(h, intEdges(edges), sg.Tau); err != nil {
+			return nil, err
+		}
+		f.Seq = h.seq
+	}
+	return f, nil
+}
+
+// ReadBinaryIndexFile reads an index file through the portable stream
+// decoder (ReadBinaryIndex).
+func ReadBinaryIndexFile(path string) (*IndexFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadBinaryIndex(f)
 }
 
 // readV3Int32s reads and CRC-checks one int32 section in bounded chunks, so
@@ -507,10 +654,10 @@ func readV3Int64s(r io.Reader, sec v3Section, name string) ([]int64, error) {
 // (the returned Mapping is non-nil); on a big-endian host it is decoded onto
 // the heap by ReadBinaryIndexFile, which checks every checksum inline and
 // ignores mode.
-func OpenIndexFile(path string, mode VerifyMode) (*core.SummaryGraph, *mmapio.Mapping, error) {
+func OpenIndexFile(path string, mode VerifyMode) (*IndexFile, *mmapio.Mapping, error) {
 	if mmapio.HostLittleEndian {
 		return MapIndexFile(path, mode)
 	}
-	sg, err := ReadBinaryIndexFile(path)
-	return sg, nil, err
+	f, err := ReadBinaryIndexFile(path)
+	return f, nil, err
 }

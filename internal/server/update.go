@@ -97,8 +97,9 @@ type LiveConfig struct {
 	RebuildBackoff    time.Duration
 	RebuildBackoffMax time.Duration
 	// SnapshotPath, when non-empty, enables compaction: every CompactEvery
-	// applied batches the applier writes a snapshot there and truncates the
-	// WAL to the records past it.
+	// applied batches the applier writes the published index, with its
+	// graph and sequence, there as one index file and truncates the WAL to
+	// the records past it.
 	SnapshotPath string
 	// CompactEvery is the number of applied batches between compactions.
 	// 0 selects the default (64).
@@ -286,7 +287,7 @@ func (m *mutator) run(ctx context.Context) {
 		}
 		batchesSinceCompact++
 		if m.cfg.SnapshotPath != "" && batchesSinceCompact >= m.cfg.CompactEvery {
-			m.compact(last)
+			m.compact()
 			batchesSinceCompact = 0
 		}
 	}
@@ -388,6 +389,12 @@ func (m *mutator) rebuild(ctx context.Context, seq uint64) error {
 // as its base, and the maintainer repoints, so the next drain repairs from
 // exactly this state.
 func (m *mutator) publish(idx *community.Index, seq uint64) {
+	// An index over the unchanged graph takes its τ from the window's base,
+	// which after a restart from a snapshot lives in the previous epoch's
+	// file mapping: the new epoch keeps that mapping alive.
+	if old := m.s.epoch(); old != nil && idx.G == old.idx.G && idx.SG.Backing == nil {
+		idx.SG.Backing = old.idx.SG.Backing
+	}
 	m.s.Publish(idx, seq)
 	m.appliedSeq.Store(seq)
 	m.cfg.Dyn.ResetDelta()
@@ -433,30 +440,27 @@ func (m *mutator) tryIncremental(seq uint64) bool {
 	return true
 }
 
-// compact writes a snapshot of the applied state and truncates the WAL to
-// the records past it. It runs right after a publish, so the state is the
-// published epoch's graph and τ, taken without a copy. Both steps are fallible and both failure modes are
-// safe: a failed snapshot leaves the old snapshot + full log (recovery just
-// replays more), and a failed truncate leaves a longer log than needed.
-func (m *mutator) compact(seq uint64) {
-	g, tau, err := m.cfg.Dyn.ToStatic()
-	if err != nil {
+// compact writes the published epoch — its graph, summary graph and
+// sequence — as one index file with the graph part, then truncates the WAL
+// to the records past it. It runs right after a publish, so that epoch is
+// the applied state, written without a copy. Both steps are fallible and
+// both failure modes are safe: a failed write leaves the old file + full log
+// (recovery just replays more), and a failed truncate leaves a longer log
+// than needed.
+func (m *mutator) compact() {
+	ep := m.s.epoch()
+	state := &graphio.IndexFile{G: ep.idx.G, SG: ep.idx.SG, Seq: ep.seq}
+	if err := graphio.WriteBinaryIndexFile(m.cfg.SnapshotPath, state); err != nil {
 		cUpdateSnapshotErrors.Inc()
 		m.cfg.Logger.Error("compaction snapshot failed", slog.Any("err", err))
 		return
 	}
-	snap := &graphio.Snapshot{G: g, Tau: tau, Seq: seq}
-	if err := graphio.WriteSnapshotFile(m.cfg.SnapshotPath, snap); err != nil {
-		cUpdateSnapshotErrors.Inc()
-		m.cfg.Logger.Error("compaction snapshot failed", slog.Any("err", err))
-		return
-	}
-	if err := m.cfg.WAL.TruncateTo(seq); err != nil {
+	if err := m.cfg.WAL.TruncateTo(ep.seq); err != nil {
 		m.cfg.Logger.Warn("WAL truncation after snapshot failed", slog.Any("err", err))
 		return
 	}
 	m.cfg.Logger.Info("compacted",
-		slog.Uint64("seq", seq), slog.Int64("wal_bytes", m.cfg.WAL.Size()))
+		slog.Uint64("seq", ep.seq), slog.Int64("wal_bytes", m.cfg.WAL.Size()))
 }
 
 // updateRequest is the POST /update body: a batch of edge insertions and

@@ -12,10 +12,9 @@ import (
 	"equitruss/internal/community"
 	"equitruss/internal/core"
 	"equitruss/internal/dynamic"
+	"equitruss/internal/graph"
 	"equitruss/internal/graphio"
 	"equitruss/internal/server"
-	"equitruss/internal/triangle"
-	"equitruss/internal/truss"
 	"equitruss/internal/wal"
 )
 
@@ -106,20 +105,23 @@ func (li *LiveIndex) Close() error { return li.WAL.Close() }
 // OpenLive recovers durable state from opt.Dir and returns a serving-ready
 // LiveIndex. Recovery order:
 //
-//  1. Load snapshot.eqs if present — graph + exact trussness as of its
-//     sequence number. A corrupt snapshot falls back to the base graph
-//     (step 2) when the WAL still reaches back to sequence 1, and fails
-//     otherwise (the log alone cannot reconstruct state past a compaction).
-//  2. Otherwise start from base (decomposed at recovery time), or empty
-//     when base is nil. Either way the dynamic graph is a window over that
-//     graph and its τ, which it aliases rather than copies.
+//  1. Map snapshot.eqs if present, verifying every checksum: an index file
+//     with the graph part, holding the graph, its summary graph and the WAL
+//     sequence they reflect (see internal/graphio). An unreadable file
+//     falls back to the base graph (step 2) when the WAL still reaches back
+//     to sequence 1, and fails otherwise (the log alone cannot reconstruct
+//     state past a compaction).
+//  2. Otherwise build the index of base (or of an empty graph when base is
+//     nil) with BuildIndex. Either way the dynamic graph is a window over
+//     the index's graph and τ, which it aliases rather than copies.
 //  3. Open wal.log (truncating any torn tail) and replay every record past
-//     the snapshot sequence through the exact dynamic-trussness maintenance
+//     the starting sequence through the exact dynamic-trussness maintenance
 //     into the window.
-//  4. Build the summary graph and index from the window's successor and
-//     its maintained trussness — no re-peeling. With an empty log that is
-//     the starting graph itself. The window then closes, so the index's
-//     graph is the base of the first update window.
+//  4. If the replay left the graph as it was, serve the starting index as
+//     it is. Otherwise build the summary graph and index of the window's
+//     successor from its maintained trussness — no re-peeling. The window
+//     then closes, so the served index's graph is the base of the first
+//     update window.
 //
 // The result is bit-identical (by canonical Checksums) to building
 // statically over the same edge stream, which is exactly what the crashsafe
@@ -156,31 +158,38 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 		}
 	}()
 
-	// Step 1/2: pick the starting state.
-	var dyn *dynamic.Graph
+	// Step 1/2: pick the starting index.
+	var ix *Index
 	var fromSeq uint64
 	snapCorrupt := false
-	snap, serr := graphio.ReadSnapshotFile(snapPath)
+	state, _, serr := graphio.OpenIndexFile(snapPath, graphio.VerifyEager)
+	if serr == nil && state.G == nil {
+		serr = fmt.Errorf("equitruss: %s is an index file without the graph part", snapPath)
+	}
 	switch {
 	case serr == nil:
-		dyn = dynamic.FromStatic(snap.G, snap.Tau)
-		fromSeq = snap.Seq
-		logger.Info("recovery: loaded snapshot",
-			slog.Uint64("seq", snap.Seq), slog.Int64("edges", snap.G.NumEdges()))
+		ix = &Index{Index: community.NewIndex(state.G, state.SG)}
+		fromSeq = state.Seq
+		logger.Info("recovery: mapped snapshot",
+			slog.Uint64("seq", state.Seq), slog.Int64("edges", state.G.NumEdges()))
 	case os.IsNotExist(serr):
-		dyn, err = baseDynamic(ctx, base, opt.Threads)
 	default:
-		// Corrupt snapshot: base + replay is usable only if the WAL still
+		// Unreadable snapshot: base + replay is usable only if the WAL still
 		// holds the full history — enforced below, because a compacted log
 		// replayed over the base would silently drop every compacted batch.
 		logger.Warn("recovery: snapshot unreadable, attempting base + full replay",
 			slog.Any("err", serr))
-		dyn, err = baseDynamic(ctx, base, opt.Threads)
 		snapCorrupt = true
 	}
-	if err != nil {
-		return nil, err
+	if ix == nil {
+		if base == nil {
+			base, _ = graph.FromEdgeList(nil, 0) // an empty edge list is always valid
+		}
+		if ix, err = BuildIndex(base, Options{Variant: opt.Variant, Threads: opt.Threads, Context: ctx}); err != nil {
+			return nil, err
+		}
 	}
+	dyn := dynamic.FromStatic(ix.G, ix.SG.Tau)
 
 	// Step 3: replay the log suffix. The contiguity check turns a
 	// gap — e.g. a compacted WAL paired with a lost snapshot — into a hard
@@ -216,42 +225,25 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 			slog.Uint64("through_seq", expect))
 	}
 
-	// Step 4: summary + index from the maintained trussness.
-	g, tau, err := dyn.ToStatic()
-	if err != nil {
-		return nil, err
-	}
-	sg, timings, err := core.BuildCtx(ctx, g, tau, opt.Variant, opt.Threads, nil)
-	if err != nil {
-		return nil, err
+	// Step 4: the successor's summary + index from the maintained
+	// trussness, unless the replay left the starting graph as it was.
+	if g, tau, _ := dyn.ToStatic(); g != ix.G {
+		sg, timings, err := core.BuildCtx(ctx, g, tau, opt.Variant, opt.Threads, nil)
+		if err != nil {
+			return nil, err
+		}
+		ix = &Index{Index: community.NewIndex(g, sg), Timings: timings}
 	}
 	dyn.ResetDelta()
 	ok = true
 	return &LiveIndex{
-		Index:        &Index{Index: community.NewIndex(g, sg), Timings: timings},
+		Index:        ix,
 		Dyn:          dyn,
 		WAL:          w,
 		Seq:          expect,
 		snapshotPath: snapPath,
 		opt:          opt,
 	}, nil
-}
-
-// baseDynamic decomposes the base graph (or starts empty) into a dynamic
-// graph at sequence zero, under the recovery's context.
-func baseDynamic(ctx context.Context, base *Graph, threads int) (*dynamic.Graph, error) {
-	if base == nil {
-		return dynamic.New(0), nil
-	}
-	sup, _, err := triangle.SupportsOrientedCtx(ctx, base, threads, nil)
-	if err != nil {
-		return nil, err
-	}
-	tau, _, err := truss.DecomposeKernelCtx(ctx, base, sup, truss.PeelAuto, threads, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dynamic.FromStatic(base, tau), nil
 }
 
 // liveConfig maps LiveOptions onto the internal update-pipeline config.

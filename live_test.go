@@ -3,6 +3,7 @@ package equitruss_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -17,6 +18,8 @@ import (
 
 	"equitruss"
 	"equitruss/internal/faults"
+	"equitruss/internal/mmapio"
+	"equitruss/internal/obs"
 )
 
 // liveBase is a deterministic base graph for the durability tests.
@@ -376,5 +379,198 @@ func TestChaosWALFsyncDegradesToReadOnly(t *testing.T) {
 	defer li2.Close()
 	if li2.Seq != 1 {
 		t.Fatalf("recovered Seq = %d, want 1 (only the acked update)", li2.Seq)
+	}
+}
+
+// liveCompactAll serves li with compaction after every batch, applies
+// batches single-op inserts, waits until the log holds no record past the
+// snapshot, and returns the served checksums. The server is closed; li is
+// not.
+func liveCompactAll(t *testing.T, li *equitruss.LiveIndex, batches int) map[string]any {
+	t.Helper()
+	ts := liveHandler(t, li)
+	defer ts.Close()
+	n := int(li.Index.G.NumVertices())
+	for i := 0; i < batches; i++ {
+		if resp, _ := livePost(t, ts, fmt.Sprintf(`{"ops":[{"u":%d,"v":%d}]}`, n+i, i%n)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %d: status %d", i, resp.StatusCode)
+		}
+		liveWaitApplied(t, ts, uint64(i+1))
+	}
+	sums := liveWaitApplied(t, ts, uint64(batches))["checksums"].(map[string]any)
+	deadline := time.Now().Add(5 * time.Second)
+	for li.WAL.Size() > 16 {
+		if time.Now().After(deadline) {
+			t.Fatalf("WAL never fully compacted: %d bytes", li.WAL.Size())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return sums
+}
+
+// liveSumsMatch fails unless got fingerprints as the served checksums.
+func liveSumsMatch(t *testing.T, got equitruss.Checksums, served map[string]any) {
+	t.Helper()
+	for layer, g := range map[string]uint64{
+		"tau": got.Tau, "summary": got.Summary, "hierarchy": got.Hierarchy,
+	} {
+		if want := served[layer].(string); fmt.Sprintf("%016x", g) != want {
+			t.Fatalf("%s checksum: %016x, served %s", layer, g, want)
+		}
+	}
+}
+
+// TestOpenLiveOrientsOnce: a first start builds the base graph's index
+// through BuildIndex, whose Support orientation the index build reuses, so
+// the graph is oriented once.
+func TestOpenLiveOrientsOnce(t *testing.T) {
+	orientations := obs.GetCounter("triangle_orientations", "")
+	base := liveBase(t)
+	before := orientations.Value()
+	li := openLive(t, t.TempDir(), base, func(o *equitruss.LiveOptions) {
+		o.Variant, o.Threads = equitruss.Afforest, 2
+	})
+	defer li.Close()
+	if got := orientations.Value() - before; got != 1 {
+		t.Fatalf("OpenLive on an empty state directory oriented %d times, want 1", got)
+	}
+}
+
+// TestLiveRestartMapsSnapshot: a restart after a compaction, with nothing
+// in the log past it, serves the snapshot's index from its mapping: no
+// orientation, no summary build, and the state the server last served.
+func TestLiveRestartMapsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	afforest := func(o *equitruss.LiveOptions) { o.Variant, o.Threads = equitruss.Afforest, 2 }
+	li := openLive(t, dir, liveBase(t), func(o *equitruss.LiveOptions) {
+		afforest(o)
+		o.CompactEvery = 1
+	})
+	served := liveCompactAll(t, li, 3)
+	li.Close()
+
+	orientations := obs.GetCounter("triangle_orientations", "")
+	before := orientations.Value()
+	li2 := openLive(t, dir, liveBase(t), afforest)
+	defer li2.Close()
+	if got := orientations.Value() - before; got != 0 {
+		t.Fatalf("restart from a snapshot oriented %d times, want 0", got)
+	}
+	if _, ok := li2.Index.SG.Backing.(*mmapio.Mapping); !ok {
+		t.Fatalf("recovered index is not the snapshot mapping (Backing %T)", li2.Index.SG.Backing)
+	}
+	if total := li2.Index.Timings.Total(); total != 0 {
+		t.Fatalf("restart from a snapshot ran a summary build (%v)", total)
+	}
+	if li2.Seq != 3 {
+		t.Fatalf("recovered Seq = %d, want 3", li2.Seq)
+	}
+	liveSumsMatch(t, li2.Index.Checksums(), served)
+}
+
+// TestLiveMappedBaseOutlivesItsEpoch: after a restart from a snapshot the
+// update window's τ is the mapping's. A batch that leaves the graph as it
+// was publishes an index over that same τ; the mapping must stay alive with
+// it once the snapshot's own epoch is retired and collected.
+func TestLiveMappedBaseOutlivesItsEpoch(t *testing.T) {
+	dir := t.TempDir()
+	li := openLive(t, dir, liveBase(t), func(o *equitruss.LiveOptions) { o.CompactEvery = 1 })
+	liveCompactAll(t, li, 1)
+	li.Close()
+
+	li2 := openLive(t, dir, liveBase(t), nil)
+	defer li2.Close()
+	ts := liveHandler(t, li2)
+	g, tau := li2.Index.G, li2.Index.SG.Tau
+	// The server holds the first epoch from here on; dropping the
+	// LiveIndex's reference leaves the epochs as the mapping's only owners.
+	li2.Index = nil
+	// Insert and delete, in one batch, an edge (u, w) whose one triangle
+	// u-x-w has both other edges at τ >= 3: no τ moves, so the graph and τ
+	// end as they were while the triangle's edges are touched.
+	u, w := int32(-1), int32(-1)
+	for x := int32(0); x < g.NumVertices() && u < 0; x++ {
+		var strong []int32
+		for i, y := range g.Neighbors(x) {
+			if tau[g.IncidentEIDs(x)[i]] >= 3 {
+				strong = append(strong, y)
+			}
+		}
+		for i := 0; i < len(strong) && u < 0; i++ {
+			for _, b := range strong[i+1:] {
+				if !g.HasEdge(strong[i], b) && g.CommonNeighborCount(strong[i], b) == 1 {
+					u, w = strong[i], b
+					break
+				}
+			}
+		}
+	}
+	if u < 0 {
+		t.Fatal("no vertex pair closing exactly one strong triangle")
+	}
+	body := fmt.Sprintf(`{"ops":[{"u":%d,"v":%d},{"op":"delete","u":%d,"v":%d}]}`, u, w, u, w)
+	if resp, doc := livePost(t, ts, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("no-op batch: status %d %v", resp.StatusCode, doc)
+	}
+	liveWaitApplied(t, ts, 2)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Reading τ of the served epoch and of the window faults if the
+	// mapping was released under them.
+	if code, _ := liveGet(t, ts, fmt.Sprintf("/community?v=%d&k=3", u)); code != http.StatusOK {
+		t.Fatalf("query after the no-op batch: status %d", code)
+	}
+	n := int(g.NumVertices())
+	if resp, _ := livePost(t, ts, fmt.Sprintf(`{"ops":[{"u":%d,"v":%d}]}`, n, 0)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update after the no-op batch: status %d", resp.StatusCode)
+	}
+	liveWaitApplied(t, ts, 3)
+}
+
+// TestLiveRetiredSnapshotFormat: a snapshot.eqs in the retired stream
+// format ("EQSN") is an unreadable snapshot. With the full history in the
+// log, recovery rebuilds from the base graph and replays it to the state
+// the server last served; with a compacted log it fails loudly.
+func TestLiveRetiredSnapshotFormat(t *testing.T) {
+	retired := binary.LittleEndian.AppendUint32(nil, 0x4551534E) // "EQSN"
+	retired = binary.LittleEndian.AppendUint32(retired, 2)
+	retired = append(retired, make([]byte, 512)...) // longer than a v3 header: the magic is what fails
+
+	dir := t.TempDir()
+	base := liveBase(t)
+	li := openLive(t, dir, base, nil)
+	ts := liveHandler(t, li)
+	n := int(base.NumVertices())
+	for i := 0; i < 4; i++ {
+		if resp, _ := livePost(t, ts, fmt.Sprintf(`{"ops":[{"u":%d,"v":%d}]}`, n+i, i%n)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %d failed", i)
+		}
+	}
+	served := liveWaitApplied(t, ts, 4)["checksums"].(map[string]any)
+	ts.Close()
+	li.Close()
+	snapPath := filepath.Join(dir, "snapshot.eqs")
+	if err := os.WriteFile(snapPath, retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	li2 := openLive(t, dir, base, nil)
+	if li2.Seq != 4 {
+		t.Fatalf("recovered Seq = %d, want 4", li2.Seq)
+	}
+	liveSumsMatch(t, li2.Index.Checksums(), served)
+	li2.Close()
+
+	dir = t.TempDir()
+	li3 := openLive(t, dir, base, func(o *equitruss.LiveOptions) { o.CompactEvery = 1 })
+	liveCompactAll(t, li3, 2)
+	li3.Close()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.eqs"), retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := equitruss.OpenLive(context.Background(), base, equitruss.LiveOptions{Dir: dir, Threads: 1})
+	if err == nil || !strings.Contains(err.Error(), "unreadable") {
+		t.Fatalf("retired snapshot with a compacted log: error %v, want an unreadable-snapshot failure", err)
 	}
 }
