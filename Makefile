@@ -30,8 +30,8 @@ race:
 # index, observability, and the pipeline's
 # orientation shared from Support to the index builder) at one worker
 # thread and at more workers than the box has cores, the live server's
-# recovery (a mapped snapshot beside the update applier) at the same two
-# settings, the chaos suite, the
+# recovery (a mapped snapshot beside the update applier) and the CLI's live
+# start and restart at the same two settings, the chaos suite, the
 # nested lifecycle-benchmark module, and every example program run end to
 # end against the public API.
 ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle examples
@@ -48,6 +48,7 @@ ci: serversmoke servermetrics chaos crashsafe coldstart lifecycle examples
 	$(GO) test -race -cpu 1,4 ./internal/concur ./internal/graph ./internal/graphio ./internal/triangle ./internal/truss ./internal/core ./internal/ds ./internal/community ./internal/obs
 	$(GO) test -race -cpu 1,4 -run TestBuildSummaryKernelEquivalence .
 	$(GO) test -race -cpu 1,4 -run 'TestLive|TestOpenLive|TestChaosUpdate|TestChaosWAL' .
+	$(GO) test -race -cpu 1,4 -run 'TestRunServe' ./cmd/equitruss
 	$(MAKE) benchcheck
 
 # The paper's evaluation as a gate: run the experiments the benchcheck

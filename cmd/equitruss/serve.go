@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -107,15 +108,18 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	if _, err := equitruss.ParseWALSyncPolicy(*walSync); err != nil {
 		return fmt.Errorf("bad -wal-sync %q (want always|interval|never)", *walSync)
 	}
-	g, err := loadGraph(*graphSpec)
-	if err != nil {
-		return err
+	load := func() (*equitruss.Graph, error) {
+		g, err := loadGraph(*graphSpec)
+		if err != nil {
+			return nil, err
+		}
+		log.Info("graph loaded",
+			slog.String("graph", *graphSpec),
+			slog.Int64("vertices", int64(g.NumVertices())),
+			slog.Int64("edges", int64(g.NumEdges())),
+			slog.String("revision", buildinfo.Revision()))
+		return g, nil
 	}
-	log.Info("graph loaded",
-		slog.String("graph", *graphSpec),
-		slog.Int64("vertices", int64(g.NumVertices())),
-		slog.Int64("edges", int64(g.NumEdges())),
-		slog.String("revision", buildinfo.Revision()))
 	var tr *equitruss.Tracer
 	if *trace {
 		tr = equitruss.NewTracer()
@@ -137,8 +141,8 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	if *walDir != "" {
 		// Durable live serving: map the snapshot (or index the base graph)
 		// and replay the WAL tail, then serve with the update pipeline
-		// attached.
-		li, err := equitruss.OpenLive(ctx, g, equitruss.LiveOptions{
+		// attached. The text graph is parsed only when no snapshot loads.
+		lopt := equitruss.LiveOptions{
 			Dir:              *walDir,
 			SyncPolicy:       *walSync,
 			SyncInterval:     *walSyncInterval,
@@ -148,17 +152,24 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 			MaxUpdateBatch:   *maxUpdateBatch,
 			CompactEvery:     *compactEvery,
 			Logger:           log,
-		})
+		}
+		li, err := equitruss.OpenLive(ctx, nil, lopt)
+		if errors.Is(err, equitruss.ErrNoBaseGraph) {
+			var g *equitruss.Graph
+			if g, err = load(); err != nil {
+				return err
+			}
+			li, err = equitruss.OpenLive(ctx, g, lopt)
+		}
 		if err != nil {
 			return err
 		}
 		defer li.Close()
-		log.Info("live state recovered",
-			slog.String("dir", *walDir),
-			slog.Uint64("seq", li.Seq),
-			slog.Int64("edges", li.Index.G.NumEdges()),
-			slog.String("wal_sync", *walSync))
 		return equitruss.ServeLive(ctx, li, opts)
+	}
+	g, err := load()
+	if err != nil {
+		return err
 	}
 	var idx *equitruss.Index
 	if *indexPath != "" {

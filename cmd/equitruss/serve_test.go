@@ -190,3 +190,86 @@ func TestRunServeLogFlags(t *testing.T) {
 		t.Fatal("serve did not shut down")
 	}
 }
+
+// TestRunServeWALRestartWithoutGraph: a restart after a compaction serves
+// the snapshot's own graph, so it comes up, at the compacted state, with
+// the -graph file gone.
+func TestRunServeWALRestartWithoutGraph(t *testing.T) {
+	dir := t.TempDir()
+	gpath := writeCliqueGraph(t, dir, 6)
+	args := []string{"-graph", gpath, "-wal", filepath.Join(dir, "state"), "-compact-every", "1", "-addr", "127.0.0.1:0"}
+	serve := func() (addr string, stop func()) {
+		ctx, cancel := context.WithCancel(context.Background())
+		addrCh := make(chan string, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- runServeCtx(ctx, args, func(a net.Addr) { addrCh <- a.String() })
+		}()
+		select {
+		case addr = <-addrCh:
+		case err := <-done:
+			cancel()
+			t.Fatalf("serve exited before listening: %v", err)
+		case <-time.After(10 * time.Second):
+			cancel()
+			t.Fatal("serve never started listening")
+		}
+		return addr, func() {
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("serve returned %v", err)
+			}
+		}
+	}
+	health := func(addr string) (seq float64, sums map[string]any) {
+		var doc struct {
+			AppliedSeq float64        `json:"applied_seq"`
+			Checksums  map[string]any `json:"checksums"`
+		}
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.AppliedSeq, doc.Checksums
+	}
+
+	addr, stop := serve()
+	for i, body := range []string{`{"ops":[{"u":6,"v":0},{"u":6,"v":1}]}`, `{"ops":[{"u":7,"v":6},{"u":7,"v":0}]}`} {
+		resp, err := http.Post("http://"+addr+"/update", "application/json", strings.NewReader(body))
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %d: %v / %v", i, err, resp)
+		}
+		resp.Body.Close()
+	}
+	var served map[string]any
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		seq, sums := health(addr)
+		if seq == 2 && len(sums) == 3 {
+			served = sums
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("applied_seq stuck at %v", seq)
+		}
+	}
+	stop() // the applier compacts each batch before it stops
+
+	if err := os.Remove(gpath); err != nil {
+		t.Fatal(err)
+	}
+	addr, stop = serve()
+	defer stop()
+	seq, sums := health(addr)
+	if seq != 2 {
+		t.Fatalf("restarted at applied_seq %v, want 2", seq)
+	}
+	for layer, want := range served {
+		if sums[layer] != want {
+			t.Fatalf("%s checksum: restarted %v, served %v", layer, sums[layer], want)
+		}
+	}
+}

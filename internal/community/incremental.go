@@ -1,6 +1,7 @@
 package community
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,6 +29,10 @@ var (
 // cheaper than repairing most of the graph edge by edge.
 var ErrDeltaTooLarge = errors.New("community: delta region exceeds the incremental-repair budget")
 
+// maxRepairFrac is Advance's repair budget, as a fraction of the edge count:
+// past it a from-scratch rebuild is the cheaper publish.
+const maxRepairFrac = 0.2
+
 // EdgeDelta names the edges a batch of updates moved: the net delta a
 // dynamic.Graph reports, keyed by graph.PackPair. Changed holds surviving
 // pre-existing edges with their new trussness, Inserted/Deleted the
@@ -53,8 +58,7 @@ type ApplyStats struct {
 // it recomputes supernode membership and superedges only inside the region
 // the delta can reach and splices the repaired merge-forest trees into the
 // hierarchy. On success the maintainer advances to the produced index; on
-// any error it stays put, so the caller can fall back to a full rebuild and
-// wrap the rebuilt index in a new Maintainer.
+// any error it stays put, so Advance can fall back to a full rebuild.
 //
 // The locality argument: a triangle's qualification as a supernode witness
 // or superedge witness can only change when one of its three edges changes
@@ -70,6 +74,54 @@ type Maintainer struct {
 
 // NewMaintainer wraps a published index for incremental maintenance.
 func NewMaintainer(idx *Index) *Maintainer { return &Maintainer{idx: idx} }
+
+// Step names how Advance produced its index.
+type Step string
+
+const (
+	StepNone    Step = "none"    // an empty delta: the maintained index itself
+	StepRepair  Step = "repair"  // Apply's in-place repair
+	StepRebuild Step = "rebuild" // a summary build over the delta's graph and τ
+)
+
+// Advanced reports one Advance.
+type Advanced struct {
+	Step     Step
+	Stats    ApplyStats   // the repair's, also when it declined
+	Declined error        // why the repair gave way to a rebuild, even one that failed
+	Timings  core.Timings // the rebuild's kernel times
+}
+
+// Advance is the one publish rule of the live applier and of recovery: it
+// produces the successor of the maintained index for d and repoints the
+// maintainer to it. It repairs in place within maxRepairFrac of the edges;
+// otherwise, or when the repair fails, it builds the summary graph with
+// variant v from d's graph and maintained τ, with no re-peeling. A successor
+// over the maintained index's own graph aliases its τ, so it takes over its
+// Backing: after a restart, the snapshot mapping must outlive the snapshot's
+// epoch. On error the maintainer stays put.
+func (mt *Maintainer) Advance(ctx context.Context, d EdgeDelta, v core.Variant, threads int) (*Index, Advanced, error) {
+	old := mt.idx
+	idx, st, err := mt.Apply(d, maxRepairFrac)
+	adv := Advanced{Step: StepRepair, Stats: st}
+	switch {
+	case err != nil:
+		adv.Step, adv.Declined = StepRebuild, err
+		sg, tm, berr := core.BuildCtx(ctx, d.G, d.Tau, v, threads, nil)
+		if berr != nil {
+			return nil, adv, berr
+		}
+		adv.Timings = tm
+		idx = NewIndex(d.G, sg)
+		mt.idx = idx
+	case idx == old:
+		adv.Step = StepNone
+	}
+	if idx.G == old.G && idx.SG.Backing == nil {
+		idx.SG.Backing = old.SG.Backing
+	}
+	return idx, adv, nil
+}
 
 // Apply builds the successor index for one delta, on the delta's successor
 // graph and τ (which the new index adopts). maxRegionFrac bounds the repair

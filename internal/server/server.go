@@ -704,17 +704,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		doc["epoch"] = 0
 	}
 	if m := s.live; m != nil {
-		acked, applied := m.ackedSeq.Load(), m.appliedSeq.Load()
-		if ep != nil {
-			// The applier stores appliedSeq just after it swaps the epoch
-			// in, so appliedSeq read now can be ahead of the epoch loaded
-			// above; the epoch's own sequence is the one its checksums
-			// reflect. acked, read after the epoch, is never behind it.
-			applied = ep.seq
-		}
+		// ep is set (EnableUpdates needs it); acked, read after it, is not behind.
+		acked := m.ackedSeq.Load()
 		doc["acked_seq"] = acked
-		doc["applied_seq"] = applied
-		doc["staleness"] = acked - applied
+		doc["staleness"] = acked - ep.seq
 		doc["update_queue_depth"] = len(m.queue)
 		doc["update_queue_cap"] = cap(m.queue)
 		if msg := m.degraded(); msg != "" {
@@ -744,7 +737,8 @@ func (s *Server) instanceGauges() []obs.GaugeValue {
 		)
 	}
 	if m := s.live; m != nil {
-		acked, applied := m.ackedSeq.Load(), m.appliedSeq.Load()
+		applied := s.epoch().seq // before acked, so never ahead of it
+		acked := m.ackedSeq.Load()
 		gauges = append(gauges,
 			obs.GaugeValue{Name: "server_update_acked_seq", Help: "last WAL sequence durably acked to writers", Value: float64(acked)},
 			obs.GaugeValue{Name: "server_update_applied_seq", Help: "last WAL sequence reflected in the serving epoch", Value: float64(applied)},

@@ -31,12 +31,6 @@ import (
 // unpublished and trigger the backoff-retry loop).
 const siteUpdate = "server.update"
 
-// maxRepairFrac bounds the incremental repair region as a fraction of the
-// edge count: a delta reaching further than this is published by a
-// from-scratch rebuild instead, which is then cheaper than repairing most of
-// the graph edge by edge.
-const maxRepairFrac = 0.2
-
 var (
 	cUpdateRequests = obs.GetCounter("server_update_requests",
 		"POST /update requests accepted (WAL-acked)")
@@ -62,20 +56,18 @@ var (
 		"applier rebuild latency per drain (delta repair or full rebuild, through epoch publish)")
 )
 
-// LiveConfig attaches a durable update pipeline to a pending server. The
-// caller owns recovery: Dyn must already reflect every WAL record up to and
-// including AppliedSeq (snapshot load + replay), and WAL must be open.
+// LiveConfig attaches a durable update pipeline to a server. The caller owns
+// recovery: the published epoch and Dyn must already reflect every WAL
+// record up to the epoch's sequence (snapshot load + replay), and WAL must
+// be open.
 type LiveConfig struct {
 	// WAL is the open write-ahead log updates are acked against. Required.
 	WAL *wal.WAL
-	// Dyn is the mutable graph state as of AppliedSeq: a window over the
-	// first published epoch's graph and τ (the same edges, so edge IDs
-	// agree), with no changes pending. Required. After EnableUpdates the
-	// applier goroutine owns it exclusively.
+	// Dyn is the mutable graph state: a window over the published epoch's
+	// graph and τ (the same edges, so edge IDs agree), with no changes
+	// pending. Required. After EnableUpdates the applier goroutine owns it
+	// exclusively.
 	Dyn *dynamic.Graph
-	// AppliedSeq is the WAL sequence already reflected in Dyn (and in the
-	// first published epoch).
-	AppliedSeq uint64
 	// QueueDepth bounds the update batches acked but not yet applied; a
 	// full queue sheds POST /update with 429 + Retry-After. 0 selects the
 	// default (64).
@@ -87,15 +79,9 @@ type LiveConfig struct {
 	// allocation one request can force. 0 selects max(2·|V|, 1<<20).
 	MaxVertexID int32
 	// Variant and Threads drive the summary-graph rebuild when an applied
-	// batch's repair region is too large to repair in place (trussness is
-	// maintained incrementally; only the summary construction reruns).
+	// batch is not repaired in place (see community.Maintainer.Advance).
 	Variant core.Variant
 	Threads int
-	// RebuildBackoff and RebuildBackoffMax shape the jittered exponential
-	// backoff between retries of a failed rebuild. Zero values select the
-	// defaults (50ms base, 5s cap).
-	RebuildBackoff    time.Duration
-	RebuildBackoffMax time.Duration
 	// SnapshotPath, when non-empty, enables compaction: every CompactEvery
 	// applied batches the applier writes the published index, with its
 	// graph and sequence, there as one index file and truncates the WAL to
@@ -115,10 +101,12 @@ type LiveConfig struct {
 }
 
 const (
-	defaultQueueDepth        = 64
-	defaultCompactEvery      = 64
-	defaultRebuildBackoff    = 50 * time.Millisecond
-	defaultRebuildBackoffMax = 5 * time.Second
+	defaultQueueDepth   = 64
+	defaultCompactEvery = 64
+	// rebuildBackoff and rebuildBackoffMax shape the jittered exponential
+	// backoff between retries of a failed rebuild.
+	rebuildBackoff    = 50 * time.Millisecond
+	rebuildBackoffMax = 5 * time.Second
 
 	// updateOpJSONBytes is the body-size budget per operation when capping
 	// POST /update reads: a fully spelled-out op ({"op":"delete","u":…,"v":…}
@@ -163,13 +151,13 @@ type mutator struct {
 	mu    sync.Mutex
 	queue chan updateBatch
 
-	ackedSeq   atomic.Uint64 // last sequence durably appended and acked
-	appliedSeq atomic.Uint64 // last sequence reflected in the published epoch
-	brokenMsg  atomic.Pointer[string]
+	// ackedSeq is the last sequence durably appended and acked; the
+	// published epoch's sequence is the last one applied.
+	ackedSeq  atomic.Uint64
+	brokenMsg atomic.Pointer[string]
 
-	// maint tracks the published index for incremental repair; owned by the
-	// applier goroutine. Nil until the first epoch matching the delta
-	// window's base is seen (or after construction, lazily).
+	// maint holds the published index the next drain advances from; owned by
+	// the applier goroutine.
 	maint *community.Maintainer
 
 	cancel context.CancelFunc
@@ -188,16 +176,19 @@ func (m *mutator) markDegraded(msg string) {
 }
 
 // EnableUpdates attaches the durable update pipeline and starts the applier
-// goroutine. Call once, before serving traffic, on a server whose first
-// epoch (matching cfg.Dyn at cfg.AppliedSeq) has been or is about to be
-// published. The first repair applies the window cfg.Dyn has open, so it
-// must hold exactly the ops since that epoch. Stop with Close.
+// goroutine. Call once, before serving traffic, on a server that has
+// published the recovered state: the applier advances from that epoch and
+// its sequence, so it refuses to start without one. Stop with Close.
 func (s *Server) EnableUpdates(cfg LiveConfig) error {
 	if s.live != nil {
 		return errors.New("server: updates already enabled")
 	}
 	if cfg.WAL == nil || cfg.Dyn == nil {
 		return errors.New("server: LiveConfig needs both WAL and Dyn")
+	}
+	ep := s.epoch()
+	if ep == nil {
+		return errors.New("server: EnableUpdates needs a published epoch")
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = defaultQueueDepth
@@ -211,15 +202,6 @@ func (s *Server) EnableUpdates(cfg LiveConfig) error {
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = defaultCompactEvery
 	}
-	if cfg.RebuildBackoff <= 0 {
-		cfg.RebuildBackoff = defaultRebuildBackoff
-	}
-	if cfg.RebuildBackoffMax <= 0 {
-		cfg.RebuildBackoffMax = defaultRebuildBackoffMax
-	}
-	if cfg.RebuildBackoffMax < cfg.RebuildBackoff {
-		cfg.RebuildBackoffMax = cfg.RebuildBackoff
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = olog.L()
 	}
@@ -228,11 +210,11 @@ func (s *Server) EnableUpdates(cfg LiveConfig) error {
 		s:      s,
 		cfg:    cfg,
 		queue:  make(chan updateBatch, cfg.QueueDepth),
+		maint:  community.NewMaintainer(ep.idx),
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	m.ackedSeq.Store(cfg.AppliedSeq)
-	m.appliedSeq.Store(cfg.AppliedSeq)
+	m.ackedSeq.Store(ep.seq)
 	s.live = m
 	go m.run(ctx)
 	return nil
@@ -272,16 +254,9 @@ func (m *mutator) run(ctx context.Context) {
 		if m.cfg.testApplyHook != nil {
 			m.cfg.testApplyHook()
 		}
-		last := m.applyOps(first)
 		// Greedy drain: coalesce everything already acked into this rebuild.
-		for drained := false; !drained; {
-			select {
-			case b := <-m.queue:
-				last = m.applyOps(b)
-			default:
-				drained = true
-			}
-		}
+		ApplyBatch(m.cfg.Dyn, first.ops, m.cfg.Logger)
+		last := m.drain(first.seq)
 		if !m.rebuildWithRetry(ctx, &last) {
 			return
 		}
@@ -293,23 +268,37 @@ func (m *mutator) run(ctx context.Context) {
 	}
 }
 
-// applyOps folds one acked batch into the dynamic graph and returns its
-// sequence. Redundant operations (inserting an existing edge, deleting a
+// ApplyBatch folds one logged batch into dyn: the one replay rule of the
+// applier and of recovery, so a restart reaches the state the applier
+// served. Redundant operations (inserting an existing edge, deleting a
 // missing one) are no-ops by dynamic-graph contract, which makes WAL replay
 // idempotent across overlapping snapshots.
-func (m *mutator) applyOps(b updateBatch) uint64 {
-	for _, op := range b.ops {
+func ApplyBatch(dyn *dynamic.Graph, ops wal.Batch, logger *slog.Logger) {
+	for _, op := range ops {
 		if op.Del {
-			m.cfg.Dyn.DeleteEdge(op.U, op.V)
-		} else if _, err := m.cfg.Dyn.InsertEdge(op.U, op.V); err != nil {
+			dyn.DeleteEdge(op.U, op.V)
+		} else if _, err := dyn.InsertEdge(op.U, op.V); err != nil {
 			// Validation rejects negative IDs and self-loops at admission,
 			// so an error here is a WAL record from a future format — skip
 			// the op rather than poison the applier.
-			m.cfg.Logger.Warn("skipping unappliable op",
+			logger.Warn("skipping unappliable op",
 				slog.Int("u", int(op.U)), slog.Int("v", int(op.V)), slog.Any("err", err))
 		}
 	}
-	return b.seq
+}
+
+// drain applies every batch already queued and returns the last sequence
+// applied, last itself when the queue is empty.
+func (m *mutator) drain(last uint64) uint64 {
+	for {
+		select {
+		case b := <-m.queue:
+			ApplyBatch(m.cfg.Dyn, b.ops, m.cfg.Logger)
+			last = b.seq
+		default:
+			return last
+		}
+	}
 }
 
 // rebuildWithRetry drives rebuild to success with capped, jittered
@@ -320,7 +309,7 @@ func (m *mutator) applyOps(b updateBatch) uint64 {
 // backpressure the write path already advertises. Returns false only when
 // the context ended.
 func (m *mutator) rebuildWithRetry(ctx context.Context, last *uint64) bool {
-	backoff := m.cfg.RebuildBackoff
+	backoff := rebuildBackoff
 	for {
 		err := m.rebuild(ctx, *last)
 		if err == nil {
@@ -343,101 +332,43 @@ func (m *mutator) rebuildWithRetry(ctx context.Context, last *uint64) bool {
 			return false
 		case <-timer.C:
 		}
-		for drained := false; !drained; {
-			select {
-			case b := <-m.queue:
-				*last = m.applyOps(b)
-			default:
-				drained = true
-			}
-		}
-		if backoff *= 2; backoff > m.cfg.RebuildBackoffMax {
-			backoff = m.cfg.RebuildBackoffMax
-		}
+		*last = m.drain(*last)
+		backoff = min(2*backoff, rebuildBackoffMax)
 	}
 }
 
-// rebuild turns the applied mutations into a new published epoch: the
-// summary/hierarchy repair from the batch delta, or — when the repair
-// declines (region over maxRepairFrac, or a repair invariant error) — a
-// from-scratch rebuild from the maintained trussness (no re-peeling). Both
-// run on the window's successor graph, folded once per window.
+// rebuild publishes the applied mutations as a new epoch by the one publish
+// rule, community.Maintainer.Advance. The delta window closes on publish and
+// stays open on error, so a retry covers every change.
 func (m *mutator) rebuild(ctx context.Context, seq uint64) error {
 	if err := faults.Inject(siteUpdate); err != nil {
 		return err
 	}
 	start := time.Now()
 	defer func() { hRebuild.Observe(time.Since(start)) }()
-	if m.tryIncremental(seq) {
-		return nil
+	idx, adv, err := m.maint.Advance(ctx, m.cfg.Dyn.Delta(), m.cfg.Variant, m.cfg.Threads)
+	if adv.Declined != nil {
+		cUpdateIncrFallbacks.Inc()
+		level := slog.LevelWarn // a repair invariant error
+		if errors.Is(adv.Declined, community.ErrDeltaTooLarge) {
+			level = slog.LevelInfo
+		}
+		m.cfg.Logger.Log(ctx, level, "incremental repair declined; full rebuild",
+			slog.Uint64("seq", seq), slog.Any("reason", adv.Declined))
 	}
-	g, tau, err := m.cfg.Dyn.ToStatic()
 	if err != nil {
 		return err
-	}
-	sg, _, err := core.BuildCtx(ctx, g, tau, m.cfg.Variant, m.cfg.Threads, nil)
-	if err != nil {
-		return err
-	}
-	m.publish(community.NewIndex(g, sg), seq)
-	cUpdateFullRebuilds.Inc()
-	return nil
-}
-
-// publish makes idx the serving epoch at seq and the new delta base: the
-// delta window closes, adopting idx's graph and τ (the window's successor)
-// as its base, and the maintainer repoints, so the next drain repairs from
-// exactly this state.
-func (m *mutator) publish(idx *community.Index, seq uint64) {
-	// An index over the unchanged graph takes its τ from the window's base,
-	// which after a restart from a snapshot lives in the previous epoch's
-	// file mapping: the new epoch keeps that mapping alive.
-	if old := m.s.epoch(); old != nil && idx.G == old.idx.G && idx.SG.Backing == nil {
-		idx.SG.Backing = old.idx.SG.Backing
 	}
 	m.s.Publish(idx, seq)
-	m.appliedSeq.Store(seq)
 	m.cfg.Dyn.ResetDelta()
-	m.maint = community.NewMaintainer(idx)
-}
-
-// tryIncremental attempts the delta repair and publishes on success. Any
-// failure (region over budget, or a repair invariant error) reports false
-// and the caller falls back to the full rebuild — the delta window stays
-// open until some publish succeeds, so no change is lost.
-func (m *mutator) tryIncremental(seq uint64) bool {
-	if m.maint == nil {
-		// First drain since enabling: adopt the first published epoch as the
-		// repair base — valid only if it matches the delta window's base
-		// sequence exactly.
-		if ep := m.s.epoch(); ep != nil && ep.seq == m.appliedSeq.Load() {
-			m.maint = community.NewMaintainer(ep.idx)
-		} else {
-			return false
-		}
+	if adv.Step == community.StepRebuild {
+		cUpdateFullRebuilds.Inc()
+		return nil
 	}
-	delta := community.EdgeDelta(m.cfg.Dyn.Delta())
-	idx, stats, err := m.maint.Apply(delta, maxRepairFrac)
-	if err != nil {
-		cUpdateIncrFallbacks.Inc()
-		if errors.Is(err, community.ErrDeltaTooLarge) {
-			m.cfg.Logger.Info("delta region over budget; full rebuild",
-				slog.Uint64("seq", seq), slog.Int("delta_edges", delta.Size()))
-		} else {
-			m.cfg.Logger.Warn("incremental repair failed; falling back to full rebuild",
-				slog.Any("err", err), slog.Uint64("seq", seq))
-		}
-		return false
-	}
-	m.publish(idx, seq)
 	cUpdateIncrApplies.Inc()
 	m.cfg.Logger.Debug("incremental repair published",
-		slog.Uint64("seq", seq),
-		slog.Int("region_edges", stats.RegionEdges),
-		slog.Int("dirty_supernodes", stats.DirtySupernodes),
-		slog.Int("kept_nodes", stats.KeptNodes),
-		slog.Int("rebuilt_nodes", stats.RebuiltNodes))
-	return true
+		slog.Uint64("seq", seq), slog.Any("stats", adv.Stats))
+	return nil
 }
 
 // compact writes the published epoch — its graph, summary graph and

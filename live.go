@@ -2,6 +2,7 @@ package equitruss
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -10,9 +11,7 @@ import (
 	"time"
 
 	"equitruss/internal/community"
-	"equitruss/internal/core"
 	"equitruss/internal/dynamic"
-	"equitruss/internal/graph"
 	"equitruss/internal/graphio"
 	"equitruss/internal/server"
 	"equitruss/internal/wal"
@@ -58,8 +57,8 @@ type LiveOptions struct {
 	// SyncInterval is the group-fsync period under the "interval" policy;
 	// <= 0 selects 100ms.
 	SyncInterval time.Duration
-	// Variant and Threads drive both the recovery-time index build and the
-	// post-update rebuilds.
+	// Variant and Threads drive the first start's index build and every
+	// summary rebuild after it, at recovery and in the update applier.
 	Variant Variant
 	Threads int
 	// UpdateQueueDepth bounds acked-but-unapplied batches before POST
@@ -84,18 +83,24 @@ type LiveOptions struct {
 	Logger *slog.Logger
 }
 
+// ErrNoBaseGraph is OpenLive's error for a nil base graph when snapshot.eqs
+// is missing or does not load: retry with the base graph.
+var ErrNoBaseGraph = errors.New("equitruss: the state directory holds no loadable snapshot and no base graph was given")
+
 // LiveIndex is a recovered, updatable serving state: the query-ready index
 // at WAL sequence Seq, the mutable graph over it (whose base is the index's
 // own graph and τ), and the open log that future updates append to.
 type LiveIndex struct {
+	// Index is the recovered index. ServeLive and NewLiveHandler hand it to
+	// the server and set it to nil, so once updates replace that epoch it
+	// is freed (after a restart, the snapshot unmapped).
 	Index *Index
 	Dyn   *DynamicGraph
 	WAL   *wal.WAL
 	// Seq is the last WAL sequence reflected in Index and Dyn.
 	Seq uint64
 
-	snapshotPath string
-	opt          LiveOptions
+	opt LiveOptions
 }
 
 // Close releases the WAL. Call after the server using the LiveIndex has
@@ -111,17 +116,16 @@ func (li *LiveIndex) Close() error { return li.WAL.Close() }
 //     falls back to the base graph (step 2) when the WAL still reaches back
 //     to sequence 1, and fails otherwise (the log alone cannot reconstruct
 //     state past a compaction).
-//  2. Otherwise build the index of base (or of an empty graph when base is
-//     nil) with BuildIndex. Either way the dynamic graph is a window over
-//     the index's graph and τ, which it aliases rather than copies.
+//  2. Otherwise build the index of base with BuildIndex; a nil base then
+//     fails with ErrNoBaseGraph. Either way the dynamic graph is a window
+//     over the index's graph and τ, which it aliases rather than copies.
 //  3. Open wal.log (truncating any torn tail) and replay every record past
-//     the starting sequence through the exact dynamic-trussness maintenance
-//     into the window.
-//  4. If the replay left the graph as it was, serve the starting index as
-//     it is. Otherwise build the summary graph and index of the window's
-//     successor from its maintained trussness — no re-peeling. The window
-//     then closes, so the served index's graph is the base of the first
-//     update window.
+//     the starting sequence into the window by the applier's own rule
+//     (server.ApplyBatch), through the exact dynamic-trussness maintenance.
+//  4. Advance the starting index over the window by the applier's publish
+//     rule (community.Maintainer.Advance): served as it is, repaired, or
+//     rebuilt from the maintained trussness. The window then closes, so
+//     the served index's graph is the base of the first update window.
 //
 // The result is bit-identical (by canonical Checksums) to building
 // statically over the same edge stream, which is exactly what the crashsafe
@@ -159,8 +163,10 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 	}()
 
 	// Step 1/2: pick the starting index.
+	t0 := time.Now()
 	var ix *Index
 	var fromSeq uint64
+	started := "mapped"
 	snapCorrupt := false
 	state, _, serr := graphio.OpenIndexFile(snapPath, graphio.VerifyEager)
 	if serr == nil && state.G == nil {
@@ -170,8 +176,6 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 	case serr == nil:
 		ix = &Index{Index: community.NewIndex(state.G, state.SG)}
 		fromSeq = state.Seq
-		logger.Info("recovery: mapped snapshot",
-			slog.Uint64("seq", state.Seq), slog.Int64("edges", state.G.NumEdges()))
 	case os.IsNotExist(serr):
 	default:
 		// Unreadable snapshot: base + replay is usable only if the WAL still
@@ -183,17 +187,19 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 	}
 	if ix == nil {
 		if base == nil {
-			base, _ = graph.FromEdgeList(nil, 0) // an empty edge list is always valid
+			return nil, ErrNoBaseGraph
 		}
 		if ix, err = BuildIndex(base, Options{Variant: opt.Variant, Threads: opt.Threads, Context: ctx}); err != nil {
 			return nil, err
 		}
+		started = "built"
 	}
 	dyn := dynamic.FromStatic(ix.G, ix.SG.Tau)
 
 	// Step 3: replay the log suffix. The contiguity check turns a
 	// gap — e.g. a compacted WAL paired with a lost snapshot — into a hard
 	// error instead of silently wrong state.
+	t1 := time.Now()
 	expect := fromSeq
 	replayed := 0
 	err = w.Replay(fromSeq, func(seq uint64, b wal.Batch) error {
@@ -202,13 +208,7 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 		}
 		expect = seq
 		replayed++
-		for _, op := range b {
-			if op.Del {
-				dyn.DeleteEdge(op.U, op.V)
-			} else if _, err := dyn.InsertEdge(op.U, op.V); err != nil {
-				return fmt.Errorf("equitruss: WAL seq %d: unappliable op (%d,%d): %w", seq, op.U, op.V, err)
-			}
-		}
+		server.ApplyBatch(dyn, b, logger)
 		return nil
 	})
 	if err != nil {
@@ -220,53 +220,40 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 		// to rebuild from base is gone.
 		return nil, fmt.Errorf("equitruss: snapshot %s is unreadable and the WAL holds no history to rebuild from: %v", snapPath, serr)
 	}
-	if replayed > 0 {
-		logger.Info("recovery: replayed WAL", slog.Int("records", replayed),
-			slog.Uint64("through_seq", expect))
-	}
 
-	// Step 4: the successor's summary + index from the maintained
-	// trussness, unless the replay left the starting graph as it was.
-	if g, tau, _ := dyn.ToStatic(); g != ix.G {
-		sg, timings, err := core.BuildCtx(ctx, g, tau, opt.Variant, opt.Threads, nil)
-		if err != nil {
-			return nil, err
-		}
-		ix = &Index{Index: community.NewIndex(g, sg), Timings: timings}
+	// Step 4: the applier's publish rule, from the starting index.
+	t2 := time.Now()
+	next, adv, err := community.NewMaintainer(ix.Index).Advance(ctx, community.EdgeDelta(dyn.Delta()), opt.Variant, opt.Threads)
+	if err != nil {
+		return nil, err
+	}
+	if next != ix.Index {
+		ix = &Index{Index: next, Timings: adv.Timings}
 	}
 	dyn.ResetDelta()
+	logger.Info("recovery: ready",
+		slog.Uint64("seq", expect),
+		slog.Int("replayed", replayed),
+		slog.String("start", started),
+		slog.String("advance", string(adv.Step)),
+		slog.Float64("start_s", t1.Sub(t0).Seconds()),
+		slog.Float64("replay_s", t2.Sub(t1).Seconds()),
+		slog.Float64("advance_s", time.Since(t2).Seconds()))
 	ok = true
 	return &LiveIndex{
-		Index:        ix,
-		Dyn:          dyn,
-		WAL:          w,
-		Seq:          expect,
-		snapshotPath: snapPath,
-		opt:          opt,
+		Index: ix,
+		Dyn:   dyn,
+		WAL:   w,
+		Seq:   expect,
+		opt:   opt,
 	}, nil
-}
-
-// liveConfig maps LiveOptions onto the internal update-pipeline config.
-func (li *LiveIndex) liveConfig() server.LiveConfig {
-	return server.LiveConfig{
-		WAL:          li.WAL,
-		Dyn:          li.Dyn,
-		AppliedSeq:   li.Seq,
-		QueueDepth:   li.opt.UpdateQueueDepth,
-		MaxBatch:     li.opt.MaxUpdateBatch,
-		Variant:      li.opt.Variant,
-		Threads:      li.opt.Threads,
-		SnapshotPath: li.snapshotPath,
-		CompactEvery: li.opt.CompactEvery,
-		Logger:       li.opt.Logger,
-	}
 }
 
 // ServeLive serves community queries and durable POST /update edge batches
 // from a recovered LiveIndex until ctx is cancelled. On top of Serve's
 // endpoints it exposes POST /update (WAL-acked edge mutations, applied by a
-// background epoch swap) and GET /readyz. The caller still owns li: Close
-// it after ServeLive returns.
+// background epoch swap) and GET /readyz. The server takes li.Index; the
+// caller still owns li: Close it after ServeLive returns.
 func ServeLive(ctx context.Context, li *LiveIndex, opt ServeOptions) error {
 	if li == nil {
 		return fmt.Errorf("equitruss: nil live index")
@@ -275,9 +262,8 @@ func ServeLive(ctx context.Context, li *LiveIndex, opt ServeOptions) error {
 	if addr == "" {
 		addr = ":8080"
 	}
-	s := server.NewPending(opt.serverConfig())
-	s.Publish(li.Index.Index, li.Seq)
-	if err := s.EnableUpdates(li.liveConfig()); err != nil {
+	s, err := li.handOff(opt)
+	if err != nil {
 		return err
 	}
 	defer s.Close()
@@ -286,12 +272,34 @@ func ServeLive(ctx context.Context, li *LiveIndex, opt ServeOptions) error {
 
 // NewLiveHandler returns the live serving handler (queries + updates) for
 // embedding in an existing mux, plus a shutdown func that stops the update
-// applier. Used by in-process tests; production serving uses ServeLive.
+// applier, and takes li.Index. Used by in-process tests; production serving
+// uses ServeLive.
 func NewLiveHandler(li *LiveIndex, opt ServeOptions) (http.Handler, func(), error) {
-	s := server.NewPending(opt.serverConfig())
-	s.Publish(li.Index.Index, li.Seq)
-	if err := s.EnableUpdates(li.liveConfig()); err != nil {
+	s, err := li.handOff(opt)
+	if err != nil {
 		return nil, nil, err
 	}
 	return s.Handler(), s.Close, nil
+}
+
+// handOff publishes li.Index as a new server's first epoch, attaches the
+// update pipeline, and drops li.Index.
+func (li *LiveIndex) handOff(opt ServeOptions) (*server.Server, error) {
+	s := server.NewPending(opt.serverConfig())
+	s.Publish(li.Index.Index, li.Seq)
+	if err := s.EnableUpdates(server.LiveConfig{
+		WAL:          li.WAL,
+		Dyn:          li.Dyn,
+		QueueDepth:   li.opt.UpdateQueueDepth,
+		MaxBatch:     li.opt.MaxUpdateBatch,
+		Variant:      li.opt.Variant,
+		Threads:      li.opt.Threads,
+		SnapshotPath: filepath.Join(li.opt.Dir, liveSnapshotFile),
+		CompactEvery: li.opt.CompactEvery,
+		Logger:       li.opt.Logger,
+	}); err != nil {
+		return nil, err
+	}
+	li.Index = nil
+	return s, nil
 }

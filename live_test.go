@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +22,7 @@ import (
 	"equitruss/internal/faults"
 	"equitruss/internal/mmapio"
 	"equitruss/internal/obs"
+	"equitruss/internal/wal"
 )
 
 // liveBase is a deterministic base graph for the durability tests.
@@ -382,22 +385,31 @@ func TestChaosWALFsyncDegradesToReadOnly(t *testing.T) {
 	}
 }
 
-// liveCompactAll serves li with compaction after every batch, applies
-// batches single-op inserts, waits until the log holds no record past the
-// snapshot, and returns the served checksums. The server is closed; li is
-// not.
+// liveCompactAll is liveCompact over batches single-op inserts.
 func liveCompactAll(t *testing.T, li *equitruss.LiveIndex, batches int) map[string]any {
+	t.Helper()
+	n := int(li.Index.G.NumVertices())
+	bodies := make([]string, batches)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"ops":[{"u":%d,"v":%d}]}`, n+i, i%n)
+	}
+	return liveCompact(t, li, bodies...)
+}
+
+// liveCompact serves li with compaction after every batch, posts one batch
+// per body, waits until the log holds no record past the snapshot, and
+// returns the served checksums. The server is closed; li is not.
+func liveCompact(t *testing.T, li *equitruss.LiveIndex, bodies ...string) map[string]any {
 	t.Helper()
 	ts := liveHandler(t, li)
 	defer ts.Close()
-	n := int(li.Index.G.NumVertices())
-	for i := 0; i < batches; i++ {
-		if resp, _ := livePost(t, ts, fmt.Sprintf(`{"ops":[{"u":%d,"v":%d}]}`, n+i, i%n)); resp.StatusCode != http.StatusOK {
+	for i, body := range bodies {
+		if resp, _ := livePost(t, ts, body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("update %d: status %d", i, resp.StatusCode)
 		}
 		liveWaitApplied(t, ts, uint64(i+1))
 	}
-	sums := liveWaitApplied(t, ts, uint64(batches))["checksums"].(map[string]any)
+	sums := liveWaitApplied(t, ts, uint64(len(bodies)))["checksums"].(map[string]any)
 	deadline := time.Now().Add(5 * time.Second)
 	for li.WAL.Size() > 16 {
 		if time.Now().After(deadline) {
@@ -436,36 +448,120 @@ func TestOpenLiveOrientsOnce(t *testing.T) {
 	}
 }
 
-// TestLiveRestartMapsSnapshot: a restart after a compaction, with nothing
-// in the log past it, serves the snapshot's index from its mapping: no
-// orientation, no summary build, and the state the server last served.
+// TestLiveRestartMapsSnapshot: a restart maps the snapshot and advances it
+// over the WAL tail past it by the applier's own publish rule. An empty tail
+// serves the mapping as it is. A short tail is repaired: no orientation, no
+// summary build. A tail over the repair budget is rebuilt. A tail that
+// leaves the graph as it was is repaired over the mapping's own τ, so the
+// repaired index must keep the mapping alive once the snapshot's index is
+// garbage. Every restart serves the checksums the server last served.
 func TestLiveRestartMapsSnapshot(t *testing.T) {
-	dir := t.TempDir()
+	inserts := func(pairs ...int32) string {
+		var ops []string
+		for i := 0; i+1 < len(pairs); i += 2 {
+			ops = append(ops, fmt.Sprintf(`{"u":%d,"v":%d}`, pairs[i], pairs[i+1]))
+		}
+		return `{"ops":[` + strings.Join(ops, ",") + `]}`
+	}
+	triangle := func(a int32) []int32 { return []int32{a, a + 1, a + 1, a + 2, a, a + 2} }
+	cases := []struct {
+		name string
+		// tail is the body of the one batch posted past the snapshot, or nil
+		// for none. The snapshot holds the base graph and a bowtie on its
+		// five last vertices c..c+4: triangles c-(c+1)-(c+2) and c-(c+3)-(c+4).
+		tail    func(g *equitruss.Graph, c int32) string
+		advance string // the "recovery: ready" line's advance field
+		mapped  bool   // the restarted index is backed by the snapshot mapping
+	}{
+		{"empty", nil, "none", true},
+		{"short", func(g *equitruss.Graph, _ int32) string {
+			return inserts(triangle(g.NumVertices())...) // one new supernode
+		}, "repair", false},
+		{"over-budget", func(g *equitruss.Graph, _ int32) string {
+			// Disjoint triangles on fresh vertices: their 3k edges are the
+			// whole repair region, over 0.2 of the m + 3k edges once
+			// k > m/12.
+			var pairs []int32
+			for i := int64(0); i <= g.NumEdges()/12; i++ {
+				pairs = append(pairs, triangle(g.NumVertices()+int32(3*i))...)
+			}
+			return inserts(pairs...)
+		}, "rebuild", false},
+		{"graph-unchanged", func(_ *equitruss.Graph, c int32) string {
+			// (c+1, c+3) closes the one triangle c-(c+1)-(c+3), whose other
+			// edges are at τ = 3: no τ moves, and deleting it again leaves
+			// the graph as it was while those two edges are touched.
+			return fmt.Sprintf(`{"ops":[{"u":%d,"v":%d},{"op":"delete","u":%d,"v":%d}]}`, c+1, c+3, c+1, c+3)
+		}, "repair", true},
+	}
 	afforest := func(o *equitruss.LiveOptions) { o.Variant, o.Threads = equitruss.Afforest, 2 }
-	li := openLive(t, dir, liveBase(t), func(o *equitruss.LiveOptions) {
-		afforest(o)
-		o.CompactEvery = 1
-	})
-	served := liveCompactAll(t, li, 3)
-	li.Close()
-
 	orientations := obs.GetCounter("triangle_orientations", "")
-	before := orientations.Value()
-	li2 := openLive(t, dir, liveBase(t), afforest)
-	defer li2.Close()
-	if got := orientations.Value() - before; got != 0 {
-		t.Fatalf("restart from a snapshot oriented %d times, want 0", got)
+	repairs := obs.GetCounter("community_incremental_applies", "")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			li := openLive(t, dir, liveBase(t), func(o *equitruss.LiveOptions) {
+				afforest(o)
+				o.CompactEvery = 1
+			})
+			c := li.Index.G.NumVertices()
+			served := liveCompact(t, li, inserts(append(triangle(c), c, c+3, c+3, c+4, c, c+4)...))
+			li.Close()
+			seq := uint64(1)
+			if tc.tail != nil {
+				// The default compaction interval leaves the batch in the log.
+				li = openLive(t, dir, liveBase(t), afforest)
+				body := tc.tail(li.Index.G, c)
+				ts := liveHandler(t, li)
+				if resp, doc := livePost(t, ts, body); resp.StatusCode != http.StatusOK {
+					t.Fatalf("tail batch: status %d %v", resp.StatusCode, doc)
+				}
+				seq++
+				served = liveWaitApplied(t, ts, seq)["checksums"].(map[string]any)
+				ts.Close()
+				li.Close()
+			}
+
+			var logs bytes.Buffer
+			o0, r0 := orientations.Value(), repairs.Value()
+			li2 := openLive(t, dir, liveBase(t), func(o *equitruss.LiveOptions) {
+				afforest(o)
+				o.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+			})
+			defer li2.Close()
+			for _, want := range []string{`msg="recovery: ready"`, "start=mapped", "advance=" + tc.advance} {
+				if !strings.Contains(logs.String(), want) {
+					t.Fatalf("recovery log lacks %s:\n%s", want, logs.String())
+				}
+			}
+			if tc.advance != "rebuild" {
+				if got := orientations.Value() - o0; got != 0 {
+					t.Fatalf("restart oriented %d times, want 0", got)
+				}
+				if total := li2.Index.Timings.Total(); total != 0 {
+					t.Fatalf("restart ran a summary build (%v)", total)
+				}
+			}
+			want := int64(0)
+			if tc.advance == "repair" {
+				want = 1
+			}
+			if got := repairs.Value() - r0; got != want {
+				t.Fatalf("restart ran %d repairs, want %d", got, want)
+			}
+			if _, ok := li2.Index.SG.Backing.(*mmapio.Mapping); ok != tc.mapped {
+				t.Fatalf("recovered index Backing %T, want the mapping: %v", li2.Index.SG.Backing, tc.mapped)
+			}
+			if li2.Seq != seq {
+				t.Fatalf("recovered Seq = %d, want %d", li2.Seq, seq)
+			}
+			// The snapshot's own index is garbage by now: reading τ faults if
+			// the mapping went with it.
+			runtime.GC()
+			runtime.GC()
+			liveSumsMatch(t, li2.Index.Checksums(), served)
+		})
 	}
-	if _, ok := li2.Index.SG.Backing.(*mmapio.Mapping); !ok {
-		t.Fatalf("recovered index is not the snapshot mapping (Backing %T)", li2.Index.SG.Backing)
-	}
-	if total := li2.Index.Timings.Total(); total != 0 {
-		t.Fatalf("restart from a snapshot ran a summary build (%v)", total)
-	}
-	if li2.Seq != 3 {
-		t.Fatalf("recovered Seq = %d, want 3", li2.Seq)
-	}
-	liveSumsMatch(t, li2.Index.Checksums(), served)
 }
 
 // TestLiveMappedBaseOutlivesItsEpoch: after a restart from a snapshot the
@@ -480,11 +576,10 @@ func TestLiveMappedBaseOutlivesItsEpoch(t *testing.T) {
 
 	li2 := openLive(t, dir, liveBase(t), nil)
 	defer li2.Close()
-	ts := liveHandler(t, li2)
 	g, tau := li2.Index.G, li2.Index.SG.Tau
-	// The server holds the first epoch from here on; dropping the
-	// LiveIndex's reference leaves the epochs as the mapping's only owners.
-	li2.Index = nil
+	// The server holds the first epoch from here on, and the LiveIndex
+	// drops its reference: the epochs are the mapping's only owners.
+	ts := liveHandler(t, li2)
 	// Insert and delete, in one batch, an edge (u, w) whose one triangle
 	// u-x-w has both other edges at τ >= 3: no τ moves, so the graph and τ
 	// end as they were while the triangle's edges are touched.
@@ -527,6 +622,39 @@ func TestLiveMappedBaseOutlivesItsEpoch(t *testing.T) {
 		t.Fatalf("update after the no-op batch: status %d", resp.StatusCode)
 	}
 	liveWaitApplied(t, ts, 3)
+}
+
+// TestLiveFirstEpochReleased: the server takes the recovered index from the
+// LiveIndex, so once updates publish successors the first epoch is garbage
+// without the caller clearing anything.
+func TestLiveFirstEpochReleased(t *testing.T) {
+	li := openLive(t, t.TempDir(), liveBase(t), nil)
+	defer li.Close()
+	n := int(li.Index.G.NumVertices())
+	freed := make(chan struct{})
+	runtime.SetFinalizer(li.Index.Index, func(any) { close(freed) })
+	ts := liveHandler(t, li)
+	if li.Index != nil {
+		t.Fatal("the LiveIndex still holds the served index")
+	}
+	for i := 0; i < 2; i++ {
+		if resp, _ := livePost(t, ts, fmt.Sprintf(`{"ops":[{"u":%d,"v":%d}]}`, n+i, i)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %d: status %d", i, resp.StatusCode)
+		}
+		liveWaitApplied(t, ts, uint64(i+1))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first epoch was never collected")
+		}
+	}
 }
 
 // TestLiveRetiredSnapshotFormat: a snapshot.eqs in the retired stream
@@ -572,5 +700,30 @@ func TestLiveRetiredSnapshotFormat(t *testing.T) {
 	_, err := equitruss.OpenLive(context.Background(), base, equitruss.LiveOptions{Dir: dir, Threads: 1})
 	if err == nil || !strings.Contains(err.Error(), "unreadable") {
 		t.Fatalf("retired snapshot with a compacted log: error %v, want an unreadable-snapshot failure", err)
+	}
+}
+
+// TestLiveReplaySkipsWhatTheApplierSkips: recovery replays the log by the
+// applier's own rule, so a logged op the dynamic graph cannot hold (vertex
+// ID MaxInt32, which admission lets through once the graph has 2^30
+// vertices) is skipped at restart as the applier skipped it, instead of
+// refusing to start.
+func TestLiveReplaySkipsWhatTheApplierSkips(t *testing.T) {
+	dir := t.TempDir()
+	base := liveBase(t)
+	openLive(t, dir, base, nil).Close()
+	w, err := wal.Open(filepath.Join(dir, "wal.log"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.NumVertices()
+	if _, err := w.Append(wal.Batch{{U: math.MaxInt32, V: 0}, {U: n, V: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	li := openLive(t, dir, base, nil)
+	defer li.Close()
+	if li.Seq != 1 || li.Index.G.NumEdges() != base.NumEdges()+1 || !li.Index.G.HasEdge(n, 0) {
+		t.Fatalf("recovered Seq %d with %d edges, want 1 with the one holdable op applied", li.Seq, li.Index.G.NumEdges())
 	}
 }
