@@ -82,7 +82,9 @@ servermetrics:
 	$(GO) test -race -run 'TestServerMetricsUnderLoad|TestErroredRequestRetainedAndLogged|TestHealthzRevision' ./internal/server
 
 # Fault-injection and robustness proofs, all race-enabled: mid-build
-# cancellation with goroutine-leak assertions, corrupt-index rejection,
+# cancellation with goroutine-leak assertions, corrupt-index rejection at
+# open (every section checksum before an index is served; the CLI's refusal
+# to serve a flipped file is TestRunServeRefusesCorruptIndex in `make ci`),
 # crash-safe saves, and the server surviving injected errors/panics/delays.
 # See docs/ROBUSTNESS.md for the fault-site registry.
 chaos:
@@ -100,11 +102,12 @@ crashsafe:
 	$(GO) test -race ./internal/wal ./internal/dynamic
 
 # Cold-start drill, race-enabled: builds the real binary, writes an index
-# with `equitruss build -out`, serves it from a zero-copy mmap with lazy
-# verification, SIGKILLs the server with the mapping live, restarts
-# over the same file with eager verification, and differential-verifies both
-# processes' serving checksums (from /healthz) against an independent
-# in-process rebuild. Also runs the mmap/heap loader equivalence suite.
+# with `equitruss build -out`, serves it from a zero-copy mmap (every
+# section checksum verified before the listener opens), SIGKILLs the server
+# with the mapping live, restarts over the same file, and
+# differential-verifies both processes' serving checksums (from /healthz)
+# against an independent in-process rebuild. Also runs the mmap/heap loader
+# equivalence suite.
 coldstart:
 	EQUITRUSS_COLDSTART=1 $(GO) test -race -run 'TestColdstart' .
 	$(GO) test -race ./internal/mmapio ./internal/graphio

@@ -1,10 +1,7 @@
 package equitruss_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,7 +17,6 @@ import (
 
 	"equitruss"
 	"equitruss/internal/faults"
-	"equitruss/internal/mmapio"
 	"equitruss/internal/testkit"
 	"equitruss/internal/truss"
 )
@@ -334,84 +330,4 @@ func TestChaosServerSurvives(t *testing.T) {
 	}
 	ts.Close()
 	chaosWaitGoroutines(t, base)
-}
-
-// TestChaosLazyVerifyFailureFlipsReadiness: a section byte flipped on disk
-// passes structural validation, so a lazy open serves it; once the
-// background verifier finds the bad checksum, /readyz must answer 503 with
-// the reason and /healthz must report the index corrupt. A clean file keeps
-// both green after its verifier finishes.
-func TestChaosLazyVerifyFailureFlipsReadiness(t *testing.T) {
-	g := equitruss.GenerateRMAT(8, 6, 11)
-	sg, _, err := equitruss.BuildSummary(g, equitruss.Options{Variant: equitruss.Afforest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	clean := filepath.Join(dir, "clean.idx")
-	if err := equitruss.SaveIndexFile(clean, sg); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first section descriptor (header offset 48) locates τ; a low-bit
-	// flip keeps every τ in range, so only the section checksum knows.
-	flipped := bytes.Clone(blob)
-	flipped[binary.LittleEndian.Uint64(blob[48:])] ^= 0x01
-	corrupt := filepath.Join(dir, "corrupt.idx")
-	if err := os.WriteFile(corrupt, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	probe := func(path string) (ready int, readyDoc, health map[string]any) {
-		t.Helper()
-		ix, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyLazy)
-		if err != nil {
-			t.Fatalf("%s: lazy open: %v", path, err)
-		}
-		m, ok := ix.SG.Backing.(*mmapio.Mapping)
-		if !ok {
-			t.Skip("index was not loaded through the mapped path on this host")
-		}
-		ts := httptest.NewServer(equitruss.NewHandler(ix, equitruss.ServeOptions{}))
-		defer ts.Close()
-		for deadline := time.Now().Add(5 * time.Second); !m.VerifyDone(); {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: lazy verifier did not finish", path)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		get := func(route string, doc *map[string]any) int {
-			resp, err := ts.Client().Get(ts.URL + route)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if err := json.NewDecoder(resp.Body).Decode(doc); err != nil {
-				t.Fatalf("%s %s: %v", path, route, err)
-			}
-			return resp.StatusCode
-		}
-		ready = get("/readyz", &readyDoc)
-		if code := get("/healthz", &health); code != http.StatusOK {
-			t.Fatalf("%s: /healthz status %d, want 200", path, code)
-		}
-		return ready, readyDoc, health
-	}
-
-	if code, _, health := probe(clean); code != http.StatusOK || health["index"] != "ok" {
-		t.Fatalf("clean file: /readyz %d, /healthz index %v; want 200 and ok", code, health["index"])
-	}
-	code, ready, health := probe(corrupt)
-	if code != http.StatusServiceUnavailable || ready["ready"] != false {
-		t.Fatalf("corrupt file: /readyz %d %v, want 503 not ready", code, ready)
-	}
-	if reason, _ := ready["reason"].(string); !strings.Contains(reason, "tau section checksum") {
-		t.Fatalf("corrupt file: /readyz reason %q does not name the tau section", reason)
-	}
-	if idx, _ := health["index"].(string); !strings.HasPrefix(idx, "corrupt: ") {
-		t.Fatalf("corrupt file: /healthz index %q, want corrupt: …", idx)
-	}
 }

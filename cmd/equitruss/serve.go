@@ -36,7 +36,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	graphSpec := fs.String("graph", "", "edge-list path or dataset:<name>[:<factor>]")
 	indexPath := fs.String("index", "", "binary index from 'equitruss build -out' (omit to build at startup)")
-	verifyName := fs.String("verify", "eager", "checksum verification for mmap-loaded indexes: eager (before serving) or lazy (in background)")
 	variantName := fs.String("variant", "afforest", "variant to build with if no -index given")
 	threads := fs.Int("threads", 0, "build threads (0 = all cores)")
 	addr := fs.String("addr", ":8080", "listen address")
@@ -45,7 +44,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	maxInFlight := fs.Int("maxinflight", 0, "max concurrent query requests before shedding with 429 (0 = default 256, negative = unlimited)")
 	reqTimeout := fs.Duration("reqtimeout", 0, "per-request deadline for query endpoints (0 = none)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-	trace := fs.Bool("trace", false, "record per-request latency spans, exposed via /metrics (diagnostic runs only: spans accumulate unbounded)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text|json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	sampleN := fs.Int("sample", 0, "stage-trace one in every N requests for /debug/requests (0 = default 64, 1 = all, negative disables)")
@@ -101,10 +99,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	if err != nil {
 		return err
 	}
-	verify, err := equitruss.ParseVerifyMode(*verifyName)
-	if err != nil {
-		return fmt.Errorf("bad -verify %q (want eager|lazy)", *verifyName)
-	}
 	if _, err := equitruss.ParseWALSyncPolicy(*walSync); err != nil {
 		return fmt.Errorf("bad -wal-sync %q (want always|interval|never)", *walSync)
 	}
@@ -120,10 +114,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 			slog.String("revision", buildinfo.Revision()))
 		return g, nil
 	}
-	var tr *equitruss.Tracer
-	if *trace {
-		tr = equitruss.NewTracer()
-	}
 	opts := equitruss.ServeOptions{
 		Addr:           *addr,
 		Workers:        *workers,
@@ -131,7 +121,6 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drain,
-		Tracer:         tr,
 		TraceSampleN:   *sampleN,
 		SlowThreshold:  *slowThresh,
 		DebugRing:      *debugRing,
@@ -174,7 +163,7 @@ func runServeCtx(ctx context.Context, args []string, onListen func(net.Addr)) er
 	var idx *equitruss.Index
 	if *indexPath != "" {
 		var stats equitruss.LoadStats
-		idx, stats, err = equitruss.OpenIndexFile(*indexPath, g, verify)
+		idx, stats, err = equitruss.OpenIndexFile(*indexPath, g, equitruss.VerifyEager)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"equitruss"
+	"equitruss/internal/graphio"
 )
 
 func writeCliqueGraph(t *testing.T, dir string, n int) string {
@@ -98,6 +102,45 @@ func TestRunServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunServeRefusesCorruptIndex: an index file whose bytes changed on
+// disk is refused before the server listens. The flip is one low bit of the
+// first τ, which keeps every τ in range, so only the tau section's checksum
+// can catch it.
+func TestRunServeRefusesCorruptIndex(t *testing.T) {
+	dir := t.TempDir()
+	gpath := filepath.Join(dir, "g.txt")
+	if err := graphio.WriteEdgeListFile(gpath, equitruss.GenerateRMAT(8, 6, 11)); err != nil {
+		t.Fatal(err)
+	}
+	ipath := filepath.Join(dir, "g.idx")
+	if err := runBuild([]string{"-graph", gpath, "-variant", "afforest", "-out", ipath}); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	blob, err := os.ReadFile(ipath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first section descriptor (header offset 48) locates τ.
+	blob[binary.LittleEndian.Uint64(blob[48:])] ^= 0x01
+	if err := os.WriteFile(ipath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Should the file be served after all, the listen callback stops the
+	// server so the test fails instead of hanging.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	listened := false
+	err = runServeCtx(ctx, []string{
+		"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0",
+	}, func(net.Addr) { listened = true; cancel() })
+	if listened {
+		t.Fatal("serve listened on a corrupt index file")
+	}
+	if err == nil || !strings.Contains(err.Error(), "tau section checksum") {
+		t.Fatalf("serve error = %v, want the tau section checksum mismatch", err)
+	}
+}
+
 // TestRunServeBuildsWithoutIndex covers the build-at-startup path.
 func TestRunServeBuildsWithoutIndex(t *testing.T) {
 	dir := t.TempDir()
@@ -108,7 +151,7 @@ func TestRunServeBuildsWithoutIndex(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- runServeCtx(ctx, []string{
-			"-graph", gpath, "-variant", "afforest", "-addr", "127.0.0.1:0", "-trace",
+			"-graph", gpath, "-variant", "afforest", "-addr", "127.0.0.1:0",
 		}, func(a net.Addr) { addrCh <- a.String() })
 	}()
 	var addr string

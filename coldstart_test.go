@@ -17,9 +17,9 @@ import (
 )
 
 // TestColdstartServeFromMmap is the cold-start drill over the real binary:
-// build an index file, serve it with -index -verify lazy, take a first
-// answer, SIGKILL the server, restart with -verify eager over the same
-// file, and differential-check both processes' serving checksums against an
+// build an index file, serve it with -index, take a first answer, SIGKILL
+// the server while its mapping is live, restart over the same file, and
+// differential-check both processes' serving checksums against an
 // independent in-process rebuild. The mapped file is the only index state —
 // a kill can never corrupt it (the mapping is read-only), so restart is
 // pure re-map.
@@ -73,13 +73,12 @@ func TestColdstartServeFromMmap(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	start := func(verify string) *exec.Cmd {
+	start := func(leg string) *exec.Cmd {
 		cmd := exec.Command(bin, "serve",
-			"-graph", graphPath, "-index", indexPath, "-verify", verify,
-			"-addr", addr)
+			"-graph", graphPath, "-index", indexPath, "-addr", addr)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting server (-verify %s): %v", verify, err)
+			t.Fatalf("starting server (%s): %v", leg, err)
 		}
 		return cmd
 	}
@@ -137,23 +136,23 @@ func TestColdstartServeFromMmap(t *testing.T) {
 		}
 	}
 
-	// Leg 1: lazy verification, then SIGKILL with the mapping live.
-	cmd := start("lazy")
+	// Leg 1: serve, then SIGKILL with the mapping live.
+	cmd := start("first")
 	waitReady()
-	checkServing("lazy")
+	checkServing("first")
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
 	cmd.Wait()
 
-	// Leg 2: restart over the same file with eager verification — the kill
-	// cannot have torn the read-only index, so this must come up clean and
-	// agree byte-for-byte.
-	cmd2 := start("eager")
+	// Leg 2: restart over the same file — the kill cannot have torn the
+	// read-only index, so every checksum verifies again and the served
+	// state agrees byte-for-byte.
+	cmd2 := start("after-kill")
 	defer func() {
 		cmd2.Process.Kill()
 		cmd2.Wait()
 	}()
 	waitReady()
-	checkServing("eager-after-kill")
+	checkServing("after-kill")
 }

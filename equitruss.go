@@ -343,18 +343,17 @@ func NewDynamicFromGraph(g *Graph, threads int) *DynamicGraph {
 	return dynamic.FromStatic(g, Trussness(g, threads))
 }
 
-// VerifyMode selects when a memory-mapped index load verifies section
-// checksums: eagerly before serving, or lazily in the background.
-type VerifyMode = graphio.VerifyMode
+// VerifyMode was OpenIndexFile's choice of when to verify checksums. An
+// index file is now always verified in full before OpenIndexFile returns,
+// and VerifyEager is the only value it accepts.
+//
+// Deprecated: there is nothing left to select; pass VerifyEager.
+type VerifyMode int
 
-// The verification modes for OpenIndexFile.
-const (
-	VerifyEager = graphio.VerifyEager // verify all checksums before returning
-	VerifyLazy  = graphio.VerifyLazy  // structural validation now, checksums in background
-)
-
-// ParseVerifyMode parses a -verify flag value (eager|lazy).
-func ParseVerifyMode(s string) (VerifyMode, error) { return graphio.ParseVerifyMode(s) }
+// VerifyEager verifies every checksum before OpenIndexFile returns.
+//
+// Deprecated: it is the only mode; see VerifyMode.
+const VerifyEager VerifyMode = 0
 
 // SaveIndexFile writes a summary graph to path crash-safely: the
 // checksummed image goes to a same-directory temp file that is fsynced and
@@ -367,8 +366,8 @@ func SaveIndexFile(path string, sg *SummaryGraph) error {
 
 // LoadStats reports how an index file was loaded.
 type LoadStats struct {
-	// Seconds is the wall time from open through validation (and, for
-	// VerifyEager, checksum verification) until the index was query-ready.
+	// Seconds is the wall time from open through checksum verification and
+	// validation until the index was query-ready.
 	Seconds float64
 	// MmapBytes is the mapped file size when the zero-copy path was taken,
 	// 0 when the file was decoded onto the heap.
@@ -379,13 +378,15 @@ type LoadStats struct {
 // how. On a little-endian host the file is memory-mapped: the seven index
 // arrays alias the page cache directly and cold-start cost is
 // page-fault-driven — milliseconds for multi-hundred-MB indexes — instead
-// of a full decode. verify selects eager (checksums before returning) or
-// lazy (structural validation now, CRC sweep in the background)
-// verification for that path. A big-endian host takes the portable decode
-// path, where verify is ignored and checksums are always checked inline.
+// of a full decode. A big-endian host takes the portable decode path.
+// Either way every section checksum is verified before OpenIndexFile
+// returns. verify must be VerifyEager.
 func OpenIndexFile(path string, g *Graph, verify VerifyMode) (*Index, LoadStats, error) {
+	if verify != VerifyEager {
+		return nil, LoadStats{}, fmt.Errorf("equitruss: verify mode %d no longer exists (every index file is verified before it is served); pass VerifyEager", verify)
+	}
 	start := time.Now()
-	f, m, err := graphio.OpenIndexFile(path, verify)
+	f, m, err := graphio.OpenIndexFile(path)
 	if err != nil {
 		return nil, LoadStats{}, err
 	}
@@ -425,9 +426,6 @@ type ServeOptions struct {
 	// DrainTimeout bounds graceful shutdown: after the context ends,
 	// in-flight requests get this long to finish; <= 0 selects 10s.
 	DrainTimeout time.Duration
-	// Tracer, when non-nil, records one latency span per request. Spans
-	// accumulate unbounded — diagnostic runs only.
-	Tracer *Tracer
 	// TraceSampleN records a full stage trace (parse → pool wait →
 	// hierarchy query → encode) for one in every TraceSampleN requests,
 	// retained for GET /debug/requests. 0 selects the default (64), 1
@@ -450,11 +448,14 @@ type ServeOptions struct {
 	// IndexLoadSeconds, when set, is the wall time the caller's load path
 	// spent making the index query-ready (OpenIndexFile reports it in
 	// LoadStats). Surfaced on /healthz and /metrics as
-	// index_load_seconds.
+	// index_load_seconds. Serve and NewHandler read it; ServeLive and
+	// NewLiveHandler report OpenLive's own load time instead.
 	IndexLoadSeconds float64
 	// MmapBytes, when set, is the mapped index file size from LoadStats —
 	// 0 for a heap-decoded index. Surfaced on /healthz and /metrics as
-	// mmap_bytes.
+	// mmap_bytes. Serve and NewHandler read it; ServeLive and
+	// NewLiveHandler report the size of the snapshot mapping OpenLive
+	// serves from instead.
 	MmapBytes int64
 }
 
@@ -465,7 +466,6 @@ func (opt ServeOptions) serverConfig() server.Config {
 		MaxBatch:         opt.MaxBatch,
 		MaxInFlight:      opt.MaxInFlight,
 		RequestTimeout:   opt.RequestTimeout,
-		Tracer:           opt.Tracer,
 		SampleN:          opt.TraceSampleN,
 		SlowThreshold:    opt.SlowThreshold,
 		DebugRing:        opt.DebugRing,

@@ -105,6 +105,29 @@ func TestIndexSaveLoad(t *testing.T) {
 	}
 }
 
+// TestOpenIndexFileRefusesOtherVerifyModes: every index file is verified in
+// full before it is served, so OpenIndexFile accepts VerifyEager and refuses
+// any other mode.
+func TestOpenIndexFileRefusesOtherVerifyModes(t *testing.T) {
+	g := equitruss.GenerateRMAT(6, 4, 3)
+	idx, err := equitruss.BuildIndex(g, equitruss.Options{Variant: equitruss.Afforest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.bin")
+	if err := equitruss.SaveIndexFile(path, idx.SG); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := equitruss.OpenIndexFile(path, g, equitruss.VerifyEager); err != nil {
+		t.Fatalf("VerifyEager: %v", err)
+	}
+	for _, mode := range []equitruss.VerifyMode{1, 2, -1} {
+		if ix, _, err := equitruss.OpenIndexFile(path, g, mode); err == nil || ix != nil {
+			t.Fatalf("verify mode %d: index %v, err %v; want a refusal", mode, ix, err)
+		}
+	}
+}
+
 func TestDirectCommunitiesExported(t *testing.T) {
 	g, _ := equitruss.NewGraph([]equitruss.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}, 0)
 	tau := equitruss.Trussness(g, 1)

@@ -186,7 +186,7 @@ func TestChecksumsMappedMatchesHeap(t *testing.T) {
 	if err := graphio.WriteBinaryIndexFile(path, &graphio.IndexFile{SG: idx.SG}); err != nil {
 		t.Fatal(err)
 	}
-	f, m, err := graphio.MapIndexFile(path, graphio.VerifyEager)
+	f, m, err := graphio.MapIndexFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"equitruss/internal/graph"
@@ -64,6 +66,22 @@ func TestRMATDeterministicAndSized(t *testing.T) {
 		}
 		if !diff {
 			t.Fatal("different seeds gave identical graphs")
+		}
+	}
+}
+
+// TestRMATIndependentOfGOMAXPROCS: a seed names one graph on any core
+// count.
+func TestRMATIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []graph.Edge
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := RMAT(10, 8, 0.57, 0.19, 0.19, 1).Edges()
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS %d: %d edges, GOMAXPROCS 1 gave %d (or the lists differ)", procs, len(got), len(want))
 		}
 	}
 }

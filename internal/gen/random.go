@@ -5,27 +5,33 @@ import (
 	"equitruss/internal/graph"
 )
 
+// rmatStreams is the number of RNG streams RMAT splits its edges over, one
+// goroutine each. It is part of what a seed means: every R-MAT graph in the
+// tests and the benchmark was generated with two.
+const rmatStreams = 2
+
 // RMAT generates a recursive-matrix (Kronecker) graph with 2^scale vertices
 // and approximately edgeFactor * 2^scale undirected edges before
 // deduplication. The (a, b, c, d) partition probabilities control skew; the
 // classic Graph500 setting is (0.57, 0.19, 0.19, 0.05). Self-loops and
 // duplicates are removed by the CSR builder, so the final edge count is
-// somewhat below the nominal target (as with the real generator).
+// somewhat below the nominal target (as with the real generator). The
+// stream is split over a fixed number of RNG streams, so a seed names the
+// same graph whatever GOMAXPROCS is.
 func RMAT(scale, edgeFactor int, a, b, c float64, seed uint64) *graph.Graph {
 	n := int32(1) << scale
 	target := int64(edgeFactor) * int64(n)
 	edges := make([]graph.Edge, target)
-	threads := concur.MaxThreads()
 	base := newRNG(seed)
-	streams := make([]*rng, threads)
+	streams := make([]*rng, rmatStreams)
 	for t := range streams {
 		streams[t] = base.split()
 	}
 	// An Exec without a context cannot fail.
-	_ = concur.Exec{}.ForThreads("", threads, func(tid int) {
+	_ = concur.Exec{}.ForThreads("", rmatStreams, func(tid int) {
 		r := streams[tid]
-		lo := int64(tid) * target / int64(threads)
-		hi := int64(tid+1) * target / int64(threads)
+		lo := int64(tid) * target / rmatStreams
+		hi := int64(tid+1) * target / rmatStreams
 		for i := lo; i < hi; i++ {
 			var u, v int32
 			for bit := scale - 1; bit >= 0; bit-- {

@@ -47,9 +47,9 @@ import (
 // next 64-byte boundary and is zero-padded to the next one, so every array
 // lands cache-line-aligned in the mapping (and the int64 offset arrays are
 // 8-aligned wherever the file is loaded). Per-section CRC32C lives in the
-// header, verified eagerly at load or deferred to a background pass
-// (VerifyLazy). The layout is little-endian only: big-endian hosts fall
-// back to the streaming decoder, which works everywhere.
+// header, and every one is verified before a load returns. The layout is
+// little-endian only: big-endian hosts fall back to the streaming decoder,
+// which works everywhere.
 //
 // The graph part is optional: a live server's state file (written at each
 // compaction) carries the graph the index summarizes and the WAL sequence
@@ -74,45 +74,8 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-var (
-	cMmapLoads = obs.GetCounter("graphio_mmap_loads",
-		"v3 index files loaded zero-copy via mmap")
-	cLazyVerifyFailures = obs.GetCounter("graphio_lazy_verify_failures",
-		"deferred v3 section-checksum verifications that found corruption")
-)
-
-// VerifyMode selects when a v3 mmap load verifies section checksums.
-type VerifyMode int
-
-const (
-	// VerifyEager checks every section CRC before the load returns — a
-	// flipped byte anywhere is rejected up front, at the cost of one pass
-	// over the file.
-	VerifyEager VerifyMode = iota
-	// VerifyLazy checks only the header CRC up front and verifies section
-	// CRCs in a background goroutine; serving starts immediately, and a
-	// corruption found later surfaces through Mapping.VerifyErr and the
-	// graphio_lazy_verify_failures counter.
-	VerifyLazy
-)
-
-// ParseVerifyMode parses a -verify flag value (eager|lazy).
-func ParseVerifyMode(s string) (VerifyMode, error) {
-	switch s {
-	case "eager":
-		return VerifyEager, nil
-	case "lazy":
-		return VerifyLazy, nil
-	}
-	return 0, fmt.Errorf("graphio: unknown verify mode %q (want eager|lazy)", s)
-}
-
-func (v VerifyMode) String() string {
-	if v == VerifyLazy {
-		return "lazy"
-	}
-	return "eager"
-}
+var cMmapLoads = obs.GetCounter("graphio_mmap_loads",
+	"v3 index files loaded zero-copy via mmap")
 
 // v3Section is one parsed section descriptor.
 type v3Section struct {
@@ -446,19 +409,14 @@ func graphPart(h *v3Header, edges []graph.Edge, tau []int32) (*graph.Graph, erro
 // MapIndexFile loads a v3 index file zero-copy: the file is mapped
 // read-only and the summary graph's arrays alias the mapping (recorded in
 // SummaryGraph.Backing, which keeps the mapping alive — see mmapio). The
-// header is always CRC-verified before any offset is trusted, ValidateLoaded
-// (and, with the graph part, graphPart's checks) always runs before the
-// index is returned, and section checksums are verified per mode: up front
-// (VerifyEager) or in a background goroutine whose finding surfaces through
-// the returned Mapping's VerifyErr (VerifyLazy). Only little-endian hosts
-// can load zero-copy; use ReadBinaryIndexFile elsewhere (OpenIndexFile
-// picks between the two).
-func MapIndexFile(path string, mode VerifyMode) (*IndexFile, *mmapio.Mapping, error) {
+// header is CRC-verified before any offset is trusted, every section CRC
+// is verified before any section is read, and ValidateLoaded (and, with the
+// graph part, graphPart's checks) runs before the index is returned. Only
+// little-endian hosts can load zero-copy; use ReadBinaryIndexFile elsewhere
+// (OpenIndexFile picks between the two).
+func MapIndexFile(path string) (*IndexFile, *mmapio.Mapping, error) {
 	if err := injectRead(); err != nil {
 		return nil, nil, err
-	}
-	if mode != VerifyEager && mode != VerifyLazy {
-		return nil, nil, fmt.Errorf("graphio: unknown verify mode %d", mode)
 	}
 	if !mmapio.HostLittleEndian {
 		return nil, nil, fmt.Errorf("graphio: zero-copy v3 load requires a little-endian host; use ReadBinaryIndexFile")
@@ -483,10 +441,8 @@ func MapIndexFile(path string, mode VerifyMode) (*IndexFile, *mmapio.Mapping, er
 		return fail(fmt.Errorf("graphio: %s: file is %d bytes, header says %d (truncated or trailing garbage)",
 			path, len(data), h.fileSize))
 	}
-	if mode == VerifyEager {
-		if err := verifyV3Sections(data, h); err != nil {
-			return fail(err)
-		}
+	if err := verifyV3Sections(data, h); err != nil {
+		return fail(err)
 	}
 	f, err := v3Index(data, h)
 	if err != nil {
@@ -495,20 +451,6 @@ func MapIndexFile(path string, mode VerifyMode) (*IndexFile, *mmapio.Mapping, er
 	f.SG.Backing = m
 	if err := f.SG.ValidateLoaded(); err != nil {
 		return fail(fmt.Errorf("graphio: corrupt index: %w", err))
-	}
-	if mode == VerifyLazy {
-		// The goroutine's reference keeps the mapping alive against the GC
-		// finalizer for the duration of the pass. Deliberately spawned only
-		// after every fail() path is behind us: fail unmaps, and a verifier
-		// racing an unmap would fault.
-		go func() {
-			defer m.MarkVerifyDone()
-			if err := verifyV3Sections(m.Bytes(), h); err != nil {
-				cLazyVerifyFailures.Inc()
-				m.SetVerifyErr(err)
-				fmt.Fprintf(os.Stderr, "graphio: deferred verify of %s: %v\n", path, err)
-			}
-		}()
 	}
 	cMmapLoads.Inc()
 	return f, m, nil
@@ -652,11 +594,11 @@ func readV3Int64s(r io.Reader, sec v3Section, name string) ([]int64, error) {
 // OpenIndexFile loads an index file by the fastest safe path the host
 // permits: on a little-endian host it is mapped zero-copy by MapIndexFile
 // (the returned Mapping is non-nil); on a big-endian host it is decoded onto
-// the heap by ReadBinaryIndexFile, which checks every checksum inline and
-// ignores mode.
-func OpenIndexFile(path string, mode VerifyMode) (*IndexFile, *mmapio.Mapping, error) {
+// the heap by ReadBinaryIndexFile, which checks every checksum inline.
+// Either way every checksum has passed before it returns.
+func OpenIndexFile(path string) (*IndexFile, *mmapio.Mapping, error) {
 	if mmapio.HostLittleEndian {
-		return MapIndexFile(path, mode)
+		return MapIndexFile(path)
 	}
 	f, err := ReadBinaryIndexFile(path)
 	return f, nil, err

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"equitruss/internal/core"
 	"equitruss/internal/faults"
@@ -68,10 +67,10 @@ func TestV3RoundTripStream(t *testing.T) {
 }
 
 // TestV3MmapMatchesStream is the load-path differential: the zero-copy
-// mmap load (both verify modes) and the portable stream decode must produce
-// identical indexes, and identical graph parts for a live-state file,
-// across several graph shapes including empty and near-empty summary
-// graphs and an edgeless vertex set.
+// mmap load and the portable stream decode must produce identical indexes,
+// and identical graph parts for a live-state file, across several graph
+// shapes including empty and near-empty summary graphs and an edgeless
+// vertex set.
 func TestV3MmapMatchesStream(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"figure3":  gen.PaperFigure3(),
@@ -89,30 +88,25 @@ func TestV3MmapMatchesStream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: stream decode: %v", name, err)
 			}
-			for _, mode := range []VerifyMode{VerifyEager, VerifyLazy} {
-				mapped, m, err := MapIndexFile(path, mode)
-				if err != nil {
-					t.Fatalf("%s: mmap %v: %v", name, mode, err)
+			mapped, _, err := MapIndexFile(path)
+			if err != nil {
+				t.Fatalf("%s: mmap: %v", name, err)
+			}
+			if mapped.SG.Backing == nil {
+				t.Fatalf("%s: mapped index has no Backing", name)
+			}
+			if got, want := mapped.SG.Canonical(g), streamed.SG.Canonical(g); got != want {
+				t.Fatalf("%s: mmap load disagrees with stream decode", name)
+			}
+			if err := mapped.SG.Validate(g); err != nil {
+				t.Fatalf("%s: mapped index invalid: %v", name, err)
+			}
+			for _, got := range []*IndexFile{mapped, streamed} {
+				if (got.G != nil) != (f.G != nil) || got.Seq != f.Seq {
+					t.Fatalf("%s: graph part loaded as (%v, seq %d)", name, got.G, got.Seq)
 				}
-				if mapped.SG.Backing == nil {
-					t.Fatalf("%s: mapped index has no Backing", name)
-				}
-				if got, want := mapped.SG.Canonical(g), streamed.SG.Canonical(g); got != want {
-					t.Fatalf("%s: mmap %v load disagrees with stream decode", name, mode)
-				}
-				if err := mapped.SG.Validate(g); err != nil {
-					t.Fatalf("%s: mapped index invalid: %v", name, err)
-				}
-				for _, got := range []*IndexFile{mapped, streamed} {
-					if (got.G != nil) != (f.G != nil) || got.Seq != f.Seq {
-						t.Fatalf("%s: graph part loaded as (%v, seq %d)", name, got.G, got.Seq)
-					}
-					if f.G != nil && (got.G.NumVertices() != g.NumVertices() || !slices.Equal(got.G.Edges(), g.Edges())) {
-						t.Fatalf("%s: graph part changed the graph", name)
-					}
-				}
-				if err := waitVerify(m.VerifyErr); err != nil {
-					t.Fatalf("%s: %v verify error on clean file: %v", name, mode, err)
+				if f.G != nil && (got.G.NumVertices() != g.NumVertices() || !slices.Equal(got.G.Edges(), g.Edges())) {
+					t.Fatalf("%s: graph part changed the graph", name)
 				}
 			}
 		}
@@ -138,19 +132,6 @@ func mustEmpty(t *testing.T, n int32) *graph.Graph {
 	return g
 }
 
-// waitVerify gives a lazy background verifier time to finish, returning the
-// error it settles on.
-func waitVerify(errFn func() error) error {
-	var err error
-	for i := 0; i < 200; i++ {
-		if err = errFn(); err != nil {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return err
-}
-
 // TestV3AnyByteFlipDetected is the v3 integrity acceptance criterion:
 // flipping ANY single byte of a stored v3 file — header, any of the seven
 // sections, any padding run — must make the eager mmap load fail. (Padding
@@ -171,7 +152,7 @@ func requireFlipsRejected(t *testing.T, raw []byte, step int) {
 		if err := os.WriteFile(path, flipped, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path); err == nil {
 			t.Fatalf("eager mmap load accepted a flip at byte %d of %d", pos, len(raw))
 		}
 		// The stream decoder must reject the same flip (a flipped magic or
@@ -179,39 +160,6 @@ func requireFlipsRejected(t *testing.T, raw []byte, step int) {
 		if _, err := ReadBinaryIndex(bytes.NewReader(flipped)); err == nil {
 			t.Fatalf("stream decode accepted a flip at byte %d of %d", pos, len(raw))
 		}
-	}
-}
-
-// TestV3LazyVerifyCatchesSectionFlip proves the deferred verifier finds a
-// payload corruption that structural validation alone cannot: a content
-// flip that keeps the index well-formed loads under VerifyLazy and then
-// surfaces through Mapping.VerifyErr.
-func TestV3LazyVerifyCatchesSectionFlip(t *testing.T) {
-	g := gen.Clique(6)
-	sg := buildTestIndex(t, g)
-	_, raw := writeV3Temp(t, &IndexFile{SG: sg})
-	// Flip a low bit inside the tau section: tau values stay in range, so
-	// ValidateLoaded passes and only the CRC knows.
-	le := binary.LittleEndian
-	tauOff := int64(le.Uint64(raw[48:]))
-	flipped := bytes.Clone(raw)
-	flipped[tauOff] ^= 0x01
-	path := filepath.Join(t.TempDir(), "flipped.v3")
-	if err := os.WriteFile(path, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MapIndexFile(path, VerifyEager); err == nil ||
-		!strings.Contains(err.Error(), "tau section checksum") {
-		t.Fatalf("eager load error = %v, want tau section checksum mismatch", err)
-	}
-	_, m, err := MapIndexFile(path, VerifyLazy)
-	if err != nil {
-		t.Fatalf("lazy load rejected a structurally valid flip up front: %v", err)
-	}
-	if err := waitVerify(m.VerifyErr); err == nil {
-		t.Fatal("lazy verifier never surfaced the tau section corruption")
-	} else if !strings.Contains(err.Error(), "tau section checksum") {
-		t.Fatalf("lazy verify error = %v, want tau section checksum mismatch", err)
 	}
 }
 
@@ -229,7 +177,7 @@ func TestV3Truncated(t *testing.T) {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path); err == nil {
 			t.Fatalf("mmap load accepted a %d-byte prefix of %d", cut, len(raw))
 		}
 		if _, err := ReadBinaryIndex(bytes.NewReader(raw[:cut])); err == nil {
@@ -262,7 +210,7 @@ func TestV3MisalignedOffsetRejected(t *testing.T) {
 		if err := os.WriteFile(path, forged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path); err == nil {
 			t.Fatalf("mmap load accepted tau offset shifted by %d", delta)
 		} else if !strings.Contains(err.Error(), "canonical layout") &&
 			!strings.Contains(err.Error(), "file size") {
@@ -342,7 +290,7 @@ func TestOpenIndexFilePicksLoaderByLayout(t *testing.T) {
 	g := gen.PaperFigure3()
 	sg := buildTestIndex(t, g)
 	path, _ := writeV3Temp(t, &IndexFile{SG: sg})
-	f, m, err := OpenIndexFile(path, VerifyEager)
+	f, m, err := OpenIndexFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,20 +305,8 @@ func TestOpenIndexFilePicksLoaderByLayout(t *testing.T) {
 	if mapped.Canonical(g) != decoded.SG.Canonical(g) || mapped.Canonical(g) != sg.Canonical(g) {
 		t.Fatal("loaders disagree on the index")
 	}
-	if _, _, err := OpenIndexFile(filepath.Join(t.TempDir(), "missing"), VerifyEager); err == nil {
+	if _, _, err := OpenIndexFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("a missing file was accepted")
-	}
-}
-
-func TestParseFlagHelpers(t *testing.T) {
-	if m, err := ParseVerifyMode("lazy"); err != nil || m != VerifyLazy || m.String() != "lazy" {
-		t.Fatalf("ParseVerifyMode lazy = %v, %v", m, err)
-	}
-	if m, err := ParseVerifyMode("eager"); err != nil || m != VerifyEager || m.String() != "eager" {
-		t.Fatalf("ParseVerifyMode eager = %v, %v", m, err)
-	}
-	if _, err := ParseVerifyMode("never"); err == nil {
-		t.Fatal("ParseVerifyMode accepted never")
 	}
 }
 
@@ -384,7 +320,7 @@ func TestLiveStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, _, err := MapIndexFile(path, VerifyEager)
+	mapped, _, err := MapIndexFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +369,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil {
+		if _, _, err := MapIndexFile(path); err == nil {
 			t.Fatalf("mmap load accepted a %d-byte prefix of %d", cut, len(raw))
 		}
 		if _, err := ReadBinaryIndex(bytes.NewReader(raw[:cut])); err == nil {
@@ -485,7 +421,7 @@ func TestLiveStateRejectsMisalignedTau(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := MapIndexFile(path, VerifyEager); err == nil || !strings.Contains(err.Error(), "corrupt graph part") {
+		if _, _, err := MapIndexFile(path); err == nil || !strings.Contains(err.Error(), "corrupt graph part") {
 			t.Fatalf("%s: mmap load error %v, want a graph part rejection", name, err)
 		}
 		if _, err := ReadBinaryIndex(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "corrupt graph part") {

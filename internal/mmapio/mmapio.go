@@ -12,7 +12,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -32,13 +31,6 @@ type Mapping struct {
 
 	unmapOnce sync.Once
 	unmapErr  error
-
-	// verifyErr records the outcome of a deferred integrity check (the
-	// lazy-verify mode of the index loader): the background verifier stores
-	// here, health surfaces read it. verifyDone flips once that check has
-	// finished, clean or not.
-	verifyErr  atomic.Pointer[error]
-	verifyDone atomic.Bool
 }
 
 // Open maps path read-only in its entirety. The returned Mapping carries a
@@ -90,35 +82,6 @@ func (m *Mapping) Unmap() error {
 		m.data = nil
 	})
 	return m.unmapErr
-}
-
-// SetVerifyErr records the outcome of a deferred integrity check. Only the
-// first error sticks.
-func (m *Mapping) SetVerifyErr(err error) {
-	if err == nil {
-		return
-	}
-	m.verifyErr.CompareAndSwap(nil, &err)
-}
-
-// MarkVerifyDone records that a deferred integrity check has run to
-// completion (whatever its outcome).
-func (m *Mapping) MarkVerifyDone() { m.verifyDone.Store(true) }
-
-// VerifyDone reports whether a deferred integrity check has finished. It
-// stays false for mappings whose loader verified eagerly — there is no
-// deferred check to wait on.
-func (m *Mapping) VerifyDone() bool { return m.verifyDone.Load() }
-
-// VerifyErr returns the error recorded by a deferred integrity check, or
-// nil when none has (yet) been found. With lazy verification a corrupt
-// section may be discovered only after serving has started; pollers (health
-// endpoints) surface this.
-func (m *Mapping) VerifyErr() error {
-	if p := m.verifyErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Int32s reinterprets b as a little-endian []int32 without copying. The

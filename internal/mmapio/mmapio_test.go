@@ -138,23 +138,6 @@ func TestByteImagesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVerifyErrSticks(t *testing.T) {
-	m := &Mapping{}
-	if m.VerifyErr() != nil {
-		t.Fatal("fresh mapping has a verify error")
-	}
-	m.SetVerifyErr(nil)
-	if m.VerifyErr() != nil {
-		t.Fatal("SetVerifyErr(nil) recorded an error")
-	}
-	first := errors.New("first")
-	m.SetVerifyErr(first)
-	m.SetVerifyErr(errors.New("second"))
-	if got := m.VerifyErr(); got != first {
-		t.Fatalf("VerifyErr = %v, want the first error to stick", got)
-	}
-}
-
 // TestFinalizerUnmaps proves an unreachable Mapping releases its region
 // without an explicit Unmap — the property the serving stack's epoch-swap
 // lifecycle relies on (old mapped epochs are dropped, never unmapped by

@@ -14,11 +14,9 @@ const promNamespace = "equitruss"
 // WritePrometheus writes a Prometheus text-exposition (version 0.0.4)
 // snapshot of a registry: every counter as a *_total counter, every
 // collector-emitted gauge as a gauge, every histogram as a
-// *_seconds histogram family plus a *_quantile_seconds gauge digest — and,
-// when a trace is supplied, per-kernel wall seconds, per-thread busy
-// seconds, and the max/mean imbalance ratio as gauges. Either argument may
-// be nil.
-func WritePrometheus(w io.Writer, reg *Registry, t *Trace) error {
+// *_seconds histogram family plus a *_quantile_seconds gauge digest. A nil
+// registry writes nothing.
+func WritePrometheus(w io.Writer, reg *Registry) error {
 	bw := bufio.NewWriter(w)
 	if reg != nil {
 		writePromCounters(bw, reg.Snapshot())
@@ -26,10 +24,6 @@ func WritePrometheus(w io.Writer, reg *Registry, t *Trace) error {
 		for _, h := range reg.HistogramSnapshots() {
 			writePromHistogram(bw, h)
 		}
-	}
-	if t != nil {
-		rep := NewReport(t, nil)
-		writeKernelGauges(bw, rep)
 	}
 	return bw.Flush()
 }
@@ -99,44 +93,6 @@ func writePromHistogram(bw *bufio.Writer, h HistogramSnapshot) {
 	fmt.Fprintf(bw, "# TYPE %s gauge\n", qname)
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		fmt.Fprintf(bw, "%s{q=%q} %s\n", qname, formatPromFloat(q), formatPromFloat(h.Quantile(q).Seconds()))
-	}
-}
-
-func writeKernelGauges(bw *bufio.Writer, rep *Report) {
-	if len(rep.Kernels) == 0 {
-		return
-	}
-	wall := promNamespace + "_kernel_seconds"
-	fmt.Fprintf(bw, "# HELP %s wall time of each pipeline kernel\n", wall)
-	fmt.Fprintf(bw, "# TYPE %s gauge\n", wall)
-	for _, k := range rep.Kernels {
-		if k.Wall > 0 {
-			fmt.Fprintf(bw, "%s{kernel=%q} %.9f\n", wall, k.Name, k.Wall.Seconds())
-		}
-	}
-	busy := promNamespace + "_kernel_thread_busy_seconds"
-	fmt.Fprintf(bw, "# HELP %s cumulative per-worker busy time inside each kernel\n", busy)
-	fmt.Fprintf(bw, "# TYPE %s gauge\n", busy)
-	for _, k := range rep.Kernels {
-		for _, ts := range k.Threads {
-			fmt.Fprintf(bw, "%s{kernel=%q,tid=\"%d\"} %.9f\n", busy, k.Name, ts.TID, ts.Busy.Seconds())
-		}
-	}
-	imb := promNamespace + "_kernel_imbalance_ratio"
-	fmt.Fprintf(bw, "# HELP %s max over mean per-worker busy time (1.0 = perfectly balanced)\n", imb)
-	fmt.Fprintf(bw, "# TYPE %s gauge\n", imb)
-	for _, k := range rep.Kernels {
-		if k.Imbalance > 0 {
-			fmt.Fprintf(bw, "%s{kernel=%q} %.6f\n", imb, k.Name, k.Imbalance)
-		}
-	}
-	items := promNamespace + "_kernel_items"
-	fmt.Fprintf(bw, "# HELP %s work units processed by each kernel\n", items)
-	fmt.Fprintf(bw, "# TYPE %s gauge\n", items)
-	for _, k := range rep.Kernels {
-		if k.Items > 0 {
-			fmt.Fprintf(bw, "%s{kernel=%q} %d\n", items, k.Name, k.Items)
-		}
 	}
 }
 

@@ -32,11 +32,10 @@ func fullFixtureRegistry() *Registry {
 }
 
 // TestPrometheusFullGolden pins the complete exposition — counters,
-// gauges, collector output, histograms with quantile digests, and kernel
-// trace gauges — and lints every line against the text-format grammar.
+// gauges, collector output, and histograms with quantile digests — and lints every line against the text-format grammar.
 func TestPrometheusFullGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, fullFixtureRegistry(), fixtureTrace()); err != nil {
+	if err := WritePrometheus(&buf, fullFixtureRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -50,7 +49,6 @@ func TestPrometheusFullGolden(t *testing.T) {
 		"equitruss_request_latency_seconds_count 4",
 		`equitruss_request_latency_quantile_seconds{q="0.99"}`,
 		`equitruss_empty_latency_seconds_bucket{le="+Inf"} 0`,
-		"# TYPE equitruss_kernel_seconds gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -254,7 +252,7 @@ func TestHistogramExpositionParses(t *testing.T) {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r, nil); err != nil {
+	if err := WritePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

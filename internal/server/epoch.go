@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"equitruss/internal/community"
-	"equitruss/internal/mmapio"
 	"equitruss/internal/obs"
 )
 
@@ -25,16 +24,6 @@ type epoch struct {
 	// sums fingerprints this epoch's state canonically; the crash-recovery
 	// differential compares these against an independent rebuild.
 	sums community.Checksums
-}
-
-// indexErr returns the integrity failure a lazy verifier found in the
-// epoch's mapped index file, or nil: one atomic load, cheap enough for
-// every probe.
-func (ep *epoch) indexErr() error {
-	if m, ok := ep.idx.SG.Backing.(*mmapio.Mapping); ok {
-		return m.VerifyErr()
-	}
-	return nil
 }
 
 // epoch returns the current serving epoch, or nil before the first Publish
@@ -64,8 +53,7 @@ func (s *Server) Publish(idx *community.Index, seq uint64) uint64 {
 
 // handleReadyz is the readiness probe: 200 only once an index epoch is
 // published — meaning any snapshot was loaded and the WAL replayed through
-// the initial build — and while no lazy verifier has found the epoch's
-// index file corrupt. Distinct from /healthz (liveness): a recovering server
+// the initial build. Distinct from /healthz (liveness): a recovering server
 // is alive but not ready, and an orchestrator should route traffic only on
 // readiness. Registered outside the admission limiter so probes keep
 // passing under query overload.
@@ -73,14 +61,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ep := s.epoch()
 	if ep == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
-		return
-	}
-	if err := ep.indexErr(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready":  false,
-			"epoch":  ep.num,
-			"reason": "index corrupt: " + err.Error(),
-		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

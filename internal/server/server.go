@@ -96,10 +96,6 @@ type Config struct {
 	// request context gets this deadline and the batch fan-out aborts
 	// (503) when it expires. <= 0 means no server-imposed deadline.
 	RequestTimeout time.Duration
-	// Tracer, when non-nil, records one span per /community and /batch
-	// request (items = queries answered). Spans accumulate unbounded, so
-	// tracing is for diagnostic runs, not steady-state serving.
-	Tracer *obs.Trace
 	// SampleN records a full stage trace (parse → pool wait → hierarchy
 	// query → encode) for one in every SampleN requests. 0 selects
 	// the default (64), 1 traces every request, negative disables sampling.
@@ -145,7 +141,6 @@ type Server struct {
 	cur        atomic.Pointer[epoch]
 	live       *mutator // non-nil once EnableUpdates attached a WAL pipeline
 	pool       *Pool
-	tr         *obs.Trace
 	reqs       *obs.ReqTracker
 	log        *slog.Logger
 	maxBatch   int
@@ -188,7 +183,6 @@ func NewPending(cfg Config) *Server {
 	}
 	s := &Server{
 		pool: NewPool(cfg.Workers),
-		tr:   cfg.Tracer,
 		reqs: obs.NewReqTracker(obs.ReqConfig{
 			SampleN:       cfg.SampleN,
 			SlowThreshold: cfg.SlowThreshold,
@@ -454,7 +448,6 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	span := s.tr.Start("HTTP /community")
 	rq := s.reqs.Begin("/community")
 	cCommunityRequests.Inc()
 	status := http.StatusOK
@@ -507,7 +500,6 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, rb.body)
 	rb.release()
 	st.End()
-	span.EndItems(1)
 }
 
 // membershipDoc is the GET /membership response: the per-level overlapping
@@ -524,7 +516,6 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	span := s.tr.Start("HTTP /membership")
 	rq := s.reqs.Begin("/membership")
 	cMembershipRequests.Inc()
 	status := http.StatusOK
@@ -571,7 +562,6 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	st = rq.StartStage("encode")
 	writeJSON(w, http.StatusOK, doc)
 	st.End()
-	span.EndItems(1)
 }
 
 // batchRequest is the POST /batch body.
@@ -593,7 +583,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	span := s.tr.Start("HTTP /batch")
 	rq := s.reqs.Begin("/batch")
 	cBatchRequests.Inc()
 	status := http.StatusOK
@@ -666,15 +655,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rb.release()
 	st.End()
 	cBatchQueries.Add(int64(len(req.Queries)))
-	span.EndItems(int64(len(req.Queries)))
 }
 
 // handleHealthz is the liveness probe: always 200 while the process
 // serves, even before the first epoch (readiness is /readyz's job). Beyond
 // the index shape it reports the serving epoch, the update pipeline's
-// acked-vs-applied sequence gap (staleness), whether a lazy verifier found
-// the index file corrupt ("index"), and the canonical state checksums as
-// hex strings — uint64 fingerprints would lose precision as JSON numbers.
+// acked-vs-applied sequence gap (staleness), and the canonical state
+// checksums as hex strings — uint64 fingerprints would lose precision as
+// JSON numbers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc := map[string]any{
 		"status":             "ok",
@@ -691,10 +679,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		doc["supernodes"] = ep.idx.SG.NumSupernodes()
 		doc["superedges"] = ep.idx.SG.NumSuperedges()
 		doc["hierarchy_nodes"] = ep.idx.Hierarchy().NumNodes()
-		doc["index"] = "ok"
-		if err := ep.indexErr(); err != nil {
-			doc["index"] = "corrupt: " + err.Error()
-		}
 		doc["checksums"] = map[string]string{
 			"tau":       fmt.Sprintf("%016x", ep.sums.Tau),
 			"summary":   fmt.Sprintf("%016x", ep.sums.Summary),
@@ -752,7 +736,7 @@ func (s *Server) instanceGauges() []obs.GaugeValue {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	err := obs.WritePrometheus(w, obs.DefaultRegistry(), s.tr)
+	err := obs.WritePrometheus(w, obs.DefaultRegistry())
 	if err == nil {
 		err = obs.WriteGauges(w, s.instanceGauges())
 	}

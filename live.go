@@ -13,6 +13,7 @@ import (
 	"equitruss/internal/community"
 	"equitruss/internal/dynamic"
 	"equitruss/internal/graphio"
+	"equitruss/internal/mmapio"
 	"equitruss/internal/server"
 	"equitruss/internal/wal"
 )
@@ -101,6 +102,12 @@ type LiveIndex struct {
 	Seq uint64
 
 	opt LiveOptions
+	// loadSeconds is OpenLive's wall time from opening the snapshot to a
+	// query-ready Index, and mmapBytes the size of the snapshot mapping
+	// Index serves from (0 when it was built or rebuilt on the heap). The
+	// server reports both on /healthz and /metrics.
+	loadSeconds float64
+	mmapBytes   int64
 }
 
 // Close releases the WAL. Call after the server using the LiveIndex has
@@ -168,7 +175,7 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 	var fromSeq uint64
 	started := "mapped"
 	snapCorrupt := false
-	state, _, serr := graphio.OpenIndexFile(snapPath, graphio.VerifyEager)
+	state, _, serr := graphio.OpenIndexFile(snapPath)
 	if serr == nil && state.G == nil {
 		serr = fmt.Errorf("equitruss: %s is an index file without the graph part", snapPath)
 	}
@@ -231,6 +238,10 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 		ix = &Index{Index: next, Timings: adv.Timings}
 	}
 	dyn.ResetDelta()
+	var mmapBytes int64
+	if m, ok := ix.SG.Backing.(*mmapio.Mapping); ok {
+		mmapBytes = int64(m.Len())
+	}
 	logger.Info("recovery: ready",
 		slog.Uint64("seq", expect),
 		slog.Int("replayed", replayed),
@@ -241,11 +252,13 @@ func OpenLive(ctx context.Context, base *Graph, opt LiveOptions) (*LiveIndex, er
 		slog.Float64("advance_s", time.Since(t2).Seconds()))
 	ok = true
 	return &LiveIndex{
-		Index: ix,
-		Dyn:   dyn,
-		WAL:   w,
-		Seq:   expect,
-		opt:   opt,
+		Index:       ix,
+		Dyn:         dyn,
+		WAL:         w,
+		Seq:         expect,
+		opt:         opt,
+		loadSeconds: time.Since(t0).Seconds(),
+		mmapBytes:   mmapBytes,
 	}, nil
 }
 
@@ -283,9 +296,12 @@ func NewLiveHandler(li *LiveIndex, opt ServeOptions) (http.Handler, func(), erro
 }
 
 // handOff publishes li.Index as a new server's first epoch, attaches the
-// update pipeline, and drops li.Index.
+// update pipeline, and drops li.Index. The server reports OpenLive's load
+// time and snapshot mapping, not opt's IndexLoadSeconds and MmapBytes.
 func (li *LiveIndex) handOff(opt ServeOptions) (*server.Server, error) {
-	s := server.NewPending(opt.serverConfig())
+	cfg := opt.serverConfig()
+	cfg.IndexLoadSeconds, cfg.MmapBytes = li.loadSeconds, li.mmapBytes
+	s := server.NewPending(cfg)
 	s.Publish(li.Index.Index, li.Seq)
 	if err := s.EnableUpdates(server.LiveConfig{
 		WAL:          li.WAL,

@@ -624,6 +624,30 @@ func TestLiveMappedBaseOutlivesItsEpoch(t *testing.T) {
 	liveWaitApplied(t, ts, 3)
 }
 
+// TestLiveRestartReportsLoad: a restart over a compacted state directory
+// maps snapshot.eqs, and /healthz reports that start's wall time and the
+// mapped file's size although the caller's ServeOptions set neither.
+func TestLiveRestartReportsLoad(t *testing.T) {
+	dir := t.TempDir()
+	li := openLive(t, dir, liveBase(t), func(o *equitruss.LiveOptions) { o.CompactEvery = 1 })
+	liveCompactAll(t, li, 1)
+	li.Close()
+	info, err := os.Stat(filepath.Join(dir, "snapshot.eqs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	li2 := openLive(t, dir, nil, nil)
+	defer li2.Close()
+	_, health := liveGet(t, liveHandler(t, li2), "/healthz")
+	if sec, _ := health["index_load_seconds"].(float64); sec <= 0 {
+		t.Fatalf("index_load_seconds = %v, want the restart's wall time", health["index_load_seconds"])
+	}
+	if got, _ := health["mmap_bytes"].(float64); int64(got) != info.Size() {
+		t.Fatalf("mmap_bytes = %v, want the snapshot's %d bytes", health["mmap_bytes"], info.Size())
+	}
+}
+
 // TestLiveFirstEpochReleased: the server takes the recovered index from the
 // LiveIndex, so once updates publish successors the first epoch is garbage
 // without the caller clearing anything.
