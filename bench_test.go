@@ -57,7 +57,8 @@ func BenchmarkAblationBaselineDictionaries(b *testing.B) {
 }
 
 // BenchmarkDynamicMaintenance measures incremental trussness maintenance
-// (insert+delete of the same edge) against recomputing the decomposition
+// (insert+delete of the same edge, and a dense batch: a 24-clique inserted
+// edge by edge on fresh vertices) against recomputing the decomposition
 // from scratch — the payoff of the dynamic engine.
 func BenchmarkDynamicMaintenance(b *testing.B) {
 	spec, err := gen.FindDataset("dblp-sim")
@@ -81,6 +82,22 @@ func BenchmarkDynamicMaintenance(b *testing.B) {
 				b.Fatal(err)
 			}
 			dg.DeleteEdge(u, v)
+		}
+	})
+	// Every insert of a clique edge can raise the clique's earlier edges
+	// through each level below its bound; one op is the whole clique.
+	b.Run("dense-clique", func(b *testing.B) {
+		const size = 24
+		base := g.NumVertices()
+		for i := 0; i < b.N; i++ {
+			clique := dynamic.FromStatic(g, tau)
+			for u := base; u < base+size; u++ {
+				for v := u + 1; v < base+size; v++ {
+					if _, err := clique.InsertEdge(u, v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 		}
 	})
 	b.Run("from-scratch-decomposition", func(b *testing.B) {

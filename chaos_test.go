@@ -159,8 +159,8 @@ func TestChaosLegacyAPIsImmuneToBarrierFaults(t *testing.T) {
 		}
 	}
 	// The peel kernel dispatcher rides the same form, and its outputs must
-	// stay bit-identical under the armed barrier — including the scan-free
-	// pkt peel kernel.
+	// stay bit-identical under the armed barrier — including the compacted
+	// pkt peel.
 	for _, pk := range []truss.PeelKernel{
 		truss.PeelAuto, truss.PeelSerial, truss.PeelLevelSync, truss.PeelPKT,
 	} {

@@ -228,16 +228,9 @@ func (dg *Graph) InsertEdge(u, v int32) (bool, error) {
 	}
 
 	pending := map[ref]int32{r: ub}
-	// Candidate set: for each level k < ub, edges with τ = k that are
-	// triangle-connected to the new edge inside the subgraph of edges with
-	// τ >= k (only such edges can be pulled into a (k+1)-truss that uses
-	// the new edge). Their bound rises by one.
-	for k := int32(2); k < ub; k++ {
-		for _, cand := range dg.reachableAtLevel(r, k) {
-			if _, seen := pending[cand]; !seen {
-				pending[cand] = dg.tauOf(cand) + 1
-			}
-		}
+	// Edges the insert can raise get their τ plus one as their bound.
+	for _, cand := range dg.risingCandidates(r, ub) {
+		pending[cand] = dg.tauOf(cand) + 1
 	}
 	dg.lowerToFixpoint(pending)
 	return true, nil
@@ -282,31 +275,48 @@ func removeValue(s []int32, x int32) []int32 {
 	return s[:len(s)-1]
 }
 
-// reachableAtLevel collects edges with τ == k triangle-connected to the
-// start edge within the subgraph of edges with τ >= k (the start edge is
-// always admitted). BFS over edges; triangles must lie fully inside.
-func (dg *Graph) reachableAtLevel(start ref, k int32) []ref {
-	visited := map[uint64]bool{start.key: true}
-	queue := []ref{start}
+// risingCandidates returns the edges an insert of start can pull into a
+// higher truss: for each level k in [2, ub), the edges with τ == k that are
+// triangle-connected to start inside the subgraph of edges with τ >= k
+// (only such edges can join a (k+1)-truss that uses start). An edge is so
+// connected at level k exactly when b(e) >= k, where b(e) is the widest
+// bottleneck from start: the best, over triangle paths, of the smallest τ
+// among the partner edges the path steps through. So the union over k is
+// the edges with 2 <= τ(e) <= b(e). One bucket traversal from ub-1 down
+// settles each edge once at its b(e) (capped at ub-1, which no k exceeds)
+// instead of running a search per level.
+func (dg *Graph) risingCandidates(start ref, ub int32) []ref {
+	if ub <= truss.MinTrussness {
+		return nil
+	}
+	best := map[uint64]int32{start.key: ub - 1}
+	buckets := make([][]ref, ub)
+	buckets[ub-1] = []ref{start}
 	var out []ref
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		u, v := graph.UnpackPair(e.key)
-		dg.forEachTriangle(u, v, func(w int32, e1, e2 ref) {
-			if dg.tauOf(e1) < k || dg.tauOf(e2) < k {
-				return
+	for b := ub - 1; b >= truss.MinTrussness; b-- {
+		for len(buckets[b]) > 0 {
+			e := buckets[b][len(buckets[b])-1]
+			buckets[b] = buckets[b][:len(buckets[b])-1]
+			if best[e.key] != b {
+				continue // settled at a wider bottleneck already
 			}
-			for _, nxt := range [2]ref{e1, e2} {
-				if !visited[nxt.key] {
-					visited[nxt.key] = true
-					queue = append(queue, nxt)
-					if dg.tauOf(nxt) == k {
-						out = append(out, nxt)
+			if t := dg.tauOf(e); t >= truss.MinTrussness && t <= b {
+				out = append(out, e)
+			}
+			u, v := graph.UnpackPair(e.key)
+			dg.forEachTriangle(u, v, func(w int32, e1, e2 ref) {
+				c := min(b, dg.tauOf(e1), dg.tauOf(e2))
+				if c < truss.MinTrussness {
+					return
+				}
+				for _, nxt := range [2]ref{e1, e2} {
+					if c > best[nxt.key] {
+						best[nxt.key] = c
+						buckets[c] = append(buckets[c], nxt)
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 	return out
 }

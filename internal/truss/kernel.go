@@ -22,12 +22,13 @@ const (
 	// PeelSerial is the classic sequential bucket-queue peeling: exact
 	// decrease-key, no atomics, no barriers — unbeatable on small graphs.
 	PeelSerial
-	// PeelLevelSync is the level-synchronous parallel peeling that rebuilds
-	// each level's frontier with a full-edge scan (DecomposeParallelCtx).
+	// PeelLevelSync is the level-synchronous parallel peeling with
+	// compaction off: each level seeded by a scan of the edge array, static
+	// frontier blocks, triangles from the shared CSR.
 	PeelLevelSync
-	// PeelPKT is the scan-free parallel peeling: counting-sort seed
-	// buckets, capture-on-transition frontiers, lazy adjacency compaction,
-	// chunk-claimed dynamic scheduling (DecomposePKTCtx).
+	// PeelPKT is the same level loop with compaction on: a private
+	// adjacency compacted as edges die, galloping intersections and
+	// chunk-claimed frontier slices.
 	PeelPKT
 )
 
@@ -48,14 +49,17 @@ func (k PeelKernel) String() string {
 	}
 }
 
-// Auto-selection thresholds. The level-synchronous kernel pays one full
-// m-edge scan per distinct support level, so its overhead is proportional
-// to m × spread (spread = max support + 1, the number of potential peel
-// levels). The pkt kernel trades that for O(m) bucket setup plus lazy
-// bookkeeping, which only pays off once the scan work is substantial.
+// Auto-selection thresholds. Both parallel kernels seed each level with a
+// scan of the edge array; they differ in how a frontier edge finds its
+// triangles. An edge of support s has two endpoints of degree above s, so
+// a wide spread (spread = max support + 1) means hubs, and over the shared
+// CSR every peel of a hub edge pays the hub's full degree. m × spread grows
+// with both the edges peeled and the hub lists they intersect: past the
+// threshold the compacted, galloping adjacency (and the chunk claims that
+// balance its skewed per-edge work) earns back its O(m) copy.
 const (
 	peelSerialMaxEdges = 1 << 15 // below this, frontier machinery costs more than it saves
-	pktMinScanWork     = 1 << 24 // m × spread above which per-level rescans dominate: pkt
+	pktMinScanWork     = 1 << 24 // m × spread above which hub intersections dominate: pkt
 )
 
 // Counters recording what the auto heuristic decided, so a trace of a
@@ -66,14 +70,13 @@ var (
 	cPeelAutoLevelSync = obs.GetCounter("truss_peel_auto_levelsync",
 		"auto kernel selections that picked the level-synchronous peel kernel")
 	cPeelAutoPKT = obs.GetCounter("truss_peel_auto_pkt",
-		"auto kernel selections that picked the scan-free pkt peel kernel")
+		"auto kernel selections that picked the compacted pkt peel kernel")
 )
 
 // ChoosePeelKernel resolves PeelAuto for an instance: serial for small
-// graphs, pkt when the rescan work the level-synchronous kernel would do
-// (edge count × peel-level spread) is large, levelsync for the flat
-// middle ground. maxSup is the maximum starting support (the peel-level
-// spread); threads is the resolved parallelism.
+// graphs, pkt when edge count × peel-level spread is large, levelsync for
+// the flat middle ground. maxSup is the maximum starting support (the
+// peel-level spread); threads is the resolved parallelism.
 func ChoosePeelKernel(m int64, maxSup int32, threads int) PeelKernel {
 	if m < peelSerialMaxEdges {
 		return PeelSerial
@@ -89,11 +92,13 @@ func ChoosePeelKernel(m int64, maxSup int32, threads int) PeelKernel {
 	return PeelLevelSync
 }
 
-// DecomposeKernelCtx dispatches the TrussDecomp stage to the selected
-// kernel (PeelAuto resolves per instance). All kernels share the production contract — cancellation at
-// scheduler-barrier (or poll) granularity, per-thread "TrussDecomp" spans
-// into tr, scheduler-barrier fault sites for the parallel forms — and
-// produce bit-identical trussness and kmax.
+// DecomposeKernelCtx runs the TrussDecomp stage with the selected kernel
+// (PeelAuto resolves per instance): the serial bucket queue, or the one
+// parallel level loop with compaction off (PeelLevelSync) or on (PeelPKT).
+// All share the production contract — cancellation at scheduler-barrier
+// (or poll) granularity, per-thread "TrussDecomp" spans into tr,
+// scheduler-barrier fault sites for the parallel forms — and produce
+// bit-identical trussness and kmax.
 func DecomposeKernelCtx(ctx context.Context, g *graph.Graph, supports []int32, k PeelKernel, threads int, tr *obs.Trace) (tau []int32, kmax int32, err error) {
 	if threads <= 0 {
 		threads = concur.MaxThreads()
@@ -118,10 +123,8 @@ func DecomposeKernelCtx(ctx context.Context, g *graph.Graph, supports []int32, k
 	switch k {
 	case PeelSerial:
 		return DecomposeSerialCtx(ctx, g, supports)
-	case PeelLevelSync:
-		return DecomposeParallelCtx(ctx, g, supports, threads, tr)
-	case PeelPKT:
-		return DecomposePKTCtx(ctx, g, supports, threads, tr)
+	case PeelLevelSync, PeelPKT:
+		return decomposeLevels(ctx, g, supports, threads, tr, k == PeelPKT)
 	default:
 		return nil, 0, fmt.Errorf("truss: unknown peel kernel %v", k)
 	}

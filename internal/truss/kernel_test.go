@@ -3,6 +3,7 @@ package truss
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -37,8 +38,8 @@ func TestChoosePeelKernel(t *testing.T) {
 	}
 }
 
-// TestPKTMatchesSerial: randomized differential equality of the scan-free
-// kernel (and the dispatcher over every kernel) against the serial bucket
+// TestPKTMatchesSerial: randomized differential equality of the compacted
+// peel (and the dispatcher over every kernel) against the serial bucket
 // queue, including kmax.
 func TestPKTMatchesSerial(t *testing.T) {
 	check := func(seed int64) bool {
@@ -101,9 +102,9 @@ func TestPKTMatchesSerialOnStructuredGraphs(t *testing.T) {
 	}
 }
 
-// TestPKTLevelSkip reuses the triangle-next-to-K16 gap graph: the bucket
-// index must jump the 12 empty levels between support 1 and 14 without
-// touching dead edges, keeping τ and kmax bit-identical to serial.
+// TestPKTLevelSkip reuses the triangle-next-to-K16 gap graph with
+// compaction on: the level scan must jump the 12 empty levels between
+// support 1 and 14, keeping τ and kmax bit-identical to serial.
 func TestPKTLevelSkip(t *testing.T) {
 	in := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}
 	const base, n = int32(3), int32(16)
@@ -135,8 +136,8 @@ func TestPKTLevelSkip(t *testing.T) {
 	}
 }
 
-// TestFrontierAdmissionAccounting pins the counter contract of both
-// parallel peeling kernels: every edge is admitted to a frontier exactly
+// TestFrontierAdmissionAccounting pins the counter contract of the parallel
+// peel, compaction off and on: every edge is admitted to a frontier exactly
 // once — either by a level-start seed (truss_peel_seed_admissions) or by a
 // support-transition capture (truss_frontier_captures) — so for a full
 // decomposition seeds + captures equals the edge count exactly. A
@@ -199,16 +200,36 @@ func TestKMaxInvariant(t *testing.T) {
 	}
 }
 
-// TestPKTCancellation: a pre-canceled context must abort the scan-free
-// kernel promptly with ctx.Err() and no trussness.
+// TestPKTCancellation: a pre-canceled context must abort the compacted
+// peel promptly with ctx.Err() and no trussness.
 func TestPKTCancellation(t *testing.T) {
 	g := gen.RMAT(10, 6, 0.57, 0.19, 0.19, 6)
 	sup := supportsOf(g, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tau, _, err := DecomposePKTCtx(ctx, g, sup, 2, nil)
+	tau, _, err := DecomposeKernelCtx(ctx, g, sup, PeelPKT, 2, nil)
 	if err == nil || tau != nil {
 		t.Fatalf("canceled pkt returned tau=%v err=%v, want nil, ctx.Err()", tau, err)
+	}
+}
+
+// TestPKTAllocationPerEdge pins what one compacted peel allocates: the
+// trussness and working supports, the private adjacency (two int32s per
+// slot, two slots per edge) and frontier buffers reused across levels come
+// to about 31 bytes per edge on this wide-spread R-MAT graph (max support
+// 533). Per-level buffers that grow with the number of levels (one append
+// per edge at every level its support drops through) break the bound.
+func TestPKTAllocationPerEdge(t *testing.T) {
+	const maxBytesPerEdge = 64
+	g := gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1)
+	sup := supportsOf(g, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decompose(g, sup, PeelPKT, 1)
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	if perEdge > maxBytesPerEdge {
+		t.Fatalf("pkt peel allocated %.1f B/edge over %d edges, want <= %d", perEdge, g.NumEdges(), maxBytesPerEdge)
 	}
 }
 

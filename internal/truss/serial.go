@@ -2,11 +2,12 @@
 // for every edge the trussness τ(e), the largest k such that e belongs to a
 // k-truss of G (Definition 4 of the paper).
 //
-// Two production implementations are provided — the classic serial
-// bucket-peeling algorithm (Wang & Cheng) and a level-synchronous parallel
-// peeling in the style of shared-memory truss decomposition (Kabir &
-// Madduri / Smith et al.) — plus a brute-force oracle for tests. All three
-// agree exactly; the decomposition is deterministic.
+// Two production loops are provided — the classic serial bucket-peeling
+// algorithm (Wang & Cheng) and a level-synchronous parallel peeling in the
+// style of shared-memory truss decomposition (Kabir & Madduri / Smith et
+// al.), run over the shared CSR or over a compacted private adjacency —
+// plus a brute-force oracle for tests. All agree exactly; the
+// decomposition is deterministic.
 package truss
 
 import (
